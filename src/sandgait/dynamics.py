@@ -1,73 +1,62 @@
 """Sagittal-plane Newton-Euler inverse dynamics.
 
-Two formulations are implemented and cross-checked:
+Production runs one recursive Newton-Euler pass per leg over whole-trial
+arrays (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 5): every load
+and state field is ``(N, 3)``, and the pass transfers the accumulated load
+wrench up the foot-shank-thigh chain for all frames at once.  The same
+functions take single ``(3,)`` frames.
 
-* closed-form ankle/knee/hip moment expressions written directly against
-  the foot-shank-thigh chain, and
-* a recursive segment-by-segment pass that transfers the accumulated load
-  wrench up the chain (the production path).
-
-In the closed forms every lever is expressed with the segment axis
-pointing from the distal joint to the proximal joint (``u = -e`` for a
-proximal->distal state vector ``e``), so the force lever telescopes from
-the COP to the joint of interest.  The recursive pass reproduces the
-ankle and knee closed forms exactly; at the hip it additionally carries
-the thigh-mass force term that the closed form omits.  That discrepancy is
-surfaced per frame, never silently resolved.
+Closed-form ankle/knee/hip moment expressions, written directly against
+the chain, are kept as the test oracle.  In them every lever is expressed
+with the segment axis pointing from the distal joint to the proximal joint
+(``u = -e`` for a proximal->distal state vector ``e``), so the force lever
+telescopes from the COP to the joint of interest.  The recursive pass
+reproduces the ankle and knee closed forms exactly; at the hip it
+additionally carries the thigh-mass force term that the closed form omits
+(``hip_thigh_mass_term``).
 
 The same code path serves stance and swing: swing frames simply carry a
 zero external load.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError
 from .kinematics import SegmentStateSeries
-from .model import E_Z, GRAVITY, SegmentParams
+from .model import E_Z, GRAVITY, LEG_SEGMENTS, SegmentParams
 
 JOINTS = ("ankle", "knee", "hip")
-_CHAIN = ("foot", "shank", "thigh")
 
 
 @dataclass(frozen=True)
 class ExternalLoad:
-    """Ground load on the foot at one instant.
+    """Ground load on the foot, at one instant ``(3,)`` or per frame ``(N, 3)``.
 
     ``r`` is the position vector from the COP to the toe.  ``moment`` is
     the ground couple; only its lab-Y component is meaningful in the
     sagittal model (X/Z components are dropped by the pipeline and logged).
     """
 
-    force: np.ndarray   # (3,), N
-    moment: np.ndarray  # (3,), N m
-    r: np.ndarray       # (3,), m, COP -> toe
+    force: np.ndarray   # (3,) or (N, 3), N
+    moment: np.ndarray  # (3,) or (N, 3), N m
+    r: np.ndarray       # (3,) or (N, 3), m, COP -> toe
 
     @classmethod
     def zero(cls) -> "ExternalLoad":
         z = np.zeros(3)
         return cls(force=z, moment=z.copy(), r=z.copy())
 
-    @classmethod
-    def from_cop(cls, force, moment, cop, toe) -> "ExternalLoad":
-        return cls(force=np.asarray(force, dtype=float),
-                   moment=np.asarray(moment, dtype=float),
-                   r=np.asarray(toe, dtype=float) - np.asarray(cop, dtype=float))
-
 
 @dataclass(frozen=True)
 class FrameState:
-    """Single-frame segment kinematics for the dynamics equations."""
+    """Segment kinematics for the dynamics equations, ``(3,)`` or ``(N, 3)``."""
 
-    e: np.ndarray          # unit proximal -> distal
-    acc: np.ndarray        # COM acceleration
-    omega_dot: np.ndarray  # angular acceleration vector
-
-    @classmethod
-    def from_series(cls, s: SegmentStateSeries, i: int) -> "FrameState":
-        return cls(e=s.e[i], acc=s.com_acc[i], omega_dot=s.omega_dot[i])
+    e: np.ndarray          # (3,) or (N, 3), unit proximal -> distal
+    acc: np.ndarray        # (3,) or (N, 3), COM acceleration
+    omega_dot: np.ndarray  # (3,) or (N, 3), angular acceleration vector
 
 
 def transfer_to_distal(F_G: np.ndarray, M_G: np.ndarray,
@@ -159,7 +148,7 @@ def recursive_leg(load: ExternalLoad,
     F_c = np.asarray(load.force, dtype=float).copy()
     M_c = np.asarray(load.moment, dtype=float) + np.cross(load.r, load.force)
     out = {}
-    for joint, segment in zip(JOINTS, _CHAIN):
+    for joint, segment in zip(JOINTS, LEG_SEGMENTS):
         p = params[segment]
         st = states[segment]
         u = -st.e
@@ -179,12 +168,12 @@ def recursive_leg(load: ExternalLoad,
 
 @dataclass
 class MomentSample:
-    """One-frame inverse-dynamics result for one leg."""
+    """Inverse-dynamics result for one leg, by both formulations."""
 
     moments: dict[str, np.ndarray]          # recursive (authoritative)
     forces: dict[str, np.ndarray]           # proximal joint forces
     closed_form: dict[str, np.ndarray]
-    divergence: dict[str, float]            # |closed - recursive| per joint
+    divergence: dict[str, np.ndarray]       # |closed - recursive| per joint
 
 
 def leg_inverse_dynamics(load: ExternalLoad,
@@ -192,12 +181,11 @@ def leg_inverse_dynamics(load: ExternalLoad,
                          thigh: FrameState,
                          params: dict[str, SegmentParams],
                          g: float = GRAVITY) -> MomentSample:
-    """Ankle, knee, and hip moments by both formulations.
+    """Ankle, knee, and hip moments by both formulations (the test oracle).
 
-    The recursive result is authoritative; the closed forms ride along as
-    a per-frame cross-check.  At the hip the documented thigh-mass term is
-    removed before measuring divergence, so a nonzero hip divergence flags
-    a real disagreement, not the known formula gap.
+    At the hip the documented thigh-mass term is removed before measuring
+    divergence, so a nonzero hip divergence flags a real disagreement, not
+    the known formula gap.
     """
     states = {"foot": foot, "shank": shank, "thigh": thigh}
     rec = recursive_leg(load, states, params, g)
@@ -211,7 +199,7 @@ def leg_inverse_dynamics(load: ExternalLoad,
         expected = closed[joint]
         if joint == "hip":
             expected = expected + hip_thigh_mass_term(thigh, params["thigh"], g)
-        divergence[joint] = float(np.linalg.norm(expected - rec[joint][1]))
+        divergence[joint] = np.linalg.norm(expected - rec[joint][1], axis=-1)
     return MomentSample(moments={j: rec[j][1] for j in JOINTS},
                         forces={j: rec[j][0] for j in JOINTS},
                         closed_form=closed, divergence=divergence)
@@ -225,40 +213,34 @@ class JointMomentSeries:
     moment_y: dict[str, np.ndarray]      # N m about lab Y, per joint
     normalized: dict[str, np.ndarray]    # N m / kg
     proximal_force: dict[str, np.ndarray]  # (N, 3) per joint
-    divergence: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def leg_moment_series(time: np.ndarray,
-                      loads: list[ExternalLoad],
+                      load: ExternalLoad,
                       foot: SegmentStateSeries, shank: SegmentStateSeries,
                       thigh: SegmentStateSeries,
                       params: dict[str, SegmentParams],
                       body_mass: float,
                       g: float = GRAVITY) -> JointMomentSeries:
-    """Frame-by-frame inverse dynamics over a whole trial for one side."""
+    """Inverse dynamics over a whole trial for one side: one recursive pass
+    over ``(N, 3)`` arrays.  ``load`` holds one ground load per frame.
+    Frames where any segment direction is missing come out NaN."""
     n = len(time)
-    for name, s in (("foot", foot), ("shank", shank), ("thigh", thigh)):
+    series = {"foot": foot, "shank": shank, "thigh": thigh}
+    for name, s in series.items():
         if len(s) != n or not np.allclose(s.time, time):
             raise ContractError(f"{name} state timestamps do not match")
-    if len(loads) != n:
-        raise ContractError(f"got {len(loads)} loads for {n} frames")
+    if any(np.shape(v) != (n, 3) for v in (load.force, load.moment, load.r)):
+        raise ContractError(f"got loads of shape {np.shape(load.force)} "
+                            f"for {n} frames")
 
-    mom = {j: np.full(n, np.nan) for j in JOINTS}
-    frc = {j: np.full((n, 3), np.nan) for j in JOINTS}
-    div = {j: np.full(n, np.nan) for j in JOINTS}
-    for i in range(n):
-        fs = FrameState.from_series(foot, i)
-        ss = FrameState.from_series(shank, i)
-        ts = FrameState.from_series(thigh, i)
-        if not (np.all(np.isfinite(fs.e)) and np.all(np.isfinite(ss.e))
-                and np.all(np.isfinite(ts.e))):
-            continue
-        sample = leg_inverse_dynamics(loads[i], fs, ss, ts, params, g)
-        for j in JOINTS:
-            mom[j][i] = sample.moments[j][1]
-            frc[j][i] = sample.forces[j]
-            div[j][i] = sample.divergence[j]
+    states = {name: FrameState(e=s.e, acc=s.com_acc, omega_dot=s.omega_dot)
+              for name, s in series.items()}
+    valid = np.all([np.isfinite(s.e).all(axis=1) for s in series.values()],
+                   axis=0)
+    rec = recursive_leg(load, states, params, g)
+    mom = {j: np.where(valid, rec[j][1][:, 1], np.nan) for j in JOINTS}
+    frc = {j: np.where(valid[:, None], rec[j][0], np.nan) for j in JOINTS}
     normalized = {j: mom[j] / body_mass for j in JOINTS}
     return JointMomentSeries(time=time.copy(), moment_y=mom,
-                             normalized=normalized, proximal_force=frc,
-                             divergence=div)
+                             normalized=normalized, proximal_force=frc)

@@ -278,8 +278,9 @@ def align_streams(trial: TrialRecord) -> TrialRecord:
         raise AlignmentError(
             f"marker timeline [{m.time[0]:g}, {m.time[-1]:g}] s does not "
             f"overlap GRF timeline [{g.time[0]:g}, {g.time[-1]:g}] s")
+    dt_m = m.dt
     dt_g = float(np.median(np.diff(g.time)))
-    ratio = max(1, int(round(m.dt / dt_g)))
+    ratio = max(1, int(round(dt_m / dt_g)))
     half_lo, half_hi = (ratio // 2 - 1, ratio // 2) if ratio % 2 == 0 \
         else (ratio // 2, ratio // 2)
 
@@ -291,20 +292,13 @@ def align_streams(trial: TrialRecord) -> TrialRecord:
                        < np.abs(g.time[centers] - m.time))
     centers[nudge] -= 1
 
-    keep, t_out, f_out, mom_out, cop_out = [], [], [], [], []
-    for i, c in enumerate(centers):
-        lo, hi = c - half_lo, c + half_hi + 1
-        if lo < 0 or hi > len(g):
-            continue
-        if abs(g.time[c] - m.time[i]) > m.dt:
-            continue
-        keep.append(i)
-        t_out.append(m.time[i])
-        f_out.append(g.force[lo:hi].mean(axis=0))
-        mom_out.append(g.moment[lo:hi].mean(axis=0))
-        cop_out.append(g.cop[lo:hi].mean(axis=0))
-    if not keep:
+    lo = centers - half_lo
+    keep = ((lo >= 0) & (centers + half_hi < len(g))
+            & ~(np.abs(g.time[centers] - m.time) > dt_m))
+    if not keep.any():
         raise AlignmentError("no marker frame has full GRF window coverage")
-    aligned = GrfData(time=np.array(t_out), force=np.array(f_out),
-                      moment=np.array(mom_out), cop=np.array(cop_out))
+    window = lo[keep][:, None] + np.arange(half_lo + half_hi + 1)
+    aligned = GrfData(time=m.time[keep], force=g.force[window].mean(axis=1),
+                      moment=g.moment[window].mean(axis=1),
+                      cop=g.cop[window].mean(axis=1))
     return replace(trial, grf_aligned=aligned)

@@ -24,7 +24,8 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Centred boxcar filter; edges use shrinking symmetric windows.
 
     ``window`` must be odd and no longer than the sequence.  Works on (N,)
-    or (N, k) arrays, filtering along axis 0.  NaNs propagate.
+    or (N, k) arrays, filtering along axis 0.  An output sample whose
+    window holds a non-finite input is NaN; all others are unaffected.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -32,14 +33,17 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
         raise ParameterError(f"window must be odd and >= 1, got {window}")
     if window > n:
         raise ParameterError(f"window {window} exceeds sequence length {n}")
-    half = window // 2
-    out = np.empty_like(x)
-    csum = np.cumsum(x, axis=0)
-    for i in range(n):
-        k = min(half, i, n - 1 - i)
-        lo, hi = i - k, i + k + 1
-        s = csum[hi - 1] - (csum[lo - 1] if lo > 0 else 0)
-        out[i] = s / (hi - lo)
+    i = np.arange(n)
+    k = np.minimum(window // 2, np.minimum(i, n - 1 - i))
+    lo, hi = i - k, i + k + 1
+    bad = ~np.isfinite(x)
+    # running sums with a leading zero row: sum(x[lo:hi]) = csum[hi] - csum[lo]
+    csum = np.cumsum(np.concatenate([np.zeros_like(x[:1]),
+                                     np.where(bad, 0.0, x)]), axis=0)
+    nbad = np.cumsum(np.concatenate([np.zeros_like(bad[:1]), bad]), axis=0)
+    shape = (n,) + (1,) * (x.ndim - 1)
+    out = (csum[hi] - csum[lo]) / (hi - lo).reshape(shape)
+    out[nbad[hi] != nbad[lo]] = np.nan
     return out
 
 

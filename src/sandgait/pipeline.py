@@ -19,18 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, forces, gaitseg, kinematics, metrics
-from .errors import ConfigurationError, SegmentationError
+from .errors import ConfigurationError, GaitError, SegmentationError
 from .forces import CalibrationCurve
 from .gaitseg import EventThresholds, GaitEvents, NormalizedCurve
 from .ingest import GrfData, TrialRecord, align_streams, fill_gaps
-from .model import (GRAVITY, AnthropometricTable, SegmentParams,
+from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     segment_parameters)
-from .schema import MarkerSchema
+from .schema import SIDES, MarkerSchema
 
 log = logging.getLogger(__name__)
-
-SIDES = ("left", "right")
-LEG_SEGMENTS = ("thigh", "shank", "foot")
 
 
 @dataclass
@@ -130,7 +127,7 @@ def _mean_segment_lengths(trial, schema) -> dict[str, float]:
     return lengths
 
 
-def _attribute_plate_side(trial, schema, events, cfg) -> str:
+def _attribute_plate_side(trial, schema) -> str:
     """Pick the leg standing on the instrumented plate: the side whose
     ankle is nearest the COP at peak vertical force."""
     grf = trial.grf_aligned
@@ -162,8 +159,12 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
         force = grf.force.copy()
         force[:, 2] = forces.calibrate_grf(force[:, 2],
                                            trial.meta.sand_depth, curve)
+        # keep the free couple at the COP: the plate-origin moment follows
+        # the rescaled force
+        cop3 = np.column_stack([grf.cop, np.zeros(len(grf))])
+        moment = grf.moment + np.cross(cop3, force - grf.force)
         grf = GrfData(time=grf.time.copy(), force=force,
-                      moment=grf.moment.copy(), cop=grf.cop.copy())
+                      moment=moment, cop=grf.cop.copy())
         warnings.append("fx passed through uncalibrated (sand terrain)")
     trial = TrialRecord(meta=trial.meta,
                         markers=fill_gaps(trial.markers, cfg.max_gap_frames),
@@ -178,7 +179,8 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     states: dict[tuple[str, str], kinematics.SegmentStateSeries] = {}
     angle_series = {}
     for side in SIDES:
-        for seg in LEG_SEGMENTS:
+        # thigh first: this order fixes the float sum of com_trajectory
+        for seg in reversed(LEG_SEGMENTS):
             states[(side, seg)] = kinematics.segment_states(
                 trial.markers, schema, side, seg, params[seg],
                 filter_window=cfg.filter_window)
@@ -204,45 +206,39 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
                                               toe[:, 2], heel_vx,
                                               cfg.thresholds())
     events = GaitEvents(**ev)
-    plate_side = _attribute_plate_side(trial, schema, events, cfg)
+    plate_side = _attribute_plate_side(trial, schema)
 
     body_weight = participant.mass * cfg.gravity
     warnings.extend(gaitseg.grf_stance_check(
         events.side(plate_side), trial.grf.time, trial.grf.force[:, 2],
         body_weight, fraction=cfg.plate_threshold_bw))
 
-    # external loads on the marker timeline
+    # external loads on the marker timeline; align_streams copies the
+    # marker times, so searchsorted finds each aligned row's frame exactly.
+    # A NaN force counts as loaded, so its frames come out NaN.
     aligned = trial.grf_aligned
-    aligned_idx = {round(t, 6): i for i, t in enumerate(aligned.time)}
-    toe_pos = trial.markers.pos[schema.joint_label(plate_side, "toe")]
-    n = len(trial.markers.time)
-    loads_plate = []
-    dropped = 0.0
+    time = trial.markers.time
+    n = len(time)
+    loaded = ~(aligned.force[:, 2] < cfg.plate_threshold_bw * body_weight)
+    frames = np.searchsorted(time, aligned.time[loaded])
     on_plate = np.zeros(n, dtype=bool)
-    for i, t in enumerate(trial.markers.time):
-        j = aligned_idx.get(round(t, 6))
-        if j is None or aligned.force[j, 2] < cfg.plate_threshold_bw * body_weight:
-            loads_plate.append(dynamics.ExternalLoad.zero())
-            continue
-        F = aligned.force[j]
-        cop3 = np.array([aligned.cop[j, 0], aligned.cop[j, 1], 0.0])
-        m_cop = aligned.moment[j] - np.cross(cop3, F)
-        dropped = max(dropped, abs(m_cop[0]), abs(m_cop[2]))
-        load = dynamics.ExternalLoad.from_cop(
-            force=F, moment=np.array([0.0, m_cop[1], 0.0]),
-            cop=cop3, toe=toe_pos[i])
-        loads_plate.append(load)
-        on_plate[i] = True
+    on_plate[frames] = True
+    cop3 = np.column_stack([aligned.cop[loaded], np.zeros(len(frames))])
+    m_cop = aligned.moment[loaded] - np.cross(cop3, aligned.force[loaded])
+    dropped = np.abs(m_cop[:, [0, 2]]).max(initial=0.0)
     if dropped > 1e-9:
         log.info("dropped non-sagittal ground moment components "
                  "(max |M_x|,|M_z| = %.3f N m)", dropped)
-
-    zero_loads = [dynamics.ExternalLoad.zero()] * n
+    toe_pos = trial.markers.pos[schema.joint_label(plate_side, "toe")]
+    plate_load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
+    plate_load.force[frames] = aligned.force[loaded]
+    plate_load.moment[frames, 1] = m_cop[:, 1]
+    plate_load.r[frames] = toe_pos[frames] - cop3
+    no_load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
     moments = {}
     for side in SIDES:
-        loads = loads_plate if side == plate_side else zero_loads
         moments[side] = dynamics.leg_moment_series(
-            trial.markers.time, loads,
+            time, plate_load if side == plate_side else no_load,
             states[(side, "foot")], states[(side, "shank")],
             states[(side, "thigh")], params, participant.mass, cfg.gravity)
 
@@ -314,16 +310,15 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
         stiffness = metrics.knee_stiffness(
             trial.markers.time, angle_series[plate_side]["knee"],
             moments[plate_side].normalized["knee"], events, side=plate_side)
-    except Exception as exc:  # stiffness is best-effort on real trials
+    except GaitError as exc:  # stiffness is best-effort on real trials
         warnings.append(f"knee stiffness not computed: {exc}")
-    if plate_side in angle_cycle and "knee" in angle_cycle[plate_side]:
+    if "knee" in angle_cycle[plate_side]:  # two plate-side heel strikes
         knee_loop = {
             "angle_deg": angle_cycle[plate_side]["knee"].values,
             "moment_nmkg": gaitseg.phase_normalize(
                 trial.markers.time, moments[plate_side].normalized["knee"],
                 (float(plate_ev.heel_strikes[0]),
-                 float(plate_ev.heel_strikes[1])), kind="cycle").values
-            if len(plate_ev.heel_strikes) >= 2 else np.array([]),
+                 float(plate_ev.heel_strikes[1])), kind="cycle").values,
         }
 
     return AnalysisResult(
@@ -433,8 +428,7 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
         atomic_write(out / "grf_stance.csv",
                      _csv_text(["phase", "fx_bw", "fz_bw"], rows, h))
 
-    if result.knee_loop.get("angle_deg") is not None and len(result.knee_loop) == 2 \
-            and len(result.knee_loop.get("moment_nmkg", [])):
+    if result.knee_loop:
         grid = gaitseg.PHASE_GRID
         rows = [[_fmt(float(g)),
                  _fmt(float(result.knee_loop["angle_deg"][i])),

@@ -21,9 +21,9 @@ from .dynamics import ExternalLoad, JOINTS, recursive_leg, FrameState
 from .errors import GenerationError
 from .gaitseg import EventThresholds, GaitEvents, SideEvents, detect_side_events
 from .ingest import GrfData, MarkerData, TrialMeta
-from .model import E_Z, GRAVITY, AnthropometricTable, Participant, segment_parameters
-
-SIDES = ("left", "right")
+from .model import (E_Z, GRAVITY, LEG_SEGMENTS, AnthropometricTable,
+                    Participant, segment_parameters)
+from .schema import SIDES
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,6 @@ class _LegKinematics:
                 v + offset * _dir(ang[0], 1, ang[1]),
                 a + offset * _dir(ang[0], 2, ang[1], ang[2]))
 
-    def frame_state(self, segment: str, com_offset: float, i: int) -> FrameState:
-        ang = self.pitch[segment]
-        e = _dir(np.asarray(ang[0][i]), 0)
-        acc = self.com(segment, com_offset)[2][i]
-        return FrameState(e=e, acc=acc,
-                          omega_dot=np.array([0.0, -float(ang[2][i]), 0.0]))
-
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     u = np.clip(u, 0.0, 1.0)
@@ -343,7 +336,7 @@ def synthesize_gait(profile: GaitProfile,
         f = hat_mass * np.stack([pr.pelvis_x(t, 2), np.zeros_like(t),
                                  pr.pelvis_z(t, 2)], axis=-1)
         for side in SIDES:
-            for seg in ("thigh", "shank", "foot"):
+            for seg in reversed(LEG_SEGMENTS):  # thigh first: fixed float sum
                 f = f + params[seg].mass * kin[side].com(
                     seg, params[seg].com_offset)[2]
         return f + pr.participant.mass * g * E_Z[None, :]
@@ -396,25 +389,25 @@ def synthesize_gait(profile: GaitProfile,
     # ground-truth moments at marker timestamps
     w_m = _stance_weight(t_m, windows, pr.ramp)
     force_m = w_m[:, None] * total_force(t_m, kin_m)
-    cop_m = cop_track(t_m, kin_m)
+    cop3_m = np.column_stack([cop_track(t_m, kin_m), np.zeros(len(t_m))])
     truth = {}
     for side in SIDES:
         kin = kin_m[side]
-        mom = {j: np.zeros(len(t_m)) for j in JOINTS}
-        for i in range(len(t_m)):
-            if side == pr.grf_side and w_m[i] > 0.0:
-                cop3 = np.array([cop_m[i, 0], cop_m[i, 1], 0.0])
-                load = ExternalLoad.from_cop(
-                    force=force_m[i], moment=np.zeros(3), cop=cop3,
-                    toe=kin.joints["toe"][0][i])
-            else:
-                load = ExternalLoad.zero()
-            states = {seg: kin.frame_state(seg, params[seg].com_offset, i)
-                      for seg in ("foot", "shank", "thigh")}
-            rec = recursive_leg(load, states, params, g)
-            for j in JOINTS:
-                mom[j][i] = rec[j][1][1]
-        truth[side] = mom
+        loaded = ((side == pr.grf_side) & (w_m > 0.0))[:, None]
+        load = ExternalLoad(
+            force=np.where(loaded, force_m, 0.0),
+            moment=np.zeros((len(t_m), 3)),
+            r=np.where(loaded, kin.joints["toe"][0] - cop3_m, 0.0))
+        states = {}
+        for seg in LEG_SEGMENTS:
+            angle, _, angle_dd = kin.pitch[seg]
+            omega_dot = np.zeros((len(t_m), 3))
+            omega_dot[:, 1] = -angle_dd
+            states[seg] = FrameState(
+                e=_dir(angle, 0), acc=kin.com(seg, params[seg].com_offset)[2],
+                omega_dot=omega_dot)
+        rec = recursive_leg(load, states, params, g)
+        truth[side] = {j: rec[j][1][:, 1] for j in JOINTS}
 
     meta = TrialMeta(participant=pr.participant, terrain=pr.terrain,
                      sand_depth=pr.sand_depth)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sandgait.dynamics import (JOINTS, ExternalLoad, FrameState,
                                ankle_dynamics, hip_closed_form,
@@ -185,6 +188,57 @@ class TestProperties:
                                        atol=1e-9)
 
 
+_vec = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _stacked_frames(draw):
+    """A random load and leg state, each field an (N, 3) array."""
+    n = draw(st.integers(1, 12))
+
+    def field():
+        return draw(arrays(np.float64, (n, 3), elements=_vec))
+
+    load = ExternalLoad(force=field(), moment=field(), r=field())
+    states = {s: FrameState(e=field(), acc=field(), omega_dot=field())
+              for s in ("foot", "shank", "thigh")}
+    return n, load, states
+
+
+class TestBatched:
+    @settings(max_examples=60, deadline=None)
+    @given(_stacked_frames())
+    def test_stacked_equals_single_frames(self, frames):
+        # one pass over (N, 3) arrays is bit-identical to N (3,) passes
+        n, load, states = frames
+        batch = recursive_leg(load, states, PARAMS)
+        rows = [recursive_leg(
+            ExternalLoad(force=load.force[i], moment=load.moment[i],
+                         r=load.r[i]),
+            {s: FrameState(e=v.e[i], acc=v.acc[i], omega_dot=v.omega_dot[i])
+             for s, v in states.items()}, PARAMS) for i in range(n)]
+        for j in JOINTS:
+            for k in (0, 1):
+                assert np.array_equal(batch[j][k],
+                                      np.stack([r[j][k] for r in rows]))
+
+    def test_oracle_on_arrays(self, rng):
+        n = 50
+        load = ExternalLoad(force=rng.normal(size=(n, 3)),
+                            moment=rng.normal(size=(n, 3)),
+                            r=rng.normal(size=(n, 3)))
+        states = []
+        for _ in range(3):
+            e = rng.normal(size=(n, 3))
+            e /= np.linalg.norm(e, axis=1, keepdims=True)
+            states.append(FrameState(e=e, acc=rng.normal(size=(n, 3)),
+                                     omega_dot=rng.normal(size=(n, 3))))
+        sample = leg_inverse_dynamics(load, *states, PARAMS)
+        for joint in JOINTS:
+            assert sample.divergence[joint].shape == (n,)
+            assert np.all(sample.divergence[joint] < 1e-10)
+
+
 class TestSeries:
     def _series(self, n, e, dt=0.01):
         z = np.zeros((n, 3))
@@ -193,21 +247,24 @@ class TestSeries:
                                   com_pos=z, com_vel=z, com_acc=z.copy(),
                                   omega_dot=z.copy())
 
+    def _no_load(self, n):
+        return ExternalLoad(force=np.zeros((n, 3)), moment=np.zeros((n, 3)),
+                            r=np.zeros((n, 3)))
+
     def test_timestamp_mismatch(self):
         foot = self._series(10, [1.0, 0, 0])
         shank = self._series(10, [0, 0, -1.0])
         thigh = self._series(10, [0, 0, -1.0], dt=0.02)
-        loads = [ExternalLoad.zero()] * 10
         with pytest.raises(ContractError, match="thigh"):
-            leg_moment_series(foot.time, loads, foot, shank, thigh,
-                              PARAMS, body_mass=74.5)
+            leg_moment_series(foot.time, self._no_load(10), foot, shank,
+                              thigh, PARAMS, body_mass=74.5)
 
     def test_load_count_mismatch(self):
         foot = self._series(10, [1.0, 0, 0])
         shank = self._series(10, [0, 0, -1.0])
         thigh = self._series(10, [0, 0, -1.0])
         with pytest.raises(ContractError, match="loads"):
-            leg_moment_series(foot.time, [ExternalLoad.zero()] * 9,
+            leg_moment_series(foot.time, self._no_load(9),
                               foot, shank, thigh, PARAMS, body_mass=74.5)
 
     def test_nan_frames_skipped(self):
@@ -215,16 +272,17 @@ class TestSeries:
         shank = self._series(10, [0, 0, -1.0])
         thigh = self._series(10, [0, 0, -1.0])
         foot.e[4] = np.nan
-        out = leg_moment_series(foot.time, [ExternalLoad.zero()] * 10,
+        out = leg_moment_series(foot.time, self._no_load(10),
                                 foot, shank, thigh, PARAMS, body_mass=74.5)
         assert np.isnan(out.moment_y["ankle"][4])
+        assert np.all(np.isnan(out.proximal_force["hip"][4]))
         assert np.isfinite(out.moment_y["ankle"][5])
 
     def test_normalization(self):
         foot = self._series(5, [1.0, 0, 0])
         shank = self._series(5, [0, 0, -1.0])
         thigh = self._series(5, [0, 0, -1.0])
-        out = leg_moment_series(foot.time, [ExternalLoad.zero()] * 5,
+        out = leg_moment_series(foot.time, self._no_load(5),
                                 foot, shank, thigh, PARAMS, body_mass=74.5)
         np.testing.assert_allclose(out.normalized["knee"] * 74.5,
                                    out.moment_y["knee"], atol=1e-12)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sandgait.errors import (ConfigurationError, ParameterError,
                              SingularSegmentError)
@@ -9,6 +12,20 @@ from sandgait.kinematics import (com_trajectory, differentiate, joint_angles,
                                  segment_states)
 from sandgait.model import SegmentParams, segment_parameters
 from sandgait.schema import MarkerSchema
+
+
+def _per_sample_moving_average(x, window):
+    """Reference: one running-sum window per sample, NaN wherever the
+    window holds a NaN."""
+    n, half = len(x), window // 2
+    csum = np.cumsum(np.where(np.isnan(x), 0.0, x))
+    out = np.empty(n)
+    for i in range(n):
+        k = min(half, i, n - 1 - i)
+        lo, hi = i - k, i + k + 1
+        s = csum[hi - 1] - (csum[lo - 1] if lo > 0 else 0)
+        out[i] = np.nan if np.isnan(x[lo:hi]).any() else s / (hi - lo)
+    return out
 
 
 class TestMovingAverage:
@@ -53,6 +70,26 @@ class TestMovingAverage:
         x[10] = np.nan
         y = moving_average(x, 5)
         assert np.isnan(y[10])
+
+    def test_nan_stays_local(self):
+        # only the outputs whose windows hold the NaN are NaN
+        x = np.ones((30, 2))
+        x[10, 0] = np.nan
+        y = moving_average(x, 5)
+        assert np.flatnonzero(np.isnan(y[:, 0])).tolist() == [8, 9, 10, 11, 12]
+        np.testing.assert_array_equal(np.delete(y[:, 0], range(8, 13)), 1.0)
+        np.testing.assert_array_equal(y[:, 1], 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(-1e6, 1e6) | st.just(np.nan)),
+           st.integers(0, 6))
+    def test_matches_per_sample_loop(self, x, half):
+        window = 2 * half + 1
+        if window > x.size:
+            return
+        np.testing.assert_array_equal(moving_average(x, window),
+                                      _per_sample_moving_average(x, window))
 
     def test_multicolumn(self, rng):
         x = rng.normal(size=(30, 3))
