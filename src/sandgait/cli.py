@@ -98,9 +98,10 @@ def _bundle_scalars(bundle: Path) -> tuple[str, dict[str, float]]:
     sm = bundle / "stride_metrics.csv"
     if sm.exists():
         with open(sm) as fh:
-            rows = [r for r in csv.DictReader(
-                line for line in fh if not line.startswith("#"))]
-        for key in rows[0]:
+            reader = csv.DictReader(
+                line for line in fh if not line.startswith("#"))
+            rows = list(reader)
+        for key in reader.fieldnames or ():
             if key in ("side", "cycle_start_s"):
                 continue
             vals = [float(r[key]) for r in rows
@@ -152,8 +153,12 @@ def cmd_compare(args) -> int:
         raise InsufficientDataError(
             f"need at least 2 paired participants, got {len(paired)}")
 
-    common = sorted(set.intersection(
-        *(set(groups[g][pid]) for g in ("a", "b") for pid in paired)))
+    found = [set(groups[g][pid]) for g in ("a", "b") for pid in paired]
+    common = sorted(set.intersection(*found))
+    missing = sorted(set.union(*found) - set(common))
+    if missing:
+        log.warning("metrics missing from some bundles; excluded: %s",
+                    ", ".join(missing))
     report = []
     for metric in common:
         a = [groups["a"][pid][metric] for pid in paired]

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ExtrapolationError, FitError, FormatError, ParameterError
+from .gaitseg import _local_extrema
 from .model import GRAVITY, Participant
 
 
@@ -126,23 +127,6 @@ def normalize_grf(force: np.ndarray, participant: Participant,
     return np.asarray(force, dtype=float) / (participant.mass * g)
 
 
-def _local_maxima(x: np.ndarray) -> list[int]:
-    out = []
-    n = len(x)
-    i = 1
-    while i < n - 1:
-        if x[i] > x[i - 1]:
-            j = i
-            while j + 1 < n and x[j + 1] == x[j]:
-                j += 1
-            if j < n - 1 and x[j + 1] < x[j]:
-                out.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return out
-
-
 @dataclass
 class GrfFeatures:
     """Scalar GRF features over the stance phase, body-weight units."""
@@ -168,16 +152,15 @@ def extract_grf_features(fx: np.ndarray, fz: np.ndarray) -> GrfFeatures:
     """
     fx = np.asarray(fx, dtype=float)
     fz = np.asarray(fz, dtype=float)
-    maxima = _local_maxima(fz)
-    if len(maxima) >= 2:
-        top2 = sorted(sorted(maxima, key=lambda i: fz[i], reverse=True)[:2])
+    maxima = _local_extrema(fz, -1)
+    hs_peak = float(fz[maxima[0]]) if maxima.size else float(np.max(fz))
+    if maxima.size >= 2:
+        # the two largest, ties to the earlier, ordered by phase
+        top2 = np.sort(maxima[np.argsort(-fz[maxima], kind="stable")[:2]])
         hump1, hump2 = float(fz[top2[0]]), float(fz[top2[1]])
         missing = False
     else:
-        hump1 = float(fz[maxima[0]]) if maxima else float(np.max(fz))
-        hump2 = None
-        missing = True
-    hs_peak = float(fz[maxima[0]]) if maxima else float(np.max(fz))
+        hump1, hump2, missing = hs_peak, None, True
     return GrfFeatures(fx_fwd_peak=float(np.max(fx)),
                        fx_bwd_peak=float(np.min(fx)),
                        fz_hs_peak=hs_peak, fz_hump1=hump1, fz_hump2=hump2,

@@ -2,8 +2,11 @@
 
 Events are detected from motion data: a heel strike is a local minimum of
 heel height whose forward heel speed has fallen below a threshold, a
-toe-off is an upward crossing of the toe vertical velocity.  Curves are
-resampled onto a 101-point phase grid (0..100% in 1% steps).
+toe-off is an upward crossing of the toe vertical velocity.  A local
+extremum is strict: a flat minimum (or maximum) counts once, at its first
+sample, and a run that is flat up to the end of the series, or that a NaN
+interrupts, is none.  Curves are resampled onto a 101-point phase grid
+(0..100% in 1% steps).
 """
 from __future__ import annotations
 
@@ -50,23 +53,22 @@ class GaitEvents:
         return ev
 
 
-def _local_minima(x: np.ndarray) -> list[int]:
-    """Indices of strict local minima; a flat plateau counts once, at its
-    first sample."""
-    out = []
-    n = len(x)
-    i = 1
-    while i < n - 1:
-        if x[i] < x[i - 1]:
-            j = i
-            while j + 1 < n and x[j + 1] == x[j]:
-                j += 1
-            if j < n - 1 and x[j + 1] > x[j]:
-                out.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return out
+def _local_extrema(x: np.ndarray, sign: int) -> np.ndarray:
+    """Indices of strict local minima (``sign`` = +1) or maxima (-1).
+
+    A candidate ``i`` in 1..n-2 steps down from ``y[i-1]`` (``y = sign * x``);
+    it is kept when the run of values equal to ``y[i]`` ends before the last
+    sample and the next value is higher.  NaN compares false, so it neither
+    starts nor continues a run and is never the higher neighbour.
+    """
+    y = sign * np.asarray(x, dtype=float)
+    cand = np.flatnonzero(y[1:-1] < y[:-2]) + 1
+    # a run ends at j where y[j + 1] != y[j]; the last sample ends none
+    ends = np.flatnonzero(y[1:] != y[:-1])
+    k = np.searchsorted(ends, cand)
+    inside = k < ends.size
+    cand, j = cand[inside], ends[k[inside]]
+    return cand[y[j + 1] > y[j]]
 
 
 def detect_side_events(time: np.ndarray, heel_z: np.ndarray,
@@ -85,16 +87,19 @@ def detect_side_events(time: np.ndarray, heel_z: np.ndarray,
     dt = float(np.median(np.diff(time)))
     toe_vz = np.gradient(toe_z, dt)
 
-    hs_idx = [i for i in _local_minima(heel_z)
-              if np.isfinite(heel_vx[i]) and heel_vx[i] < th.hs_forward_speed]
-    to_idx = [i for i in range(1, len(time))
-              if np.isfinite(toe_vz[i]) and toe_vz[i] > th.to_vertical_speed
-              and toe_vz[i - 1] <= th.to_vertical_speed]
+    # isfinite: -inf passes < and +inf passes >
+    hs_idx = _local_extrema(heel_z, 1)
+    hs_idx = hs_idx[np.isfinite(heel_vx[hs_idx])
+                    & (heel_vx[hs_idx] < th.hs_forward_speed)]
+    to_idx = np.flatnonzero(np.isfinite(toe_vz[1:])
+                            & (toe_vz[1:] > th.to_vertical_speed)
+                            & (toe_vz[:-1] <= th.to_vertical_speed)) + 1
 
-    if not hs_idx:
+    if hs_idx.size == 0:
         raise SegmentationError("no heel strikes detected")
 
-    events = sorted([(i, "hs") for i in hs_idx] + [(i, "to") for i in to_idx])
+    events = sorted([(i, "hs") for i in hs_idx.tolist()]
+                    + [(i, "to") for i in to_idx.tolist()])
     # drop leading toe-offs so the sequence starts at a heel strike
     while events and events[0][1] == "to":
         events.pop(0)

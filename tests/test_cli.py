@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,3 +187,26 @@ class TestCompare:
         a, b = self._sets(tmp_path, bundle_dir, ["p1"], ["p1"])
         assert main(["compare", "--a", str(a), "--b", str(b),
                      "--out", str(tmp_path / "r")]) == 2
+
+    def test_header_only_stride_metrics(self, tmp_path, bundle_dir):
+        # a stride file with no rows adds no stride metrics; the metrics it
+        # leaves out of the intersection are named in one warning
+        a, b = self._sets(tmp_path, bundle_dir, ["p1", "p2"], ["p1", "p2"])
+        sm = a / "p2" / "stride_metrics.csv"
+        sm.write_text("".join(sm.read_text().splitlines(True)[:2]))
+        out = tmp_path / "report"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sandgait.cli", "compare", "--a", str(a),
+             "--b", str(b), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        warned = [line for line in proc.stderr.splitlines()
+                  if "excluded: " in line]
+        assert len(warned) == 1 and "stride_length" in warned[0]
+        report = json.loads((out / "report.json").read_text())
+        metrics = {row["metric"] for row in report["rows"]}
+        assert "stride_length" not in metrics and "fz_hs_peak" in metrics

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sandgait.errors import (InsufficientDataError, ParameterError,
                              SegmentationError)
 from sandgait.gaitseg import (PHASE_GRID, EventThresholds, GaitEvents,
-                              SideEvents, detect_side_events,
+                              SideEvents, _local_extrema, detect_side_events,
                               grf_stance_check, phase_normalize,
                               stance_swing_durations)
 
@@ -23,6 +26,67 @@ def _scripted_side(n_strides=3, dt=0.01, period=1.2, stance_frac=0.6):
     heel_vx = np.where(swing, 1.5, 0.0)
     toe_z = 0.02 + 0.12 * bump
     return t, heel_z, toe_z, heel_vx
+
+
+def _local_minima_loop(x):
+    """Reference: strict local minima by a walk over the samples; a flat
+    plateau counts once, at its first sample."""
+    out = []
+    n = len(x)
+    i = 1
+    while i < n - 1:
+        if x[i] < x[i - 1]:
+            j = i
+            while j + 1 < n and x[j + 1] == x[j]:
+                j += 1
+            if j < n - 1 and x[j + 1] > x[j]:
+                out.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+def _local_maxima_loop(x):
+    """Reference: the mirror of ``_local_minima_loop``."""
+    out = []
+    n = len(x)
+    i = 1
+    while i < n - 1:
+        if x[i] > x[i - 1]:
+            j = i
+            while j + 1 < n and x[j + 1] == x[j]:
+                j += 1
+            if j < n - 1 and x[j + 1] < x[j]:
+                out.append(i)
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+class TestLocalExtrema:
+    # few levels, so plateaus are common; NaN and inf compare as in the loops
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan,
+                                            np.inf, -np.inf])))
+    def test_matches_sample_walks(self, x):
+        assert _local_extrema(x, 1).tolist() == _local_minima_loop(x)
+        assert _local_extrema(x, -1).tolist() == _local_maxima_loop(x)
+
+    @pytest.mark.parametrize("x, minima", [
+        ([3, 1, 1, 1, 2], [1]),        # flat minimum: its first sample
+        ([3, 1, 1], []),               # flat to the end: no minimum
+        ([3, 1, np.nan, 2], []),       # a NaN ends the run, never higher
+        ([3, np.nan, 1, 2], []),       # nor lower
+        ([2, 1, 2, 1, 2], [1, 3]),
+        ([1, 2], []),
+    ])
+    def test_cases(self, x, minima):
+        x = np.array(x, dtype=float)
+        assert _local_extrema(x, 1).tolist() == minima
+        assert _local_extrema(-x, -1).tolist() == minima
 
 
 class TestDetect:
@@ -51,6 +115,21 @@ class TestDetect:
         with pytest.raises(SegmentationError, match="no heel strikes"):
             detect_side_events(t, flat, flat, np.zeros_like(t),
                                EventThresholds())
+
+    def test_flat_minimum_and_nan_samples(self):
+        # the heel rests flat through stance, so each strike is the first
+        # sample of a plateau; NaN samples in mid-swing change nothing
+        t, heel_z, toe_z, heel_vx = _scripted_side()
+        clean = detect_side_events(t, heel_z, toe_z, heel_vx,
+                                   EventThresholds())
+        i = np.searchsorted(t, clean.heel_strikes)
+        assert np.all(heel_z[i] == heel_z[i + 1])
+        assert np.all(heel_z[i - 1] > heel_z[i])
+        for arr in (heel_z, toe_z, heel_vx):
+            arr[[96, 216, 217]] = np.nan
+        ev = detect_side_events(t, heel_z, toe_z, heel_vx, EventThresholds())
+        np.testing.assert_array_equal(ev.heel_strikes, clean.heel_strikes)
+        np.testing.assert_array_equal(ev.toe_offs, clean.toe_offs)
 
     def test_fast_heel_minimum_rejected(self):
         # a mid-swing dip with high forward speed must not become a strike

@@ -8,8 +8,9 @@ from sandgait import metrics
 from sandgait.dynamics import JOINTS
 from sandgait.errors import FitError
 from sandgait.forces import default_calibration_curve
-from sandgait.ingest import GrfData, TrialMeta, TrialRecord
-from sandgait.pipeline import analyze_trial
+from sandgait.ingest import (GrfData, TrialMeta, TrialRecord, parse_trial,
+                             write_grf_file, write_marker_file)
+from sandgait.pipeline import analyze_trial, write_bundle
 from sandgait.synth import stride_profile, synthesize_gait
 
 
@@ -89,3 +90,60 @@ class TestStiffnessCatch:
                 pytest.raises(ZeroDivisionError, match="a bug"):
             analyze_trial(_trial(stride))
         assert not any("stiffness" in r.getMessage() for r in caplog.records)
+
+
+class TestDroppedMomentLog:
+    MESSAGE = "dropped non-sagittal ground moment"
+
+    def test_firm_trial_from_csv_logs_nothing(self, tmp_path, caplog):
+        # a COP with more than 9 decimals leaves a rounding residue of
+        # ~1e-7 N m in M - cop x F once the GRF file is read back
+        res = synthesize_gait(dataclasses.replace(
+            stride_profile(), hip_half_width=0.1 * 1.69 / 1.72))
+        write_marker_file(tmp_path / "markers.csv", res.markers)
+        write_grf_file(tmp_path / "grf.csv", res.grf)
+        trial = parse_trial(tmp_path / "markers.csv", tmp_path / "grf.csv",
+                            res.meta)
+        with caplog.at_level(logging.INFO, logger="sandgait.pipeline"):
+            analyze_trial(trial)
+        assert self.MESSAGE not in caplog.text
+
+    def test_off_plane_moment_logged(self, stride, caplog):
+        moment = stride.grf.moment.copy()
+        moment[:, 0] += 1.0
+        grf = dataclasses.replace(stride.grf, moment=moment)
+        with caplog.at_level(logging.INFO, logger="sandgait.pipeline"):
+            analyze_trial(TrialRecord(meta=stride.meta, markers=stride.markers,
+                                      grf=grf))
+        assert "max |M_x|,|M_z| = 1.000 N m" in caplog.text
+
+
+class TestBundleNumbers:
+    def test_moments_cells_are_9g(self, stride, tmp_path):
+        out = analyze_trial(_trial(stride))
+        special = [np.nan, np.inf, -np.inf, -0.0, 1e-300]
+        for side in ("left", "right"):
+            for values in (out.moments[side].moment_y,
+                           out.moments[side].normalized):
+                for joint in JOINTS:
+                    values[joint] = values[joint].copy()
+                    values[joint][:len(special)] = special
+        write_bundle(out, tmp_path)
+        lines = (tmp_path / "moments.csv").read_text().splitlines()
+        assert lines[1] == ("time,side,ankle_nm,knee_nm,hip_nm,"
+                            "ankle_nmkg,knee_nmkg,hip_nmkg")
+        rows = [line.split(",") for line in lines[2:]]
+        # one row per frame and side, left first
+        assert len(rows) == 2 * len(out.time)
+        assert [r[1] for r in rows[:4]] == ["left", "right", "left", "right"]
+        for k, row in enumerate(rows):
+            side = row[1]
+            m = out.moments[side]
+            want = [out.time[k // 2]] \
+                + [m.moment_y[j][k // 2] for j in JOINTS] \
+                + [m.normalized[j][k // 2] for j in JOINTS]
+            want = ["nan" if np.isnan(v) else f"{v:.9g}" for v in want]
+            assert row[:1] + row[2:] == want
+        assert rows[0][2:5] == ["nan", "nan", "nan"]
+        assert rows[2][2] == "inf" and rows[4][2] == "-inf"
+        assert rows[6][2] == "-0" and rows[8][2] == "1e-300"
