@@ -211,22 +211,22 @@ def cmd_simulate(args) -> int:
     profile.save(out / "profile.json")
 
     # ground truth for test harnesses
-    lines = ["side,event,time_s"]
+    rows = []
     for side in ("left", "right"):
         ev = result.truth_events.side(side)
         pairs = ([(t, "heel_strike") for t in ev.heel_strikes]
                  + [(t, "toe_off") for t in ev.toe_offs])
-        lines += [f"{side},{kind},{t:.6f}" for t, kind in sorted(pairs)]
-    atomic_write(out / "truth_events.csv", "\n".join(lines) + "\n")
+        rows += [(side, kind, t) for t, kind in sorted(pairs)]
+    atomic_write(out / "truth_events.csv", "side,event,time_s\n"
+                 + ("%s,%s,%.6f\n" * len(rows)) % sum(rows, ()))
 
-    lines = ["time,side,ankle_nm,knee_nm,hip_nm"]
+    text = "time,side,ankle_nm,knee_nm,hip_nm\n"
     for side in ("left", "right"):
         tm = result.truth_moments[side]
-        for i, t in enumerate(result.marker_time):
-            lines.append(f"{t:.6f},{side},"
-                         + ",".join(f"{tm[j][i]:.9f}"
-                                    for j in ("ankle", "knee", "hip")))
-    atomic_write(out / "truth_moments.csv", "\n".join(lines) + "\n")
+        text += ingest.format_rows(
+            f"%.6f,{side},%.9f,%.9f,%.9f\n", np.column_stack(
+                [result.marker_time] + [tm[j] for j in ("ankle", "knee", "hip")]))
+    atomic_write(out / "truth_moments.csv", text)
     print(f"simulated trial written to {out} "
           f"({len(result.markers)} marker frames, {len(result.grf)} GRF samples)")
     return EXIT_OK

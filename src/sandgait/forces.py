@@ -10,8 +10,6 @@ flagged in output metadata.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from .errors import ExtrapolationError, FitError, FormatError, ParameterError
 from .gaitseg import _local_extrema
+from .ingest import expect_columns, format_rows, read_csv_table
 from .model import GRAVITY, Participant
 
 
@@ -168,43 +167,23 @@ def extract_grf_features(fx: np.ndarray, fz: np.ndarray) -> GrfFeatures:
 
 
 def read_calibration_samples(path: str | Path) -> list[tuple[float, float, float]]:
-    """Read ``depth_cm,f_surface_n,f_buried_n`` rows."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+    """Read ``depth_cm,f_surface_n,f_buried_n`` rows, skipping blank and # lines."""
+    arr = read_csv_table(path, expect_columns(
+        path, ["depth_cm", "f_surface_n", "f_buried_n"]), comments=True)
+    if not len(arr):
         raise FormatError(f"{path}: no samples")
-    if [c.strip() for c in rows[0]] != ["depth_cm", "f_surface_n", "f_buried_n"]:
-        raise FormatError(f"{path}: expected header depth_cm,f_surface_n,f_buried_n")
-    samples = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise FormatError(f"{path}:{i}: expected 3 fields")
-        try:
-            samples.append(tuple(float(c) for c in row))
-        except ValueError:
-            raise FormatError(f"{path}:{i}: non-numeric field in {row!r}") from None
-    if not samples:
-        raise FormatError(f"{path}: no samples")
-    return samples
+    return list(map(tuple, arr.tolist()))
 
 
 def write_calibration_curve(path: str | Path, curve: CalibrationCurve) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["depth_cm", "zeta", "residual", "n"])
-    for d, z, r, n in zip(curve.depths, curve.zeta, curve.residual, curve.n):
-        w.writerow([f"{d:g}", f"{z:.9f}", f"{r:.9f}", int(n)])
-    Path(path).write_text(buf.getvalue())
+    table = np.column_stack([curve.depths, curve.zeta, curve.residual, curve.n])
+    Path(path).write_text("depth_cm,zeta,residual,n\n"
+                          + format_rows("%g,%.9f,%.9f,%d\n", table))
 
 
 def read_calibration_curve(path: str | Path) -> CalibrationCurve:
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].lstrip().startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != ["depth_cm", "zeta", "residual", "n"]:
-        raise FormatError(f"{path}: expected header depth_cm,zeta,residual,n")
-    arr = np.array([[float(c) for c in row] for row in rows[1:]])
-    if arr.size == 0:
+    arr = read_csv_table(path, expect_columns(
+        path, ["depth_cm", "zeta", "residual", "n"]), comments=True)
+    if not len(arr):
         raise FormatError(f"{path}: empty calibration curve")
     return CalibrationCurve(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(int))

@@ -2,16 +2,17 @@
 
 Marker files are plain CSV (``time,<label>_x,<label>_y,<label>_z,...`` in
 meters, missing coordinates as empty fields).  GRF files carry
-``time,fx,fy,fz,mx,my,mz,copx,copy`` in N, N m, m.  The 1000 Hz GRF stream
-is decimated 10:1 by boxcar averaging onto the 100 Hz marker timeline; the
-raw stream is retained for peak extraction.
+``time,fx,fy,fz,mx,my,mz,copx,copy`` in N, N m, m.  Files are read and
+written as whole tables: one ``np.loadtxt`` call and one printf row format.
+The 1000 Hz GRF stream is decimated 10:1 by boxcar averaging onto the
+100 Hz marker timeline; the raw stream is retained for peak extraction.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
-import math
+import re
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -81,7 +82,7 @@ class TrialRecord:
 
 
 def read_meta_file(path: str | Path) -> TrialMeta:
-    """Trial metadata block: a small JSON file."""
+    """Trial metadata block: a small JSON object."""
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -90,12 +91,15 @@ def read_meta_file(path: str | Path) -> TrialMeta:
         p = raw["participant"]
         participant = Participant(id=str(p["id"]), height=float(p["height_m"]),
                                   mass=float(p["mass_kg"]))
+        depth = raw.get("sand_depth_cm")
         return TrialMeta(participant=participant,
                          terrain=raw["terrain"],
-                         sand_depth=raw.get("sand_depth_cm"),
+                         sand_depth=None if depth is None else float(depth),
                          sync_offset=float(raw.get("sync_offset_s", 0.0)))
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing metadata field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed metadata ({exc})") from None
 
 
 def write_meta_file(path: str | Path, meta: TrialMeta) -> None:
@@ -111,6 +115,71 @@ def write_meta_file(path: str | Path, meta: TrialMeta) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+_SKIPPED_LINE = re.compile(r"^[ \t]*(?:#.*)?$", re.M)
+_BLANK_LINE = re.compile(r"\n[ \t]*\n")  # the newline before and after it
+_EMPTY_CELL = re.compile(r",[ \t]*(?=[,\n])")
+# loadtxt counts data rows from 0 in conversion errors, from 1 in width ones
+_LOADTXT_ERROR = re.compile(
+    r"convert string (.*) to float64 at row (\d+), column (\d+)"
+    r"|columns changed from \d+ to (\d+) at row (\d+)")
+
+
+def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
+                   *, comments: bool = False,
+                   empty_is_nan: bool = False) -> np.ndarray:
+    """A CSV file of one header line, which ``check_header`` vets first,
+    and numeric rows as an (N, width of header) array; (0, 0) if empty.
+    Blank lines are errors, unless ``comments`` skips them and ``#`` lines.
+    ``empty_is_nan`` reads empty cells after the first column as NaN.
+    Errors name ``path:line``."""
+    text = Path(path).read_text()
+    if text and not text.endswith("\n"):
+        text += "\n"
+    if comments:
+        text = _SKIPPED_LINE.sub("", text)
+    elif blank := _BLANK_LINE.search("\n" + text):
+        line = text.count("\n", 0, blank.start()) + 1
+        raise FormatError(f"{path}:{line}: blank line")
+    header_line, _, body = text.lstrip("\n").partition("\n")
+    if not header_line:
+        return np.empty((0, 0))
+    check_header(header := header_line.split(","))
+    if empty_is_nan:
+        body = _EMPTY_CELL.sub(",nan", body)
+    first_row = body.lstrip("\n").partition("\n")[0]
+    if not first_row:
+        return np.empty((0, len(header)))
+    # loadtxt takes its width from the first row
+    if (got := first_row.count(",") + 1) != len(header):
+        raise FormatError(f"{path}:{_file_line(text, 0)}: expected "
+                          f"{len(header)} fields, got {got}")
+    try:
+        return np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                          ndmin=2)
+    except ValueError as exc:
+        m = _LOADTXT_ERROR.search(str(exc))
+        if not m:
+            raise FormatError(f"{path}: {exc}") from None
+        cell, row, col, got, row_from_1 = m.groups()
+        msg = (f"non-numeric field {cell} in column {header[int(col) - 1]}"
+               if cell is not None else f"expected {len(header)} fields, got {got}")
+        row = int(row) if cell is not None else int(row_from_1) - 1
+        raise FormatError(f"{path}:{_file_line(text, row)}: {msg}") from None
+
+
+def _file_line(text: str, row: int) -> int:
+    """File line of data row ``row`` (from 0), loadtxt skipping empty lines."""
+    return [i for i, line in enumerate(text.split("\n"), 1) if line][row + 1]
+
+
+def expect_columns(path, columns: list[str]) -> Callable[[list[str]], None]:
+    """A ``check_header`` for fixed columns, blanks around names allowed."""
+    def check(header: list[str]) -> None:
+        if [c.strip() for c in header] != columns:
+            raise FormatError(f"{path}: expected header {','.join(columns)}")
+    return check
+
+
 def _check_monotone(time: np.ndarray, path, header_lines: int) -> None:
     bad = np.where(np.diff(time) <= 0)[0]
     if bad.size:
@@ -119,106 +188,62 @@ def _check_monotone(time: np.ndarray, path, header_lines: int) -> None:
                           f"({time[bad[0] + 1]:g} after {time[bad[0]]:g})")
 
 
+def format_rows(row_format: str, table: np.ndarray) -> str:
+    """Every row of a 2-D array through one printf row format."""
+    return (row_format * len(table)) % tuple(table.ravel().tolist())
+
+
 def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
     """Parse and schema-validate a marker CSV file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty marker file") from None
-        rows = list(reader)
-    if not header or header[0] != "time":
-        raise FormatError(f"{path}: first marker column must be 'time'")
-
     labels: list[str] = []
-    for i in range(1, len(header), 3):
-        triple = header[i:i + 3]
-        stems = {c.rsplit("_", 1)[0] for c in triple}
-        axes = [c.rsplit("_", 1)[-1] for c in triple]
-        if len(triple) != 3 or len(stems) != 1 or axes != ["x", "y", "z"]:
+
+    def check_header(header: list[str]) -> None:
+        if header[0] != "time":
+            raise FormatError(f"{path}: first marker column must be 'time'")
+        labels.extend(c.rsplit("_", 1)[0] for c in header[1::3])
+        if header[1:] != [f"{l}_{ax}" for l in labels for ax in "xyz"]:
             raise FormatError(f"{path}: marker columns must come in "
-                              f"<label>_x,<label>_y,<label>_z triples, got {triple}")
-        labels.append(stems.pop())
+                              f"<label>_x,<label>_y,<label>_z triples")
+        expected = set(schema.labels)
+        unknown = [l for l in labels if l not in expected]
+        if unknown:
+            raise SchemaError(f"{path}: unknown marker label(s) {unknown}; "
+                              f"expected set: {sorted(expected)}")
+        missing = sorted(expected - set(labels))
+        if missing:
+            raise SchemaError(f"{path}: marker file missing label(s) {missing}")
 
-    expected = set(schema.labels)
-    unknown = [l for l in labels if l not in expected]
-    if unknown:
-        raise SchemaError(f"{path}: unknown marker label(s) {unknown}; "
-                          f"expected set: {sorted(expected)}")
-    missing = sorted(expected - set(labels))
-    if missing:
-        raise SchemaError(f"{path}: marker file missing label(s) {missing}")
-
-    n = len(rows)
-    if n == 0:
+    arr = read_csv_table(path, check_header, empty_is_nan=True)
+    if not len(arr):
         raise FormatError(f"{path}: marker file has no data rows")
-    time = np.empty(n)
-    data = {label: np.full((n, 3), np.nan) for label in labels}
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise FormatError(f"{path}:{r + 2}: expected {len(header)} fields, "
-                              f"got {len(row)}")
-        time[r] = float(row[0])
-        for k, label in enumerate(labels):
-            for ax in range(3):
-                cell = row[1 + 3 * k + ax].strip()
-                if cell:
-                    data[label][r, ax] = float(cell)
-    _check_monotone(time, path, header_lines=1)
-    return MarkerData(time=time, pos=data)
+    _check_monotone(arr[:, 0], path, header_lines=1)
+    return MarkerData(time=arr[:, 0].copy(), pos={
+        label: arr[:, 1 + 3 * k:4 + 3 * k].copy() for k, label in enumerate(labels)})
 
 
 def write_marker_file(path: str | Path, markers: MarkerData,
                       label_order: list[str] | None = None) -> None:
     labels = label_order if label_order is not None else sorted(markers.pos)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["time"] + [f"{l}_{ax}" for l in labels for ax in "xyz"])
-    for r in range(len(markers)):
-        row = [f"{markers.time[r]:.6f}"]
-        for l in labels:
-            for v in markers.pos[l][r]:
-                row.append("" if math.isnan(v) else f"{v:.9f}")
-        w.writerow(row)
-    Path(path).write_text(buf.getvalue())
+    header = ",".join(["time"] + [f"{l}_{ax}" for l in labels for ax in "xyz"])
+    table = np.column_stack([markers.time] + [markers.pos[l] for l in labels])
+    # "%.9f" prints no other token that starts with "n"
+    body = format_rows("%.6f" + ",%.9f" * (3 * len(labels)) + "\n", table)
+    Path(path).write_text(header + "\n" + body.replace(",nan", ","))
 
 
 def read_grf_file(path: str | Path) -> GrfData:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty GRF file") from None
-        if [c.strip() for c in header] != GRF_COLUMNS:
-            raise FormatError(f"{path}: expected header {','.join(GRF_COLUMNS)}")
-        rows = list(reader)
-    if not rows:
+    arr = read_csv_table(path, expect_columns(path, GRF_COLUMNS))
+    if not len(arr):
         raise FormatError(f"{path}: GRF file has no data rows")
-    arr = np.empty((len(rows), len(GRF_COLUMNS)))
-    for r, row in enumerate(rows):
-        if len(row) != len(GRF_COLUMNS):
-            raise FormatError(f"{path}:{r + 2}: expected {len(GRF_COLUMNS)} fields")
-        try:
-            arr[r] = [float(c) for c in row]
-        except ValueError:
-            raise FormatError(f"{path}:{r + 2}: non-numeric field in {row!r}") from None
     _check_monotone(arr[:, 0], path, header_lines=1)
     return GrfData(time=arr[:, 0], force=arr[:, 1:4],
                    moment=arr[:, 4:7], cop=arr[:, 7:9])
 
 
 def write_grf_file(path: str | Path, grf: GrfData) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(GRF_COLUMNS)
-    for r in range(len(grf)):
-        w.writerow([f"{grf.time[r]:.6f}"]
-                   + [f"{v:.9f}" for v in grf.force[r]]
-                   + [f"{v:.9f}" for v in grf.moment[r]]
-                   + [f"{v:.9f}" for v in grf.cop[r]])
-    Path(path).write_text(buf.getvalue())
+    table = np.column_stack([grf.time, grf.force, grf.moment, grf.cop])
+    Path(path).write_text(",".join(GRF_COLUMNS) + "\n"
+                          + format_rows("%.6f" + ",%.9f" * 8 + "\n", table))
 
 
 def parse_trial(marker_file: str | Path, grf_file: str | Path,
@@ -237,32 +262,27 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
     """Fill missing-marker gaps of at most ``max_gap`` frames.
 
     Cubic interpolation per coordinate where enough neighbours exist
-    (linear with fewer than four valid support points); longer gaps are
-    left missing and poison downstream frames.
+    (linear with fewer than four valid support points); longer gaps and
+    runs off either end are left missing and poison downstream frames.
     """
     out = markers.copy()
     idx = np.arange(len(markers))
-    for label, pos in out.pos.items():
-        for ax in range(3):
-            col = pos[:, ax]
+    for pos in out.pos.values():
+        if not np.isnan(pos).any():
+            continue
+        for col in pos.T:
             miss = np.isnan(col)
-            if not miss.any() or miss.all():
+            # +1 where a missing run starts, -1 one past where it ends
+            step = np.diff(miss.astype(np.int8), prepend=0, append=0)
+            starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+            ok = (stops - starts <= max_gap) & (starts > 0) & (stops < len(idx))
+            if not ok.any():
                 continue
+            fill = miss & ok[np.cumsum(step[:-1] == 1) - 1]
             valid = ~miss
-            # enumerate contiguous missing runs
-            starts = np.where(miss & ~np.roll(miss, 1))[0]
-            if miss[0]:
-                starts = np.unique(np.concatenate([[0], starts]))
-            for s in starts:
-                e = s
-                while e + 1 < len(col) and miss[e + 1]:
-                    e += 1
-                if e - s + 1 > max_gap or s == 0 or e == len(col) - 1:
-                    continue  # too long, or runs off an edge
-                vi = idx[valid]
-                kind = "cubic" if vi.size >= 4 else "linear"
-                f = interp1d(vi, col[valid], kind=kind, assume_sorted=True)
-                col[s:e + 1] = f(idx[s:e + 1])
+            kind = "cubic" if np.count_nonzero(valid) >= 4 else "linear"
+            f = interp1d(idx[valid], col[valid], kind=kind, assume_sorted=True)
+            col[fill] = f(idx[fill])
     return out
 
 

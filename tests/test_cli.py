@@ -114,6 +114,61 @@ class TestAnalyze:
                      "--out", str(tmp_path / "x")]) == 1
 
 
+def _run_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "sandgait.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _bad_marker_cell(sim, tmp):
+    lines = (sim / "markers.csv").read_text().split("\n")
+    fields = lines[4].split(",")
+    fields[7] = "12x"
+    lines[4] = ",".join(fields)
+    (tmp / "markers.csv").write_text("\n".join(lines))
+    return {"--markers": tmp / "markers.csv"}, "markers.csv:5:"
+
+
+def _bad_zeta_cell(sim, tmp):
+    (tmp / "curve.csv").write_text("depth_cm,zeta,residual,n\n"
+                                   "0,1,0,0\n20,0.7x,0,12\n")
+    return ({"--calibration": tmp / "curve.csv", "--terrain": "sand",
+             "--sand-depth": "10"}, "curve.csv:3:")
+
+
+def _heavy_meta(sim, tmp):
+    meta = json.loads((sim / "meta.json").read_text())
+    meta["participant"]["mass_kg"] = "heavy"
+    (tmp / "meta.json").write_text(json.dumps(meta))
+    return {"--meta": tmp / "meta.json"}, "'heavy'"
+
+
+def _list_meta(sim, tmp):
+    (tmp / "meta.json").write_text("[1, 2]\n")
+    return {"--meta": tmp / "meta.json"}, "meta.json"
+
+
+class TestMalformedInput:
+    """Each malformed input exits 1 with an error naming it, no traceback."""
+
+    @pytest.mark.parametrize("fixture", [_bad_marker_cell, _bad_zeta_cell,
+                                         _heavy_meta, _list_meta])
+    def test_exits_one_without_traceback(self, sim_dir, tmp_path, fixture):
+        args = {"--markers": sim_dir / "markers.csv",
+                "--grf": sim_dir / "grf.csv",
+                "--meta": sim_dir / "meta.json",
+                "--out": tmp_path / "bundle"}
+        changed, named = fixture(sim_dir, tmp_path)
+        args.update(changed)
+        proc = _run_cli("analyze", *(str(x) for kv in args.items()
+                                     for x in kv))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+
+
 class TestCalibrate:
     def test_stepped_loads(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
@@ -195,13 +250,8 @@ class TestCompare:
         sm = a / "p2" / "stride_metrics.csv"
         sm.write_text("".join(sm.read_text().splitlines(True)[:2]))
         out = tmp_path / "report"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"),
-             os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sandgait.cli", "compare", "--a", str(a),
-             "--b", str(b), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = _run_cli("compare", "--a", str(a), "--b", str(b),
+                        "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         warned = [line for line in proc.stderr.splitlines()

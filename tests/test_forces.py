@@ -184,6 +184,32 @@ class TestIo:
         with pytest.raises(FormatError, match="no samples"):
             read_calibration_samples(path)
 
+    def test_samples_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# rig 2\n\ndepth_cm,f_surface_n,f_buried_n\n"
+                        "14,100,81\n  # second load\n\n14,200,162")
+        assert read_calibration_samples(path) == [(14.0, 100.0, 81.0),
+                                                  (14.0, 200.0, 162.0)]
+
+    @pytest.mark.parametrize("row, message", [
+        ("14,200,lots", r":7: non-numeric field 'lots' in column f_buried_n"),
+        ("14,200", r":7: expected 3 fields, got 2"),
+    ], ids=["non_numeric", "short_row"])
+    def test_samples_bad_row_names_line(self, tmp_path, row, message):
+        path = tmp_path / "s.csv"
+        path.write_text("# rig 2\n\ndepth_cm,f_surface_n,f_buried_n\n"
+                        f"14,100,81\n# second load\n\n{row}\n")
+        with pytest.raises(FormatError, match=message):
+            read_calibration_samples(path)
+
+    def test_curve_non_numeric_zeta_names_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# fitted\ndepth_cm,zeta,residual,n\n"
+                        "0,1.0,0,0\n14,high,0.1,8\n")
+        with pytest.raises(FormatError, match=r"c\.csv:4: non-numeric field "
+                                              r"'high' in column zeta"):
+            read_calibration_curve(path)
+
     def test_curve_round_trip(self, tmp_path):
         curve = fit_calibration(_stepped_samples(14.0, 0.81))
         path = tmp_path / "c.csv"

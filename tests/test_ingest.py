@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import interp1d
 
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
                              SchemaError)
@@ -21,6 +25,40 @@ def _make_markers(schema, n=5, dt=0.01, seed=0):
     time = np.arange(n) * dt
     pos = {label: rng.normal(size=(n, 3)) for label in schema.labels}
     return MarkerData(time=time, pos=pos)
+
+
+def _fill_gaps_loop(markers, max_gap=5):
+    """Reference: one interpolant per gap, the gap runs found by a walk."""
+    out = markers.copy()
+    idx = np.arange(len(markers))
+    for label, pos in out.pos.items():
+        for ax in range(3):
+            col = pos[:, ax]
+            miss = np.isnan(col)
+            if not miss.any() or miss.all():
+                continue
+            valid = ~miss
+            starts = np.where(miss & ~np.roll(miss, 1))[0]
+            if miss[0]:
+                starts = np.unique(np.concatenate([[0], starts]))
+            for s in starts:
+                e = s
+                while e + 1 < len(col) and miss[e + 1]:
+                    e += 1
+                if e - s + 1 > max_gap or s == 0 or e == len(col) - 1:
+                    continue
+                vi = idx[valid]
+                kind = "cubic" if vi.size >= 4 else "linear"
+                f = interp1d(vi, col[valid], kind=kind, assume_sorted=True)
+                col[s:e + 1] = f(idx[s:e + 1])
+    return out
+
+
+def _rewrite_line(path, lineno, text):
+    """Replace 1-based file line ``lineno`` of ``path`` by ``text``."""
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines))
 
 
 class TestSchema:
@@ -95,6 +133,62 @@ class TestMarkerIo:
         with pytest.raises(FormatError, match="time"):
             read_marker_file(path, schema)
 
+    @pytest.mark.parametrize("lineno, edit, message", [
+        (3, lambda f: ["0.01", "oops"] + f[2:], r":3: non-numeric field "
+                                               r"'oops' in column \S+_x"),
+        (4, lambda f: [""] + f[1:], r":4: non-numeric field '' in column time"),
+        (2, lambda f: [" "] + f[1:], r":2: non-numeric field ' ' in column time"),
+        (3, lambda f: [], r":3: blank line"),
+        (4, lambda f: ["  "], r":4: blank line"),
+        (2, lambda f: f[:-1], r":2: expected 55 fields, got 54"),
+        (4, lambda f: f + ["1.0"], r":4: expected 55 fields, got 56"),
+    ], ids=["non_numeric_cell", "empty_time", "blank_time", "empty_line",
+            "whitespace_line", "first_row_short", "row_long"])
+    def test_bad_body_names_line(self, tmp_path, schema, lineno, edit, message):
+        path = tmp_path / "m.csv"
+        write_marker_file(path, _make_markers(schema, n=3))
+        fields = path.read_text().split("\n")[lineno - 1].split(",")
+        _rewrite_line(path, lineno, ",".join(edit(fields)))
+        with pytest.raises(FormatError, match=message):
+            read_marker_file(path, schema)
+
+    def test_trailing_blank_line_rejected(self, tmp_path, schema):
+        path = tmp_path / "m.csv"
+        write_marker_file(path, _make_markers(schema, n=3))
+        path.write_text(path.read_text() + "\n")
+        with pytest.raises(FormatError, match=":5: blank line"):
+            read_marker_file(path, schema)
+
+    def test_missing_final_newline(self, tmp_path, schema):
+        markers = _make_markers(schema, n=3)
+        last = sorted(markers.pos)[-1]
+        markers.pos[last][2] = np.nan  # the last cells of the last line
+        path = tmp_path / "m.csv"
+        write_marker_file(path, markers)
+        path.write_text(path.read_text().rstrip("\n"))
+        back = read_marker_file(path, schema)
+        assert np.isnan(back.pos[last][2]).all()
+
+    def test_whitespace_cell_is_missing(self, tmp_path, schema):
+        markers = _make_markers(schema, n=3)
+        path = tmp_path / "m.csv"
+        write_marker_file(path, markers, label_order=schema.labels)
+        fields = path.read_text().split("\n")[2].split(",")
+        fields[1], fields[5] = " \t ", ""
+        _rewrite_line(path, 3, ",".join(fields))
+        back = read_marker_file(path, schema)
+        first, second = schema.labels[0], schema.labels[1]
+        assert np.isnan(back.pos[first][1, 0])
+        assert np.isnan(back.pos[second][1, 1])
+        assert np.count_nonzero(np.isnan(back.pos[first])) == 1
+        assert back.pos[second][1, 0] == float(f"{markers.pos[second][1, 0]:.9f}")
+
+    def test_header_only(self, tmp_path, schema):
+        path = tmp_path / "m.csv"
+        write_marker_file(path, _make_markers(schema, n=0))
+        with pytest.raises(FormatError, match="no data rows"):
+            read_marker_file(path, schema)
+
 
 class TestGrfIo:
     def test_round_trip(self, tmp_path, rng):
@@ -124,6 +218,49 @@ class TestGrfIo:
         with pytest.raises(FormatError, match=":3:"):
             read_grf_file(path)
 
+    def test_empty_cell_is_an_error(self, tmp_path):
+        # only marker files read an empty cell as missing
+        path = tmp_path / "g.csv"
+        path.write_text("time,fx,fy,fz,mx,my,mz,copx,copy\n"
+                        "0,0,0,0,0,0,0,0,0\n"
+                        "0.001,0,0,,0,0,0,0,0\n")
+        with pytest.raises(FormatError, match=":3: non-numeric field '' "
+                                              "in column fz"):
+            read_grf_file(path)
+
+
+class TestWriterRoundTrip:
+    # values well inside the 9-decimal precision, so reading back and
+    # rewriting reproduces every digit
+    cells = st.one_of(st.floats(-3000.0, 3000.0), st.just(np.nan))
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(54)),
+                  elements=cells))
+    def test_markers(self, tmp_path_factory, table):
+        schema = MarkerSchema.default()
+        markers = MarkerData(time=np.arange(len(table)) * 0.01, pos={
+            label: table[:, 3 * k:3 * k + 3]
+            for k, label in enumerate(schema.labels)})
+        d = tmp_path_factory.mktemp("rt")
+        write_marker_file(d / "a.csv", markers)
+        if not len(table):
+            assert (d / "a.csv").read_text().count("\n") == 1
+            return
+        write_marker_file(d / "b.csv", read_marker_file(d / "a.csv", schema))
+        assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(8)),
+                  elements=cells))
+    def test_grf(self, tmp_path_factory, table):
+        grf = GrfData(time=np.arange(len(table)) * 0.001, force=table[:, :3],
+                      moment=table[:, 3:6], cop=table[:, 6:])
+        d = tmp_path_factory.mktemp("rt")
+        write_grf_file(d / "a.csv", grf)
+        write_grf_file(d / "b.csv", read_grf_file(d / "a.csv"))
+        assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
 
 class TestMeta:
     def test_round_trip(self, tmp_path, participant):
@@ -147,6 +284,25 @@ class TestMeta:
         path.write_text('{"participant": {"id": "x", "height_m": 1.7}}')
         with pytest.raises(ConfigurationError, match="mass_kg"):
             read_meta_file(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"participant": {"id": "x", "height_m": 1.7, "mass_kg": "heavy"},'
+         ' "terrain": "solid"}', "malformed metadata .*'heavy'"),
+        ('{"participant": {"id": "x", "height_m": null, "mass_kg": 70},'
+         ' "terrain": "solid"}', "malformed metadata .*NoneType"),
+        ('{"participant": {"id": "x", "height_m": 1.7, "mass_kg": 70},'
+         ' "terrain": "sand", "sand_depth_cm": [14]}',
+         "malformed metadata .*list"),
+        ('[1, 2]', "malformed metadata"),
+        ('{"participant": [1.7, 70], "terrain": "solid"}',
+         "malformed metadata"),
+    ], ids=["mass_text", "height_null", "depth_list", "list", "participant_list"])
+    def test_malformed_names_path(self, tmp_path, text, message):
+        path = tmp_path / "meta.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=message) as exc:
+            read_meta_file(path)
+        assert str(path) in str(exc.value)
 
 
 class TestFillGaps:
@@ -174,6 +330,30 @@ class TestFillGaps:
         filled = fill_gaps(markers, max_gap=5)
         assert np.isnan(filled.pos["L-heel"][0]).all()
         assert np.isnan(filled.pos["L-heel"][-1]).all()
+
+    # a column as runs of (missing?, length), padded to n frames by one more
+    # run: edge runs, runs longer than max_gap, columns with fewer than four
+    # valid points and all-NaN ones
+    column = st.tuples(st.lists(st.tuples(st.booleans(), st.integers(1, 8)),
+                                max_size=6), st.booleans())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.lists(column, min_size=6, max_size=6),
+           st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+    # three valid points around a one-frame gap: linear, as cubic needs four
+    @example(6, [([(False, 1), (True, 1), (False, 2)], True)]
+             + [([], False)] * 5, 2, 0)
+    def test_matches_per_gap_loop(self, n, columns, max_gap, seed):
+        rng = np.random.default_rng(seed)
+        pos = {"a": rng.normal(size=(n, 3)), "b": rng.normal(size=(n, 3))}
+        for k, (runs, pad) in enumerate(columns):
+            miss = np.concatenate([np.full(length, m) for m, length in runs]
+                                  + [np.full(n, pad)])[:n]
+            pos["ab"[k // 3]][miss, k % 3] = np.nan
+        markers = MarkerData(time=np.arange(n) * 0.01, pos=pos)
+        got, want = fill_gaps(markers, max_gap), _fill_gaps_loop(markers, max_gap)
+        for label in pos:
+            assert got.pos[label].tobytes() == want.pos[label].tobytes()
 
     def test_input_not_mutated(self, schema):
         markers = _make_markers(schema, n=40)
