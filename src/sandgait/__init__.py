@@ -25,7 +25,7 @@ from .dynamics import (ExternalLoad, FrameState, ankle_dynamics,
                        recursive_leg, leg_inverse_dynamics,
                        leg_moment_series, JointMomentSeries, JOINTS)
 from .metrics import (stride_metrics, peak_angles, knee_stiffness,
-                      StiffnessResult, paired_compare, STRIDE_METRIC_NAMES)
+                      StiffnessResult, paired_compare)
 from .pipeline import RunConfig, AnalysisResult, analyze_trial, write_bundle
 from .synth import (GaitProfile, synthesize_gait, standing_profile,
                     stride_profile)

@@ -209,10 +209,8 @@ def leg_inverse_dynamics(load: ExternalLoad,
 class JointMomentSeries:
     """Per-frame sagittal joint moments for one side."""
 
-    time: np.ndarray
     moment_y: dict[str, np.ndarray]      # N m about lab Y, per joint
     normalized: dict[str, np.ndarray]    # N m / kg
-    proximal_force: dict[str, np.ndarray]  # (N, 3) per joint
 
 
 def leg_moment_series(time: np.ndarray,
@@ -240,7 +238,5 @@ def leg_moment_series(time: np.ndarray,
                    axis=0)
     rec = recursive_leg(load, states, params, g)
     mom = {j: np.where(valid, rec[j][1][:, 1], np.nan) for j in JOINTS}
-    frc = {j: np.where(valid[:, None], rec[j][0], np.nan) for j in JOINTS}
-    normalized = {j: mom[j] / body_mass for j in JOINTS}
-    return JointMomentSeries(time=time.copy(), moment_y=mom,
-                             normalized=normalized, proximal_force=frc)
+    return JointMomentSeries(moment_y=mom, normalized={
+        j: mom[j] / body_mass for j in JOINTS})

@@ -2,8 +2,10 @@
 
 Two broad families matter for the CLI exit-code contract: input problems
 (bad files, bad config, bad parameters) exit 1, numerical/contract
-failures exit 2.
+failures exit 2.  ``read_text`` is the one reader of user text files,
+so that undecodable bytes are an input error too.
 """
+from pathlib import Path
 
 
 class GaitError(Exception):
@@ -60,3 +62,13 @@ class ContractError(GaitError):
 
 class GenerationError(GaitError):
     """Synthetic-gait profile is infeasible (e.g. foot below ground)."""
+
+
+def read_text(path, error: type[GaitInputError] = FormatError) -> str:
+    """A user file as UTF-8 text with universal newlines; bytes that are
+    not UTF-8 raise ``error`` naming the path and the byte offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+                    f"at offset {exc.start})") from None

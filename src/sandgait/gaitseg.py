@@ -18,6 +18,9 @@ from .errors import InsufficientDataError, ParameterError, SegmentationError
 
 PHASE_GRID = np.linspace(0.0, 1.0, 101)
 
+#: A plate heel strike further than this from the GRF onset is reported.
+HS_ONSET_TOL_S = 0.05
+
 
 @dataclass(frozen=True)
 class EventThresholds:
@@ -130,11 +133,11 @@ def detect_side_events(time: np.ndarray, heel_z: np.ndarray,
     if hs.size == 0:
         raise SegmentationError("no heel strikes survived alternation cleanup")
     ev = SideEvents(heel_strikes=hs, toe_offs=to)
-    _check_alternation(ev, time)
+    _check_alternation(ev)
     return ev
 
 
-def _check_alternation(ev: SideEvents, time: np.ndarray) -> None:
+def _check_alternation(ev: SideEvents) -> None:
     merged = sorted([(t, "hs") for t in ev.heel_strikes]
                     + [(t, "to") for t in ev.toe_offs])
     for (t0, k0), (t1, k1) in zip(merged, merged[1:]):
@@ -145,11 +148,11 @@ def _check_alternation(ev: SideEvents, time: np.ndarray) -> None:
 
 
 def grf_stance_check(ev: SideEvents, grf_time: np.ndarray, fz: np.ndarray,
-                     body_weight: float, fraction: float = 0.05,
-                     tol_s: float = 0.05) -> list[str]:
+                     body_weight: float, fraction: float = 0.05) -> list[str]:
     """Optional cross-check of kinematic heel strikes against the vertical
     force rising through ``fraction`` of body weight.  Returns warnings for
-    strikes on the instrumented plate that disagree by more than ``tol_s``."""
+    strikes on the instrumented plate that disagree by more than
+    ``HS_ONSET_TOL_S``."""
     thresh = fraction * body_weight
     rising = np.where((fz[1:] >= thresh) & (fz[:-1] < thresh))[0]
     rise_times = grf_time[rising + 1]
@@ -158,7 +161,7 @@ def grf_stance_check(ev: SideEvents, grf_time: np.ndarray, fz: np.ndarray,
         if rise_times.size == 0:
             continue
         nearest = rise_times[np.argmin(np.abs(rise_times - t_hs))]
-        if abs(nearest - t_hs) <= 0.25 and abs(nearest - t_hs) > tol_s:
+        if HS_ONSET_TOL_S < abs(nearest - t_hs) <= 0.25:
             warnings.append(
                 f"heel strike at {t_hs:.3f} s is {abs(nearest - t_hs) * 1e3:.0f} ms "
                 f"from the GRF onset at {nearest:.3f} s")
@@ -167,16 +170,13 @@ def grf_stance_check(ev: SideEvents, grf_time: np.ndarray, fz: np.ndarray,
 
 @dataclass
 class NormalizedCurve:
-    """Series resampled onto the 101-point phase grid."""
+    """Series resampled onto the 101-point phase grid ``PHASE_GRID``."""
 
-    grid: np.ndarray
     values: np.ndarray
-    phase_kind: str  # "cycle" | "stance"
 
 
 def phase_normalize(time: np.ndarray, values: np.ndarray,
-                    window: tuple[float, float],
-                    kind: str = "cycle") -> NormalizedCurve:
+                    window: tuple[float, float]) -> NormalizedCurve:
     """Resample ``values`` over ``window`` onto the 0..1 phase grid by
     linear interpolation."""
     t0, t1 = window
@@ -186,11 +186,8 @@ def phase_normalize(time: np.ndarray, values: np.ndarray,
         raise ParameterError(
             f"window ({t0:g}, {t1:g}) s outside series span "
             f"[{time[0]:g}, {time[-1]:g}] s")
-    if kind not in ("cycle", "stance"):
-        raise ParameterError(f"unknown phase kind {kind!r}")
     t_grid = t0 + PHASE_GRID * (t1 - t0)
-    vals = np.interp(t_grid, time, values)
-    return NormalizedCurve(grid=PHASE_GRID.copy(), values=vals, phase_kind=kind)
+    return NormalizedCurve(values=np.interp(t_grid, time, values))
 
 
 def stance_swing_durations(ev: SideEvents) -> list[dict[str, float]]:

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import interp1d
 
-from .errors import AlignmentError, ConfigurationError, FormatError, SchemaError
+from .errors import (AlignmentError, ConfigurationError, FormatError,
+                     SchemaError, read_text)
 from .model import Participant
 from .schema import MarkerSchema
 
@@ -84,7 +85,7 @@ class TrialRecord:
 def read_meta_file(path: str | Path) -> TrialMeta:
     """Trial metadata block: a small JSON object."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     try:
@@ -98,6 +99,8 @@ def read_meta_file(path: str | Path) -> TrialMeta:
                          sync_offset=float(raw.get("sync_offset_s", 0.0)))
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing metadata field {exc}") from None
+    except ConfigurationError as exc:  # a value Participant or TrialMeta rejects
+        raise ConfigurationError(f"{path}: {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: malformed metadata ({exc})") from None
 
@@ -132,7 +135,7 @@ def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
     Blank lines are errors, unless ``comments`` skips them and ``#`` lines.
     ``empty_is_nan`` reads empty cells after the first column as NaN.
     Errors name ``path:line``."""
-    text = Path(path).read_text()
+    text = read_text(path)
     if text and not text.endswith("\n"):
         text += "\n"
     if comments:

@@ -97,7 +97,6 @@ class SegmentStateSeries:
     time: np.ndarray
     e: np.ndarray          # (N, 3) unit proximal -> distal
     com_pos: np.ndarray    # (N, 3)
-    com_vel: np.ndarray
     com_acc: np.ndarray
     omega_dot: np.ndarray  # (N, 3), about the lab Y axis
 
@@ -133,7 +132,6 @@ def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
         e = delta / norm[:, None]
 
     com_pos = p + params.com_offset * e
-    com_vel = differentiate(com_pos, dt, order=1)
     com_acc = differentiate(com_pos, dt, order=2)
 
     theta = pitch_angle(e)
@@ -142,8 +140,7 @@ def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
     omega_dot[:, 1] = -theta_ddot
 
     return SegmentStateSeries(time=markers.time.copy(), e=e, com_pos=com_pos,
-                              com_vel=com_vel, com_acc=com_acc,
-                              omega_dot=omega_dot)
+                              com_acc=com_acc, omega_dot=omega_dot)
 
 
 def joint_angles(thigh: SegmentStateSeries, shank: SegmentStateSeries,
@@ -167,11 +164,8 @@ def joint_angles(thigh: SegmentStateSeries, shank: SegmentStateSeries,
 
 def pelvis_midpoint(markers: MarkerData, schema: MarkerSchema,
                     filter_window: int = 7) -> np.ndarray:
-    labels = schema.pelvis_labels()
-    if not labels:
-        raise ConfigurationError("no pelvis markers configured")
     stack = np.stack([moving_average(markers.pos[l], filter_window)
-                      for l in labels])
+                      for l in schema.pelvis_labels()])
     return stack.mean(axis=0)
 
 

@@ -17,10 +17,6 @@ from .errors import FitError, InsufficientDataError, ParameterError
 from .gaitseg import GaitEvents, SideEvents
 from .model import Participant
 
-#: The six distribution metrics reported per stride.
-STRIDE_METRIC_NAMES = ("stride_length", "stride_width", "swing_time",
-                       "stance_time", "com_variation", "avg_velocity")
-
 
 def _at(time: np.ndarray, series: np.ndarray, t: float) -> np.ndarray:
     """Linear interpolation of a (N,) or (N,3) series at one time."""

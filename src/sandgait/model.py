@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text
 
 GRAVITY = 9.81
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -29,8 +29,6 @@ class Participant:
     id: str
     height: float  # m
     mass: float    # kg
-    age: float | None = None
-    sex: str | None = None
 
     def __post_init__(self):
         if not self.height > 0:
@@ -96,7 +94,8 @@ class AnthropometricTable:
     def from_file(cls, path: str | Path) -> "AnthropometricTable":
         """Read the column-delimited table; '#' starts a comment line."""
         ratios = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        text = read_text(path, ConfigurationError)
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,8 +1,11 @@
-"""End-to-end trial analysis: ingest -> kinematics -> events -> forces ->
-inverse dynamics -> metrics, plus the on-disk artifact bundle.
+"""End-to-end trial analysis, plus the on-disk artifact bundle.
 
-Every output embeds the config hash; writes are atomic (write-then-rename)
-so partial runs never corrupt bundles.
+``analyze_trial`` runs named stages on whole arrays: ``_surface_grf`` (the
+sand rescale), gap-fill and alignment, segment kinematics,
+``_detect_events``, ``_plate_load``, inverse dynamics, ``_plate_stance``
+(the stance window of the stance curves), then the outcome curves and
+scalars.  Every output embeds the config hash; writes are atomic
+(write-then-rename) so partial runs never corrupt bundles.
 """
 from __future__ import annotations
 
@@ -18,15 +21,22 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, forces, gaitseg, kinematics, metrics
-from .errors import ConfigurationError, GaitError, SegmentationError
+from .errors import (ConfigurationError, GaitError, SegmentationError,
+                     read_text)
 from .forces import CalibrationCurve
-from .gaitseg import EventThresholds, GaitEvents, NormalizedCurve
-from .ingest import GrfData, TrialRecord, align_streams, fill_gaps
+from .gaitseg import EventThresholds, GaitEvents, NormalizedCurve, SideEvents
+from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
+                     fill_gaps)
 from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     segment_parameters)
 from .schema import SIDES, MarkerSchema
 
 log = logging.getLogger(__name__)
+
+#: Config keys that must be odd and >= 1, and those that must be >= 0; every
+#: other number must be > 0.
+_ODD_WINDOWS = ("filter_window", "event_filter_window", "grf_smooth_window")
+_NON_NEGATIVE = ("max_gap_frames", "plate_threshold_bw")
 
 
 @dataclass
@@ -50,13 +60,20 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(read_text(path, ConfigurationError))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{path}: expected a JSON object of "
+                                     f"config keys, got {doc!r}")
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in doc.items():
+            problem = _config_problem(key, value,
+                                      cls.__dataclass_fields__[key].default)
+            if problem:
+                raise ConfigurationError(f"{path}: {key} {problem}, got {value!r}")
         return cls(**doc)
 
     def thresholds(self) -> EventThresholds:
@@ -87,13 +104,31 @@ class RunConfig:
                 if self.calibration else forces.default_calibration_curve())
 
 
+def _config_problem(key: str, value, default) -> str | None:
+    """What is wrong with one config value, its type taken from the
+    field's default: a path is a string or null, an int field takes no
+    bool, a float field takes an int or a float."""
+    if default is None:
+        return None if value is None or isinstance(value, str) \
+            else "must be a path string or null"
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            return "must be an integer"
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "must be a number"
+    if key in _ODD_WINDOWS:
+        return None if value >= 1 and value % 2 else "must be odd and >= 1"
+    if key in _NON_NEGATIVE:
+        return None if value >= 0 else "must be >= 0"
+    return None if value > 0 else "must be > 0"
+
+
 @dataclass
 class AnalysisResult:
     participant_id: str
     terrain: str
     config_hash: str
     events: GaitEvents
-    angle_series: dict[str, dict[str, np.ndarray]]       # side -> joint -> deg
     angle_cycle: dict[str, dict[str, NormalizedCurve]]
     moments: dict[str, dynamics.JointMomentSeries]
     moment_stance: dict[str, NormalizedCurve]            # joint -> curve (plate side)
@@ -143,84 +178,48 @@ def _attribute_plate_side(trial, schema) -> str:
     return best
 
 
-def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisResult:
-    cfg = cfg if cfg is not None else RunConfig()
-    schema = cfg.load_schema()
-    table = cfg.load_table()
-    participant = trial.meta.participant
-    warnings: list[str] = []
-
+def _surface_grf(trial: TrialRecord, cfg: RunConfig) -> GrfData:
+    """The plate record as the surface load: on sand, F_z divided by
+    zeta(depth) with the free couple kept at the COP (the plate-origin
+    moment follows the rescaled force); on firm ground ``trial.grf``.
+    The longitudinal force passes through uncalibrated."""
     grf = trial.grf
-    # sand calibration applies to the vertical force only; the longitudinal
-    # force passes through uncalibrated and is flagged
-    if trial.meta.terrain == "sand":
-        curve = cfg.load_calibration()
-        force = grf.force.copy()
-        force[:, 2] = forces.calibrate_grf(force[:, 2],
-                                           trial.meta.sand_depth, curve)
-        # keep the free couple at the COP: the plate-origin moment follows
-        # the rescaled force
-        cop3 = np.column_stack([grf.cop, np.zeros(len(grf))])
-        moment = grf.moment + np.cross(cop3, force - grf.force)
-        grf = GrfData(time=grf.time.copy(), force=force,
-                      moment=moment, cop=grf.cop.copy())
-        warnings.append("fx passed through uncalibrated (sand terrain)")
-    trial = TrialRecord(meta=trial.meta,
-                        markers=fill_gaps(trial.markers, cfg.max_gap_frames),
-                        grf=grf)
-    trial = align_streams(trial)
+    if trial.meta.terrain != "sand":
+        return grf
+    force = grf.force.copy()
+    force[:, 2] = forces.calibrate_grf(force[:, 2], trial.meta.sand_depth,
+                                       cfg.load_calibration())
+    cop3 = np.column_stack([grf.cop, np.zeros(len(grf))])
+    moment = grf.moment + np.cross(cop3, force - grf.force)
+    return GrfData(time=grf.time, force=force, moment=moment, cop=grf.cop)
 
-    dt = trial.markers.dt
-    lengths = _mean_segment_lengths(trial, schema)
-    params = segment_parameters(participant, table, lengths)
 
-    # segment states and joint angles
-    states: dict[tuple[str, str], kinematics.SegmentStateSeries] = {}
-    angle_series = {}
+def _detect_events(markers: MarkerData, schema: MarkerSchema,
+                   cfg: RunConfig) -> tuple[GaitEvents, dict[str, np.ndarray]]:
+    """Gait events of both sides from lightly filtered heel and toe series,
+    and the filtered heel of each side, which also places the strides."""
+    ev, heel = {}, {}
     for side in SIDES:
-        # thigh first: this order fixes the float sum of com_trajectory
-        for seg in reversed(LEG_SEGMENTS):
-            states[(side, seg)] = kinematics.segment_states(
-                trial.markers, schema, side, seg, params[seg],
-                filter_window=cfg.filter_window)
-        angle_series[side] = kinematics.joint_angles(
-            states[(side, "thigh")], states[(side, "shank")],
-            states[(side, "foot")])
+        heel[side], toe = (kinematics.moving_average(
+            markers.pos[schema.joint_label(side, part)], cfg.event_filter_window)
+            for part in ("heel", "toe"))
+        ev[side] = gaitseg.detect_side_events(
+            markers.time, heel[side][:, 2], toe[:, 2],
+            np.gradient(heel[side][:, 0], markers.dt), cfg.thresholds())
+    return GaitEvents(**ev), heel
 
-    pelvis_mid = kinematics.pelvis_midpoint(trial.markers, schema,
-                                            cfg.filter_window)
-    com = kinematics.com_trajectory(states, params, participant.mass, pelvis_mid)
 
-    # gait events from lightly filtered marker series; the filtered heel
-    # also places the strides
-    ev = {}
-    heel = {}
-    for side in SIDES:
-        heel[side] = kinematics.moving_average(
-            trial.markers.pos[schema.joint_label(side, "heel")],
-            cfg.event_filter_window)
-        toe = kinematics.moving_average(
-            trial.markers.pos[schema.joint_label(side, "toe")],
-            cfg.event_filter_window)
-        heel_vx = np.gradient(heel[side][:, 0], dt)
-        ev[side] = gaitseg.detect_side_events(trial.markers.time,
-                                              heel[side][:, 2], toe[:, 2],
-                                              heel_vx, cfg.thresholds())
-    events = GaitEvents(**ev)
-    plate_side = _attribute_plate_side(trial, schema)
+def _plate_load(aligned: GrfData, time: np.ndarray, toe_pos: np.ndarray,
+                threshold: float) -> tuple[dynamics.ExternalLoad, np.ndarray]:
+    """The plate's ground load on the marker timeline, zero where F_z is
+    under ``threshold`` N, and the mask of the frames it loads.  Of the
+    couple about the COP only lab Y is kept; the rest is logged.
 
-    body_weight = participant.mass * cfg.gravity
-    warnings.extend(gaitseg.grf_stance_check(
-        events.side(plate_side), trial.grf.time, trial.grf.force[:, 2],
-        body_weight, fraction=cfg.plate_threshold_bw))
-
-    # external loads on the marker timeline; align_streams copies the
-    # marker times, so searchsorted finds each aligned row's frame exactly.
-    # A NaN force counts as loaded, so its frames come out NaN.
-    aligned = trial.grf_aligned
-    time = trial.markers.time
+    ``align_streams`` copies the marker times, so searchsorted finds each
+    aligned row's frame exactly.  A NaN force counts as loaded, so its
+    frames come out NaN."""
     n = len(time)
-    loaded = ~(aligned.force[:, 2] < cfg.plate_threshold_bw * body_weight)
+    loaded = ~(aligned.force[:, 2] < threshold)
     frames = np.searchsorted(time, aligned.time[loaded])
     on_plate = np.zeros(n, dtype=bool)
     on_plate[frames] = True
@@ -230,98 +229,139 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     if dropped >= 5e-4:  # nonzero at %.3f, above the rounding of GRF files
         log.info("dropped non-sagittal ground moment components "
                  "(max |M_x|,|M_z| = %.3f N m)", dropped)
-    toe_pos = trial.markers.pos[schema.joint_label(plate_side, "toe")]
-    plate_load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
-    plate_load.force[frames] = aligned.force[loaded]
-    plate_load.moment[frames, 1] = m_cop[:, 1]
-    plate_load.r[frames] = toe_pos[frames] - cop3
-    no_load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
-    moments = {}
-    for side in SIDES:
-        moments[side] = dynamics.leg_moment_series(
-            time, plate_load if side == plate_side else no_load,
-            states[(side, "foot")], states[(side, "shank")],
-            states[(side, "thigh")], params, participant.mass, cfg.gravity)
+    load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
+    load.force[frames] = aligned.force[loaded]
+    load.moment[frames, 1] = m_cop[:, 1]
+    load.r[frames] = toe_pos[frames] - cop3
+    return load, on_plate
 
-    # phase-normalized curves
-    angle_cycle = {}
-    peak = {}
-    stance_fracs = {}
+
+def _plate_stance(ev: SideEvents, time: np.ndarray,
+                  on_plate: np.ndarray) -> tuple[float, float] | None:
+    """The first heel-strike-to-toe-off window that holds a plate-loaded
+    frame, or None."""
+    for hs in ev.heel_strikes:
+        tos = ev.toe_offs[ev.toe_offs > hs]
+        if tos.size and np.any(on_plate & (time >= hs) & (time <= tos[0])):
+            return float(hs), float(tos[0])
+    return None
+
+
+def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisResult:
+    cfg = cfg if cfg is not None else RunConfig()
+    schema = cfg.load_schema()
+    table = cfg.load_table()
+    participant = trial.meta.participant
+    warnings = (["fx passed through uncalibrated (sand terrain)"]
+                if trial.meta.terrain == "sand" else [])
+
+    trial = align_streams(TrialRecord(
+        meta=trial.meta, markers=fill_gaps(trial.markers, cfg.max_gap_frames),
+        grf=_surface_grf(trial, cfg)))
+    time = trial.markers.time
+    params = segment_parameters(participant, table,
+                                _mean_segment_lengths(trial, schema))
+
+    # segment states and joint angles
+    states: dict[tuple[str, str], kinematics.SegmentStateSeries] = {}
+    angles = {}
+    for side in SIDES:
+        # thigh first: this order fixes the float sum of com_trajectory
+        for seg in reversed(LEG_SEGMENTS):
+            states[(side, seg)] = kinematics.segment_states(
+                trial.markers, schema, side, seg, params[seg],
+                filter_window=cfg.filter_window)
+        angles[side] = kinematics.joint_angles(
+            states[(side, "thigh")], states[(side, "shank")],
+            states[(side, "foot")])
+    pelvis_mid = kinematics.pelvis_midpoint(trial.markers, schema,
+                                            cfg.filter_window)
+    com = kinematics.com_trajectory(states, params, participant.mass, pelvis_mid)
+
+    events, heel = _detect_events(trial.markers, schema, cfg)
+    plate_side = _attribute_plate_side(trial, schema)
+    plate_ev = events.side(plate_side)
+    body_weight = participant.mass * cfg.gravity
+    warnings.extend(gaitseg.grf_stance_check(
+        plate_ev, trial.grf.time, trial.grf.force[:, 2], body_weight,
+        fraction=cfg.plate_threshold_bw))
+
+    # inverse dynamics; only the plate side carries a ground load
+    plate_load, on_plate = _plate_load(
+        trial.grf_aligned, time,
+        trial.markers.pos[schema.joint_label(plate_side, "toe")],
+        cfg.plate_threshold_bw * body_weight)
+    no_load = dynamics.ExternalLoad(*np.zeros((3, len(time), 3)))
+    moments = {side: dynamics.leg_moment_series(
+        time, plate_load if side == plate_side else no_load,
+        states[(side, "foot")], states[(side, "shank")],
+        states[(side, "thigh")], params, participant.mass, cfg.gravity)
+        for side in SIDES}
+
+    # cycle-normalized angles
+    angle_cycle, cycles, peak, stance_fracs = {}, {}, {}, {}
     for side in SIDES:
         side_ev = events.side(side)
-        curves = {}
+        angle_cycle[side] = {}
         if len(side_ev.heel_strikes) >= 2:
-            window = (float(side_ev.heel_strikes[0]),
-                      float(side_ev.heel_strikes[1]))
-            for joint, series in angle_series[side].items():
-                curves[joint] = gaitseg.phase_normalize(
-                    trial.markers.time, series, window, kind="cycle")
+            cycles[side] = (float(side_ev.heel_strikes[0]),
+                            float(side_ev.heel_strikes[1]))
+            angle_cycle[side] = {
+                joint: gaitseg.phase_normalize(time, series, cycles[side])
+                for joint, series in angles[side].items()}
             try:
                 stance_fracs[side] = gaitseg.stance_swing_durations(side_ev)
             except SegmentationError as exc:
                 warnings.append(f"{side} stance fractions skipped: {exc}")
-        angle_cycle[side] = curves
         peak[side] = metrics.peak_angles(
-            {j: c.values for j, c in curves.items()}) if curves else {}
+            {j: c.values for j, c in angle_cycle[side].items()})
 
     # stance-normalized GRF and moments for the plate side
-    plate_ev = events.side(plate_side)
-    stance_window = None
-    for hs in plate_ev.heel_strikes:
-        tos = plate_ev.toe_offs[plate_ev.toe_offs > hs]
-        if tos.size and np.any(on_plate & (trial.markers.time >= hs)
-                               & (trial.markers.time <= tos[0])):
-            stance_window = (float(hs), float(tos[0]))
-            break
-    grf_stance = {}
-    moment_stance = {}
-    grf_features = None
-    if stance_window is not None:
+    stance = _plate_stance(plate_ev, time, on_plate)
+    grf_stance, moment_stance, grf_features = {}, {}, None
+    if stance is not None:
         fxz_bw = forces.normalize_grf(
             kinematics.moving_average(trial.grf.force[:, [0, 2]],
                                       cfg.grf_smooth_window),
             participant, cfg.gravity)
-        for k, name in enumerate(("fx", "fz")):
-            grf_stance[name] = gaitseg.phase_normalize(
-                trial.grf.time, fxz_bw[:, k], stance_window, kind="stance")
+        grf_stance = {name: gaitseg.phase_normalize(
+            trial.grf.time, fxz_bw[:, k], stance)
+            for k, name in enumerate(("fx", "fz"))}
         grf_features = forces.extract_grf_features(grf_stance["fx"].values,
                                                    grf_stance["fz"].values)
-        for joint in dynamics.JOINTS:
-            moment_stance[joint] = gaitseg.phase_normalize(
-                trial.markers.time, moments[plate_side].normalized[joint],
-                stance_window, kind="stance")
+        moment_stance = {joint: gaitseg.phase_normalize(
+            time, moments[plate_side].normalized[joint], stance)
+            for joint in dynamics.JOINTS}
     else:
         warnings.append("no plate-loaded stance found; GRF features skipped")
 
     stride_rows = metrics.stride_metrics(events, heel, com, pelvis_mid,
-                                         trial.markers.time, participant)
+                                         time, participant)
 
-    stiffness = None
-    knee_loop = {}
+    stiffness, knee_loop = None, {}
+    knee_moment = moments[plate_side].normalized["knee"]
     try:
         stiffness = metrics.knee_stiffness(
-            trial.markers.time, angle_series[plate_side]["knee"],
-            moments[plate_side].normalized["knee"], events, side=plate_side)
+            time, angles[plate_side]["knee"], knee_moment, events,
+            side=plate_side)
     except GaitError as exc:  # stiffness is best-effort on real trials
         warnings.append(f"knee stiffness not computed: {exc}")
-    if "knee" in angle_cycle[plate_side]:  # two plate-side heel strikes
+    if plate_side in cycles:
         knee_loop = {
             "angle_deg": angle_cycle[plate_side]["knee"].values,
             "moment_nmkg": gaitseg.phase_normalize(
-                trial.markers.time, moments[plate_side].normalized["knee"],
-                (float(plate_ev.heel_strikes[0]),
-                 float(plate_ev.heel_strikes[1])), kind="cycle").values,
+                time, knee_moment, cycles[plate_side]).values,
         }
 
     return AnalysisResult(
         participant_id=participant.id, terrain=trial.meta.terrain,
         config_hash=cfg.config_hash(), events=events,
-        angle_series=angle_series, angle_cycle=angle_cycle,
-        moments=moments, moment_stance=moment_stance, grf_stance=grf_stance,
+        angle_cycle=angle_cycle, moments=moments,
+        moment_stance=moment_stance, grf_stance=grf_stance,
         grf_features=grf_features, stride_rows=stride_rows,
         peak_angles=peak, stiffness=stiffness,
         stance_fractions=stance_fracs, plate_side=plate_side,
-        time=trial.markers.time, knee_loop=knee_loop, warnings=warnings)
+        time=time, knee_loop=knee_loop, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

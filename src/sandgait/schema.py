@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_text
 
 SEGMENTS = ("pelvis", "thigh", "shank", "foot")
 SIDES = ("left", "right")
@@ -101,9 +101,9 @@ class MarkerSchema:
     @classmethod
     def from_file(cls, path: str | Path) -> "MarkerSchema":
         assignments = []
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
+        text = read_text(path, ConfigurationError)
+        rows = [r for r in csv.reader(text.splitlines())
+                if r and not r[0].lstrip().startswith("#")]
         if not rows or [c.strip() for c in rows[0]] != ["label", "segment", "side", "role"]:
             raise ConfigurationError(
                 f"{path}: expected header 'label,segment,side,role'")

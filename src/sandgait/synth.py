@@ -126,37 +126,22 @@ class GaitProfile:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GaitProfile":
+        """The inverse of ``to_json``; a key left out keeps the field's
+        default."""
         p = doc["participant"]
         geo = doc.get("geometry", {})
+        kw = {name: float(geo[name]) for name in _GEOMETRY if name in geo}
+        kw.update((name, convert(doc[key]))
+                  for key, (name, convert) in _PROFILE_KEYS.items() if key in doc)
         legs = {}
         for side, la in doc["legs"].items():
             legs[side] = LegAngles(thigh_pitch=Trig.from_json(la["thigh_pitch"]),
                                    knee_flexion=Trig.from_json(la["knee_flexion"]),
                                    foot_pitch=Trig.from_json(la["foot_pitch"]))
-        windows = doc.get("stance_windows_s")
-        if windows is not None:
-            windows = [tuple(w) for w in windows]
         return cls(participant=Participant(id=str(p["id"]),
                                            height=float(p["height_m"]),
                                            mass=float(p["mass_kg"])),
-                   duration=float(doc["duration_s"]),
-                   thigh_len=float(geo.get("thigh_len", 0.42)),
-                   shank_len=float(geo.get("shank_len", 0.43)),
-                   foot_len=float(geo.get("foot_len", 0.20)),
-                   ankle_height=float(geo.get("ankle_height", 0.08)),
-                   hip_half_width=float(geo.get("hip_half_width", 0.10)),
-                   pelvis_x=Trig.from_json(doc.get("pelvis_x", {})),
-                   pelvis_z=Trig.from_json(doc.get("pelvis_z", {"a0": 0.93})),
-                   legs=legs,
-                   grf_side=doc.get("grf_side", "right"),
-                   ramp=float(doc.get("ramp_s", 0.08)),
-                   marker_dt=float(doc.get("marker_dt_s", 0.01)),
-                   grf_dt=float(doc.get("grf_dt_s", 0.001)),
-                   terrain=doc.get("terrain", "solid"),
-                   sand_depth=doc.get("sand_depth_cm"),
-                   stance_windows=windows,
-                   cop_fixed=(tuple(doc["cop_fixed_m"])
-                              if doc.get("cop_fixed_m") else None))
+                   duration=float(doc["duration_s"]), legs=legs, **kw)
 
     @classmethod
     def load(cls, path: str | Path) -> "GaitProfile":
@@ -165,6 +150,25 @@ class GaitProfile:
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2,
                                          sort_keys=True) + "\n")
+
+
+_GEOMETRY = ("thigh_len", "shank_len", "foot_len", "ankle_height",
+             "hip_half_width")
+
+#: Top-level profile.json key -> (GaitProfile field, conversion).
+_PROFILE_KEYS = {
+    "pelvis_x": ("pelvis_x", Trig.from_json),
+    "pelvis_z": ("pelvis_z", Trig.from_json),
+    "grf_side": ("grf_side", lambda v: v),
+    "ramp_s": ("ramp", float),
+    "marker_dt_s": ("marker_dt", float),
+    "grf_dt_s": ("grf_dt", float),
+    "terrain": ("terrain", lambda v: v),
+    "sand_depth_cm": ("sand_depth", lambda v: v),
+    "stance_windows_s": ("stance_windows",
+                         lambda w: None if w is None else [tuple(x) for x in w]),
+    "cop_fixed_m": ("cop_fixed", lambda c: tuple(c) if c else None),
+}
 
 
 def _dir(alpha, order: int, d1=None, d2=None):

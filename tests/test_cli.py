@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -150,11 +151,60 @@ def _list_meta(sim, tmp):
     return {"--meta": tmp / "meta.json"}, "meta.json"
 
 
+def _non_utf8_markers(sim, tmp):
+    data = (sim / "markers.csv").read_bytes()
+    at = data.index(b"\n", data.index(b"\n") + 1) + 3  # inside row 2
+    (tmp / "markers.csv").write_bytes(data[:at] + b"\xff\xfe" + data[at:])
+    return ({"--markers": tmp / "markers.csv"},
+            f"markers.csv: not UTF-8 text (byte 0xff at offset {at})")
+
+
+def _meta(name, edit, named):
+    """A malformed-input case: the trial's meta.json changed by ``edit``."""
+    def fixture(sim, tmp):
+        meta = json.loads((sim / "meta.json").read_text())
+        edit(meta)
+        (tmp / "meta.json").write_text(json.dumps(meta))
+        return {"--meta": tmp / "meta.json"}, f"meta.json: {named}"
+    fixture.__name__ = name
+    return fixture
+
+
+def _config(name, text, named):
+    """A malformed-input case: ``--config`` given a file holding ``text``."""
+    def fixture(sim, tmp):
+        (tmp / "cfg.json").write_text(text)
+        return {"--config": tmp / "cfg.json"}, f"cfg.json: {named}"
+    fixture.__name__ = name
+    return fixture
+
+
 class TestMalformedInput:
     """Each malformed input exits 1 with an error naming it, no traceback."""
 
-    @pytest.mark.parametrize("fixture", [_bad_marker_cell, _bad_zeta_cell,
-                                         _heavy_meta, _list_meta])
+    @pytest.mark.parametrize("fixture", [
+        _bad_marker_cell, _bad_zeta_cell, _heavy_meta, _list_meta,
+        _non_utf8_markers,
+        _meta("_negative_mass",
+              lambda m: m["participant"].update(mass_kg=-3),
+              "participant 'synthetic': mass must be > 0"),
+        _meta("_unknown_terrain", lambda m: m.update(terrain="gravel"),
+              "unknown terrain 'gravel'"),
+        _meta("_sand_without_depth",
+              lambda m: (m.update(terrain="sand"), m.pop("sand_depth_cm", None)),
+              "sand terrain requires sand_depth"),
+        _config("_config_number", "5\n", "expected a JSON object"),
+        _config("_config_window_string", '{"filter_window": "7"}',
+                "filter_window must be an integer, got '7'"),
+        _config("_config_window_null", '{"filter_window": null}',
+                "filter_window must be an integer, got None"),
+        _config("_config_window_bool", '{"filter_window": true}',
+                "filter_window must be an integer, got True"),
+        _config("_config_window_even", '{"event_filter_window": 4}',
+                "event_filter_window must be odd and >= 1, got 4"),
+        _config("_config_negative_threshold", '{"plate_threshold_bw": -0.5}',
+                "plate_threshold_bw must be >= 0, got -0.5"),
+    ])
     def test_exits_one_without_traceback(self, sim_dir, tmp_path, fixture):
         args = {"--markers": sim_dir / "markers.csv",
                 "--grf": sim_dir / "grf.csv",
@@ -167,6 +217,46 @@ class TestMalformedInput:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
+
+
+class TestPinnedBytes:
+    """The stride-preset ``simulate`` files and the bundle analysed from
+    them (written to CSV and read back), by SHA-256, as recorded with numpy
+    2.4.6 and scipy 1.17.1.  Reruns of one commit are compared elsewhere;
+    these digests catch a change of output bytes between commits.  A
+    change that alters them on purpose re-records them and says why; so
+    does a numpy or scipy upgrade that alters them."""
+
+    SIMULATE = {
+        "grf.csv": "c299a83151a49ee3aab1498a898a323f88d9c84d31d200ba6adcb904f9903f2d",
+        "markers.csv": "4582e070b3dc49784d7d5789064f7fc91484882bb9f9c848382070254ec41b5d",
+        "meta.json": "0b405ae0ee5f930c9dfd9e12ddca50794b6c64df9176ad316c58dd9bba514a8c",
+        "profile.json": "8067161399768faa12be136d176e36ffaa5bd8cac12d85aab1b329fe202daca0",
+        "truth_events.csv": "80bd54595afd8bca6e1ed50788380bc405138ef0d3a1950b5d68e590b12c649b",
+        "truth_moments.csv": "6dbef70f65a2b5072787384f5bdd88f57edb6dd64fd829dd48b15fcd074b9bdf",
+    }
+    BUNDLE = {
+        "angles_cycle.csv": "7f7e1ae3158b389c23f11ca7741833d6762546b29b90c798f9c928c3f7ce875d",
+        "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
+        "features.json": "bb654a81a525fa7ca326ca5e9851e6f9dd4c53985a3f32079890eb3c702c7d9e",
+        "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
+        "knee_loop.csv": "c4cc69f7d1ce5095e47b4695d4208b9e6d37081b210453de2fe776e1b05f16ef",
+        "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
+        "moments.csv": "4a28058e6f2bcd2cf55916bebabbec6f0335904e9fe120fb4fd72229ea6d0fad",
+        "moments_stance.csv": "18d94ab5e773b4d33169ab685ce2bfa49f15918d6bab193fd8a9b1c48f034ebd",
+        "stride_metrics.csv": "70903c379aeafc617e8e04ce87647f2c67f803aa4a6c4f16189a5ee8fb54c1ff",
+    }
+
+    @staticmethod
+    def _digests(directory):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(directory.iterdir())}
+
+    def test_simulate_files(self, sim_dir):
+        assert self._digests(sim_dir) == self.SIMULATE
+
+    def test_bundle_files(self, bundle_dir):
+        assert self._digests(bundle_dir) == self.BUNDLE
 
 
 class TestCalibrate:

@@ -12,6 +12,8 @@ from sandgait.ingest import (GrfData, MarkerData, TrialMeta, TrialRecord,
                              read_marker_file, read_meta_file,
                              write_grf_file, write_marker_file,
                              write_meta_file)
+from sandgait.model import AnthropometricTable
+from sandgait.pipeline import RunConfig
 from sandgait.schema import MarkerSchema
 
 
@@ -303,6 +305,23 @@ class TestMeta:
         with pytest.raises(ConfigurationError, match=message) as exc:
             read_meta_file(path)
         assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("reader, error", [
+    (read_grf_file, FormatError),
+    (read_meta_file, FormatError),
+    (RunConfig.from_file, ConfigurationError),
+    (MarkerSchema.from_file, ConfigurationError),
+    (AnthropometricTable.from_file, ConfigurationError),
+], ids=["grf", "meta", "config", "schema", "anthropometry"])
+def test_non_utf8_file_names_path_and_offset(tmp_path, reader, error):
+    path = tmp_path / "input.txt"
+    head = "time,fx\n0.0,".encode()
+    path.write_bytes(head + b"\xff\xfe1\n")
+    with pytest.raises(error) as exc:
+        reader(path)
+    assert str(exc.value) == (f"{path}: not UTF-8 text "
+                              f"(byte 0xff at offset {len(head)})")
 
 
 class TestFillGaps:

@@ -178,7 +178,6 @@ class TestSegmentStates:
         m = _markers_for(schema, "left", "shank", prox, dist, n)
         s = segment_states(m, schema, "left", "shank", self.params)
         np.testing.assert_allclose(s.e, [[0.0, 0.0, -1.0]] * n, atol=1e-12)
-        np.testing.assert_allclose(s.com_vel, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.com_acc, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.omega_dot, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.com_pos,
@@ -225,8 +224,7 @@ class TestJointAngles:
             z = np.zeros((n, 3))
             from sandgait.kinematics import SegmentStateSeries
             return SegmentStateSeries(time=np.arange(n) * 0.01, e=arr,
-                                      com_pos=z, com_vel=z, com_acc=z,
-                                      omega_dot=z)
+                                      com_pos=z, com_acc=z, omega_dot=z)
         return joint_angles(series(e_t), series(e_s), series(e_f))
 
     def test_straight_vertical_leg(self):
@@ -277,7 +275,7 @@ class TestComTrajectory:
             return SegmentStateSeries(time=np.arange(n) * 0.01,
                                       e=np.tile([0, 0, -1.0], (n, 1)),
                                       com_pos=np.tile(pos, (n, 1)).astype(float),
-                                      com_vel=z, com_acc=z, omega_dot=z)
+                                      com_acc=z, omega_dot=z)
 
         params = {"shank": SegmentParams(10.0, 0.4, 0.2, 0.1)}
         states = {("left", "shank"): series([1.0, 0.0, 0.0]),
@@ -295,8 +293,8 @@ class TestComTrajectory:
         z = np.zeros((n, 3))
         s = SegmentStateSeries(time=np.arange(n) * 0.01,
                                e=np.tile([0, 0, -1.0], (n, 1)),
-                               com_pos=np.ones((n, 3)), com_vel=z,
-                               com_acc=z, omega_dot=z)
+                               com_pos=np.ones((n, 3)), com_acc=z,
+                               omega_dot=z)
         params = {"shank": SegmentParams(1e-9, 0.4, 0.2, 0.1)}
         pelvis = np.tile([4.0, 5.0, 6.0], (n, 1))
         com = com_trajectory({("left", "shank"): s}, params, 70.0, pelvis)
@@ -308,8 +306,8 @@ class TestComTrajectory:
         z = np.zeros((n, 3))
         s = SegmentStateSeries(time=np.arange(n) * 0.01,
                                e=np.tile([0, 0, -1.0], (n, 1)),
-                               com_pos=np.ones((n, 3)), com_vel=z,
-                               com_acc=z, omega_dot=z)
+                               com_pos=np.ones((n, 3)), com_acc=z,
+                               omega_dot=z)
         params = {"shank": SegmentParams(100.0, 0.4, 0.2, 0.1)}
         with pytest.raises(ConfigurationError, match="exceed"):
             com_trajectory({("left", "shank"): s}, params, 70.0,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 
 from sandgait import metrics
 from sandgait.dynamics import JOINTS
-from sandgait.errors import FitError
+from sandgait.errors import ConfigurationError, FitError
 from sandgait.forces import default_calibration_curve
 from sandgait.ingest import (GrfData, TrialMeta, TrialRecord, parse_trial,
                              write_grf_file, write_marker_file)
-from sandgait.pipeline import analyze_trial, write_bundle
+from sandgait.pipeline import RunConfig, analyze_trial, write_bundle
 from sandgait.synth import stride_profile, synthesize_gait
 
 
@@ -56,6 +57,58 @@ class TestSand:
                                         grf=buried))
         for joint, err in _stance_rms_errors(stride, out).items():
             assert err < 0.01, f"{joint}: {100 * err:.2f}% RMS"
+
+    def test_fx_flag_is_the_first_warning(self, stride):
+        meta = TrialMeta(participant=stride.meta.participant, terrain="sand",
+                         sand_depth=14.0)
+        out = analyze_trial(TrialRecord(meta=meta, markers=stride.markers,
+                                        grf=stride.grf))
+        assert out.warnings[0].startswith("fx passed through uncalibrated")
+
+
+class TestNoPlateStance:
+    def test_zero_grf_skips_stance_outputs(self, stride, tmp_path):
+        zero = dataclasses.replace(stride.grf,
+                                   force=np.zeros_like(stride.grf.force),
+                                   moment=np.zeros_like(stride.grf.moment))
+        out = analyze_trial(TrialRecord(meta=stride.meta,
+                                        markers=stride.markers, grf=zero))
+        assert ("no plate-loaded stance found; GRF features skipped"
+                in out.warnings)
+        assert out.grf_stance == {} and out.moment_stance == {}
+        assert out.grf_features is None
+        write_bundle(out, tmp_path)
+        assert not (tmp_path / "grf_stance.csv").exists()
+        assert not (tmp_path / "moments_stance.csv").exists()
+        assert (tmp_path / "moments.csv").exists()
+
+
+class TestConfigFile:
+    def test_accepted_values(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "calibration": "curve.csv", "anthropometry": None,
+            "filter_window": 1, "max_gap_frames": 0,
+            "plate_threshold_bw": 0, "gravity": 10}))
+        cfg = RunConfig.from_file(path)
+        assert (cfg.calibration, cfg.filter_window, cfg.gravity) == \
+            ("curve.csv", 1, 10)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"marker_schema": 3}, "marker_schema must be a path string or null"),
+        ({"gravity": "9.81"}, "gravity must be a number"),
+        ({"min_swing_s": 0}, "min_swing_s must be > 0"),
+        ({"hs_forward_speed": float("nan")}, "hs_forward_speed must be > 0"),
+        ({"grf_smooth_window": -1}, "grf_smooth_window must be odd and >= 1"),
+        ({"max_gap_frames": 2.0}, "max_gap_frames must be an integer"),
+    ], ids=["path_number", "gravity_text", "zero_swing", "nan_speed",
+            "negative_window", "float_gap"])
+    def test_rejected_values_name_path_and_key(self, tmp_path, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value).startswith(f"{path}: {message}, got ")
 
 
 class TestMarkerGap:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sandgait.errors import GenerationError
+from sandgait.model import Participant
 from sandgait.schema import MarkerSchema
-from sandgait.synth import (GaitProfile, Trig, standing_profile,
+from sandgait.synth import (GaitProfile, LegAngles, Trig, standing_profile,
                             stride_profile, synthesize_gait)
 
 
@@ -28,6 +29,16 @@ class TestProfile:
     def test_json_round_trip(self):
         p = stride_profile()
         assert GaitProfile.from_json(p.to_json()) == p
+
+    def test_minimal_json_takes_dataclass_defaults(self):
+        doc = {"participant": {"id": "p", "height_m": 1.7, "mass_kg": 70.0},
+               "duration_s": 3.0,
+               "legs": {"right": {"thigh_pitch": {"a0": 0.1},
+                                  "knee_flexion": {}, "foot_pitch": {}}}}
+        assert GaitProfile.from_json(doc) == GaitProfile(
+            participant=Participant(id="p", height=1.7, mass=70.0),
+            duration=3.0,
+            legs={"right": LegAngles(Trig(a0=0.1), Trig(), Trig())})
 
     def test_save_load(self, tmp_path):
         p = standing_profile()
