@@ -6,7 +6,6 @@ data-contract failure during processing.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -18,7 +17,8 @@ import numpy as np
 
 from . import forces, ingest, metrics, synth
 from .errors import (ConfigurationError, FormatError, GaitError,
-                     GaitInputError, InsufficientDataError)
+                     GaitInputError, InsufficientDataError, read_json_as,
+                     read_text)
 from .pipeline import RunConfig, analyze_trial, atomic_write, write_bundle
 
 log = logging.getLogger("sandgait")
@@ -90,46 +90,62 @@ def _bundle_dirs(root: Path) -> list[Path]:
     return dirs
 
 
+def _stride_means(path: Path) -> dict[str, float]:
+    """Column means of a bundle's stride_metrics.csv, leaving out empty and
+    NaN cells; a non-numeric cell is an error naming ``path:line``."""
+    lines = [(n, line.split(",")) for n, line
+             in enumerate(read_text(path).splitlines(), 1)
+             if line and not line.startswith("#")]
+    header = lines[0][1] if lines else []
+    vals = {key: [] for key in header if key not in ("side", "cycle_start_s")}
+    for n, cells in lines[1:]:
+        for key, cell in zip(header, cells):
+            if key not in vals or not cell:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise FormatError(f"{path}:{n}: non-numeric {key} "
+                                  f"{cell!r}") from None
+            if not math.isnan(v):
+                vals[key].append(v)
+    return {key: float(np.mean(v)) for key, v in vals.items() if v}
+
+
+def _feature_scalars(feats: dict) -> dict[str, float]:
+    """The scalar metrics of one bundle's features.json."""
+    out = {}
+    grf = feats.get("grf", {})
+    for key in ("fx_fwd_peak", "fx_bwd_peak", "fz_hs_peak",
+                "fz_hump1", "fz_hump2"):
+        if grf.get(key) is not None:
+            out[key] = float(grf[key])
+    stiff = feats.get("knee_stiffness", {})
+    for key in ("k_flexion", "k_extension", "k_swing"):
+        if key in stiff:
+            out[key] = float(stiff[key]["slope"])
+    for side, joints in feats.get("peak_angles_deg", {}).items():
+        for joint, v in joints.items():
+            out[f"peak_{joint}_{side}"] = float(v)
+    fracs = [c["stance_fraction"]
+             for cycles in feats.get("stance_fractions", {}).values()
+             for c in cycles]
+    if fracs:
+        out["stance_fraction"] = float(np.mean(fracs))
+    return out
+
+
 def _bundle_scalars(bundle: Path) -> tuple[str, dict[str, float]]:
     """Flatten one bundle into participant id + scalar metric values."""
-    meta = json.loads((bundle / "meta.json").read_text())
-    out: dict[str, float] = {}
-
+    pid = read_json_as(bundle / "meta.json",
+                       lambda meta: str(meta["participant_id"]),
+                       "bundle metadata")
     sm = bundle / "stride_metrics.csv"
-    if sm.exists():
-        with open(sm) as fh:
-            reader = csv.DictReader(
-                line for line in fh if not line.startswith("#"))
-            rows = list(reader)
-        for key in reader.fieldnames or ():
-            if key in ("side", "cycle_start_s"):
-                continue
-            vals = [float(r[key]) for r in rows
-                    if r[key] and not math.isnan(float(r[key]))]
-            if vals:
-                out[key] = float(np.mean(vals))
-
+    out = _stride_means(sm) if sm.exists() else {}
     fj = bundle / "features.json"
     if fj.exists():
-        feats = json.loads(fj.read_text())
-        grf = feats.get("grf", {})
-        for key in ("fx_fwd_peak", "fx_bwd_peak", "fz_hs_peak",
-                    "fz_hump1", "fz_hump2"):
-            if grf.get(key) is not None:
-                out[key] = float(grf[key])
-        stiff = feats.get("knee_stiffness", {})
-        for key in ("k_flexion", "k_extension", "k_swing"):
-            if key in stiff:
-                out[key] = float(stiff[key]["slope"])
-        for side, joints in feats.get("peak_angles_deg", {}).items():
-            for joint, v in joints.items():
-                out[f"peak_{joint}_{side}"] = float(v)
-        fracs = [c["stance_fraction"]
-                 for cycles in feats.get("stance_fractions", {}).values()
-                 for c in cycles]
-        if fracs:
-            out["stance_fraction"] = float(np.mean(fracs))
-    return meta["participant_id"], out
+        out.update(read_json_as(fj, _feature_scalars, "features"))
+    return pid, out
 
 
 def cmd_compare(args) -> int:

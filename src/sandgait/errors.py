@@ -3,8 +3,11 @@
 Two broad families matter for the CLI exit-code contract: input problems
 (bad files, bad config, bad parameters) exit 1, numerical/contract
 failures exit 2.  ``read_text`` is the one reader of user text files,
-so that undecodable bytes are an input error too.
+so that undecodable bytes are an input error too; ``read_json`` adds the
+same for malformed JSON, and ``read_json_as`` for a document that does not
+convert.
 """
+import json
 from pathlib import Path
 
 
@@ -72,3 +75,27 @@ def read_text(path, error: type[GaitInputError] = FormatError) -> str:
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
                     f"at offset {exc.start})") from None
+
+
+def read_json(path, error: type[GaitInputError] = FormatError):
+    """A user JSON file; undecodable bytes or invalid JSON raise ``error``
+    naming the path."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from None
+
+
+def read_json_as(path, build, what: str):
+    """``build(doc)`` of a user JSON file.  A missing key, a value of the
+    wrong type, or one that ``build`` rejects with ``ConfigurationError``
+    raises ``ConfigurationError`` naming the path and ``what`` it holds."""
+    doc = read_json(path)
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing {what} field {exc}") from None
+    except ConfigurationError as exc:  # a value ``build`` rejects
+        raise ConfigurationError(f"{path}: {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed {what} ({exc})") from None

@@ -7,6 +7,17 @@ extremum is strict: a flat minimum (or maximum) counts once, at its first
 sample, and a run that is flat up to the end of the series, or that a NaN
 interrupts, is none.  Curves are resampled onto a 101-point phase grid
 (0..100% in 1% steps).
+
+Every quantity that pairs events reads ``cycle_table``: a row per
+ipsilateral heel strike ``hs``, NaN where an event is missing, with the
+columns ``HS`` (``hs``), ``TO`` (the first ipsilateral toe-off after it),
+``NEXT_HS`` (the next ipsilateral heel strike), ``C_HS`` and ``C_TO`` (the
+first contralateral heel strike and toe-off after ``hs``) and
+``C_HS_AFTER_TO`` (the first contralateral heel strike after ``C_TO``).
+Each side's events must alternate in time order, as ``detect_side_events``
+returns them; on hand-built events that do not, ``cycle_table`` and every
+function that reads it raise ``SegmentationError``.  So a cycle is
+``hs -> to -> next_hs``, its toe-off the first after its heel strike.
 """
 from __future__ import annotations
 
@@ -20,6 +31,9 @@ PHASE_GRID = np.linspace(0.0, 1.0, 101)
 
 #: A plate heel strike further than this from the GRF onset is reported.
 HS_ONSET_TOL_S = 0.05
+
+#: Columns of ``cycle_table``.
+HS, TO, NEXT_HS, C_HS, C_TO, C_HS_AFTER_TO = range(6)
 
 
 @dataclass(frozen=True)
@@ -138,13 +152,44 @@ def detect_side_events(time: np.ndarray, heel_z: np.ndarray,
 
 
 def _check_alternation(ev: SideEvents) -> None:
-    merged = sorted([(t, "hs") for t in ev.heel_strikes]
-                    + [(t, "to") for t in ev.toe_offs])
-    for (t0, k0), (t1, k1) in zip(merged, merged[1:]):
-        if k0 == k1 or t1 <= t0:
-            timeline = ", ".join(f"{k.upper()}@{t:.3f}s" for t, k in merged)
-            raise SegmentationError(
-                f"events do not alternate: {timeline}")
+    """Raise unless the events alternate strictly in time, each kind listed
+    in time order."""
+    hs, to = ev.heel_strikes.tolist(), ev.toe_offs.tolist()
+    a, b = (to, hs) if to and not (hs and hs[0] < to[0]) else (hs, to)
+    if not (0 <= len(a) - len(b) <= 1 and all(x < y for x, y in zip(a, b))
+            and all(x < y for x, y in zip(b, a[1:]))):
+        raise SegmentationError(
+            "events do not alternate: heel strikes at "
+            + ", ".join(f"{t:.3f}" for t in hs) + " s, toe-offs at "
+            + ", ".join(f"{t:.3f}" for t in to) + " s")
+
+
+def _first_after(times: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The first of the ascending ``times`` strictly after each ``t``, NaN
+    where there is none (and where ``t`` is NaN)."""
+    return np.append(times, np.nan)[np.searchsorted(times, t, side="right")]
+
+
+def cycle_table(ipsi: SideEvents, contra: SideEvents | None = None) -> np.ndarray:
+    """The (k, 6) cycle table of ``ipsi``'s k heel strikes; see the module
+    docstring for its columns.  Without ``contra`` the contralateral
+    columns are NaN."""
+    contra = contra if contra is not None else SideEvents(np.empty(0), np.empty(0))
+    for ev in (ipsi, contra):
+        _check_alternation(ev)
+    hs = np.asarray(ipsi.heel_strikes, dtype=float)
+    c_to = _first_after(contra.toe_offs, hs)
+    return np.column_stack([hs, _first_after(ipsi.toe_offs, hs),
+                            np.append(hs, np.nan)[1:],
+                            _first_after(contra.heel_strikes, hs), c_to,
+                            _first_after(contra.heel_strikes, c_to)])
+
+
+def stance_windows(ev: SideEvents) -> np.ndarray:
+    """(heel strike, toe-off) of every cycle-table row with a toe-off, as
+    an (m, 2) array."""
+    cyc = cycle_table(ev)
+    return cyc[~np.isnan(cyc[:, TO])][:, [HS, TO]]
 
 
 def grf_stance_check(ev: SideEvents, grf_time: np.ndarray, fz: np.ndarray,
@@ -198,16 +243,6 @@ def stance_swing_durations(ev: SideEvents) -> list[dict[str, float]]:
     if len(ev.heel_strikes) < 2:
         raise InsufficientDataError(
             f"need at least 2 heel strikes, got {len(ev.heel_strikes)}")
-    out = []
-    for hs0, hs1 in zip(ev.heel_strikes, ev.heel_strikes[1:]):
-        tos = ev.toe_offs[(ev.toe_offs > hs0) & (ev.toe_offs < hs1)]
-        if tos.size != 1:
-            raise SegmentationError(
-                f"expected one toe-off in cycle [{hs0:.3f}, {hs1:.3f}] s, "
-                f"found {tos.size}")
-        to = float(tos[0])
-        stance = to - hs0
-        swing = hs1 - to
-        out.append({"stance_s": stance, "swing_s": swing,
-                    "stance_fraction": stance / (hs1 - hs0)})
-    return out
+    return [{"stance_s": to - hs, "swing_s": hs1 - to,
+             "stance_fraction": (to - hs) / (hs1 - hs)}
+            for hs, to, hs1 in cycle_table(ev)[:-1, [HS, TO, NEXT_HS]].tolist()]

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import interp1d
 
 from .errors import (AlignmentError, ConfigurationError, FormatError,
-                     SchemaError, read_text)
+                     SchemaError, read_json_as, read_text)
 from .model import Participant
 from .schema import MarkerSchema
 
@@ -84,25 +83,17 @@ class TrialRecord:
 
 def read_meta_file(path: str | Path) -> TrialMeta:
     """Trial metadata block: a small JSON object."""
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        p = raw["participant"]
-        participant = Participant(id=str(p["id"]), height=float(p["height_m"]),
-                                  mass=float(p["mass_kg"]))
-        depth = raw.get("sand_depth_cm")
-        return TrialMeta(participant=participant,
-                         terrain=raw["terrain"],
-                         sand_depth=None if depth is None else float(depth),
-                         sync_offset=float(raw.get("sync_offset_s", 0.0)))
-    except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing metadata field {exc}") from None
-    except ConfigurationError as exc:  # a value Participant or TrialMeta rejects
-        raise ConfigurationError(f"{path}: {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: malformed metadata ({exc})") from None
+    return read_json_as(path, _meta_from_json, "metadata")
+
+
+def _meta_from_json(raw: dict) -> TrialMeta:
+    p = raw["participant"]
+    participant = Participant(id=str(p["id"]), height=float(p["height_m"]),
+                              mass=float(p["mass_kg"]))
+    depth = raw.get("sand_depth_cm")
+    return TrialMeta(participant=participant, terrain=raw["terrain"],
+                     sand_depth=None if depth is None else float(depth),
+                     sync_offset=float(raw.get("sync_offset_s", 0.0)))
 
 
 def write_meta_file(path: str | Path, meta: TrialMeta) -> None:
@@ -281,6 +272,7 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
             ok = (stops - starts <= max_gap) & (starts > 0) & (stops < len(idx))
             if not ok.any():
                 continue
+            from scipy.interpolate import interp1d  # a 0.6 s import: only gaps need it
             fill = miss & ok[np.cumsum(step[:-1] == 1) - 1]
             valid = ~miss
             kind = "cubic" if np.count_nonzero(valid) >= 4 else "linear"

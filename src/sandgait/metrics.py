@@ -11,19 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import FitError, InsufficientDataError, ParameterError
-from .gaitseg import GaitEvents, SideEvents
+from .gaitseg import (C_HS, C_HS_AFTER_TO, C_TO, HS, NEXT_HS, TO, GaitEvents,
+                      SideEvents, cycle_table)
 from .model import Participant
-
-
-def _at(time: np.ndarray, series: np.ndarray, t: float) -> np.ndarray:
-    """Linear interpolation of a (N,) or (N,3) series at one time."""
-    if series.ndim == 1:
-        return np.interp(t, time, series)
-    return np.array([np.interp(t, time, series[:, k])
-                     for k in range(series.shape[1])])
 
 
 def stride_metrics(events: GaitEvents,
@@ -43,52 +35,40 @@ def stride_metrics(events: GaitEvents,
     """
     h = participant.height
     rows = []
-    any_complete = False
     for side in ("left", "right"):
         ev = getattr(events, side)
         if ev is None or len(ev.heel_strikes) < 2:
             continue
         other = "right" if side == "left" else "left"
-        ev_o = getattr(events, other)
-        for hs0, hs1 in zip(ev.heel_strikes, ev.heel_strikes[1:]):
-            any_complete = True
-            tos = ev.toe_offs[(ev.toe_offs > hs0) & (ev.toe_offs < hs1)]
-            stance = float(tos[0] - hs0) if tos.size else math.nan
-            swing = float(hs1 - tos[0]) if tos.size else math.nan
-
-            p0 = _at(time, heel_pos[side], hs0)
-            p1 = _at(time, heel_pos[side], hs1)
-            length = float(abs(p1[0] - p0[0]))
-
-            width = math.nan
-            if ev_o is not None:
-                mid = ev_o.heel_strikes[(ev_o.heel_strikes > hs0)
-                                        & (ev_o.heel_strikes < hs1)]
-                if mid.size:
-                    po = _at(time, heel_pos[other], float(mid[0]))
-                    width = float(abs(po[1] - p0[1]))
-
-            sel = (time >= hs0) & (time <= hs1)
-            com_z = com[sel, 2]
-            com_var = float(np.nanmax(com_z) - np.nanmin(com_z)) if sel.any() else math.nan
-            vel = float((_at(time, pelvis_mid, hs1)[0]
-                         - _at(time, pelvis_mid, hs0)[0]) / (hs1 - hs0))
-
-            rows.append({
-                "side": side,
-                "cycle_start_s": float(hs0),
-                "stride_length": length,
-                "stride_length_norm": length / h,
-                "stride_width": width,
-                "stride_width_norm": width / h,
-                "stance_time": stance,
-                "swing_time": swing,
-                "com_variation": com_var,
-                "com_variation_norm": com_var / h,
-                "avg_velocity": vel,
-                "avg_velocity_norm": vel / h,
-            })
-    if not any_complete:
+        cyc = cycle_table(ev, getattr(events, other))[:-1]
+        hs0, to, hs1 = cyc[:, HS], cyc[:, TO], cyc[:, NEXT_HS]
+        heel_x = np.interp(cyc[:, [HS, NEXT_HS]], time, heel_pos[side][:, 0])
+        pelvis_x = np.interp(cyc[:, [HS, NEXT_HS]], time, pelvis_mid[:, 0])
+        length = np.abs(heel_x[:, 1] - heel_x[:, 0])
+        c_hs = np.where(cyc[:, C_HS] < hs1, cyc[:, C_HS], np.nan)
+        width = np.abs(np.interp(c_hs, time, heel_pos[other][:, 1])
+                       - np.interp(hs0, time, heel_pos[side][:, 1]))
+        com_var = np.array([
+            np.nanmax(com[i:j, 2]) - np.nanmin(com[i:j, 2]) if j > i else math.nan
+            for i, j in zip(np.searchsorted(time, hs0, "left"),
+                            np.searchsorted(time, hs1, "right"))])
+        vel = (pelvis_x[:, 1] - pelvis_x[:, 0]) / (hs1 - hs0)
+        columns = {
+            "cycle_start_s": hs0,
+            "stride_length": length,
+            "stride_length_norm": length / h,
+            "stride_width": width,
+            "stride_width_norm": width / h,
+            "stance_time": to - hs0,
+            "swing_time": hs1 - to,
+            "com_variation": com_var,
+            "com_variation_norm": com_var / h,
+            "avg_velocity": vel,
+            "avg_velocity_norm": vel / h,
+        }
+        rows += [{"side": side, **dict(zip(columns, row))}
+                 for row in np.column_stack(list(columns.values())).tolist()]
+    if not rows:
         raise InsufficientDataError("no complete ipsilateral gait cycle")
     return rows
 
@@ -151,32 +131,23 @@ def knee_stiffness(time: np.ndarray,
     if len(ips.heel_strikes) < 1:
         raise InsufficientDataError(f"no {side} heel strike")
 
-    hs_i = float(ips.heel_strikes[0])
-    con_to = con.toe_offs[con.toe_offs > hs_i]
-    if con_to.size == 0:
-        raise InsufficientDataError("no contralateral toe-off after heel strike")
-    to_c = float(con_to[0])
-    con_hs = con.heel_strikes[con.heel_strikes > to_c]
-    if con_hs.size == 0:
-        raise InsufficientDataError("no contralateral heel strike after toe-off")
-    hs_c = float(con_hs[0])
-    ips_to = ips.toe_offs[ips.toe_offs > hs_i]
-    if ips_to.size == 0:
-        raise InsufficientDataError(f"no {side} toe-off after heel strike")
-    to_i = float(ips_to[0])
-    ips_hs2 = ips.heel_strikes[ips.heel_strikes > to_i]
-    if ips_hs2.size == 0:
-        raise InsufficientDataError(f"no {side} heel strike after toe-off")
-    hs_i2 = float(ips_hs2[0])
+    cyc = cycle_table(ips, con)[0]
+    for col, missing in ((C_TO, "contralateral toe-off after heel strike"),
+                         (C_HS_AFTER_TO, "contralateral heel strike after toe-off"),
+                         (TO, f"{side} toe-off after heel strike"),
+                         (NEXT_HS, f"{side} heel strike after toe-off")):
+        if math.isnan(cyc[col]):
+            raise InsufficientDataError(f"no {missing}")
 
-    def window(t0, t1, label):
-        sel = (time >= t0) & (time <= t1)
+    def window(start, end, label):
+        sel = (time >= cyc[start]) & (time <= cyc[end])
         return _ols_slope(knee_angle[sel], knee_moment_norm[sel], label)
 
     return StiffnessResult(
-        k_flexion=window(hs_i, to_c, "flexion (HS -> contralateral TO)"),
-        k_extension=window(to_c, hs_c, "extension (contralateral TO -> HS)"),
-        k_swing=window(to_i, hs_i2, "swing (TO -> next HS)"),
+        k_flexion=window(HS, C_TO, "flexion (HS -> contralateral TO)"),
+        k_extension=window(C_TO, C_HS_AFTER_TO,
+                           "extension (contralateral TO -> HS)"),
+        k_swing=window(TO, NEXT_HS, "swing (TO -> next HS)"),
         side=side)
 
 
@@ -194,6 +165,8 @@ def paired_compare(a, b) -> dict:
     n = a.size
     if n < 2:
         raise ParameterError(f"need at least 2 pairs, got {n}")
+    from scipy.special import stdtr  # a 0.3 s import: only `compare` needs it
+
     d = a - b
     mean_d = float(d.mean())
     sd_d = float(d.std(ddof=1))

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, forces, gaitseg, kinematics, metrics
-from .errors import (ConfigurationError, GaitError, SegmentationError,
-                     read_text)
+from .errors import ConfigurationError, GaitError, read_json
 from .forces import CalibrationCurve
 from .gaitseg import EventThresholds, GaitEvents, NormalizedCurve, SideEvents
 from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
@@ -59,10 +58,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            doc = json.loads(read_text(path, ConfigurationError))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from None
+        doc = read_json(path, ConfigurationError)
         if not isinstance(doc, dict):
             raise ConfigurationError(f"{path}: expected a JSON object of "
                                      f"config keys, got {doc!r}")
@@ -240,10 +236,9 @@ def _plate_stance(ev: SideEvents, time: np.ndarray,
                   on_plate: np.ndarray) -> tuple[float, float] | None:
     """The first heel-strike-to-toe-off window that holds a plate-loaded
     frame, or None."""
-    for hs in ev.heel_strikes:
-        tos = ev.toe_offs[ev.toe_offs > hs]
-        if tos.size and np.any(on_plate & (time >= hs) & (time <= tos[0])):
-            return float(hs), float(tos[0])
+    for hs, to in gaitseg.stance_windows(ev).tolist():
+        if np.any(on_plate & (time >= hs) & (time <= to)):
+            return hs, to
     return None
 
 
@@ -309,10 +304,7 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
             angle_cycle[side] = {
                 joint: gaitseg.phase_normalize(time, series, cycles[side])
                 for joint, series in angles[side].items()}
-            try:
-                stance_fracs[side] = gaitseg.stance_swing_durations(side_ev)
-            except SegmentationError as exc:
-                warnings.append(f"{side} stance fractions skipped: {exc}")
+            stance_fracs[side] = gaitseg.stance_swing_durations(side_ev)
         peak[side] = metrics.peak_angles(
             {j: c.values for j, c in angle_cycle[side].items()})
 

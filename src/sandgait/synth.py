@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ExternalLoad, JOINTS, recursive_leg, FrameState
-from .errors import GenerationError
-from .gaitseg import EventThresholds, GaitEvents, SideEvents, detect_side_events
+from .errors import GenerationError, read_json_as
+from .gaitseg import (EventThresholds, GaitEvents, SideEvents,
+                      detect_side_events, stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta
 from .model import (E_Z, GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     Participant, segment_parameters)
@@ -145,7 +146,7 @@ class GaitProfile:
 
     @classmethod
     def load(cls, path: str | Path) -> "GaitProfile":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return read_json_as(path, cls.from_json, "profile")
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2,
@@ -326,12 +327,8 @@ def synthesize_gait(profile: GaitProfile,
         truth_events = None if is_static else _truth_events(pr, thresholds)
     else:
         truth_events = _truth_events(pr, thresholds)
-        ev = truth_events.side(pr.grf_side)
-        windows = []
-        for hs in ev.heel_strikes:
-            later = ev.toe_offs[ev.toe_offs > hs]
-            if later.size:
-                windows.append((float(hs), float(later[0])))
+        windows = [tuple(w) for w in
+                   stance_windows(truth_events.side(pr.grf_side)).tolist()]
         if not windows:
             raise GenerationError("no stance window found for the plate side")
 

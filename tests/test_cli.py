@@ -115,12 +115,33 @@ class TestAnalyze:
                      "--out", str(tmp_path / "x")]) == 1
 
 
-def _run_cli(*argv):
+def _run_python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"),
          os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "sandgait.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_cli(*argv):
+    return _run_python("-m", "sandgait.cli", *argv)
+
+
+def test_simulate_and_analyze_import_no_scipy(tmp_path):
+    # scipy costs most of a process's start; only gap-filling and compare
+    # need it
+    trial, bundle = tmp_path / "trial", tmp_path / "bundle"
+    proc = _run_python("-c", f"""
+import sys
+from sandgait.cli import main
+assert main(["simulate", "--out", {str(trial)!r}]) == 0
+assert main(["analyze", "--markers", {str(trial / "markers.csv")!r},
+             "--grf", {str(trial / "grf.csv")!r},
+             "--meta", {str(trial / "meta.json")!r}, "--out", {str(bundle)!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _bad_marker_cell(sim, tmp):
@@ -179,41 +200,115 @@ def _config(name, text, named):
     return fixture
 
 
+def _edit_json(change):
+    """A text edit that applies ``change`` to the parsed JSON document."""
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return edit
+
+
+def _truncate(text):
+    return text[:len(text) // 2]
+
+
+def _bad_stride_cell(text):
+    lines = text.split("\n")
+    cells = lines[2].split(",")
+    cells[3] = "0.4x"
+    lines[2] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def _profile(name, edit, named):
+    """A malformed-input case for ``simulate``: ``--profile`` given the
+    stride preset's profile.json with its text changed by ``edit``."""
+    def fixture(sim, tmp):
+        (tmp / "profile.json").write_text(edit((sim / "profile.json").read_text()))
+        return {"--profile": tmp / "profile.json"}, f"profile.json: {named}"
+    fixture.__name__ = name
+    return fixture
+
+
+def _bundle(name, file, edit, named):
+    """A malformed-input case for ``compare``: condition A is a copy of the
+    bundle with the text of ``file`` changed by ``edit``."""
+    def fixture(bundle, tmp):
+        shutil.copytree(bundle, tmp / "a")
+        (tmp / "a" / file).write_text(edit((tmp / "a" / file).read_text()))
+        return {"--a": tmp / "a", "--b": bundle}, f"{file}{named}"
+    fixture.__name__ = name
+    return fixture
+
+
+#: (subcommand, fixture) rows; a ``compare`` fixture gets the bundle, the
+#: others the ``simulate`` output.
+_MALFORMED = [
+    ("analyze", _bad_marker_cell), ("analyze", _bad_zeta_cell),
+    ("analyze", _heavy_meta), ("analyze", _list_meta),
+    ("analyze", _non_utf8_markers),
+    ("analyze", _meta("_negative_mass",
+                      lambda m: m["participant"].update(mass_kg=-3),
+                      "participant 'synthetic': mass must be > 0")),
+    ("analyze", _meta("_unknown_terrain", lambda m: m.update(terrain="gravel"),
+                      "unknown terrain 'gravel'")),
+    ("analyze", _meta("_sand_without_depth",
+                      lambda m: (m.update(terrain="sand"),
+                                 m.pop("sand_depth_cm", None)),
+                      "sand terrain requires sand_depth")),
+    ("analyze", _config("_config_number", "5\n", "expected a JSON object")),
+    ("analyze", _config("_config_window_string", '{"filter_window": "7"}',
+                        "filter_window must be an integer, got '7'")),
+    ("analyze", _config("_config_window_null", '{"filter_window": null}',
+                        "filter_window must be an integer, got None")),
+    ("analyze", _config("_config_window_bool", '{"filter_window": true}',
+                        "filter_window must be an integer, got True")),
+    ("analyze", _config("_config_window_even", '{"event_filter_window": 4}',
+                        "event_filter_window must be odd and >= 1, got 4")),
+    ("analyze", _config("_config_negative_threshold",
+                        '{"plate_threshold_bw": -0.5}',
+                        "plate_threshold_bw must be >= 0, got -0.5")),
+    ("simulate", _profile("_truncated_profile", _truncate, "invalid JSON")),
+    ("simulate", _profile("_profile_thigh_len_string",
+                          _edit_json(lambda d: d["geometry"].update(
+                              thigh_len="long")),
+                          "malformed profile")),
+    ("simulate", _profile("_profile_without_duration",
+                          _edit_json(lambda d: d.pop("duration_s")),
+                          "missing profile field 'duration_s'")),
+    ("compare", _bundle("_truncated_features", "features.json", _truncate,
+                        ": invalid JSON")),
+    ("compare", _bundle("_truncated_bundle_meta", "meta.json", _truncate,
+                        ": invalid JSON")),
+    ("compare", _bundle("_bad_stride_cell", "stride_metrics.csv",
+                        _bad_stride_cell, ":3: non-numeric")),
+    ("compare", _bundle("_bundle_without_participant", "meta.json",
+                        _edit_json(lambda m: m.pop("participant_id")),
+                        ": missing bundle metadata field 'participant_id'")),
+    ("compare", _bundle("_features_grf_list", "features.json",
+                        _edit_json(lambda f: f.update(grf=[1.0])),
+                        ": malformed features")),
+]
+
+
 class TestMalformedInput:
     """Each malformed input exits 1 with an error naming it, no traceback."""
 
-    @pytest.mark.parametrize("fixture", [
-        _bad_marker_cell, _bad_zeta_cell, _heavy_meta, _list_meta,
-        _non_utf8_markers,
-        _meta("_negative_mass",
-              lambda m: m["participant"].update(mass_kg=-3),
-              "participant 'synthetic': mass must be > 0"),
-        _meta("_unknown_terrain", lambda m: m.update(terrain="gravel"),
-              "unknown terrain 'gravel'"),
-        _meta("_sand_without_depth",
-              lambda m: (m.update(terrain="sand"), m.pop("sand_depth_cm", None)),
-              "sand terrain requires sand_depth"),
-        _config("_config_number", "5\n", "expected a JSON object"),
-        _config("_config_window_string", '{"filter_window": "7"}',
-                "filter_window must be an integer, got '7'"),
-        _config("_config_window_null", '{"filter_window": null}',
-                "filter_window must be an integer, got None"),
-        _config("_config_window_bool", '{"filter_window": true}',
-                "filter_window must be an integer, got True"),
-        _config("_config_window_even", '{"event_filter_window": 4}',
-                "event_filter_window must be odd and >= 1, got 4"),
-        _config("_config_negative_threshold", '{"plate_threshold_bw": -0.5}',
-                "plate_threshold_bw must be >= 0, got -0.5"),
-    ])
-    def test_exits_one_without_traceback(self, sim_dir, tmp_path, fixture):
-        args = {"--markers": sim_dir / "markers.csv",
-                "--grf": sim_dir / "grf.csv",
-                "--meta": sim_dir / "meta.json",
-                "--out": tmp_path / "bundle"}
-        changed, named = fixture(sim_dir, tmp_path)
+    @pytest.mark.parametrize("command, fixture", _MALFORMED,
+                             ids=[f.__name__ for _, f in _MALFORMED])
+    def test_exits_one_without_traceback(self, sim_dir, bundle_dir, tmp_path,
+                                         command, fixture):
+        args = {"analyze": {"--markers": sim_dir / "markers.csv",
+                            "--grf": sim_dir / "grf.csv",
+                            "--meta": sim_dir / "meta.json",
+                            "--out": tmp_path / "bundle"},
+                "simulate": {"--out": tmp_path / "trial"},
+                "compare": {"--out": tmp_path / "report"}}[command]
+        changed, named = fixture(bundle_dir if command == "compare"
+                                 else sim_dir, tmp_path)
         args.update(changed)
-        proc = _run_cli("analyze", *(str(x) for kv in args.items()
-                                     for x in kv))
+        proc = _run_cli(command, *(str(x) for kv in args.items() for x in kv))
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandgait.errors import (ExtrapolationError, FitError, FormatError,
                              ParameterError)
@@ -43,6 +45,22 @@ class TestFit:
         slope = np.linalg.lstsq(fs[:, None], fb, rcond=None)[0][0]
         curve = fit_calibration(samples)
         assert curve.zeta_at(10.0) == pytest.approx(slope, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([4.0, 8.0, 14.0, 20.0]),
+                              st.floats(1.0, 1000.0), st.floats(0.5, 1.0),
+                              st.floats(-0.01, 0.01)), min_size=1, max_size=30),
+           st.integers(-20, 20))
+    def test_zeta_invariant_under_force_scale(self, draws, log2_scale):
+        # a power-of-two scale multiplies exactly, so zeta is unchanged to
+        # the bit and the residual scales with the forces
+        k = 2.0 ** log2_scale
+        samples = [(d, fs, z * fs * (1 + e)) for d, fs, z, e in draws]
+        curve = fit_calibration(samples)
+        scaled = fit_calibration([(d, k * fs, k * fb) for d, fs, fb in samples])
+        np.testing.assert_array_equal(scaled.depths, curve.depths)
+        np.testing.assert_array_equal(scaled.zeta, curve.zeta)
+        np.testing.assert_array_equal(scaled.residual, k * curve.residual)
 
     def test_no_samples(self):
         with pytest.raises(FitError, match="no calibration samples"):

@@ -114,6 +114,21 @@ class TestDifferentiate:
         d1 = differentiate(5.0 * t + 1.0, 0.01, order=1)
         np.testing.assert_allclose(d1, 5.0, atol=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.integers(-1000, 1000).map(lambda k: k / 100)] * 3),
+           st.floats(1e-3, 0.1), st.integers(3, 60))
+    def test_quadratic_exact_to_round_off(self, abc, dt, n):
+        # central differences are exact on quadratics, so only the rounding
+        # of x (and of the grid times), amplified by 1/dt^order, is left
+        a, b, c = abc
+        t = np.arange(n) * dt
+        x = (a * t + b) * t + c
+        scale = np.abs(a) * t[-1] ** 2 + np.abs(b) * t[-1] + np.abs(c)
+        for order, exact in ((1, 2 * a * t + b), (2, np.full(n, 2 * a))):
+            tol = 64 * np.finfo(float).eps * scale / dt ** order
+            np.testing.assert_allclose(differentiate(x, dt, order)[1:-1],
+                                       exact[1:-1], rtol=0, atol=tol)
+
     def test_sine_first_derivative(self):
         dt = 0.01
         t = np.arange(200) * dt

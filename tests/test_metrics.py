@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -193,6 +196,23 @@ class TestPairedCompare:
         assert ab["t"] == pytest.approx(-ba["t"], abs=1e-12)
         assert ab["cohens_d"] == pytest.approx(-ba["cohens_d"], abs=1e-12)
         assert ab["p"] == pytest.approx(ba["p"], abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 20).flatmap(lambda n: st.tuples(*[arrays(
+        np.float64, n, elements=st.floats(-1e6, 1e6))] * 2)))
+    def test_swapping_conditions_negates_t_and_d(self, ab):
+        # b - a is exactly -(a - b), so t and d negate and p repeats exactly
+        a, b = ab
+        try:
+            fwd = paired_compare(a, b)
+        except ParameterError:  # zero-variance differences, nonzero mean
+            with pytest.raises(ParameterError):
+                paired_compare(b, a)
+            return
+        rev = paired_compare(b, a)
+        assert rev["t"] == -fwd["t"]
+        assert rev["cohens_d"] == -fwd["cohens_d"]
+        assert rev["p"] == fwd["p"]
 
     def test_known_shift_significant(self):
         a = [1.0, 1.1, 0.9, 1.05, 0.95]
