@@ -310,6 +310,12 @@ def main(argv=None) -> int:
     except GaitError as exc:
         log.error("%s", exc)
         return EXIT_PROCESSING
+    except Exception as exc:  # a fault of sandgait itself, not of the input
+        if args.verbose:
+            raise
+        log.error("internal error: %s: %s (rerun with --verbose for the "
+                  "traceback)", type(exc).__name__, exc)
+        return EXIT_PROCESSING
 
 
 if __name__ == "__main__":

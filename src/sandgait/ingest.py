@@ -255,29 +255,40 @@ def parse_trial(marker_file: str | Path, grf_file: str | Path,
 def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
     """Fill missing-marker gaps of at most ``max_gap`` frames.
 
-    Cubic interpolation per coordinate where enough neighbours exist
-    (linear with fewer than four valid support points); longer gaps and
-    runs off either end are left missing and poison downstream frames.
+    A marker's columns that share one missing mask (a hidden marker loses
+    all three coordinates) share one not-a-knot cubic spline through their
+    valid frames; a column with a mask of its own gets its own spline.  With
+    fewer than four valid frames the fill is linear (``np.interp``) per
+    column.  Longer gaps and runs off either end are left missing and poison
+    downstream frames.
     """
     out = markers.copy()
     idx = np.arange(len(markers))
     for pos in out.pos.values():
-        if not np.isnan(pos).any():
+        miss = np.isnan(pos)
+        if not miss.any():
             continue
-        for col in pos.T:
-            miss = np.isnan(col)
+        groups: dict[bytes, list[int]] = {}
+        for c, col in enumerate(miss.T):
+            groups.setdefault(col.tobytes(), []).append(c)
+        for cols in groups.values():
+            gap = miss[:, cols[0]]
             # +1 where a missing run starts, -1 one past where it ends
-            step = np.diff(miss.astype(np.int8), prepend=0, append=0)
+            step = np.diff(gap.astype(np.int8), prepend=0, append=0)
             starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
             ok = (stops - starts <= max_gap) & (starts > 0) & (stops < len(idx))
             if not ok.any():
                 continue
-            from scipy.interpolate import interp1d  # a 0.6 s import: only gaps need it
-            fill = miss & ok[np.cumsum(step[:-1] == 1) - 1]
-            valid = ~miss
-            kind = "cubic" if np.count_nonzero(valid) >= 4 else "linear"
-            f = interp1d(idx[valid], col[valid], kind=kind, assume_sorted=True)
-            col[fill] = f(idx[fill])
+            fill = gap & ok[np.cumsum(step[:-1] == 1) - 1]
+            valid = ~gap
+            if np.count_nonzero(valid) < 4:
+                for c in cols:
+                    pos[fill, c] = np.interp(idx[fill], idx[valid], pos[valid, c])
+                continue
+            from scipy.interpolate import make_interp_spline  # a 0.6 s import: only gaps need it
+            spline = make_interp_spline(idx[valid], pos[np.ix_(valid, cols)],
+                                        k=3, axis=0, check_finite=False)
+            pos[np.ix_(fill, cols)] = spline(idx[fill])
     return out
 
 

@@ -37,13 +37,19 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     k = np.minimum(window // 2, np.minimum(i, n - 1 - i))
     lo, hi = i - k, i + k + 1
     bad = ~np.isfinite(x)
+    any_bad = bad.any()
     # running sums with a leading zero row: sum(x[lo:hi]) = csum[hi] - csum[lo]
-    csum = np.cumsum(np.concatenate([np.zeros_like(x[:1]),
-                                     np.where(bad, 0.0, x)]), axis=0)
-    nbad = np.cumsum(np.concatenate([np.zeros_like(bad[:1]), bad]), axis=0)
+    # (summed from that +0.0 row, so a leading -0.0 sums to +0.0)
+    csum = np.empty((n + 1,) + x.shape[1:])
+    csum[0], csum[1:] = 0.0, x
+    if any_bad:
+        csum[1:][bad] = 0.0
+    np.cumsum(csum, axis=0, out=csum)
     shape = (n,) + (1,) * (x.ndim - 1)
     out = (csum[hi] - csum[lo]) / (hi - lo).reshape(shape)
-    out[nbad[hi] != nbad[lo]] = np.nan
+    if any_bad:
+        nbad = np.cumsum(np.concatenate([np.zeros_like(bad[:1]), bad]), axis=0)
+        out[nbad[hi] != nbad[lo]] = np.nan
     return out
 
 

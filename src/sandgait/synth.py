@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ExternalLoad, JOINTS, recursive_leg, FrameState
-from .errors import GenerationError, read_json_as
+from .errors import ConfigurationError, GenerationError, read_json_as
 from .gaitseg import (EventThresholds, GaitEvents, SideEvents,
                       detect_side_events, stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta
@@ -129,6 +129,9 @@ class GaitProfile:
     def from_json(cls, doc: dict) -> "GaitProfile":
         """The inverse of ``to_json``; a key left out keeps the field's
         default."""
+        for key in ("duration_s", "marker_dt_s", "grf_dt_s"):
+            if key in doc and not float(doc[key]) > 0:
+                raise ConfigurationError(f"{key} must be > 0, got {doc[key]!r}")
         p = doc["participant"]
         geo = doc.get("geometry", {})
         kw = {name: float(geo[name]) for name in _GEOMETRY if name in geo}

@@ -31,6 +31,42 @@ def bundle_dir(tmp_path_factory, sim_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def gappy_bundle_dir(tmp_path_factory, sim_dir):
+    """The stride trial with seeded whole-marker dropouts of 1..5 frames and
+    one 3-frame gap in a single coordinate, all short enough to be filled,
+    analysed."""
+    trial = tmp_path_factory.mktemp("gappy")
+    lines = (sim_dir / "markers.csv").read_text().split("\n")
+    rows = [line.split(",") for line in lines[1:-1]]
+    rng = np.random.default_rng(14)
+    taken: dict[int, list[tuple[int, int]]] = {}
+
+    def free_run(marker, length):
+        # 10 frames from either end and from the marker's other gaps
+        while True:
+            start = int(rng.integers(10, len(rows) - 10 - length))
+            if all(start + length + 10 <= s or e + 10 <= start
+                   for s, e in taken.setdefault(marker, [])):
+                taken[marker].append((start, start + length))
+                return rows[start:start + length]
+
+    for g in range(24):
+        marker = int(rng.integers(len(lines[0].split(",")) // 3))
+        for row in free_run(marker, 1 + g % 5):
+            row[1 + 3 * marker:4 + 3 * marker] = ["", "", ""]
+    for row in free_run(marker, 3):
+        row[2 + 3 * marker] = ""
+    (trial / "markers.csv").write_text(
+        "\n".join([lines[0]] + [",".join(r) for r in rows] + [""]))
+    out = tmp_path_factory.mktemp("gappy_bundle") / "b"
+    assert main(["analyze", "--markers", str(trial / "markers.csv"),
+                 "--grf", str(sim_dir / "grf.csv"),
+                 "--meta", str(sim_dir / "meta.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
 class TestSimulate:
     def test_files_emitted(self, sim_dir):
         for name in ("markers.csv", "grf.csv", "meta.json", "profile.json",
@@ -277,6 +313,15 @@ _MALFORMED = [
     ("simulate", _profile("_profile_without_duration",
                           _edit_json(lambda d: d.pop("duration_s")),
                           "missing profile field 'duration_s'")),
+    ("simulate", _profile("_profile_zero_marker_dt",
+                          _edit_json(lambda d: d.update(marker_dt_s=0)),
+                          "marker_dt_s must be > 0, got 0")),
+    ("simulate", _profile("_profile_negative_duration",
+                          _edit_json(lambda d: d.update(duration_s=-1)),
+                          "duration_s must be > 0, got -1")),
+    ("simulate", _profile("_profile_negative_grf_dt",
+                          _edit_json(lambda d: d.update(grf_dt_s=-0.001)),
+                          "grf_dt_s must be > 0, got -0.001")),
     ("compare", _bundle("_truncated_features", "features.json", _truncate,
                         ": invalid JSON")),
     ("compare", _bundle("_truncated_bundle_meta", "meta.json", _truncate,
@@ -314,13 +359,42 @@ class TestMalformedInput:
         assert named in proc.stderr
 
 
+class TestInternalError:
+    """A failure that is no ``GaitError`` is a fault of sandgait itself."""
+
+    def _analyze(self, sim_dir, tmp_path, *flags):
+        return main([*flags, "analyze", "--markers", str(sim_dir / "markers.csv"),
+                     "--grf", str(sim_dir / "grf.csv"),
+                     "--meta", str(sim_dir / "meta.json"),
+                     "--out", str(tmp_path / "b")])
+
+    @pytest.fixture
+    def broken_stage(self, monkeypatch):
+        def analyze_trial(trial, cfg):
+            raise RuntimeError("stage broke")
+        monkeypatch.setattr("sandgait.cli.analyze_trial", analyze_trial)
+
+    def test_exits_two_with_one_line(self, sim_dir, tmp_path, broken_stage,
+                                     caplog, capsys):
+        assert self._analyze(sim_dir, tmp_path) == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "RuntimeError: stage broke" in errors[0].getMessage()
+        assert "\n" not in errors[0].getMessage()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_verbose_reraises(self, sim_dir, tmp_path, broken_stage):
+        with pytest.raises(RuntimeError, match="stage broke"):
+            self._analyze(sim_dir, tmp_path, "--verbose")
+
+
 class TestPinnedBytes:
-    """The stride-preset ``simulate`` files and the bundle analysed from
-    them (written to CSV and read back), by SHA-256, as recorded with numpy
-    2.4.6 and scipy 1.17.1.  Reruns of one commit are compared elsewhere;
-    these digests catch a change of output bytes between commits.  A
-    change that alters them on purpose re-records them and says why; so
-    does a numpy or scipy upgrade that alters them."""
+    """The stride-preset ``simulate`` files, the bundle analysed from them
+    (written to CSV and read back) and the bundle of a gappy copy, by
+    SHA-256, as recorded with numpy 2.4.6 and scipy 1.17.1.  Reruns of one
+    commit are compared elsewhere; these digests catch a change of output
+    bytes between commits.  A change that alters them on purpose re-records
+    them and says why; so does a numpy or scipy upgrade that alters them."""
 
     SIMULATE = {
         "grf.csv": "c299a83151a49ee3aab1498a898a323f88d9c84d31d200ba6adcb904f9903f2d",
@@ -342,6 +416,19 @@ class TestPinnedBytes:
         "stride_metrics.csv": "70903c379aeafc617e8e04ce87647f2c67f803aa4a6c4f16189a5ee8fb54c1ff",
     }
 
+    #: the bundle of ``gappy_bundle_dir``: these pin the gap-filled values
+    GAPPY_BUNDLE = {
+        "angles_cycle.csv": "d781dfe7d91c98f83fd3075112430e870fa2fe9577d578503030450c34944f91",
+        "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
+        "features.json": "d7ce4d3a749fcb039a9f772c38dff4eb3fce65e245d6cd23a0b83b3652559c63",
+        "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
+        "knee_loop.csv": "296b16fde499364b623cccbe2338617aa070cc0cccd19ba2b0116693de51f627",
+        "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
+        "moments.csv": "623368cbd9af18e3b6585aa72379cae85514658b8bda6208b71cbd0c04e874e4",
+        "moments_stance.csv": "e6a973fb044624a6aa314c2eae257681f1847f7a79a62079a3affaf01de068cf",
+        "stride_metrics.csv": "ddc671814d284976b28a40b5f6de872dfbcbaebd9256d22fd3a0b74f4afa15cf",
+    }
+
     @staticmethod
     def _digests(directory):
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -352,6 +439,9 @@ class TestPinnedBytes:
 
     def test_bundle_files(self, bundle_dir):
         assert self._digests(bundle_dir) == self.BUNDLE
+
+    def test_gappy_bundle_files(self, gappy_bundle_dir):
+        assert self._digests(gappy_bundle_dir) == self.GAPPY_BUNDLE
 
 
 class TestCalibrate:

@@ -350,29 +350,62 @@ class TestFillGaps:
         assert np.isnan(filled.pos["L-heel"][0]).all()
         assert np.isnan(filled.pos["L-heel"][-1]).all()
 
-    # a column as runs of (missing?, length), padded to n frames by one more
-    # run: edge runs, runs longer than max_gap, columns with fewer than four
+    # a mask as runs of (missing?, length), padded to n frames by one more
+    # run: edge runs, runs longer than max_gap, masks with fewer than four
     # valid points and all-NaN ones
-    column = st.tuples(st.lists(st.tuples(st.booleans(), st.integers(1, 8)),
-                                max_size=6), st.booleans())
+    mask = st.tuples(st.lists(st.tuples(st.booleans(), st.integers(1, 8)),
+                              max_size=6), st.booleans())
+    # a hidden marker loses all three coordinates: one mask per marker, for
+    # each column, with one column's mask sometimes drawn on its own
+    marker = st.tuples(mask, st.none() | st.tuples(st.integers(0, 2), mask))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 40), st.lists(column, min_size=6, max_size=6),
+    @given(st.integers(1, 40), st.lists(marker, min_size=2, max_size=2),
            st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
-    # three valid points around a one-frame gap: linear, as cubic needs four
-    @example(6, [([(False, 1), (True, 1), (False, 2)], True)]
-             + [([], False)] * 5, 2, 0)
-    def test_matches_per_gap_loop(self, n, columns, max_gap, seed):
+    # three valid points around a one-frame gap: linear, as cubic needs four;
+    # in one column, then in all three (one k=1 spline through the three
+    # columns would round differently from np.interp per column)
+    @example(6, [(([], False), (0,([(False, 1), (True, 1), (False, 2)], True))),
+                 (([], False), None)], 2, 0)
+    @example(6, [(([(False, 1), (True, 1), (False, 2)], True), None),
+                 (([], False), None)], 2, 0)
+    def test_matches_per_gap_loop(self, n, markers, max_gap, seed):
+        def missing(runs, pad):
+            return np.concatenate([np.full(length, m) for m, length in runs]
+                                  + [np.full(n, pad)])[:n]
+
         rng = np.random.default_rng(seed)
         pos = {"a": rng.normal(size=(n, 3)), "b": rng.normal(size=(n, 3))}
-        for k, (runs, pad) in enumerate(columns):
-            miss = np.concatenate([np.full(length, m) for m, length in runs]
-                                  + [np.full(n, pad)])[:n]
-            pos["ab"[k // 3]][miss, k % 3] = np.nan
+        for label, (shared, own) in zip(pos, markers):
+            miss = np.repeat(missing(*shared)[:, None], 3, axis=1)
+            if own is not None:
+                miss[:, own[0]] = missing(*own[1])
+            pos[label][miss] = np.nan
         markers = MarkerData(time=np.arange(n) * 0.01, pos=pos)
         got, want = fill_gaps(markers, max_gap), _fill_gaps_loop(markers, max_gap)
         for label in pos:
             assert got.pos[label].tobytes() == want.pos[label].tobytes()
+
+    def test_one_spline_per_marker_mask(self, schema, monkeypatch):
+        # columns that share a missing mask share one spline build
+        import scipy.interpolate
+        built = []
+        make = scipy.interpolate.make_interp_spline
+
+        def counting(x, y, *args, **kwargs):
+            built.append(np.shape(y)[1:])
+            return make(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.interpolate, "make_interp_spline", counting)
+        markers = _make_markers(schema, n=40)
+        markers.pos["L-heel"][10:13] = np.nan      # whole marker: one spline
+        markers.pos["R-heel"][20:22] = np.nan      # x and y share a mask,
+        markers.pos["R-heel"][30, 2] = np.nan      # z has its own
+        markers.pos["L-toe"][5:15] = np.nan        # too long: none
+        filled = fill_gaps(markers)
+        assert sorted(built) == [(1,), (2,), (3,)]
+        assert not np.isnan(filled.pos["L-heel"]).any()
+        assert not np.isnan(filled.pos["R-heel"]).any()
 
     def test_input_not_mutated(self, schema):
         markers = _make_markers(schema, n=40)

@@ -72,13 +72,14 @@ class TestMovingAverage:
         assert np.isnan(y[10])
 
     def test_nan_stays_local(self):
-        # only the outputs whose windows hold the NaN are NaN
-        x = np.ones((30, 2))
-        x[10, 0] = np.nan
-        y = moving_average(x, 5)
-        assert np.flatnonzero(np.isnan(y[:, 0])).tolist() == [8, 9, 10, 11, 12]
-        np.testing.assert_array_equal(np.delete(y[:, 0], range(8, 13)), 1.0)
-        np.testing.assert_array_equal(y[:, 1], 1.0)
+        # only the outputs whose windows hold the NaN (or infinity) are NaN
+        for value in (np.nan, np.inf, -np.inf):
+            x = np.ones((30, 2))
+            x[10, 0] = value
+            y = moving_average(x, 5)
+            assert np.flatnonzero(np.isnan(y[:, 0])).tolist() == [8, 9, 10, 11, 12]
+            np.testing.assert_array_equal(np.delete(y[:, 0], range(8, 13)), 1.0)
+            np.testing.assert_array_equal(y[:, 1], 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.integers(1, 40),
@@ -90,6 +91,12 @@ class TestMovingAverage:
             return
         np.testing.assert_array_equal(moving_average(x, window),
                                       _per_sample_moving_average(x, window))
+
+    def test_leading_negative_zero_sums_to_positive_zero(self):
+        # the running sums start from +0.0, so a leading run of -0.0 gives
+        # +0.0, which a bundle writes as "0", not "-0"
+        y = moving_average(np.array([-0.0, -0.0, -0.0, 1.0]), 1)
+        assert not np.signbit(y).any()
 
     def test_multicolumn(self, rng):
         x = rng.normal(size=(30, 3))
