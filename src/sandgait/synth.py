@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .gaitseg import (EventThresholds, GaitEvents, SideEvents,
                       detect_side_events, stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta
 from .model import (E_Z, GRAVITY, LEG_SEGMENTS, AnthropometricTable,
-                    Participant, segment_parameters)
+                    Participant, SegmentParams, segment_parameters)
 from .schema import SIDES
 
 
@@ -129,9 +130,17 @@ class GaitProfile:
     def from_json(cls, doc: dict) -> "GaitProfile":
         """The inverse of ``to_json``; a key left out keeps the field's
         default."""
-        for key in ("duration_s", "marker_dt_s", "grf_dt_s"):
-            if key in doc and not float(doc[key]) > 0:
-                raise ConfigurationError(f"{key} must be > 0, got {doc[key]!r}")
+        for key, (rule, ok) in _SECONDS.items():
+            if key not in doc:
+                continue
+            if not math.isfinite(float(doc[key])):
+                raise ConfigurationError(f"{key} must be finite, got {doc[key]!r}")
+            if not ok(float(doc[key]), 0.0):
+                raise ConfigurationError(f"{key} must be {rule}, got {doc[key]!r}")
+        for t0, t1 in doc.get("stance_windows_s") or ():
+            if not -math.inf < float(t0) < float(t1) < math.inf:
+                raise ConfigurationError(f"stance window {[t0, t1]} must be "
+                                         f"finite with start < end")
         p = doc["participant"]
         geo = doc.get("geometry", {})
         kw = {name: float(geo[name]) for name in _GEOMETRY if name in geo}
@@ -142,10 +151,16 @@ class GaitProfile:
             legs[side] = LegAngles(thigh_pitch=Trig.from_json(la["thigh_pitch"]),
                                    knee_flexion=Trig.from_json(la["knee_flexion"]),
                                    foot_pitch=Trig.from_json(la["foot_pitch"]))
-        return cls(participant=Participant(id=str(p["id"]),
-                                           height=float(p["height_m"]),
-                                           mass=float(p["mass_kg"])),
-                   duration=float(doc["duration_s"]), legs=legs, **kw)
+        profile = cls(participant=Participant(id=str(p["id"]),
+                                              height=float(p["height_m"]),
+                                              mass=float(p["mass_kg"])),
+                      duration=float(doc["duration_s"]), legs=legs, **kw)
+        if profile.grf_side not in SIDES:
+            raise ConfigurationError(f"grf_side must be one of {SIDES}, "
+                                     f"got {profile.grf_side!r}")
+        # the meta.json this profile writes: rejects an unknown terrain
+        TrialMeta(profile.participant, profile.terrain, profile.sand_depth)
+        return profile
 
     @classmethod
     def load(cls, path: str | Path) -> "GaitProfile":
@@ -155,6 +170,12 @@ class GaitProfile:
         Path(path).write_text(json.dumps(self.to_json(), indent=2,
                                          sort_keys=True) + "\n")
 
+
+#: Profile keys holding seconds: each must be finite and pass its rule.
+_SECONDS = {"duration_s": ("> 0", operator.gt),
+            "marker_dt_s": ("> 0", operator.gt),
+            "grf_dt_s": ("> 0", operator.gt),
+            "ramp_s": (">= 0", operator.ge)}
 
 _GEOMETRY = ("thigh_len", "shank_len", "foot_len", "ankle_height",
              "hip_half_width")
@@ -175,71 +196,51 @@ _PROFILE_KEYS = {
 }
 
 
-def _dir(alpha, order: int, d1=None, d2=None):
-    """Unit vector (sin a, 0, -cos a) and its time derivatives."""
-    s, c = np.sin(alpha), np.cos(alpha)
-    zeros = np.zeros_like(alpha)
-    if order == 0:
-        return np.stack([s, zeros, -c], axis=-1)
-    if order == 1:
-        return d1[..., None] * np.stack([c, zeros, s], axis=-1)
-    return (d2[..., None] * np.stack([c, zeros, s], axis=-1)
-            + (d1 ** 2)[..., None] * np.stack([-s, zeros, c], axis=-1))
+def _dir(a, a1, a2):
+    """A segment's unit axis e = (sin a, 0, -cos a) at pitch ``a`` and its
+    second time derivative, from one sin/cos of the pitch."""
+    s, c = np.sin(a), np.cos(a)
+    zeros = np.zeros_like(a)
+    e = np.stack([s, zeros, -c], axis=-1)
+    e_dd = a2[:, None] * np.stack([c, zeros, s], axis=-1) - (a1 ** 2)[:, None] * e
+    return e, e_dd
 
 
 class _LegKinematics:
-    """Analytic chain positions/derivatives for one side."""
+    """One side's analytic chain at times ``t``: joint positions, the hip
+    acceleration, the heel marker and each segment's dynamics state."""
 
-    def __init__(self, profile: GaitProfile, side: str, t: np.ndarray):
-        self.t = t
+    def __init__(self, profile: GaitProfile, side: str, t: np.ndarray,
+                 params: dict[str, SegmentParams]):
         pr = profile
         la = pr.legs[side]
-        y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
         zeros = np.zeros_like(t)
+        thigh = tuple(la.thigh_pitch(t, k) for k in range(3))
+        pitch = {"thigh": thigh,
+                 "shank": tuple(a - la.knee_flexion(t, k)
+                                for k, a in enumerate(thigh)),
+                 "foot": tuple(la.foot_pitch(t, k) for k in range(3))}
 
-        a_t = la.thigh_pitch(t)
-        a_t1, a_t2 = la.thigh_pitch(t, 1), la.thigh_pitch(t, 2)
-        k = la.knee_flexion(t)
-        a_s = a_t - k
-        a_s1 = a_t1 - la.knee_flexion(t, 1)
-        a_s2 = a_t2 - la.knee_flexion(t, 2)
-        a_f = la.foot_pitch(t)
-        a_f1, a_f2 = la.foot_pitch(t, 1), la.foot_pitch(t, 2)
-        self.pitch = {"thigh": (a_t, a_t1, a_t2),
-                      "shank": (a_s, a_s1, a_s2),
-                      "foot": (a_f, a_f1, a_f2)}
-
-        hip = np.stack([pr.pelvis_x(t), np.full_like(t, y), pr.pelvis_z(t)], axis=-1)
-        hip_v = np.stack([pr.pelvis_x(t, 1), zeros, pr.pelvis_z(t, 1)], axis=-1)
-        hip_a = np.stack([pr.pelvis_x(t, 2), zeros, pr.pelvis_z(t, 2)], axis=-1)
-
-        def chain(base, base_v, base_a, length, ang):
-            a, a1, a2 = ang
-            p = base + length * _dir(a, 0)
-            v = base_v + length * _dir(a, 1, a1)
-            acc = base_a + length * _dir(a, 2, a1, a2)
-            return p, v, acc
-
-        knee = chain(hip, hip_v, hip_a, pr.thigh_len, self.pitch["thigh"])
-        ankle = chain(*knee, pr.shank_len, self.pitch["shank"])
-        toe = chain(*ankle, pr.foot_len, self.pitch["foot"])
-        self.joints = {"hip": (hip, hip_v, hip_a), "knee": knee,
-                       "ankle": ankle, "toe": toe}
+        y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
+        pos = np.stack([pr.pelvis_x(t), np.full_like(t, y), pr.pelvis_z(t)], axis=-1)
+        acc = self.hip_acc = np.stack([pr.pelvis_x(t, 2), zeros,
+                                       pr.pelvis_z(t, 2)], axis=-1)
+        self.pos = {"hip": pos}
+        self.states = {}
+        for seg, end, length in (("thigh", "knee", pr.thigh_len),
+                                 ("shank", "ankle", pr.shank_len),
+                                 ("foot", "toe", pr.foot_len)):
+            e, e_dd = _dir(*pitch[seg])
+            self.states[seg] = FrameState(
+                e=e, acc=acc + params[seg].com_offset * e_dd,
+                omega_dot=np.stack([zeros, -pitch[seg][2], zeros], axis=-1))
+            pos, acc = pos + length * e, acc + length * e_dd
+            self.pos[end] = pos
 
         # heel marker rigid on the foot: behind the ankle and toward the sole
-        a_f0 = self.pitch["foot"]
-        back, down = 0.05, 0.9 * pr.ankle_height
-        n0 = np.stack([np.cos(a_f0[0]), zeros, np.sin(a_f0[0])], axis=-1)
-        self.heel = (ankle[0] - back * _dir(a_f0[0], 0) - down * n0)
-
-    def com(self, segment: str, offset: float):
-        """(pos, vel, acc) of a point ``offset`` m down the segment axis."""
-        base = {"thigh": "hip", "shank": "knee", "foot": "ankle"}[segment]
-        p, v, a = self.joints[base]
-        ang = self.pitch[segment]
-        return (p + offset * _dir(ang[0], 0),
-                v + offset * _dir(ang[0], 1, ang[1]),
-                a + offset * _dir(ang[0], 2, ang[1], ang[2]))
+        e_f = self.states["foot"].e
+        sole = np.stack([-e_f[:, 2], zeros, e_f[:, 0]], axis=-1)
+        self.heel = self.pos["ankle"] - 0.05 * e_f - 0.9 * pr.ankle_height * sole
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -273,17 +274,15 @@ class SynthResult:
     stance_windows: list[tuple[float, float]]
 
 
-def _truth_events(profile: GaitProfile, thresholds: EventThresholds) -> GaitEvents:
-    """Gait events from the analytic trajectories on a fine grid."""
-    t = np.arange(0.0, profile.duration + 1e-9, profile.grf_dt)
-    events = {}
-    for side in profile.legs:
-        kin = _LegKinematics(profile, side, t)
-        heel_z = kin.heel[:, 2]
-        toe_z = kin.joints["toe"][0][:, 2]
-        heel_vx = np.gradient(kin.heel[:, 0], profile.grf_dt)
-        events[side] = detect_side_events(t, heel_z, toe_z, heel_vx, thresholds)
-    return GaitEvents(**events)
+def _truth_events(kin: dict[str, _LegKinematics], t: np.ndarray, dt: float,
+                  thresholds: EventThresholds) -> GaitEvents:
+    """Gait events from the analytic trajectories on the GRF grid ``t`` of
+    step ``dt``, so that every event time is a written GRF sample."""
+    return GaitEvents(**{
+        side: detect_side_events(t, k.heel[:, 2], k.pos["toe"][:, 2],
+                                 np.gradient(k.heel[:, 0], dt),
+                                 thresholds)
+        for side, k in kin.items()})
 
 
 def synthesize_gait(profile: GaitProfile,
@@ -307,12 +306,12 @@ def synthesize_gait(profile: GaitProfile,
     t_m = np.round(np.arange(0.0, pr.duration + 1e-9, pr.marker_dt), 9)
     t_g = np.round(np.arange(0.0, pr.duration + 1e-9, pr.grf_dt), 9)
 
-    kin_m = {side: _LegKinematics(pr, side, t_m) for side in SIDES}
-    kin_g = {side: _LegKinematics(pr, side, t_g) for side in SIDES}
+    kin_m = {side: _LegKinematics(pr, side, t_m, params) for side in SIDES}
+    kin_g = {side: _LegKinematics(pr, side, t_g, params) for side in SIDES}
 
     # ground-clearance feasibility
     for side in SIDES:
-        for name, series in (("toe", kin_m[side].joints["toe"][0][:, 2]),
+        for name, series in (("toe", kin_m[side].pos["toe"][:, 2]),
                              ("heel", kin_m[side].heel[:, 2])):
             low = float(np.min(series))
             if low < -1e-6:
@@ -325,32 +324,34 @@ def synthesize_gait(profile: GaitProfile,
         and not la.foot_pitch.terms for la in pr.legs.values()
     ) and not pr.pelvis_x.terms and not pr.pelvis_z.terms \
         and pr.pelvis_x.rate == 0.0 and pr.pelvis_z.rate == 0.0
+    if is_static and pr.stance_windows is not None:
+        truth_events = GaitEvents(**{side: SideEvents(np.array([]), np.array([]))
+                                     for side in SIDES})
+    else:
+        truth_events = _truth_events(kin_g, t_g, pr.grf_dt, thresholds)
     if pr.stance_windows is not None:
         windows = list(pr.stance_windows)
-        truth_events = None if is_static else _truth_events(pr, thresholds)
     else:
-        truth_events = _truth_events(pr, thresholds)
         windows = [tuple(w) for w in
                    stance_windows(truth_events.side(pr.grf_side)).tolist()]
         if not windows:
             raise GenerationError("no stance window found for the plate side")
 
-    def total_force(t, kin):
-        """Whole-body Newton balance: weight plus total inertial force."""
-        f = hat_mass * np.stack([pr.pelvis_x(t, 2), np.zeros_like(t),
-                                 pr.pelvis_z(t, 2)], axis=-1)
+    def total_force(kin):
+        """Whole-body Newton balance: weight plus total inertial force; the
+        trunk (HAT) moves with the hip."""
+        f = hat_mass * kin["right"].hip_acc
         for side in SIDES:
             for seg in reversed(LEG_SEGMENTS):  # thigh first: fixed float sum
-                f = f + params[seg].mass * kin[side].com(
-                    seg, params[seg].com_offset)[2]
+                f = f + params[seg].mass * kin[side].states[seg].acc
         return f + pr.participant.mass * g * E_Z[None, :]
 
     def cop_track(t, kin):
         """COP progressing smoothly heel -> toe inside each window (or
         pinned at ``cop_fixed`` for static trials)."""
         side = pr.grf_side
-        heel_xy = kin[side].heel[:, :2].copy()
-        toe_xy = kin[side].joints["toe"][0][:, :2].copy()
+        heel_xy = kin[side].heel[:, :2]
+        toe_xy = kin[side].pos["toe"][:, :2]
         cop = np.zeros((len(t), 2))
         for t0, t1 in windows:
             sel = (t >= t0) & (t <= t1)
@@ -363,7 +364,7 @@ def synthesize_gait(profile: GaitProfile,
         return cop
 
     w_g = _stance_weight(t_g, windows, pr.ramp)
-    force_g = w_g[:, None] * total_force(t_g, kin_g)
+    force_g = w_g[:, None] * total_force(kin_g)
     cop_g = cop_track(t_g, kin_g)
     cop3_g = np.concatenate([cop_g, np.zeros((len(t_g), 1))], axis=1)
     moment_g = np.cross(cop3_g, force_g)  # plate-origin moment, zero couple at COP
@@ -374,17 +375,13 @@ def synthesize_gait(profile: GaitProfile,
     markers = {}
     for side, tag in (("left", "L"), ("right", "R")):
         kin = kin_m[side]
-        markers[f"{tag}-hip"] = kin.joints["hip"][0]
-        markers[f"{tag}-knee"] = kin.joints["knee"][0]
-        markers[f"{tag}-ankle"] = kin.joints["ankle"][0]
-        markers[f"{tag}-toe"] = kin.joints["toe"][0]
+        pos = kin.pos
+        markers.update((f"{tag}-{name}", p) for name, p in pos.items())
         markers[f"{tag}-heel"] = kin.heel
-        markers[f"{tag}-thigh"] = 0.5 * (kin.joints["hip"][0] + kin.joints["knee"][0]) \
-            + np.array([0.0, 0.03 if side == "right" else -0.03, 0.0])
-        markers[f"{tag}-shank"] = 0.5 * (kin.joints["knee"][0] + kin.joints["ankle"][0]) \
-            + np.array([0.0, 0.03 if side == "right" else -0.03, 0.0])
-    pelvis_center = 0.5 * (kin_m["left"].joints["hip"][0]
-                           + kin_m["right"].joints["hip"][0])
+        offset = np.array([0.0, 0.03 if side == "right" else -0.03, 0.0])
+        markers[f"{tag}-thigh"] = 0.5 * (pos["hip"] + pos["knee"]) + offset
+        markers[f"{tag}-shank"] = 0.5 * (pos["knee"] + pos["ankle"]) + offset
+    pelvis_center = 0.5 * (kin_m["left"].pos["hip"] + kin_m["right"].pos["hip"])
     for tag, sign in (("L", -1.0), ("R", 1.0)):
         markers[f"{tag}-asis"] = pelvis_center + np.array([0.06, sign * 0.12, 0.02])
         markers[f"{tag}-psis"] = pelvis_center + np.array([-0.06, sign * 0.12, -0.02])
@@ -392,7 +389,7 @@ def synthesize_gait(profile: GaitProfile,
 
     # ground-truth moments at marker timestamps
     w_m = _stance_weight(t_m, windows, pr.ramp)
-    force_m = w_m[:, None] * total_force(t_m, kin_m)
+    force_m = w_m[:, None] * total_force(kin_m)
     cop3_m = np.column_stack([cop_track(t_m, kin_m), np.zeros(len(t_m))])
     truth = {}
     for side in SIDES:
@@ -401,23 +398,12 @@ def synthesize_gait(profile: GaitProfile,
         load = ExternalLoad(
             force=np.where(loaded, force_m, 0.0),
             moment=np.zeros((len(t_m), 3)),
-            r=np.where(loaded, kin.joints["toe"][0] - cop3_m, 0.0))
-        states = {}
-        for seg in LEG_SEGMENTS:
-            angle, _, angle_dd = kin.pitch[seg]
-            omega_dot = np.zeros((len(t_m), 3))
-            omega_dot[:, 1] = -angle_dd
-            states[seg] = FrameState(
-                e=_dir(angle, 0), acc=kin.com(seg, params[seg].com_offset)[2],
-                omega_dot=omega_dot)
-        rec = recursive_leg(load, states, params, g)
+            r=np.where(loaded, kin.pos["toe"] - cop3_m, 0.0))
+        rec = recursive_leg(load, kin.states, params, g)
         truth[side] = {j: rec[j][1][:, 1] for j in JOINTS}
 
     meta = TrialMeta(participant=pr.participant, terrain=pr.terrain,
                      sand_depth=pr.sand_depth)
-    if truth_events is None:
-        truth_events = GaitEvents(left=SideEvents(np.array([]), np.array([])),
-                                  right=SideEvents(np.array([]), np.array([])))
     return SynthResult(markers=marker_data, grf=grf, meta=meta,
                        truth_moments=truth, truth_events=truth_events,
                        marker_time=t_m, stance_windows=windows)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -322,6 +323,24 @@ _MALFORMED = [
     ("simulate", _profile("_profile_negative_grf_dt",
                           _edit_json(lambda d: d.update(grf_dt_s=-0.001)),
                           "grf_dt_s must be > 0, got -0.001")),
+    ("simulate", _profile("_profile_infinite_duration",
+                          _edit_json(lambda d: d.update(duration_s=math.inf)),
+                          "duration_s must be finite, got inf")),
+    ("simulate", _profile("_profile_middle_grf_side",
+                          _edit_json(lambda d: d.update(grf_side="middle")),
+                          "grf_side must be one of ('left', 'right'), "
+                          "got 'middle'")),
+    ("simulate", _profile("_profile_unknown_terrain",
+                          _edit_json(lambda d: d.update(terrain="mud")),
+                          "unknown terrain 'mud'")),
+    ("simulate", _profile("_profile_negative_ramp",
+                          _edit_json(lambda d: d.update(ramp_s=-1)),
+                          "ramp_s must be >= 0, got -1")),
+    ("simulate", _profile("_profile_reversed_stance_window",
+                          _edit_json(lambda d: d.update(
+                              stance_windows_s=[[0.5, 0.2]])),
+                          "stance window [0.5, 0.2] must be finite with "
+                          "start < end")),
     ("compare", _bundle("_truncated_features", "features.json", _truncate,
                         ": invalid JSON")),
     ("compare", _bundle("_truncated_bundle_meta", "meta.json", _truncate,

@@ -45,6 +45,20 @@ class TestMovingAverage:
         y = moving_average(x, 7)
         np.testing.assert_allclose(y[3:-3], x[3:-3], atol=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(-1e4, 1e4), st.integers(1, 80),
+           st.integers(0, 10))
+    def test_affine_exact_everywhere(self, a, b, n, half):
+        # every window, the shrinking edge ones included, is centred on its
+        # sample, so an affine input comes back up to cumsum rounding
+        window = 2 * half + 1
+        if window > n:
+            return
+        x = a + b * np.arange(n)
+        bound = n * np.abs(x).max() * np.finfo(float).eps
+        np.testing.assert_allclose(moving_average(x, window), x,
+                                   rtol=0, atol=bound)
+
     def test_edges_shrink_symmetric(self):
         # first output is just x[0]; second averages three samples
         x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sandgait import synth
 from sandgait.errors import GenerationError
 from sandgait.model import Participant
 from sandgait.schema import MarkerSchema
@@ -85,10 +86,18 @@ class TestStride:
     def test_grf_zero_outside_stance_windows(self, result):
         t = result.grf.time
         outside = np.ones(len(t), dtype=bool)
-        ramp = result.profile.ramp if hasattr(result, "profile") else 0.08
         for a, b in result.stance_windows:
-            outside &= ~((t >= a - ramp) & (t <= b + ramp))
-        np.testing.assert_allclose(result.grf.force[outside], 0.0, atol=1e-9)
+            outside &= ~((t >= a) & (t <= b))
+        assert outside.any()
+        np.testing.assert_array_equal(result.grf.force[outside], 0.0)
+
+    def test_truth_events_on_grf_grid(self, result):
+        # events are detected on the 1 kHz grid that grf.csv writes
+        for side in ("left", "right"):
+            ev = result.truth_events.side(side)
+            times = np.concatenate([ev.heel_strikes, ev.toe_offs])
+            assert times.size
+            assert np.isin(times, result.grf.time).all(), side
 
     def test_grf_impulse_sanity(self, result):
         # mean vertical force over a full mid-trial stride approximates
@@ -114,3 +123,19 @@ def test_ground_penetration_rejected():
     profile = dataclasses.replace(profile, pelvis_z=sunk)
     with pytest.raises(GenerationError, match="penetrates"):
         synthesize_gait(profile)
+
+
+def test_leg_kinematics_built_once_per_side_and_rate(monkeypatch):
+    # markers and truth moments share the marker-rate chain; GRF and truth
+    # events share the GRF-rate chain
+    built = []
+    init = synth._LegKinematics.__init__
+
+    def counting(self, profile, side, t, *args):
+        built.append((side, len(t)))
+        init(self, profile, side, t, *args)
+
+    monkeypatch.setattr(synth._LegKinematics, "__init__", counting)
+    synthesize_gait(stride_profile())
+    assert sorted(built) == [("left", 301), ("left", 3001),
+                             ("right", 301), ("right", 3001)]
