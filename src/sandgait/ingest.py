@@ -2,8 +2,10 @@
 
 Marker files are plain CSV (``time,<label>_x,<label>_y,<label>_z,...`` in
 meters, missing coordinates as empty fields).  GRF files carry
-``time,fx,fy,fz,mx,my,mz,copx,copy`` in N, N m, m.  Files are read and
-written as whole tables: one ``np.loadtxt`` call and one printf row format.
+``time,fx,fy,fz,mx,my,mz,copx,copy`` in N, N m, m, all as UTF-8.  A file
+is parsed from its bytes by one ``np.loadtxt`` call and written in blocks
+of ``ROW_BLOCK`` rows through one printf row format, so reading or writing
+holds a small multiple of the file, not of the whole table as text.
 The 1000 Hz GRF stream is decimated 10:1 by boxcar averaging onto the
 100 Hz marker timeline; the raw stream is retained for peak extraction.
 """
@@ -111,6 +113,7 @@ def write_meta_file(path: str | Path, meta: TrialMeta) -> None:
 
 _SKIPPED_LINE = re.compile(r"^[ \t]*(?:#.*)?$", re.M)
 _BLANK_LINE = re.compile(r"\n[ \t]*\n")  # the newline before and after it
+_NEXT_LINE = re.compile(r"\n*([^\n]*)")  # the next line that is not empty
 _EMPTY_CELL = re.compile(r",[ \t]*(?=[,\n])")
 # loadtxt counts data rows from 0 in conversion errors, from 1 in width ones
 _LOADTXT_ERROR = re.compile(
@@ -134,22 +137,26 @@ def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
     elif blank := _BLANK_LINE.search("\n" + text):
         line = text.count("\n", 0, blank.start()) + 1
         raise FormatError(f"{path}:{line}: blank line")
-    header_line, _, body = text.lstrip("\n").partition("\n")
-    if not header_line:
+    line = _NEXT_LINE.match(text)
+    if not line[1]:
         return np.empty((0, 0))
-    check_header(header := header_line.split(","))
-    if empty_is_nan:
-        body = _EMPTY_CELL.sub(",nan", body)
-    first_row = body.lstrip("\n").partition("\n")[0]
+    check_header(header := line[1].split(","))
+    body_at = line.end() + 1
+    if empty_is_nan and _EMPTY_CELL.search(text, body_at):
+        text = text[:body_at] + _EMPTY_CELL.sub(",nan", text[body_at:])
+    first_row = _NEXT_LINE.match(text, body_at)[1]
     if not first_row:
         return np.empty((0, len(header)))
     # loadtxt takes its width from the first row
     if (got := first_row.count(",") + 1) != len(header):
         raise FormatError(f"{path}:{_file_line(text, 0)}: expected "
                           f"{len(header)} fields, got {got}")
+    # bytes, not a StringIO: that would hold the text at 4 bytes a character
+    data = io.BytesIO(text.encode("utf-8"))
+    data.seek(len(text[:body_at].encode("utf-8")))
     try:
-        return np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                          ndmin=2)
+        return np.loadtxt(data, delimiter=",", comments=None, ndmin=2,
+                          encoding="utf-8")
     except ValueError as exc:
         m = _LOADTXT_ERROR.search(str(exc))
         if not m:
@@ -187,6 +194,26 @@ def format_rows(row_format: str, table: np.ndarray) -> str:
     return (row_format * len(table)) % tuple(table.ravel().tolist())
 
 
+#: Rows formatted and written at a time by ``write_rows``.
+ROW_BLOCK = 256
+
+
+def write_rows(path: str | Path, header: str, row_format: str,
+               columns: list[np.ndarray], *, nan_as_empty: bool = False) -> None:
+    """A UTF-8 CSV file: the ``header`` line, then the rows of ``columns``
+    (equal-length 1-D or 2-D arrays side by side) through one printf row
+    format, ``ROW_BLOCK`` rows at a time.  ``nan_as_empty`` writes a NaN
+    after the first column as an empty cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), ROW_BLOCK):
+            rows = format_rows(row_format, np.column_stack(
+                [c[i:i + ROW_BLOCK] for c in columns]))
+            # a block ends a row, and "%.9f" prints no other token that
+            # starts with "n"
+            fh.write(rows.replace(",nan", ",") if nan_as_empty else rows)
+
+
 def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
     """Parse and schema-validate a marker CSV file."""
     labels: list[str] = []
@@ -218,11 +245,11 @@ def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
 def write_marker_file(path: str | Path, markers: MarkerData,
                       label_order: list[str] | None = None) -> None:
     labels = label_order if label_order is not None else sorted(markers.pos)
-    header = ",".join(["time"] + [f"{l}_{ax}" for l in labels for ax in "xyz"])
-    table = np.column_stack([markers.time] + [markers.pos[l] for l in labels])
-    # "%.9f" prints no other token that starts with "n"
-    body = format_rows("%.6f" + ",%.9f" * (3 * len(labels)) + "\n", table)
-    Path(path).write_text(header + "\n" + body.replace(",nan", ","))
+    write_rows(path, ",".join(["time"] + [f"{l}_{ax}" for l in labels
+                                          for ax in "xyz"]),
+               "%.6f" + ",%.9f" * (3 * len(labels)) + "\n",
+               [markers.time] + [markers.pos[l] for l in labels],
+               nan_as_empty=True)
 
 
 def read_grf_file(path: str | Path) -> GrfData:
@@ -235,9 +262,8 @@ def read_grf_file(path: str | Path) -> GrfData:
 
 
 def write_grf_file(path: str | Path, grf: GrfData) -> None:
-    table = np.column_stack([grf.time, grf.force, grf.moment, grf.cop])
-    Path(path).write_text(",".join(GRF_COLUMNS) + "\n"
-                          + format_rows("%.6f" + ",%.9f" * 8 + "\n", table))
+    write_rows(path, ",".join(GRF_COLUMNS), "%.6f" + ",%.9f" * 8 + "\n",
+               [grf.time, grf.force, grf.moment, grf.cop])
 
 
 def parse_trial(marker_file: str | Path, grf_file: str | Path,

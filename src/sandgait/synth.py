@@ -130,20 +130,17 @@ class GaitProfile:
     def from_json(cls, doc: dict) -> "GaitProfile":
         """The inverse of ``to_json``; a key left out keeps the field's
         default."""
-        for key, (rule, ok) in _SECONDS.items():
-            if key not in doc:
-                continue
-            if not math.isfinite(float(doc[key])):
-                raise ConfigurationError(f"{key} must be finite, got {doc[key]!r}")
-            if not ok(float(doc[key]), 0.0):
-                raise ConfigurationError(f"{key} must be {rule}, got {doc[key]!r}")
+        for key, rule in _RANGES.items():
+            if doc.get(key) is not None:
+                _in_range(key, doc[key], *rule)
         for t0, t1 in doc.get("stance_windows_s") or ():
             if not -math.inf < float(t0) < float(t1) < math.inf:
                 raise ConfigurationError(f"stance window {[t0, t1]} must be "
                                          f"finite with start < end")
         p = doc["participant"]
         geo = doc.get("geometry", {})
-        kw = {name: float(geo[name]) for name in _GEOMETRY if name in geo}
+        kw = {name: _in_range(f"geometry.{name}", geo[name], *rule)
+              for name, rule in _GEOMETRY.items() if name in geo}
         kw.update((name, convert(doc[key]))
                   for key, (name, convert) in _PROFILE_KEYS.items() if key in doc)
         legs = {}
@@ -171,14 +168,40 @@ class GaitProfile:
                                          sort_keys=True) + "\n")
 
 
-#: Profile keys holding seconds: each must be finite and pass its rule.
-_SECONDS = {"duration_s": ("> 0", operator.gt),
-            "marker_dt_s": ("> 0", operator.gt),
-            "grf_dt_s": ("> 0", operator.gt),
-            "ramp_s": (">= 0", operator.ge)}
+def _in_range(key: str, value, rule: str, ok) -> float:
+    """``value`` of profile key ``key`` as a float, which must be finite and
+    pass ``ok(value, 0.0)``, the test that ``rule`` names."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{key} must be finite, got {value!r}")
+    if not ok(x, 0.0):
+        raise ConfigurationError(f"{key} must be {rule}, got {value!r}")
+    return x
 
-_GEOMETRY = ("thigh_len", "shank_len", "foot_len", "ankle_height",
-             "hip_half_width")
+
+_POSITIVE, _NON_NEGATIVE = ("> 0", operator.gt), (">= 0", operator.ge)
+
+#: Top-level profile numbers with a range; a null sand depth means none.
+_RANGES = {"duration_s": _POSITIVE, "marker_dt_s": _POSITIVE,
+           "grf_dt_s": _POSITIVE, "ramp_s": _NON_NEGATIVE,
+           "sand_depth_cm": _POSITIVE}
+
+#: The profile's "geometry" numbers, in m, and their ranges.
+_GEOMETRY = {"thigh_len": _POSITIVE, "shank_len": _POSITIVE,
+             "foot_len": _POSITIVE, "ankle_height": _NON_NEGATIVE,
+             "hip_half_width": _NON_NEGATIVE}
+
+
+def _cop_fixed(cop) -> tuple[float, float] | None:
+    """A profile's ``cop_fixed_m``: null, or two finite numbers."""
+    if cop is None:
+        return None
+    xy = tuple(float(v) for v in cop)
+    if len(xy) != 2 or not all(map(math.isfinite, xy)):
+        raise ConfigurationError(f"cop_fixed_m must be two finite numbers, "
+                                 f"got {cop!r}")
+    return xy
+
 
 #: Top-level profile.json key -> (GaitProfile field, conversion).
 _PROFILE_KEYS = {
@@ -189,10 +212,10 @@ _PROFILE_KEYS = {
     "marker_dt_s": ("marker_dt", float),
     "grf_dt_s": ("grf_dt", float),
     "terrain": ("terrain", lambda v: v),
-    "sand_depth_cm": ("sand_depth", lambda v: v),
+    "sand_depth_cm": ("sand_depth", lambda v: None if v is None else float(v)),
     "stance_windows_s": ("stance_windows",
                          lambda w: None if w is None else [tuple(x) for x in w]),
-    "cop_fixed_m": ("cop_fixed", lambda c: tuple(c) if c else None),
+    "cop_fixed_m": ("cop_fixed", _cop_fixed),
 }
 
 
@@ -274,15 +297,15 @@ class SynthResult:
     stance_windows: list[tuple[float, float]]
 
 
-def _truth_events(kin: dict[str, _LegKinematics], t: np.ndarray, dt: float,
+def _truth_events(feet: dict[str, tuple[np.ndarray, np.ndarray]],
+                  t: np.ndarray, dt: float,
                   thresholds: EventThresholds) -> GaitEvents:
-    """Gait events from the analytic trajectories on the GRF grid ``t`` of
-    step ``dt``, so that every event time is a written GRF sample."""
+    """Gait events from each side's analytic ``(heel, toe)`` on the GRF grid
+    ``t`` of step ``dt``, so that every event time is a written GRF sample."""
     return GaitEvents(**{
-        side: detect_side_events(t, k.heel[:, 2], k.pos["toe"][:, 2],
-                                 np.gradient(k.heel[:, 0], dt),
-                                 thresholds)
-        for side, k in kin.items()})
+        side: detect_side_events(t, heel[:, 2], toe[:, 2],
+                                 np.gradient(heel[:, 0], dt), thresholds)
+        for side, (heel, toe) in feet.items()})
 
 
 def synthesize_gait(profile: GaitProfile,
@@ -306,8 +329,16 @@ def synthesize_gait(profile: GaitProfile,
     t_m = np.round(np.arange(0.0, pr.duration + 1e-9, pr.marker_dt), 9)
     t_g = np.round(np.arange(0.0, pr.duration + 1e-9, pr.grf_dt), 9)
 
+    def inertial_force(kin, f=None):
+        """``f`` plus one side's segment inertial forces, thigh first; ``f``
+        starts as the trunk's (HAT's), which moves with the hip.  Sides added
+        in SIDES order give one fixed float sum."""
+        f = hat_mass * kin.hip_acc if f is None else f
+        for seg in reversed(LEG_SEGMENTS):
+            f = f + params[seg].mass * kin.states[seg].acc
+        return f
+
     kin_m = {side: _LegKinematics(pr, side, t_m, params) for side in SIDES}
-    kin_g = {side: _LegKinematics(pr, side, t_g, params) for side in SIDES}
 
     # ground-clearance feasibility
     for side in SIDES:
@@ -317,6 +348,15 @@ def synthesize_gait(profile: GaitProfile,
             if low < -1e-6:
                 raise GenerationError(
                     f"{side} {name} penetrates the ground ({low:.4f} m)")
+
+    # at 1 kHz only the feet and the inertial force are read: build one
+    # side's chain at a time and keep just those
+    feet_g, inertia_g = {}, None
+    for side in SIDES:
+        kin = _LegKinematics(pr, side, t_g, params)
+        feet_g[side] = kin.heel, kin.pos["toe"]
+        inertia_g = inertial_force(kin, inertia_g)
+        del kin
 
     # stance schedule
     is_static = all(
@@ -328,7 +368,7 @@ def synthesize_gait(profile: GaitProfile,
         truth_events = GaitEvents(**{side: SideEvents(np.array([]), np.array([]))
                                      for side in SIDES})
     else:
-        truth_events = _truth_events(kin_g, t_g, pr.grf_dt, thresholds)
+        truth_events = _truth_events(feet_g, t_g, pr.grf_dt, thresholds)
     if pr.stance_windows is not None:
         windows = list(pr.stance_windows)
     else:
@@ -337,21 +377,11 @@ def synthesize_gait(profile: GaitProfile,
         if not windows:
             raise GenerationError("no stance window found for the plate side")
 
-    def total_force(kin):
-        """Whole-body Newton balance: weight plus total inertial force; the
-        trunk (HAT) moves with the hip."""
-        f = hat_mass * kin["right"].hip_acc
-        for side in SIDES:
-            for seg in reversed(LEG_SEGMENTS):  # thigh first: fixed float sum
-                f = f + params[seg].mass * kin[side].states[seg].acc
-        return f + pr.participant.mass * g * E_Z[None, :]
-
-    def cop_track(t, kin):
-        """COP progressing smoothly heel -> toe inside each window (or
-        pinned at ``cop_fixed`` for static trials)."""
-        side = pr.grf_side
-        heel_xy = kin[side].heel[:, :2]
-        toe_xy = kin[side].pos["toe"][:, :2]
+    def cop_track(t, feet):
+        """COP progressing smoothly heel -> toe of the plate side's ``feet``
+        inside each window (or pinned at ``cop_fixed`` for static trials)."""
+        heel, toe = feet[pr.grf_side]
+        heel_xy, toe_xy = heel[:, :2], toe[:, :2]
         cop = np.zeros((len(t), 2))
         for t0, t1 in windows:
             sel = (t >= t0) & (t <= t1)
@@ -363,9 +393,11 @@ def synthesize_gait(profile: GaitProfile,
                             + toe_xy[sel] * u[:, None])
         return cop
 
+    # whole-body Newton balance: weight plus the total inertial force
+    weight = pr.participant.mass * g * E_Z[None, :]
     w_g = _stance_weight(t_g, windows, pr.ramp)
-    force_g = w_g[:, None] * total_force(kin_g)
-    cop_g = cop_track(t_g, kin_g)
+    force_g = w_g[:, None] * (inertia_g + weight)
+    cop_g = cop_track(t_g, feet_g)
     cop3_g = np.concatenate([cop_g, np.zeros((len(t_g), 1))], axis=1)
     moment_g = np.cross(cop3_g, force_g)  # plate-origin moment, zero couple at COP
 
@@ -389,8 +421,11 @@ def synthesize_gait(profile: GaitProfile,
 
     # ground-truth moments at marker timestamps
     w_m = _stance_weight(t_m, windows, pr.ramp)
-    force_m = w_m[:, None] * total_force(kin_m)
-    cop3_m = np.column_stack([cop_track(t_m, kin_m), np.zeros(len(t_m))])
+    force_m = w_m[:, None] * (inertial_force(kin_m["right"],
+                                             inertial_force(kin_m["left"]))
+                              + weight)
+    feet_m = {side: (kin.heel, kin.pos["toe"]) for side, kin in kin_m.items()}
+    cop3_m = np.column_stack([cop_track(t_m, feet_m), np.zeros(len(t_m))])
     truth = {}
     for side in SIDES:
         kin = kin_m[side]

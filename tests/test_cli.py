@@ -341,6 +341,24 @@ _MALFORMED = [
                               stance_windows_s=[[0.5, 0.2]])),
                           "stance window [0.5, 0.2] must be finite with "
                           "start < end")),
+    ("simulate", _profile("_profile_sand_depth_string",
+                          _edit_json(lambda d: d.update(terrain="sand",
+                                                        sand_depth_cm="deep")),
+                          "malformed profile (could not convert string to "
+                          "float: 'deep')")),
+    ("simulate", _profile("_profile_negative_sand_depth",
+                          _edit_json(lambda d: d.update(terrain="sand",
+                                                        sand_depth_cm=-5)),
+                          "sand_depth_cm must be > 0, got -5")),
+    ("simulate", _profile("_profile_one_cop_fixed",
+                          _edit_json(lambda d: d.update(
+                              cop_fixed_m=[0.1],
+                              stance_windows_s=[[0.2, 0.8]])),
+                          "cop_fixed_m must be two finite numbers, got [0.1]")),
+    ("simulate", _profile("_profile_negative_thigh_len",
+                          _edit_json(lambda d: d["geometry"].update(
+                              thigh_len=-0.4)),
+                          "geometry.thigh_len must be > 0, got -0.4")),
     ("compare", _bundle("_truncated_features", "features.json", _truncate,
                         ": invalid JSON")),
     ("compare", _bundle("_truncated_bundle_meta", "meta.json", _truncate,

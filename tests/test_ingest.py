@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,8 +12,9 @@ from scipy.interpolate import interp1d
 
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
                              SchemaError)
-from sandgait.ingest import (GrfData, MarkerData, TrialMeta, TrialRecord,
-                             align_streams, fill_gaps, read_grf_file,
+from sandgait.ingest import (ROW_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
+                             TrialMeta, TrialRecord, align_streams, fill_gaps,
+                             format_rows, read_csv_table, read_grf_file,
                              read_marker_file, read_meta_file,
                              write_grf_file, write_marker_file,
                              write_meta_file)
@@ -191,6 +197,30 @@ class TestMarkerIo:
         with pytest.raises(FormatError, match="no data rows"):
             read_marker_file(path, schema)
 
+    def test_crlf_reads_the_same(self, tmp_path, schema):
+        markers = _make_markers(schema, n=6)
+        markers.pos["L-heel"][2:4] = np.nan
+        write_marker_file(tmp_path / "lf.csv", markers)
+        data = (tmp_path / "lf.csv").read_bytes()
+        (tmp_path / "crlf.csv").write_bytes(data.replace(b"\n", b"\r\n"))
+        lf = read_marker_file(tmp_path / "lf.csv", schema)
+        crlf = read_marker_file(tmp_path / "crlf.csv", schema)
+        assert np.array_equal(crlf.time, lf.time)
+        for label in schema.labels:
+            assert np.array_equal(crlf.pos[label], lf.pos[label], equal_nan=True)
+
+
+def test_rows_start_after_a_non_ascii_header(tmp_path):
+    # the rows are parsed from the UTF-8 bytes: three two-byte letters in
+    # the header must not shift where they start
+    path = tmp_path / "t.csv"
+    path.write_text("time,Zo\u00eb-\u00c5sa-\u00d8rn\n0.5,1\n1.5,2\n",
+                    encoding="utf-8")
+    headers = []
+    table = read_csv_table(path, headers.append)
+    assert headers == [["time", "Zo\u00eb-\u00c5sa-\u00d8rn"]]
+    assert table.tolist() == [[0.5, 1.0], [1.5, 2.0]]
+
 
 class TestGrfIo:
     def test_round_trip(self, tmp_path, rng):
@@ -262,6 +292,54 @@ class TestWriterRoundTrip:
         write_grf_file(d / "a.csv", grf)
         write_grf_file(d / "b.csv", read_grf_file(d / "a.csv"))
         assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
+
+
+class TestRowBlocks:
+    """The writers format ``ROW_BLOCK`` rows at a time; the bytes are those
+    of one printf pass over the whole table."""
+
+    n = 2 * ROW_BLOCK + 7
+
+    def test_markers(self, tmp_path, schema):
+        markers = _make_markers(schema, n=self.n)
+        labels = sorted(markers.pos)
+        for row in (0, ROW_BLOCK - 1, ROW_BLOCK, self.n - 1):  # block edges
+            markers.pos[labels[row % len(labels)]][row] = np.nan
+        markers.pos[labels[-1]][ROW_BLOCK - 1] = np.nan  # ends a block
+        write_marker_file(tmp_path / "m.csv", markers)
+        table = np.column_stack([markers.time] + [markers.pos[l] for l in labels])
+        rows = format_rows("%.6f" + ",%.9f" * (3 * len(labels)) + "\n", table)
+        header = ",".join(["time"] + [f"{l}_{ax}" for l in labels for ax in "xyz"])
+        assert (tmp_path / "m.csv").read_bytes() == (
+            header + "\n" + rows.replace(",nan", ",")).encode()
+
+    def test_grf(self, tmp_path, rng):
+        table = rng.normal(size=(self.n, 9))
+        write_grf_file(tmp_path / "g.csv", GrfData(
+            time=table[:, 0], force=table[:, 1:4], moment=table[:, 4:7],
+            cop=table[:, 7:]))
+        rows = format_rows("%.6f" + ",%.9f" * 8 + "\n", table)
+        assert (tmp_path / "g.csv").read_bytes() == (
+            ",".join(GRF_COLUMNS) + "\n" + rows).encode()
+
+
+def test_marker_file_is_utf8_under_the_c_locale(tmp_path):
+    # the readers take UTF-8 only, so the writers must not use the locale's
+    # encoding; the label is escaped so that the C locale decodes argv
+    path = tmp_path / "m.csv"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(__file__).resolve().parent.parent / "src"),
+                    os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", f"""
+import numpy as np
+from sandgait.ingest import MarkerData, write_marker_file
+write_marker_file({str(path)!r}, MarkerData(
+    np.zeros(1), {{"Zo\\u00eb-heel": np.zeros((1, 3))}}))
+"""], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes().split(b"\n")[0] == (
+        "time,Zo\u00eb-heel_x,Zo\u00eb-heel_y,Zo\u00eb-heel_z".encode("utf-8"))
 
 
 class TestMeta:

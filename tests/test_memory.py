@@ -1,0 +1,93 @@
+"""Peak memory of the trial readers, writers and generator, as traced by
+``tracemalloc`` (numpy reports its array buffers to it), on a 20 s walk.
+Each bound is a small multiple of the data: the file's size, or the arrays
+the generator returns."""
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sandgait import ingest, synth
+from sandgait.schema import MarkerSchema
+
+
+def _peak(f, *args):
+    """``f(*args)`` and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _array_bytes(obj, seen=None) -> int:
+    """Bytes of every array buffer reachable from ``obj``, each counted once
+    however many views share it."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(v, seen) for v in obj)
+    return 0
+
+
+@pytest.fixture(scope="module")
+def walk():
+    return dataclasses.replace(synth.stride_profile(), duration=20.0)
+
+
+@pytest.fixture(scope="module")
+def trial(walk, tmp_path_factory):
+    """The walk's trial files, the markers with 90 seeded dropouts."""
+    res = synth.synthesize_gait(walk)
+    markers = res.markers.copy()
+    labels = sorted(markers.pos)
+    rng = np.random.default_rng(16)
+    for g in range(90):
+        start = int(rng.integers(10, len(markers) - 20))
+        markers.pos[labels[rng.integers(len(labels))]][start:start + 1 + g % 5] = np.nan
+    d = tmp_path_factory.mktemp("trial")
+    ingest.write_grf_file(d / "grf.csv", res.grf)
+    ingest.write_marker_file(d / "markers.csv", markers)
+    return d, res.grf, markers
+
+
+def test_read_grf_file(trial):
+    path = trial[0] / "grf.csv"
+    _, peak = _peak(ingest.read_grf_file, path)
+    assert peak <= 4.5 * path.stat().st_size
+
+
+def test_read_marker_file_with_gaps(trial):
+    path = trial[0] / "markers.csv"
+    markers, peak = _peak(ingest.read_marker_file, path, MarkerSchema.default())
+    assert any(np.isnan(p).any() for p in markers.pos.values())
+    assert peak <= 4.5 * path.stat().st_size
+
+
+def test_write_grf_file(trial, tmp_path):
+    path = tmp_path / "grf.csv"
+    _, peak = _peak(ingest.write_grf_file, path, trial[1])
+    assert peak <= 3 * path.stat().st_size
+
+
+def test_write_marker_file(trial, tmp_path):
+    path = tmp_path / "markers.csv"
+    _, peak = _peak(ingest.write_marker_file, path, trial[2])
+    assert peak <= 3 * path.stat().st_size
+
+
+def test_synthesize_gait(walk):
+    res, peak = _peak(synth.synthesize_gait, walk)
+    assert peak <= 6 * _array_bytes(res)

@@ -5,7 +5,8 @@ import pytest
 
 from sandgait import synth
 from sandgait.errors import GenerationError
-from sandgait.model import Participant
+from sandgait.model import (GRAVITY, AnthropometricTable, Participant,
+                            segment_parameters)
 from sandgait.schema import MarkerSchema
 from sandgait.synth import (GaitProfile, LegAngles, Trig, standing_profile,
                             stride_profile, synthesize_gait)
@@ -104,6 +105,25 @@ class TestStride:
         # body weight (single-support model; loose bound)
         W = result.meta.participant.mass * 9.81
         assert 0.5 * W < result.grf.force[:, 2].max() < 2.0 * W
+
+    def test_grf_force_is_one_fixed_float_sum(self, result):
+        # weight plus HAT mass x hip acceleration, then the left thigh,
+        # shank and foot terms, then the right ones, from both 1 kHz chains
+        pr = stride_profile()
+        params = segment_parameters(pr.participant, AnthropometricTable.default(),
+                                    {"thigh": pr.thigh_len, "shank": pr.shank_len,
+                                     "foot": pr.foot_len})
+        t = result.grf.time
+        kin = {side: synth._LegKinematics(pr, side, t, params)
+               for side in ("left", "right")}
+        hat = pr.participant.mass - 2 * sum(p.mass for p in params.values())
+        f = hat * kin["left"].hip_acc
+        for side in ("left", "right"):
+            for seg in ("thigh", "shank", "foot"):
+                f = f + params[seg].mass * kin[side].states[seg].acc
+        f = f + pr.participant.mass * GRAVITY * np.array([0.0, 0.0, 1.0])
+        w = synth._stance_weight(t, result.stance_windows, pr.ramp)
+        np.testing.assert_array_equal(result.grf.force, w[:, None] * f)
 
     def test_cop_stays_within_foot(self, result):
         markers = result.markers
