@@ -6,11 +6,11 @@ data-contract failure during processing.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,8 @@ from . import forces, ingest, metrics, synth
 from .errors import (ConfigurationError, FormatError, GaitError,
                      GaitInputError, InsufficientDataError, read_json_as,
                      read_text)
-from .pipeline import RunConfig, analyze_trial, atomic_write, write_bundle
+from .pipeline import RunConfig, analyze_trial, write_bundle
+from .schema import SIDES
 
 log = logging.getLogger("sandgait")
 
@@ -38,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _echo(line: str) -> None:
+    """``print(line)``, escaping what stdout cannot encode; under the C
+    locale an argv path still prints as its surrogate-escaped bytes."""
+    while True:
+        try:
+            return print(line)
+        except UnicodeEncodeError as e:
+            bad = line[e.start:e.end].encode("ascii", "backslashreplace")
+            line = line[:e.start] + bad.decode() + line[e.end:]
+
+
 def _load_config(args) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
     return RunConfig.from_file(path) if path else RunConfig()
@@ -49,7 +61,7 @@ def cmd_calibrate(args) -> int:
     forces.write_calibration_curve(args.out, curve)
     for depth, zeta, resid, n in zip(curve.depths, curve.zeta,
                                      curve.residual, curve.n):
-        print(f"depth {depth:5.1f} cm  zeta {zeta:.4f}  "
+        _echo(f"depth {depth:5.1f} cm  zeta {zeta:.4f}  "
               f"rms residual {resid:.3g} N  (n={n})")
     return EXIT_OK
 
@@ -59,22 +71,17 @@ def cmd_analyze(args) -> int:
     if args.calibration:
         cfg.calibration = args.calibration
     meta = ingest.read_meta_file(args.meta)
-    if args.terrain or args.sand_depth is not None:
-        meta = ingest.TrialMeta(
-            participant=meta.participant,
-            terrain=args.terrain or meta.terrain,
-            sand_depth=(args.sand_depth if args.sand_depth is not None
-                        else meta.sand_depth),
-            sync_offset=meta.sync_offset)
+    meta = replace(meta, terrain=args.terrain or meta.terrain,
+                   sand_depth=(args.sand_depth if args.sand_depth is not None
+                               else meta.sand_depth))
     trial = ingest.parse_trial(args.markers, args.grf, meta,
                                schema=cfg.load_schema())
     result = analyze_trial(trial, cfg)
     write_bundle(result, args.out)
     for w in result.warnings:
         log.warning("%s", w)
-    n_ev = sum(len(ev.heel_strikes) + len(ev.toe_offs)
-               for ev in (result.events.left, result.events.right) if ev)
-    print(f"analyzed {result.participant_id} ({result.terrain}): "
+    n_ev = len(result.events.rows())
+    _echo(f"analyzed {result.participant_id} ({result.terrain}): "
           f"{n_ev} gait events, plate side {result.plate_side}, "
           f"bundle written to {args.out}")
     return EXIT_OK
@@ -184,28 +191,17 @@ def cmd_compare(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["metric", "n", "mean_a", "sd_a", "mean_b", "sd_b",
-              "t", "p", "cohens_d", "significant"]
-    lines = ["# paired comparison: a=%s b=%s" % (args.a, args.b),
-             "# effect size: Cohen's d with pooled condition SD",
-             ",".join(header)]
-    for row in report:
-        cells = []
-        for key in header:
-            v = row[key]
-            if key == "significant":
-                cells.append("*" if v else "")
-            elif isinstance(v, float):
-                cells.append(f"{v:.9g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    atomic_write(out / "report.csv", "\n".join(lines) + "\n")
-    atomic_write(out / "report.json",
-                 json.dumps({"participants": paired, "rows": report},
-                            indent=2, sort_keys=True) + "\n")
+    keys = ["metric", "n", "mean_a", "sd_a", "mean_b", "sd_b", "t", "p",
+            "cohens_d"]
+    ingest.write_rows(
+        out / "report.csv", f"# paired comparison: a={args.a} b={args.b}\n"
+        f"# effect size: Cohen's d with pooled condition SD\n"
+        f"{','.join(keys)},significant", "%s,%d" + ",%.9g" * 7 + ",%s\n",
+        [np.array([[r[k] for k in keys] + ["*" if r["significant"] else ""]
+                   for r in report], dtype=object)])
+    ingest.write_json(out / "report.json", {"participants": paired, "rows": report})
     n_sig = sum(r["significant"] for r in report)
-    print(f"compared {len(paired)} paired participants across "
+    _echo(f"compared {len(paired)} paired participants across "
           f"{len(report)} metrics; {n_sig} significant at p < 0.05")
     return EXIT_OK
 
@@ -227,23 +223,19 @@ def cmd_simulate(args) -> int:
     profile.save(out / "profile.json")
 
     # ground truth for test harnesses
-    rows = []
-    for side in ("left", "right"):
-        ev = result.truth_events.side(side)
-        pairs = ([(t, "heel_strike") for t in ev.heel_strikes]
-                 + [(t, "toe_off") for t in ev.toe_offs])
-        rows += [(side, kind, t) for t, kind in sorted(pairs)]
-    atomic_write(out / "truth_events.csv", "side,event,time_s\n"
-                 + ("%s,%s,%.6f\n" * len(rows)) % sum(rows, ()))
+    ingest.write_rows(out / "truth_events.csv", "side,event,time_s",
+                      "%s,%s,%.6f\n",
+                      [np.array(result.truth_events.rows(), dtype=object)])
 
-    text = "time,side,ankle_nm,knee_nm,hip_nm\n"
-    for side in ("left", "right"):
-        tm = result.truth_moments[side]
-        text += ingest.format_rows(
-            f"%.6f,{side},%.9f,%.9f,%.9f\n", np.column_stack(
-                [result.marker_time] + [tm[j] for j in ("ankle", "knee", "hip")]))
-    atomic_write(out / "truth_moments.csv", text)
-    print(f"simulated trial written to {out} "
+    tm = result.truth_moments
+    ingest.write_rows(
+        out / "truth_moments.csv", "time,side,ankle_nm,knee_nm,hip_nm",
+        "%.6f,%s,%.9f,%.9f,%.9f\n",
+        [np.tile(result.marker_time, len(SIDES)),
+         np.repeat(np.array(SIDES, dtype=object), len(result.marker_time))]
+        + [np.concatenate([tm[side][j] for side in SIDES])
+           for j in ("ankle", "knee", "hip")])
+    _echo(f"simulated trial written to {out} "
           f"({len(result.markers)} marker frames, {len(result.grf)} GRF samples)")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ExtrapolationError, FitError, FormatError, ParameterError
 from .gaitseg import _local_extrema
-from .ingest import expect_columns, format_rows, read_csv_table
+from .ingest import expect_columns, read_csv_table, write_rows
 from .model import GRAVITY, Participant
 
 
@@ -176,9 +176,8 @@ def read_calibration_samples(path: str | Path) -> list[tuple[float, float, float
 
 
 def write_calibration_curve(path: str | Path, curve: CalibrationCurve) -> None:
-    table = np.column_stack([curve.depths, curve.zeta, curve.residual, curve.n])
-    Path(path).write_text("depth_cm,zeta,residual,n\n"
-                          + format_rows("%g,%.9f,%.9f,%d\n", table))
+    write_rows(path, "depth_cm,zeta,residual,n", "%g,%.9f,%.9f,%d\n",
+               [curve.depths, curve.zeta, curve.residual, curve.n])
 
 
 def read_calibration_curve(path: str | Path) -> CalibrationCurve:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, SegmentationError
+from .schema import SIDES
 
 PHASE_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -68,6 +69,15 @@ class GaitEvents:
         if ev is None:
             raise SegmentationError(f"no events for side {name!r}")
         return ev
+
+    def rows(self) -> list[tuple[str, str, float]]:
+        """``(side, event, time)`` of every event: left, then right, each
+        side in time order with a heel strike first at equal times."""
+        return [(side, kind, t) for side in SIDES
+                if (ev := getattr(self, side)) is not None
+                for t, kind in sorted(
+                    [(t, "heel_strike") for t in ev.heel_strikes.tolist()]
+                    + [(t, "toe_off") for t in ev.toe_offs.tolist()])]
 
 
 def _local_extrema(x: np.ndarray, sign: int) -> np.ndarray:

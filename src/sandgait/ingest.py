@@ -6,6 +6,9 @@ meters, missing coordinates as empty fields).  GRF files carry
 is parsed from its bytes by one ``np.loadtxt`` call and written in blocks
 of ``ROW_BLOCK`` rows through one printf row format, so reading or writing
 holds a small multiple of the file, not of the whole table as text.
+Every file sandgait writes goes through ``write_rows``, ``write_text`` or
+``write_json``: UTF-8 whatever the locale, and atomic (written to
+``<name>.tmp``, then renamed) so partial runs never corrupt outputs.
 The 1000 Hz GRF stream is decimated 10:1 by boxcar averaging onto the
 100 Hz marker timeline; the raw stream is retained for peak extraction.
 """
@@ -13,8 +16,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -89,9 +93,7 @@ def read_meta_file(path: str | Path) -> TrialMeta:
 
 
 def _meta_from_json(raw: dict) -> TrialMeta:
-    p = raw["participant"]
-    participant = Participant(id=str(p["id"]), height=float(p["height_m"]),
-                              mass=float(p["mass_kg"]))
+    participant = Participant.from_json(raw["participant"])
     depth = raw.get("sand_depth_cm")
     return TrialMeta(participant=participant, terrain=raw["terrain"],
                      sand_depth=None if depth is None else float(depth),
@@ -99,16 +101,11 @@ def _meta_from_json(raw: dict) -> TrialMeta:
 
 
 def write_meta_file(path: str | Path, meta: TrialMeta) -> None:
-    doc = {
-        "participant": {"id": meta.participant.id,
-                        "height_m": meta.participant.height,
-                        "mass_kg": meta.participant.mass},
-        "terrain": meta.terrain,
-        "sync_offset_s": meta.sync_offset,
-    }
+    doc = {"participant": meta.participant.to_json(), "terrain": meta.terrain,
+           "sync_offset_s": meta.sync_offset}
     if meta.sand_depth is not None:
         doc["sand_depth_cm"] = meta.sand_depth
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 _SKIPPED_LINE = re.compile(r"^[ \t]*(?:#.*)?$", re.M)
@@ -198,20 +195,43 @@ def format_rows(row_format: str, table: np.ndarray) -> str:
 ROW_BLOCK = 256
 
 
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text`` (or its pieces in turn) to ``<path>.tmp`` as UTF-8,
+    then rename it over ``path``; if anything raises, remove the tmp file
+    and leave ``path`` as it was.  ``surrogateescape`` writes back the bytes
+    that argv paths decoded under the C locale stand for."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", errors="surrogateescape") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def write_rows(path: str | Path, header: str, row_format: str,
                columns: list[np.ndarray], *, nan_as_empty: bool = False) -> None:
-    """A UTF-8 CSV file: the ``header`` line, then the rows of ``columns``
-    (equal-length 1-D or 2-D arrays side by side) through one printf row
-    format, ``ROW_BLOCK`` rows at a time.  ``nan_as_empty`` writes a NaN
-    after the first column as an empty cell."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    """A UTF-8 CSV file, atomically: the ``header`` line(s), then the rows
+    of ``columns`` (equal-length 1-D or 2-D arrays side by side; object
+    arrays for text cells) through one printf row format, ``ROW_BLOCK``
+    rows at a time.  ``nan_as_empty`` writes a NaN after the first column
+    as an empty cell."""
+    def chunks():
+        yield header + "\n"
         for i in range(0, len(columns[0]), ROW_BLOCK):
             rows = format_rows(row_format, np.column_stack(
                 [c[i:i + ROW_BLOCK] for c in columns]))
             # a block ends a row, and "%.9f" prints no other token that
             # starts with "n"
-            fh.write(rows.replace(",nan", ",") if nan_as_empty else rows)
+            yield rows.replace(",nan", ",") if nan_as_empty else rows
+    write_text(path, chunks())
 
 
 def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
@@ -273,8 +293,7 @@ def parse_trial(marker_file: str | Path, grf_file: str | Path,
     markers = read_marker_file(marker_file, schema)
     grf = read_grf_file(grf_file)
     if meta.sync_offset:
-        grf = GrfData(time=grf.time + meta.sync_offset, force=grf.force,
-                      moment=grf.moment, cop=grf.cop)
+        grf = replace(grf, time=grf.time + meta.sync_offset)
     return TrialRecord(meta=meta, markers=markers, grf=grf)
 
 

@@ -36,6 +36,15 @@ class Participant:
         if not self.mass > 0:
             raise ConfigurationError(f"participant {self.id!r}: mass must be > 0")
 
+    def to_json(self) -> dict:
+        """The ``participant`` object of trial metadata and profiles."""
+        return {"id": self.id, "height_m": self.height, "mass_kg": self.mass}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "Participant":
+        return cls(id=str(doc["id"]), height=float(doc["height_m"]),
+                   mass=float(doc["mass_kg"]))
+
     @property
     def weight(self) -> float:
         """Body weight in newtons."""

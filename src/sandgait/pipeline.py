@@ -4,17 +4,14 @@
 sand rescale), gap-fill and alignment, segment kinematics,
 ``_detect_events``, ``_plate_load``, inverse dynamics, ``_plate_stance``
 (the stance window of the stance curves), then the outcome curves and
-scalars.  Every output embeds the config hash; writes are atomic
-(write-then-rename) so partial runs never corrupt bundles.
+scalars.  Every output embeds the config hash.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -25,7 +22,7 @@ from .errors import ConfigurationError, GaitError, read_json
 from .forces import CalibrationCurve
 from .gaitseg import EventThresholds, GaitEvents, NormalizedCurve, SideEvents
 from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
-                     fill_gaps)
+                     fill_gaps, write_json, write_rows)
 from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     segment_parameters)
 from .schema import SIDES, MarkerSchema
@@ -359,29 +356,22 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
 # ---------------------------------------------------------------------------
 # bundle writing
 
-def atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_table(path: Path, config_hash: str, header: list[str], rows,
+def _write_table(path: Path, config_hash: str, header: list[str], columns,
                  fmt: str | None = None) -> None:
-    """Write one bundle CSV: the config-hash comment, the header, then
-    ``rows`` (lists of cells) through one printf row format, ``%.9g`` for
-    every cell unless ``fmt`` says otherwise (``%s`` for labels)."""
+    """Write one bundle CSV: the config-hash comment, the header, then the
+    rows of ``columns`` through one printf row format, ``%.9g`` for every
+    cell unless ``fmt`` says otherwise (``%s`` for labels)."""
     if fmt is None:
         fmt = ",".join(["%.9g"] * len(header)) + "\n"
-    body = (fmt * len(rows)) % tuple(itertools.chain.from_iterable(rows))
-    atomic_write(path, f"# config_hash={config_hash}\n"
-                       + ",".join(header) + "\n" + body)
+    write_rows(path, f"# config_hash={config_hash}\n" + ",".join(header),
+               fmt, columns)
 
 
 def _write_phase_table(path: Path, config_hash: str, header: list[str],
                        curves) -> None:
     """A bundle CSV of curves on the phase grid, one column each."""
     _write_table(path, config_hash, ["phase"] + header,
-                 np.column_stack([gaitseg.PHASE_GRID, *curves]).tolist())
+                 [gaitseg.PHASE_GRID, *curves])
 
 
 def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
@@ -389,7 +379,7 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     h = result.config_hash
 
-    meta = {
+    write_json(out / "meta.json", {
         "participant_id": result.participant_id,
         "terrain": result.terrain,
         "config_hash": h,
@@ -397,19 +387,11 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
         "fx_uncalibrated": result.terrain == "sand",
         "cohens_d_variant": "pooled condition SD",
         "warnings": result.warnings,
-    }
-    atomic_write(out / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })
 
-    rows = []
-    for side in SIDES:
-        ev = getattr(result.events, side)
-        if ev is None:
-            continue
-        rows += [[side, "heel_strike", t] for t in ev.heel_strikes.tolist()]
-        rows += [[side, "toe_off", t] for t in ev.toe_offs.tolist()]
-    rows.sort(key=lambda r: r[2])
-    _write_table(out / "events.csv", h, ["side", "event", "time_s"], rows,
-                 "%s,%s,%.9g\n")
+    rows = sorted(result.events.rows(), key=lambda r: r[2])
+    _write_table(out / "events.csv", h, ["side", "event", "time_s"],
+                 [np.array(rows, dtype=object)], "%s,%s,%.9g\n")
 
     if any(result.angle_cycle.values()):
         header, cols = [], []
@@ -429,8 +411,7 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
         fmt += f"%.9g,{side}" + ",%.9g" * 6 + "\n"
     _write_table(out / "moments.csv", h,
                  ["time", "side", "ankle_nm", "knee_nm", "hip_nm",
-                  "ankle_nmkg", "knee_nmkg", "hip_nmkg"],
-                 np.column_stack(cols).tolist(), fmt)
+                  "ankle_nmkg", "knee_nmkg", "hip_nmkg"], cols, fmt)
 
     if result.moment_stance:
         _write_phase_table(out / "moments_stance.csv", h,
@@ -454,18 +435,13 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
         fmt = ",".join("%s" if isinstance(v, str) else "%.9g"
                        for v in result.stride_rows[0].values()) + "\n"
         _write_table(out / "stride_metrics.csv", h, header,
-                     [list(r.values()) for r in result.stride_rows], fmt)
+                     [np.array([list(r.values()) for r in result.stride_rows],
+                               dtype=object)], fmt)
 
     features = {"config_hash": h, "peak_angles_deg": result.peak_angles,
                 "stance_fractions": result.stance_fractions}
     if result.grf_features is not None:
         features["grf"] = asdict(result.grf_features)
     if result.stiffness is not None:
-        features["knee_stiffness"] = {
-            "side": result.stiffness.side,
-            "k_flexion": asdict(result.stiffness.k_flexion),
-            "k_extension": asdict(result.stiffness.k_extension),
-            "k_swing": asdict(result.stiffness.k_swing),
-        }
-    atomic_write(out / "features.json",
-                 json.dumps(features, indent=2, sort_keys=True) + "\n")
+        features["knee_stiffness"] = asdict(result.stiffness)
+    write_json(out / "features.json", features)

@@ -10,7 +10,6 @@ window, so a motionless profile yields exactly body weight on the plate.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from .dynamics import ExternalLoad, JOINTS, recursive_leg, FrameState
 from .errors import ConfigurationError, GenerationError, read_json_as
 from .gaitseg import (EventThresholds, GaitEvents, SideEvents,
                       detect_side_events, stance_windows)
-from .ingest import GrfData, MarkerData, TrialMeta
+from .ingest import GrfData, MarkerData, TrialMeta, write_json
 from .model import (E_Z, GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     Participant, SegmentParams, segment_parameters)
 from .schema import SIDES
@@ -103,9 +102,7 @@ class GaitProfile:
 
     def to_json(self) -> dict:
         return {
-            "participant": {"id": self.participant.id,
-                            "height_m": self.participant.height,
-                            "mass_kg": self.participant.mass},
+            "participant": self.participant.to_json(),
             "duration_s": self.duration,
             "geometry": {"thigh_len": self.thigh_len, "shank_len": self.shank_len,
                          "foot_len": self.foot_len, "ankle_height": self.ankle_height,
@@ -148,9 +145,7 @@ class GaitProfile:
             legs[side] = LegAngles(thigh_pitch=Trig.from_json(la["thigh_pitch"]),
                                    knee_flexion=Trig.from_json(la["knee_flexion"]),
                                    foot_pitch=Trig.from_json(la["foot_pitch"]))
-        profile = cls(participant=Participant(id=str(p["id"]),
-                                              height=float(p["height_m"]),
-                                              mass=float(p["mass_kg"])),
+        profile = cls(participant=Participant.from_json(p),
                       duration=float(doc["duration_s"]), legs=legs, **kw)
         if profile.grf_side not in SIDES:
             raise ConfigurationError(f"grf_side must be one of {SIDES}, "
@@ -164,8 +159,7 @@ class GaitProfile:
         return read_json_as(path, cls.from_json, "profile")
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2,
-                                         sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
 
 def _in_range(key: str, value, rule: str, ok) -> float:

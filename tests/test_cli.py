@@ -152,16 +152,60 @@ class TestAnalyze:
                      "--out", str(tmp_path / "x")]) == 1
 
 
-def _run_python(*args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _run_python(*args, text=True, **env):
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parent.parent / "src"),
          os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=text, env=env, timeout=120)
 
 
-def _run_cli(*argv):
-    return _run_python("-m", "sandgait.cli", *argv)
+def _run_cli(*argv, **kw):
+    return _run_python("-m", "sandgait.cli", *argv, **kw)
+
+
+#: the C locale, with Python's UTF-8 mode and locale coercion off: stdout
+#: is ASCII and argv arrives surrogate-escaped
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+class TestCLocale:
+    """Non-ASCII ids and paths under the C locale exit 0 and write UTF-8."""
+
+    def test_analyze_escapes_the_id_it_prints(self, tmp_path):
+        trial, out = tmp_path / "Zo\u00eb-trial", tmp_path / "Zo\u00eb-bundle"
+        proc = _run_cli("simulate", "--out", str(trial), text=False, **C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(
+            f"simulated trial written to {trial} (".encode())
+        meta = json.loads((trial / "meta.json").read_text())
+        meta["participant"]["id"] = "Zo\u00eb"
+        (trial / "meta.json").write_text(json.dumps(meta))
+        proc = _run_cli("analyze", "--markers", str(trial / "markers.csv"),
+                        "--grf", str(trial / "grf.csv"),
+                        "--meta", str(trial / "meta.json"), "--out", str(out),
+                        text=False, **C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(b"analyzed Zo\\xeb (solid): ")
+        assert proc.stdout.endswith(f"bundle written to {out}\n".encode())
+
+    def test_compare_non_ascii_dirs(self, bundle_dir, tmp_path):
+        a, b = tmp_path / "Zo\u00eb-a", tmp_path / "Zo\u00eb-b"
+        for group in (a, b):
+            for pid in ("p1", "p2"):
+                _relabelled_copy(bundle_dir, group / pid, pid)
+
+        def report(out, **env):
+            proc = _run_cli("compare", "--a", str(a), "--b", str(b),
+                            "--out", str(tmp_path / out), text=False, **env)
+            assert proc.returncode == 0, proc.stderr
+            assert sorted(p.name for p in (tmp_path / out).iterdir()) == [
+                "report.csv", "report.json"]
+            return (tmp_path / out / "report.csv").read_bytes()
+
+        c = report("c", **C_LOCALE)
+        assert c == report("utf8", PYTHONUTF8="1")
+        assert f"a={a} b={b}\n".encode() in c
 
 
 def test_simulate_and_analyze_import_no_scipy(tmp_path):
@@ -480,6 +524,56 @@ class TestPinnedBytes:
     def test_gappy_bundle_files(self, gappy_bundle_dir):
         assert self._digests(gappy_bundle_dir) == self.GAPPY_BUNDLE
 
+    #: ``compare`` of three participants, the gappy bundle swapped into
+    #: one condition or the other and one metric shifted, run on relative
+    #: paths
+    COMPARE = {
+        "report.csv": "aad34c09579758b36668599f23a14be795617a93a762a1558b0fe34b2722dc3d",
+        "report.json": "300d4ab0260cde71d88eaf0fc07a90a3db2942739651714e92cd9bc9f61be99d",
+    }
+    #: ``calibrate`` of ``_calibration_samples``
+    CURVE = "58d2da097a95a1cacad9959ae6609087f0f46ab3f21269963b523fea1c232387"
+
+    def test_compare_files(self, bundle_dir, gappy_bundle_dir, tmp_path,
+                           monkeypatch):
+        monkeypatch.chdir(tmp_path)  # report.csv names both directories
+        for group, bundles in (("a", (bundle_dir, bundle_dir, gappy_bundle_dir)),
+                               ("b", (gappy_bundle_dir, gappy_bundle_dir,
+                                      bundle_dir))):
+            for k, bundle in enumerate(bundles, 1):
+                _relabelled_copy(bundle, Path(group, f"p{k}"), f"p{k}")
+        for k in (1, 2, 3):  # one metric 0.1 to 0.12 higher in b: significant
+            path = Path("b", f"p{k}", "features.json")
+            feats = json.loads(path.read_text())
+            feats["grf"]["fz_hs_peak"] += 0.09 + 0.01 * k
+            path.write_text(json.dumps(feats))
+        assert main(["compare", "--a", "a", "--b", "b", "--out", "r"]) == 0
+        assert self._digests(Path("r")) == self.COMPARE
+
+    def test_calibrate_curve(self, tmp_path):
+        samples, out = tmp_path / "s.csv", tmp_path / "curve.csv"
+        samples.write_text(_calibration_samples())
+        assert main(["calibrate", "--samples", str(samples),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CURVE
+
+
+def _relabelled_copy(bundle, dst, pid):
+    """A copy of ``bundle`` at ``dst`` whose participant id is ``pid``."""
+    shutil.copytree(bundle, dst)
+    meta = json.loads((dst / "meta.json").read_text())
+    meta["participant_id"] = pid
+    (dst / "meta.json").write_text(json.dumps(meta))
+
+
+def _calibration_samples():
+    """Four buried depths, six loads each, off the fitted line by +-0.5 N."""
+    lines = ["depth_cm,f_surface_n,f_buried_n"]
+    for depth, zeta in ((2.5, 0.97), (6, 0.91), (10, 0.86), (14, 0.81)):
+        lines += [f"{depth},{fs},{zeta * fs + 0.5 * (-1) ** fs}"
+                  for fs in range(50, 301, 50)]
+    return "\n".join(lines) + "\n"
+
 
 class TestCalibrate:
     def test_stepped_loads(self, tmp_path, capsys):
@@ -519,11 +613,7 @@ class TestCompare:
     def _sets(self, tmp_path, bundle_dir, ids_a, ids_b):
         for group, ids in (("a", ids_a), ("b", ids_b)):
             for pid in ids:
-                dst = tmp_path / group / pid
-                shutil.copytree(bundle_dir, dst)
-                meta = json.loads((dst / "meta.json").read_text())
-                meta["participant_id"] = pid
-                (dst / "meta.json").write_text(json.dumps(meta))
+                _relabelled_copy(bundle_dir, tmp_path / group / pid, pid)
         return tmp_path / "a", tmp_path / "b"
 
     def test_identical_sets_all_p_one(self, tmp_path, bundle_dir):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import interp1d
 
+from sandgait import ingest
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
                              SchemaError)
 from sandgait.ingest import (ROW_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
@@ -321,6 +323,43 @@ class TestRowBlocks:
         rows = format_rows("%.6f" + ",%.9f" * 8 + "\n", table)
         assert (tmp_path / "g.csv").read_bytes() == (
             ",".join(GRF_COLUMNS) + "\n" + rows).encode()
+
+
+def test_failed_write_leaves_the_target(tmp_path, monkeypatch, rng):
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"old\n")
+    calls, real = [], ingest.format_rows
+
+    def format_rows(row_format, table):  # fails on the second block
+        calls.append(len(table))
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(row_format, table)
+
+    monkeypatch.setattr(ingest, "format_rows", format_rows)
+    table = rng.normal(size=(2 * ROW_BLOCK, 9))
+    with pytest.raises(OSError, match="disk full"):
+        write_grf_file(path, GrfData(time=table[:, 0], force=table[:, 1:4],
+                                     moment=table[:, 4:7], cop=table[:, 7:]))
+    assert calls == [ROW_BLOCK, ROW_BLOCK]
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+
+
+#: a call that writes a file: Path.write_text/write_bytes, os.replace, or
+#: open() with a write, append, create or update mode
+_FILE_WRITE = re.compile(r"""\.write_(?:text|bytes)\(|\bos\.replace\b"""
+                         r"""|\bopen\([^)]*["'](?=[rbt]*[wax+])[rwabxt+]+["']""")
+
+
+def test_only_ingest_writes_files():
+    # every output file goes through ingest's atomic UTF-8 writers
+    src = Path(ingest.__file__).parent
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(src.glob("*.py")) if path.name != "ingest.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if _FILE_WRITE.search(line)]
+    assert found == []
 
 
 def test_marker_file_is_utf8_under_the_c_locale(tmp_path):

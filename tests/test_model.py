@@ -11,6 +11,12 @@ def test_participant_weight(participant):
     assert participant.weight == pytest.approx(74.5 * 9.81, rel=1e-12)
 
 
+def test_participant_json_round_trip(participant):
+    doc = participant.to_json()
+    assert doc == {"id": "p01", "height_m": 1.75, "mass_kg": 74.5}
+    assert Participant.from_json(doc) == participant
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(height=0.0, mass=70.0),
     dict(height=-1.7, mass=70.0),
