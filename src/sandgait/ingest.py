@@ -4,8 +4,11 @@ Marker files are plain CSV (``time,<label>_x,<label>_y,<label>_z,...`` in
 meters, missing coordinates as empty fields).  GRF files carry
 ``time,fx,fy,fz,mx,my,mz,copx,copy`` in N, N m, m, all as UTF-8.  A file
 is parsed from its bytes by one ``np.loadtxt`` call and written in blocks
-of ``ROW_BLOCK`` rows through one printf row format, so reading or writing
-holds a small multiple of the file, not of the whole table as text.
+of ``ROW_BLOCK`` rows, so reading or writing holds a small multiple of the
+file, not of the whole table as text.  A block is formatted by one printf
+row format; where every cell is ``%.Nf`` over float64, as in marker and
+GRF files, a numpy kernel writes the same bytes two to four times as
+fast.
 Every file sandgait writes goes through ``write_rows``, ``write_text`` or
 ``write_json``: UTF-8 whatever the locale, and atomic (written to
 ``<name>.tmp``, then renamed) so partial runs never corrupt outputs.
@@ -14,6 +17,7 @@ The 1000 Hz GRF stream is decimated 10:1 by boxcar averaging onto the
 """
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -187,8 +191,188 @@ def _check_monotone(time: np.ndarray, path, header_lines: int) -> None:
 
 
 def format_rows(row_format: str, table: np.ndarray) -> str:
-    """Every row of a 2-D array through one printf row format."""
+    """Every row of a 2-D array through one printf row format.  A float64
+    table under a format whose cells are all ``%.Nf`` (N <= 9) is formatted
+    by ``_fixed_rows``, to the same bytes; others, and tables holding a
+    finite |x|·10^N of 2^53 or more (less where the N of a row differ by
+    more than 3), go through printf."""
+    layout = _fixed_layout(row_format)
+    if (layout is not None and table.dtype == np.float64 and table.ndim == 2
+            and table.shape[1] == len(layout.scale)):
+        rows = _fixed_rows(layout, table)
+        if rows is not None:
+            return rows
+    return _printf_rows(row_format, table)
+
+
+def _printf_rows(row_format: str, table: np.ndarray) -> str:
     return (row_format * len(table)) % tuple(table.ravel().tolist())
+
+
+# The %.Nf kernel writes each cell as 4-byte words looked up by 3-digit
+# chunk, NUL bytes standing for absent characters, and deletes the NULs.
+_CELL = re.compile(r"%\.(\d)f")
+_EXACT = 2.0 ** 53  # below it a double holds every integer and half
+
+
+def _chunk_words(kept: int = 3, lead: str = "\0", strip: bool = False,
+                 zero: bool = False) -> np.ndarray:
+    """The word of each chunk 0..999: byte 0 is ``lead``, bytes 1-3 the
+    first ``kept`` of its three digits; ``strip`` drops leading zeros, all
+    of them for the chunk 0 unless ``zero``."""
+    chunk = np.arange(1000)
+    words = np.zeros((1000, 4), np.uint8)
+    words[:, 0] = ord(lead)
+    words[:, 1:] = np.stack([chunk // 100, chunk // 10 % 10, chunk % 10],
+                            axis=1) + ord("0")
+    words[:, 1 + kept:] = 0
+    if strip:
+        words[:, 1:] *= chunk[:, None] >= [100, 10, 0 if zero else 1]
+    return words.view(np.uint32).ravel()
+
+
+# Integer chunks are looked up at one of four offsets, + 1000 for a chunk
+# under higher digits (which keeps its zeros) or, at the top, for a minus
+# sign; the units chunk always keeps its last digit.
+_INT_ONES, _INT_MORE, _TOP_ONES, _TOP_MORE = 0, 2000, 4000, 6000
+_FRAC = 8000  # + 1000 * (4 * point + digits kept)
+_WORDS = np.concatenate(
+    [_chunk_words(strip=True, zero=True), _chunk_words(),
+     _chunk_words(strip=True), _chunk_words(),
+     _chunk_words(strip=True, zero=True),
+     _chunk_words(lead="-", strip=True, zero=True),
+     _chunk_words(strip=True), _chunk_words(lead="-", strip=True)]
+    + [_chunk_words(kept, lead) for lead in "\0." for kept in range(4)])
+_SPECIAL = {name: np.frombuffer(name.encode().ljust(4, b"\0"), np.uint32)[0]
+            for name in ("nan", "inf", "-inf")}
+
+
+@dataclass(frozen=True)
+class _FixedLayout:
+    """A row format of ``%.Nf`` cells, per cell: 10^N; the factor that
+    widens N decimals to ``3 * frac_words``; the |x|·10^N below which the
+    widened integer is exact in an int64; the table offset of each
+    fraction word; and the words of the text after the cell."""
+
+    scale: np.ndarray     # (C,)
+    widen: np.ndarray     # (C,)
+    limit: np.ndarray     # (C,)
+    frac_at: np.ndarray   # (C, frac_words)
+    after: np.ndarray     # (C, S) words
+
+    def __post_init__(self):
+        for value in vars(self).values():  # the cache shares each layout
+            value.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=32)
+def _fixed_layout(row_format: str) -> _FixedLayout | None:
+    """The kernel's layout of ``row_format``, or None unless every cell is
+    ``%.Nf``, the row starts with one, and the text after each holds no
+    ``%`` and no NUL."""
+    pieces = _CELL.split(row_format)
+    texts, decimals = pieces[0::2], np.array(pieces[1::2], dtype=np.int64)
+    if (not len(decimals) or texts[0]
+            or any("%" in t or "\0" in t for t in texts)):
+        return None
+    frac_words = -(-int(decimals.max()) // 3)
+    widen = 10 ** (3 * frac_words - decimals)
+    # fraction word j keeps the digits N - 3j of its three; the first has
+    # the point
+    kept = np.clip(decimals[:, None] - 3 * np.arange(frac_words), 0, 3)
+    dot = (np.arange(frac_words) == 0) & (decimals[:, None] > 0)
+    after = [t.encode("utf-8") for t in texts[1:]]
+    width = -(-max(map(len, after)) // 4) * 4
+    return _FixedLayout(
+        scale=10.0 ** decimals, widen=widen,
+        limit=np.minimum(_EXACT, (2.0 ** 63 - _EXACT) / widen),
+        frac_at=_FRAC + 1000 * (4 * dot + kept),
+        after=np.frombuffer(b"".join(t.ljust(width, b"\0") for t in after),
+                            np.uint32).reshape(len(after), width // 4))
+
+
+def _fixed_integers(layout: _FixedLayout, table: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """|x|·10^N of each cell rounded half-even, as an int64 widened to the
+    layout's decimals (0 for a non-finite cell), and the non-finite cells
+    if any; None when a finite |x|·10^N reaches the layout's limit."""
+    with np.errstate(over="ignore"):  # an infinite product takes printf
+        prod = np.abs(table) * layout.scale
+    special = None
+    if not (prod < layout.limit).all():
+        special = ~np.isfinite(table)
+        if (prod[~special] >= np.broadcast_to(layout.limit, table.shape)[
+                ~special]).any():
+            return None
+        prod[special] = 0.0
+    rounded = np.rint(prod)
+    # a product that lands on a half may be the rounding of an exact
+    # product on either side of it: its error decides
+    tie = np.abs(prod - rounded) == 0.5
+    if tie.any():
+        err = _product_error(np.abs(table[tie]),
+                             np.broadcast_to(layout.scale, table.shape)[tie])
+        rounded[tie] = np.where(err == 0, rounded[tie],
+                                prod[tie] + np.copysign(0.5, err))
+    rest = rounded.astype(np.int64)
+    rest *= layout.widen
+    return rest, special
+
+
+def _fixed_rows(layout: _FixedLayout, table: np.ndarray) -> str | None:
+    """``format_rows`` for a layout's format: the integers of
+    ``_fixed_integers`` cut into 3-digit chunks that index ``_WORDS``."""
+    if not len(table):
+        return ""
+    fixed = _fixed_integers(layout, table)
+    if fixed is None:
+        return None
+    rest, special = fixed
+    neg = np.signbit(table)
+
+    frac_words = layout.frac_at.shape[1]
+    int_words = max(1, -(-(len(str(int(rest.max()))) - 3 * frac_words) // 3))
+    digits = int_words + frac_words
+    cells = np.empty(table.shape + (digits + layout.after.shape[1],),
+                     np.uint32)
+    cells[..., digits:] = layout.after
+    words = cells[..., :digits]
+    for w in range(digits - 1, -1, -1):  # last chunk first
+        if w:
+            higher = rest // 1000
+            chunk = rest - 1000 * higher
+        else:
+            higher, chunk = None, rest
+        if w >= int_words:
+            chunk += layout.frac_at[:, w - int_words]
+        elif w == 0:  # the top chunk, which takes the sign
+            chunk += (_TOP_ONES if int_words == 1 else _TOP_MORE) + 1000 * neg
+        else:
+            chunk += ((_INT_ONES if w == int_words - 1 else _INT_MORE)
+                      + 1000 * (higher > 0))
+        words[..., w] = _WORDS[chunk]
+        rest = higher
+    if special is not None and special.any():
+        words[special] = 0
+        words[special, 0] = np.where(
+            np.isnan(table), _SPECIAL["nan"],
+            np.where(neg, _SPECIAL["-inf"], _SPECIAL["inf"]))[special]
+    return cells.tobytes().translate(None, b"\0").decode("utf-8")
+
+
+def _product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a·b - fl(a·b), exactly (Dekker 1971), barring over- and underflow."""
+    prod = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into two halves of 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 #: Rows formatted and written at a time by ``write_rows``.

@@ -379,15 +379,9 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     h = result.config_hash
 
-    write_json(out / "meta.json", {
-        "participant_id": result.participant_id,
-        "terrain": result.terrain,
-        "config_hash": h,
-        "plate_side": result.plate_side,
-        "fx_uncalibrated": result.terrain == "sand",
-        "cohens_d_variant": "pooled condition SD",
-        "warnings": result.warnings,
-    })
+    # compare takes a directory holding meta.json for a bundle, so it is
+    # removed first and written last: a failed write leaves no bundle
+    (out / "meta.json").unlink(missing_ok=True)
 
     rows = sorted(result.events.rows(), key=lambda r: r[2])
     _write_table(out / "events.csv", h, ["side", "event", "time_s"],
@@ -445,3 +439,12 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
     if result.stiffness is not None:
         features["knee_stiffness"] = asdict(result.stiffness)
     write_json(out / "features.json", features)
+    write_json(out / "meta.json", {
+        "participant_id": result.participant_id,
+        "terrain": result.terrain,
+        "config_hash": h,
+        "plate_side": result.plate_side,
+        "fx_uncalibrated": result.terrain == "sand",
+        "cohens_d_variant": "pooled condition SD",
+        "warnings": result.warnings,
+    })

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sandgait import ingest, synth
 from sandgait.cli import main
 from sandgait.pipeline import RunConfig
 
@@ -550,12 +551,38 @@ class TestPinnedBytes:
         assert main(["compare", "--a", "a", "--b", "b", "--out", "r"]) == 0
         assert self._digests(Path("r")) == self.COMPARE
 
+    def test_trial_files_skip_printf(self, tmp_path, monkeypatch):
+        # markers.csv and grf.csv take the %.Nf kernel, not printf, and
+        # keep their digests; so does a marker file with empty cells
+        monkeypatch.setattr(ingest, "_printf_rows", _no_printf)
+        result = synth.synthesize_gait(synth.stride_profile())
+        ingest.write_marker_file(tmp_path / "markers.csv", result.markers)
+        ingest.write_grf_file(tmp_path / "grf.csv", result.grf)
+        assert self._digests(tmp_path) == {
+            name: self.SIMULATE[name] for name in ("grf.csv", "markers.csv")}
+
+        markers, labels = result.markers.copy(), sorted(result.markers.pos)
+        rng = np.random.default_rng(18)
+        for g in range(24):
+            start = int(rng.integers(len(markers) - 5))
+            markers.pos[labels[g % len(labels)]][start:start + 1 + g % 5, g % 3:] = np.nan
+        ingest.write_marker_file(tmp_path / "gappy.csv", markers)
+        table = np.column_stack([markers.time] + [markers.pos[l] for l in labels])
+        row_format = "%.6f" + ",%.9f" * (3 * len(labels)) + "\n"
+        rows = (row_format * len(table)) % tuple(table.ravel().tolist())
+        lines = (tmp_path / "gappy.csv").read_text().split("\n", 1)
+        assert lines[1] == rows.replace(",nan", ",")
+
     def test_calibrate_curve(self, tmp_path):
         samples, out = tmp_path / "s.csv", tmp_path / "curve.csv"
         samples.write_text(_calibration_samples())
         assert main(["calibrate", "--samples", str(samples),
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CURVE
+
+
+def _no_printf(row_format, table):
+    raise AssertionError(f"printf took a block of {row_format!r}")
 
 
 def _relabelled_copy(bundle, dst, pid):
@@ -644,6 +671,29 @@ class TestCompare:
         a, b = self._sets(tmp_path, bundle_dir, ["p1"], ["p1"])
         assert main(["compare", "--a", str(a), "--b", str(b),
                      "--out", str(tmp_path / "r")]) == 2
+
+    def test_failed_analyze_leaves_no_bundle(self, tmp_path, bundle_dir,
+                                             sim_dir):
+        # an analyze that fails on its last write leaves no meta.json, so
+        # compare does not take the directory for a bundle with missing
+        # metrics; an older bundle there loses its meta.json first
+        pid = json.loads((sim_dir / "meta.json").read_text())["participant"]["id"]
+        a, b = self._sets(tmp_path, bundle_dir, ["p1", "p2", pid],
+                          ["p1", "p2", pid])
+        (a / pid / "features.json").unlink()
+        (a / pid / "features.json").mkdir()
+        assert main(["analyze", "--markers", str(sim_dir / "markers.csv"),
+                     "--grf", str(sim_dir / "grf.csv"),
+                     "--meta", str(sim_dir / "meta.json"),
+                     "--out", str(a / pid)]) == 2
+        assert not (a / pid / "meta.json").exists()
+        (a / pid / "features.json").rmdir()
+        out = tmp_path / "report"
+        assert main(["compare", "--a", str(a), "--b", str(b),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["participants"] == ["p1", "p2"]
+        assert len(report["rows"]) == 25
 
     def test_header_only_stride_metrics(self, tmp_path, bundle_dir):
         # a stride file with no rows adds no stride metrics; the metrics it

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import re
 import subprocess
@@ -323,6 +324,100 @@ class TestRowBlocks:
         rows = format_rows("%.6f" + ",%.9f" * 8 + "\n", table)
         assert (tmp_path / "g.csv").read_bytes() == (
             ",".join(GRF_COLUMNS) + "\n" + rows).encode()
+
+
+def _printf(row_format, table):
+    """The oracle: printf itself, over every cell of ``table``."""
+    return (row_format * len(table)) % tuple(table.ravel().tolist())
+
+
+@st.composite
+def _near_half(draw):
+    """A double a few ulps from (k + 1/2)/10^N: its product by 10^N may
+    round onto the half without being it, or be a true half."""
+    n, k = draw(st.integers(0, 9)), draw(st.integers(0, 10 ** 6))
+    x = (k + 0.5) / 10 ** n
+    x += draw(st.integers(-3, 3)) * np.spacing(x)
+    return -x if draw(st.booleans()) else x
+
+
+class TestFixedKernel:
+    """``format_rows`` formats tables of ``%.Nf`` cells without printf; its
+    bytes are printf's, ties, signed zeros and non-finite cells included."""
+
+    cells = st.one_of(
+        st.floats(-1e6, 1e6),
+        st.floats(-1e-9, 0.0),  # -0.0 and negatives that round to zero
+        st.builds(lambda m, j: m / 2.0 ** j,  # exact ties among them
+                  st.integers(-2 ** 20, 2 ** 20), st.integers(0, 30)),
+        _near_half(),
+        st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+    formats = st.lists(st.integers(0, 9), min_size=1, max_size=6).map(
+        lambda ns: ",".join(f"%.{n}f" for n in ns) + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(formats, st.data())
+    def test_matches_printf(self, row_format, data):
+        table = data.draw(arrays(np.float64, st.tuples(
+            st.integers(1, 12), st.just(row_format.count("%"))),
+            elements=self.cells))
+        with _printf_calls() as calls:
+            assert format_rows(row_format, table) == _printf(row_format, table)
+        assert calls == []
+
+    def test_ties_and_signed_zeros(self):
+        # 2^-10 and the %.0f halves are exact ties, printed half-even;
+        # 2.5e-9 and 1.5e-9 are not, though 10^9 times each rounds to a half
+        table = np.array([[0.0009765625, 2.5e-9, 0.5],
+                          [-0.0009765625, -1.5e-9, 2.5],
+                          [-4e-10, np.nan, -0.0],
+                          [1234.5, 1e6, -np.inf]])
+        row_format = "%.9f,%.9f,%.0f\n"
+        with _printf_calls() as calls:
+            rows = format_rows(row_format, table)
+        assert rows == ("0.000976562,0.000000003,0\n"
+                        "-0.000976562,-0.000000001,2\n"
+                        "-0.000000000,nan,-0\n"
+                        "1234.500000000,1000000.000000000,-inf\n")
+        assert rows == _printf(row_format, table) and calls == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9), st.lists(st.integers(-4, 4), min_size=1,
+                                       max_size=4), st.booleans())
+    def test_the_exact_limit(self, n, steps, negative):
+        # cells a few ulps either side of 2^53 / 10^N: a table whose
+        # products are all below 2^53 takes the kernel, others printf
+        edge = 2.0 ** 53 / 10 ** n
+        table = np.array([[edge + s * np.spacing(edge)] for s in steps])
+        table = -table if negative else table
+        with _printf_calls() as calls:
+            assert format_rows(f"%.{n}f\n", table) == _printf(f"%.{n}f\n", table)
+        assert bool(calls) == bool((np.abs(table) * 10.0 ** n >= 2 ** 53).any())
+
+    def test_other_formats_take_printf(self):
+        table = np.array([[1.25, 2.0]])
+        with _printf_calls() as calls:
+            for row_format in ("%.9g,%.9f\n", "%.6f,%d\n", "%.6f,%%%.2f\n",
+                               "%.10f,%.9f\n", "t=%.2f,%.2f\n"):
+                assert format_rows(row_format, table) == _printf(row_format, table)
+            assert format_rows("%s,%.3f\n", np.array([["a", 1.5]], dtype=object)) \
+                == "a,1.500\n"
+            assert format_rows("%.3f\n", np.array([[1]])) == "1.000\n"
+        assert len(calls) == 7
+
+
+@contextlib.contextmanager
+def _printf_calls():
+    """The tables ``format_rows`` hands to printf while the block runs."""
+    calls, real = [], ingest._printf_rows
+
+    def printf(row_format, table):
+        calls.append(table)
+        return real(row_format, table)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ingest, "_printf_rows", printf)
+        yield calls
 
 
 def test_failed_write_leaves_the_target(tmp_path, monkeypatch, rng):
