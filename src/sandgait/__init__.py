@@ -13,7 +13,7 @@ from .schema import MarkerSchema
 from .ingest import (MarkerData, GrfData, TrialMeta, TrialRecord,
                      parse_trial, fill_gaps, align_streams)
 from .kinematics import (moving_average, differentiate, pitch_angle,
-                         SegmentStateSeries, segment_states, joint_angles,
+                         smooth_markers, segment_states, joint_angles,
                          com_trajectory)
 from .gaitseg import (EventThresholds, SideEvents, GaitEvents,
                       detect_side_events, phase_normalize, NormalizedCurve,

@@ -16,7 +16,9 @@ additionally carries the thigh-mass force term that the closed form omits
 (``hip_thigh_mass_term``).
 
 The same code path serves stance and swing: swing frames simply carry a
-zero external load.
+zero external load.  One state type, ``FrameState``, runs from segment
+kinematics (``kinematics.segment_states`` returns it, COM position set)
+into ``recursive_leg``; the oracle's single frames leave ``com`` unset.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .kinematics import SegmentStateSeries
 from .model import E_Z, GRAVITY, LEG_SEGMENTS, SegmentParams
 
 JOINTS = ("ankle", "knee", "hip")
@@ -57,6 +58,7 @@ class FrameState:
     e: np.ndarray          # (3,) or (N, 3), unit proximal -> distal
     acc: np.ndarray        # (3,) or (N, 3), COM acceleration
     omega_dot: np.ndarray  # (3,) or (N, 3), angular acceleration vector
+    com: np.ndarray | None = None  # (N, 3), COM position; not read here
 
 
 def transfer_to_distal(F_G: np.ndarray, M_G: np.ndarray,
@@ -215,8 +217,7 @@ class JointMomentSeries:
 
 def leg_moment_series(time: np.ndarray,
                       load: ExternalLoad,
-                      foot: SegmentStateSeries, shank: SegmentStateSeries,
-                      thigh: SegmentStateSeries,
+                      foot: FrameState, shank: FrameState, thigh: FrameState,
                       params: dict[str, SegmentParams],
                       body_mass: float,
                       g: float = GRAVITY) -> JointMomentSeries:
@@ -224,17 +225,16 @@ def leg_moment_series(time: np.ndarray,
     over ``(N, 3)`` arrays.  ``load`` holds one ground load per frame.
     Frames where any segment direction is missing come out NaN."""
     n = len(time)
-    series = {"foot": foot, "shank": shank, "thigh": thigh}
-    for name, s in series.items():
-        if len(s) != n or not np.allclose(s.time, time):
-            raise ContractError(f"{name} state timestamps do not match")
-    if any(np.shape(v) != (n, 3) for v in (load.force, load.moment, load.r)):
-        raise ContractError(f"got loads of shape {np.shape(load.force)} "
-                            f"for {n} frames")
+    states = {"foot": foot, "shank": shank, "thigh": thigh}
+    fields = {f"{name} state": (s.e, s.acc, s.omega_dot)
+              for name, s in states.items()}
+    fields["loads"] = (load.force, load.moment, load.r)
+    for name, arrays in fields.items():
+        if any(np.shape(v) != (n, 3) for v in arrays):
+            raise ContractError(f"got {name} of shape {np.shape(arrays[0])} "
+                                f"for {n} frames")
 
-    states = {name: FrameState(e=s.e, acc=s.com_acc, omega_dot=s.omega_dot)
-              for name, s in series.items()}
-    valid = np.all([np.isfinite(s.e).all(axis=1) for s in series.values()],
+    valid = np.all([np.isfinite(s.e).all(axis=1) for s in states.values()],
                    axis=0)
     rec = recursive_leg(load, states, params, g)
     mom = {j: np.where(valid, rec[j][1][:, 1], np.nan) for j in JOINTS}

@@ -23,7 +23,7 @@ import json
 import os
 import re
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,6 @@ class TrialRecord:
     meta: TrialMeta
     markers: MarkerData
     grf: GrfData
-    grf_aligned: GrfData | None = field(default=None)
 
 
 def read_meta_file(path: str | Path) -> TrialMeta:
@@ -180,6 +179,16 @@ def expect_columns(path, columns: list[str]) -> Callable[[list[str]], None]:
         if [c.strip() for c in header] != columns:
             raise FormatError(f"{path}: expected header {','.join(columns)}")
     return check
+
+
+def _check_finite(table: np.ndarray, bad: np.ndarray, path,
+                  columns: list[str]) -> None:
+    """Reject the first cell of ``table`` that ``bad`` marks, by line and
+    column; a file with one header line and no skipped lines."""
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise FormatError(f"{path}:{row + 2}: non-finite value "
+                          f"{table[row, col]:g} in column {columns[col]}")
 
 
 def _check_monotone(time: np.ndarray, path, header_lines: int) -> None:
@@ -441,6 +450,11 @@ def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
     arr = read_csv_table(path, check_header, empty_is_nan=True)
     if not len(arr):
         raise FormatError(f"{path}: marker file has no data rows")
+    # a NaN position is a missing one; a time must be finite
+    bad = np.isinf(arr)
+    bad[:, 0] = ~np.isfinite(arr[:, 0])
+    _check_finite(arr, bad, path, ["time"] + [f"{l}_{ax}" for l in labels
+                                              for ax in "xyz"])
     _check_monotone(arr[:, 0], path, header_lines=1)
     return MarkerData(time=arr[:, 0].copy(), pos={
         label: arr[:, 1 + 3 * k:4 + 3 * k].copy() for k, label in enumerate(labels)})
@@ -460,6 +474,7 @@ def read_grf_file(path: str | Path) -> GrfData:
     arr = read_csv_table(path, expect_columns(path, GRF_COLUMNS))
     if not len(arr):
         raise FormatError(f"{path}: GRF file has no data rows")
+    _check_finite(arr, ~np.isfinite(arr), path, GRF_COLUMNS)
     _check_monotone(arr[:, 0], path, header_lines=1)
     return GrfData(time=arr[:, 0], force=arr[:, 1:4],
                    moment=arr[:, 4:7], cop=arr[:, 7:9])
@@ -521,14 +536,14 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
     return out
 
 
-def align_streams(trial: TrialRecord) -> TrialRecord:
-    """Resample the GRF stream onto the marker timeline (10:1 boxcar).
+def align_streams(markers: MarkerData, grf: GrfData) -> GrfData:
+    """The GRF stream resampled onto the marker timeline (10:1 boxcar).
 
     Each marker timestamp receives the mean of the GRF samples in its
     centred 10-sample window; marker frames without full GRF coverage are
-    dropped from the aligned stream.  The raw stream is kept on the record.
+    dropped from the aligned stream.
     """
-    m, g = trial.markers, trial.grf
+    m, g = markers, grf
     if m.time[-1] < g.time[0] or g.time[-1] < m.time[0]:
         raise AlignmentError(
             f"marker timeline [{m.time[0]:g}, {m.time[-1]:g}] s does not "
@@ -553,7 +568,6 @@ def align_streams(trial: TrialRecord) -> TrialRecord:
     if not keep.any():
         raise AlignmentError("no marker frame has full GRF window coverage")
     window = lo[keep][:, None] + np.arange(half_lo + half_hi + 1)
-    aligned = GrfData(time=m.time[keep], force=g.force[window].mean(axis=1),
-                      moment=g.moment[window].mean(axis=1),
-                      cop=g.cop[window].mean(axis=1))
-    return replace(trial, grf_aligned=aligned)
+    return GrfData(time=m.time[keep], force=g.force[window].mean(axis=1),
+                   moment=g.moment[window].mean(axis=1),
+                   cop=g.cop[window].mean(axis=1))

@@ -1,5 +1,12 @@
 """Segment kinematics from labeled markers.
 
+Markers are smoothed once, before anything reads them: ``smooth_markers``
+stacks the markers one stage needs into an ``(N, k, 3)`` array and filters
+it by one ``moving_average`` call.  ``segment_states`` and
+``pelvis_midpoint`` take those smoothed markers and filter nothing
+themselves.  A segment's state is a ``dynamics.FrameState`` of ``(N, 3)``
+arrays, the type inverse dynamics reads, with its COM position set.
+
 All angular quantities are sagittal (lab X-Z plane, X forward, Z up);
 out-of-plane marker motion is projected out.  The pitch of a unit vector
 ``e`` is ``atan2(e_x, -e_z)``: zero pointing straight down, positive when
@@ -7,10 +14,9 @@ tilted forward.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .dynamics import FrameState
 from .errors import ConfigurationError, ParameterError, SingularSegmentError
 from .ingest import MarkerData
 from .model import SegmentParams
@@ -23,8 +29,8 @@ MIN_SEGMENT_LENGTH = 1e-3  # m
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Centred boxcar filter; edges use shrinking symmetric windows.
 
-    ``window`` must be odd and no longer than the sequence.  Works on (N,)
-    or (N, k) arrays, filtering along axis 0.  An output sample whose
+    ``window`` must be odd and no longer than the sequence.  Works on (N,),
+    (N, k) or (N, k, 3) arrays, filtering along axis 0.  An output sample whose
     window holds a non-finite input is NaN; all others are unaffected.
     """
     x = np.asarray(x, dtype=float)
@@ -96,39 +102,30 @@ def pitch_angle(e: np.ndarray) -> np.ndarray:
     return theta
 
 
-@dataclass
-class SegmentStateSeries:
-    """Per-frame rigid-segment kinematics for one segment of one side."""
-
-    time: np.ndarray
-    e: np.ndarray          # (N, 3) unit proximal -> distal
-    com_pos: np.ndarray    # (N, 3)
-    com_acc: np.ndarray
-    omega_dot: np.ndarray  # (N, 3), about the lab Y axis
-
-    def __len__(self) -> int:
-        return len(self.time)
+def smooth_markers(markers: MarkerData, labels: list[str],
+                   window: int) -> MarkerData:
+    """The markers named by ``labels``, boxcar-filtered at ``window`` by one
+    ``moving_average`` call over their ``(N, k, 3)`` stack."""
+    stack = moving_average(np.stack([markers.pos[l] for l in labels], axis=1),
+                           window)
+    return MarkerData(time=markers.time,
+                      pos={l: stack[:, k] for k, l in enumerate(labels)})
 
 
 def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
-                   segment: str, params: SegmentParams,
-                   filter_window: int = 7) -> SegmentStateSeries:
-    """Filtered kinematic state of one leg segment.
+                   segment: str, params: SegmentParams) -> FrameState:
+    """Kinematic state of one leg segment from smoothed markers.
 
-    Marker positions are boxcar-filtered before differencing.  The angular
-    acceleration comes from the sagittal segment pitch differentiated twice;
-    its sign follows the lab Y axis (a forward-tipping segment has negative
-    omega about +Y).
+    The angular acceleration comes from the sagittal segment pitch
+    differentiated twice; its sign follows the lab Y axis (a
+    forward-tipping segment has negative omega about +Y).
     """
     prox_label, dist_label = schema.segment_endpoints(side, segment)
     dt = markers.dt
-    p = moving_average(markers.pos[prox_label], filter_window)
-    d = moving_average(markers.pos[dist_label], filter_window)
-
-    delta = d - p
+    p = markers.pos[prox_label]
+    delta = markers.pos[dist_label] - p
     norm = np.linalg.norm(delta, axis=1)
-    finite = np.isfinite(norm)
-    degenerate = finite & (norm < MIN_SEGMENT_LENGTH)
+    degenerate = norm < MIN_SEGMENT_LENGTH  # False where NaN
     if degenerate.any():
         frame = int(np.where(degenerate)[0][0])
         raise SingularSegmentError(
@@ -137,20 +134,15 @@ def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
     with np.errstate(invalid="ignore"):
         e = delta / norm[:, None]
 
-    com_pos = p + params.com_offset * e
-    com_acc = differentiate(com_pos, dt, order=2)
-
-    theta = pitch_angle(e)
-    theta_ddot = differentiate(theta, dt, order=2)
+    com = p + params.com_offset * e
     omega_dot = np.zeros_like(e)
-    omega_dot[:, 1] = -theta_ddot
+    omega_dot[:, 1] = -differentiate(pitch_angle(e), dt, order=2)
+    return FrameState(e=e, acc=differentiate(com, dt, order=2),
+                      omega_dot=omega_dot, com=com)
 
-    return SegmentStateSeries(time=markers.time.copy(), e=e, com_pos=com_pos,
-                              com_acc=com_acc, omega_dot=omega_dot)
 
-
-def joint_angles(thigh: SegmentStateSeries, shank: SegmentStateSeries,
-                 foot: SegmentStateSeries) -> dict[str, np.ndarray]:
+def joint_angles(thigh: FrameState, shank: FrameState,
+                 foot: FrameState) -> dict[str, np.ndarray]:
     """Sagittal joint angles in degrees for one side.
 
     hip: thigh pitch against the vertical trunk-axis proxy, flexion
@@ -168,24 +160,24 @@ def joint_angles(thigh: SegmentStateSeries, shank: SegmentStateSeries,
     }
 
 
-def pelvis_midpoint(markers: MarkerData, schema: MarkerSchema,
-                    filter_window: int = 7) -> np.ndarray:
-    stack = np.stack([moving_average(markers.pos[l], filter_window)
-                      for l in schema.pelvis_labels()])
-    return stack.mean(axis=0)
+def pelvis_midpoint(markers: MarkerData, schema: MarkerSchema) -> np.ndarray:
+    """Mean of the pelvis markers, from smoothed markers."""
+    return np.stack([markers.pos[l]
+                     for l in schema.pelvis_labels()]).mean(axis=0)
 
 
-def com_trajectory(states: dict[tuple[str, str], SegmentStateSeries],
+def com_trajectory(states: dict[tuple[str, str], FrameState],
                    params: dict[str, SegmentParams],
                    body_mass: float,
                    pelvis_mid: np.ndarray) -> np.ndarray:
     """Whole-body COM proxy: mass-weighted segment COMs, with the residual
-    (head-arms-trunk) mass lumped at the pelvis-marker midpoint."""
+    (head-arms-trunk) mass lumped at the pelvis-marker midpoint.  The
+    segments are summed in the order of ``states``."""
     total = 0.0
     weighted = np.zeros_like(pelvis_mid)
     for (side, segment), st in states.items():
         m = params[segment].mass
-        weighted = weighted + m * st.com_pos
+        weighted = weighted + m * st.com
         total += m
     residual = body_mass - total
     if residual < -1e-9:

@@ -1,10 +1,10 @@
 """End-to-end trial analysis, plus the on-disk artifact bundle.
 
 ``analyze_trial`` runs named stages on whole arrays: ``_surface_grf`` (the
-sand rescale), gap-fill and alignment, segment kinematics,
-``_detect_events``, ``_plate_load``, inverse dynamics, ``_plate_stance``
-(the stance window of the stance curves), then the outcome curves and
-scalars.  Every output embeds the config hash.
+sand rescale), gap-fill and alignment, marker smoothing (once per window),
+segment kinematics, ``_detect_events``, ``_plate_load``, inverse dynamics,
+``_plate_stance`` (the stance window of the stance curves), then the
+outcome curves and scalars.  Every output embeds the config hash.
 """
 from __future__ import annotations
 
@@ -137,13 +137,13 @@ class AnalysisResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _mean_segment_lengths(trial, schema) -> dict[str, float]:
+def _mean_segment_lengths(markers, schema) -> dict[str, float]:
     lengths = {}
     for seg in LEG_SEGMENTS:
         per_side = []
         for side in SIDES:
             p_label, d_label = schema.segment_endpoints(side, seg)
-            delta = trial.markers.pos[d_label] - trial.markers.pos[p_label]
+            delta = markers.pos[d_label] - markers.pos[p_label]
             norms = np.linalg.norm(delta, axis=1)
             norms = norms[np.isfinite(norms)]
             if norms.size == 0:
@@ -154,17 +154,16 @@ def _mean_segment_lengths(trial, schema) -> dict[str, float]:
     return lengths
 
 
-def _attribute_plate_side(trial, schema) -> str:
+def _attribute_plate_side(aligned, markers, schema) -> str:
     """Pick the leg standing on the instrumented plate: the side whose
     ankle is nearest the COP at peak vertical force."""
-    grf = trial.grf_aligned
-    i_peak = int(np.nanargmax(grf.force[:, 2]))
-    cop_x = grf.cop[i_peak, 0]
-    t_peak = grf.time[i_peak]
+    i_peak = int(np.nanargmax(aligned.force[:, 2]))
+    cop_x = aligned.cop[i_peak, 0]
+    t_peak = aligned.time[i_peak]
     best, best_d = None, math.inf
     for side in SIDES:
         label = schema.joint_label(side, "ankle")
-        x = np.interp(t_peak, trial.markers.time, trial.markers.pos[label][:, 0])
+        x = np.interp(t_peak, markers.time, markers.pos[label][:, 0])
         d = abs(x - cop_x)
         if d < best_d:
             best, best_d = side, d
@@ -189,13 +188,12 @@ def _surface_grf(trial: TrialRecord, cfg: RunConfig) -> GrfData:
 
 def _detect_events(markers: MarkerData, schema: MarkerSchema,
                    cfg: RunConfig) -> tuple[GaitEvents, dict[str, np.ndarray]]:
-    """Gait events of both sides from lightly filtered heel and toe series,
-    and the filtered heel of each side, which also places the strides."""
+    """Gait events of both sides from smoothed heel and toe markers, and
+    the heel of each side, which also places the strides."""
     ev, heel = {}, {}
     for side in SIDES:
-        heel[side], toe = (kinematics.moving_average(
-            markers.pos[schema.joint_label(side, part)], cfg.event_filter_window)
-            for part in ("heel", "toe"))
+        heel[side], toe = (markers.pos[schema.joint_label(side, part)]
+                           for part in ("heel", "toe"))
         ev[side] = gaitseg.detect_side_events(
             markers.time, heel[side][:, 2], toe[:, 2],
             np.gradient(heel[side][:, 0], markers.dt), cfg.thresholds())
@@ -247,41 +245,48 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     warnings = (["fx passed through uncalibrated (sand terrain)"]
                 if trial.meta.terrain == "sand" else [])
 
-    trial = align_streams(TrialRecord(
-        meta=trial.meta, markers=fill_gaps(trial.markers, cfg.max_gap_frames),
-        grf=_surface_grf(trial, cfg)))
-    time = trial.markers.time
+    markers = fill_gaps(trial.markers, cfg.max_gap_frames)
+    grf = _surface_grf(trial, cfg)
+    aligned = align_streams(markers, grf)
+    time = markers.time
     params = segment_parameters(participant, table,
-                                _mean_segment_lengths(trial, schema))
+                                _mean_segment_lengths(markers, schema))
+
+    # each marker a stage reads is smoothed once: the leg chain and pelvis
+    # at filter_window, the heels and toes for events at event_filter_window
+    smoothed = kinematics.smooth_markers(
+        markers, [schema.joint_label(side, joint) for side in SIDES
+                  for joint in ("hip", "knee", "ankle", "toe")]
+        + schema.pelvis_labels(), cfg.filter_window)
+    feet = kinematics.smooth_markers(
+        markers, [schema.joint_label(side, part) for side in SIDES
+                  for part in ("heel", "toe")], cfg.event_filter_window)
 
     # segment states and joint angles
-    states: dict[tuple[str, str], kinematics.SegmentStateSeries] = {}
+    states: dict[tuple[str, str], dynamics.FrameState] = {}
     angles = {}
     for side in SIDES:
         # thigh first: this order fixes the float sum of com_trajectory
         for seg in reversed(LEG_SEGMENTS):
             states[(side, seg)] = kinematics.segment_states(
-                trial.markers, schema, side, seg, params[seg],
-                filter_window=cfg.filter_window)
+                smoothed, schema, side, seg, params[seg])
         angles[side] = kinematics.joint_angles(
             states[(side, "thigh")], states[(side, "shank")],
             states[(side, "foot")])
-    pelvis_mid = kinematics.pelvis_midpoint(trial.markers, schema,
-                                            cfg.filter_window)
+    pelvis_mid = kinematics.pelvis_midpoint(smoothed, schema)
     com = kinematics.com_trajectory(states, params, participant.mass, pelvis_mid)
 
-    events, heel = _detect_events(trial.markers, schema, cfg)
-    plate_side = _attribute_plate_side(trial, schema)
+    events, heel = _detect_events(feet, schema, cfg)
+    plate_side = _attribute_plate_side(aligned, markers, schema)
     plate_ev = events.side(plate_side)
     body_weight = participant.mass * cfg.gravity
     warnings.extend(gaitseg.grf_stance_check(
-        plate_ev, trial.grf.time, trial.grf.force[:, 2], body_weight,
+        plate_ev, grf.time, grf.force[:, 2], body_weight,
         fraction=cfg.plate_threshold_bw))
 
     # inverse dynamics; only the plate side carries a ground load
     plate_load, on_plate = _plate_load(
-        trial.grf_aligned, time,
-        trial.markers.pos[schema.joint_label(plate_side, "toe")],
+        aligned, time, markers.pos[schema.joint_label(plate_side, "toe")],
         cfg.plate_threshold_bw * body_weight)
     no_load = dynamics.ExternalLoad(*np.zeros((3, len(time), 3)))
     moments = {side: dynamics.leg_moment_series(
@@ -310,11 +315,11 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     grf_stance, moment_stance, grf_features = {}, {}, None
     if stance is not None:
         fxz_bw = forces.normalize_grf(
-            kinematics.moving_average(trial.grf.force[:, [0, 2]],
+            kinematics.moving_average(grf.force[:, [0, 2]],
                                       cfg.grf_smooth_window),
             participant, cfg.gravity)
         grf_stance = {name: gaitseg.phase_normalize(
-            trial.grf.time, fxz_bw[:, k], stance)
+            grf.time, fxz_bw[:, k], stance)
             for k, name in enumerate(("fx", "fz"))}
         grf_features = forces.extract_grf_features(grf_stance["fx"].values,
                                                    grf_stance["fz"].values)

@@ -69,6 +69,32 @@ def gappy_bundle_dir(tmp_path_factory, sim_dir):
     return out
 
 
+#: the plate-side knee marker hidden for frames [80, 88) of the stride
+#: trial: longer than ``max_gap_frames``, so the gap is left NaN
+UNFILLED_GAP = ("R-knee", 80, 88)
+
+
+@pytest.fixture(scope="module")
+def unfilled_gap_bundle_dir(tmp_path_factory, sim_dir):
+    """The stride trial with one interior leg-joint gap too long to fill,
+    analysed: its NaN frames go through the smoother into the bundle."""
+    trial = tmp_path_factory.mktemp("unfilled")
+    lines = (sim_dir / "markers.csv").read_text().split("\n")
+    label, start, stop = UNFILLED_GAP
+    col = lines[0].split(",").index(f"{label}_x")
+    for i in range(1 + start, 1 + stop):
+        cells = lines[i].split(",")
+        cells[col:col + 3] = ["", "", ""]
+        lines[i] = ",".join(cells)
+    (trial / "markers.csv").write_text("\n".join(lines))
+    out = tmp_path_factory.mktemp("unfilled_bundle") / "b"
+    assert main(["analyze", "--markers", str(trial / "markers.csv"),
+                 "--grf", str(sim_dir / "grf.csv"),
+                 "--meta", str(sim_dir / "meta.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
 class TestSimulate:
     def test_files_emitted(self, sim_dir):
         for name in ("markers.csv", "grf.csv", "meta.json", "profile.json",
@@ -262,6 +288,22 @@ def _non_utf8_markers(sim, tmp):
             f"markers.csv: not UTF-8 text (byte 0xff at offset {at})")
 
 
+def _trial_cell(name, file, column, value, lines, named):
+    """A malformed-input case: ``value`` in ``column`` of the trial's
+    ``file`` on the given file lines (every data line if None)."""
+    def fixture(sim, tmp):
+        text = (sim / file).read_text().split("\n")
+        col = text[0].split(",").index(column)
+        for i in lines or range(2, len(text)):
+            cells = text[i - 1].split(",")
+            cells[col] = value
+            text[i - 1] = ",".join(cells)
+        (tmp / file).write_text("\n".join(text))
+        return {f"--{file.split('.')[0]}": tmp / file}, f"{file}:{named}"
+    fixture.__name__ = name
+    return fixture
+
+
 def _meta(name, edit, named):
     """A malformed-input case: the trial's meta.json changed by ``edit``."""
     def fixture(sim, tmp):
@@ -330,6 +372,17 @@ _MALFORMED = [
     ("analyze", _bad_marker_cell), ("analyze", _bad_zeta_cell),
     ("analyze", _heavy_meta), ("analyze", _list_meta),
     ("analyze", _non_utf8_markers),
+    ("analyze", _trial_cell("_grf_nan_time", "grf.csv", "time", "nan", [5],
+                            "5: non-finite value nan in column time")),
+    ("analyze", _trial_cell("_grf_all_nan_fz", "grf.csv", "fz", "nan", None,
+                            "2: non-finite value nan in column fz")),
+    ("analyze", _trial_cell("_grf_inf_fz", "grf.csv", "fz", "inf", [100],
+                            "100: non-finite value inf in column fz")),
+    ("analyze", _trial_cell("_markers_nan_time", "markers.csv", "time", "nan",
+                            [5], "5: non-finite value nan in column time")),
+    ("analyze", _trial_cell("_markers_inf_cell", "markers.csv", "L-knee_z",
+                            "-inf", [7],
+                            "7: non-finite value -inf in column L-knee_z")),
     ("analyze", _meta("_negative_mass",
                       lambda m: m["participant"].update(mass_kg=-3),
                       "participant 'synthetic': mass must be > 0")),
@@ -472,11 +525,12 @@ class TestInternalError:
 
 class TestPinnedBytes:
     """The stride-preset ``simulate`` files, the bundle analysed from them
-    (written to CSV and read back) and the bundle of a gappy copy, by
-    SHA-256, as recorded with numpy 2.4.6 and scipy 1.17.1.  Reruns of one
-    commit are compared elsewhere; these digests catch a change of output
-    bytes between commits.  A change that alters them on purpose re-records
-    them and says why; so does a numpy or scipy upgrade that alters them."""
+    (written to CSV and read back) and the bundles of a gappy copy and of
+    a copy with one gap too long to fill, by SHA-256, as recorded with
+    numpy 2.4.6 and scipy 1.17.1.  Reruns of one commit are compared
+    elsewhere; these digests catch a change of output bytes between
+    commits.  A change that alters them on purpose re-records them and
+    says why; so does a numpy or scipy upgrade that alters them."""
 
     SIMULATE = {
         "grf.csv": "c299a83151a49ee3aab1498a898a323f88d9c84d31d200ba6adcb904f9903f2d",
@@ -511,6 +565,20 @@ class TestPinnedBytes:
         "stride_metrics.csv": "ddc671814d284976b28a40b5f6de872dfbcbaebd9256d22fd3a0b74f4afa15cf",
     }
 
+    #: the bundle of ``unfilled_gap_bundle_dir``: these pin NaN frames
+    #: carried through the smoother, the dynamics and the curves
+    UNFILLED_GAP_BUNDLE = {
+        "angles_cycle.csv": "499e301c2d413c6e6d1f43f43d45222483c368906fdd60bd5b12a499e4c30364",
+        "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
+        "features.json": "8412bcbd176ec749d55d78b9c65342834b52ffd4e48cb938537532e5981578b5",
+        "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
+        "knee_loop.csv": "934adb9e66e1b41713fb0b2c068f1c5a41cebc5f5c9046233d2f4b435c93936f",
+        "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
+        "moments.csv": "a4aa9eecf46df218e359570a97f4508f29a8fc1d5efad3fdc0f7b2de3803b66b",
+        "moments_stance.csv": "836cc5b3764ea28a291f37c9dfbc0ed57d260a0df974f1f123c6c24e55be9b53",
+        "stride_metrics.csv": "70903c379aeafc617e8e04ce87647f2c67f803aa4a6c4f16189a5ee8fb54c1ff",
+    }
+
     @staticmethod
     def _digests(directory):
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -524,6 +592,12 @@ class TestPinnedBytes:
 
     def test_gappy_bundle_files(self, gappy_bundle_dir):
         assert self._digests(gappy_bundle_dir) == self.GAPPY_BUNDLE
+
+    def test_unfilled_gap_bundle_files(self, unfilled_gap_bundle_dir):
+        moments = (unfilled_gap_bundle_dir / "moments.csv").read_text()
+        assert ",right,nan,nan,nan,nan,nan,nan\n" in moments
+        assert (self._digests(unfilled_gap_bundle_dir)
+                == self.UNFILLED_GAP_BUNDLE)
 
     #: ``compare`` of three participants, the gappy bundle swapped into
     #: one condition or the other and one metric shifted, run on relative

@@ -10,7 +10,6 @@ from sandgait.dynamics import (JOINTS, ExternalLoad, FrameState,
                                leg_inverse_dynamics, leg_moment_series,
                                recursive_leg, transfer_to_distal)
 from sandgait.errors import ContractError
-from sandgait.kinematics import SegmentStateSeries
 from sandgait.model import GRAVITY, SegmentParams
 
 PARAMS = {
@@ -240,23 +239,24 @@ class TestBatched:
 
 
 class TestSeries:
-    def _series(self, n, e, dt=0.01):
+    def _series(self, n, e):
         z = np.zeros((n, 3))
-        return SegmentStateSeries(time=np.arange(n) * dt,
-                                  e=np.tile(e, (n, 1)).astype(float),
-                                  com_pos=z, com_acc=z.copy(),
-                                  omega_dot=z.copy())
+        return FrameState(e=np.tile(e, (n, 1)).astype(float), acc=z,
+                          omega_dot=z.copy())
+
+    def _time(self, n):
+        return np.arange(n) * 0.01
 
     def _no_load(self, n):
         return ExternalLoad(force=np.zeros((n, 3)), moment=np.zeros((n, 3)),
                             r=np.zeros((n, 3)))
 
-    def test_timestamp_mismatch(self):
+    def test_state_frame_count_mismatch(self):
         foot = self._series(10, [1.0, 0, 0])
         shank = self._series(10, [0, 0, -1.0])
-        thigh = self._series(10, [0, 0, -1.0], dt=0.02)
-        with pytest.raises(ContractError, match="thigh"):
-            leg_moment_series(foot.time, self._no_load(10), foot, shank,
+        thigh = self._series(9, [0, 0, -1.0])
+        with pytest.raises(ContractError, match="thigh state"):
+            leg_moment_series(self._time(10), self._no_load(10), foot, shank,
                               thigh, PARAMS, body_mass=74.5)
 
     def test_load_count_mismatch(self):
@@ -264,7 +264,7 @@ class TestSeries:
         shank = self._series(10, [0, 0, -1.0])
         thigh = self._series(10, [0, 0, -1.0])
         with pytest.raises(ContractError, match="loads"):
-            leg_moment_series(foot.time, self._no_load(9),
+            leg_moment_series(self._time(10), self._no_load(9),
                               foot, shank, thigh, PARAMS, body_mass=74.5)
 
     def test_nan_frames_skipped(self):
@@ -272,7 +272,7 @@ class TestSeries:
         shank = self._series(10, [0, 0, -1.0])
         thigh = self._series(10, [0, 0, -1.0])
         foot.e[4] = np.nan
-        out = leg_moment_series(foot.time, self._no_load(10),
+        out = leg_moment_series(self._time(10), self._no_load(10),
                                 foot, shank, thigh, PARAMS, body_mass=74.5)
         assert np.isnan(out.moment_y["ankle"][4])
         assert np.isnan(out.moment_y["hip"][4])
@@ -282,7 +282,7 @@ class TestSeries:
         foot = self._series(5, [1.0, 0, 0])
         shank = self._series(5, [0, 0, -1.0])
         thigh = self._series(5, [0, 0, -1.0])
-        out = leg_moment_series(foot.time, self._no_load(5),
+        out = leg_moment_series(self._time(5), self._no_load(5),
                                 foot, shank, thigh, PARAMS, body_mass=74.5)
         np.testing.assert_allclose(out.normalized["knee"] * 74.5,
                                    out.moment_y["knee"], atol=1e-12)

@@ -16,7 +16,7 @@ from sandgait import ingest
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
                              SchemaError)
 from sandgait.ingest import (ROW_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
-                             TrialMeta, TrialRecord, align_streams, fill_gaps,
+                             TrialMeta, align_streams, fill_gaps,
                              format_rows, read_csv_table, read_grf_file,
                              read_marker_file, read_meta_file,
                              write_grf_file, write_marker_file,
@@ -267,7 +267,8 @@ class TestGrfIo:
 class TestWriterRoundTrip:
     # values well inside the 9-decimal precision, so reading back and
     # rewriting reproduces every digit
-    cells = st.one_of(st.floats(-3000.0, 3000.0), st.just(np.nan))
+    finite = st.floats(-3000.0, 3000.0)
+    cells = st.one_of(finite, st.just(np.nan))  # NaN: a missing marker
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(0, 6), st.just(54)),
@@ -287,7 +288,7 @@ class TestWriterRoundTrip:
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(8)),
-                  elements=cells))
+                  elements=finite))  # a GRF file holds no NaN
     def test_grf(self, tmp_path_factory, table):
         grf = GrfData(time=np.arange(len(table)) * 0.001, force=table[:, :3],
                       moment=table[:, 3:6], cop=table[:, 6:])
@@ -627,45 +628,38 @@ class TestFillGaps:
 
 
 class TestAlign:
-    def _trial(self, participant, grf_values, n_markers=20, ratio=10):
-        schema = MarkerSchema.default()
-        markers = _make_markers(schema, n=n_markers, dt=0.01)
+    def _streams(self, grf_values, n_markers=20, ratio=10):
+        markers = _make_markers(MarkerSchema.default(), n=n_markers, dt=0.01)
         ng = n_markers * ratio
         grf = GrfData(time=np.arange(ng) * 0.001,
                       force=np.column_stack([grf_values, grf_values,
                                              grf_values]),
                       moment=np.zeros((ng, 3)), cop=np.zeros((ng, 2)))
-        meta = TrialMeta(participant=participant, terrain="solid")
-        return TrialRecord(meta=meta, markers=markers, grf=grf)
+        return markers, grf
 
-    def test_constant_exact(self, participant):
-        trial = self._trial(participant, np.full(200, 5.0))
-        out = align_streams(trial)
-        assert out.grf_aligned is not None
-        np.testing.assert_allclose(out.grf_aligned.force[:, 2], 5.0,
-                                   atol=1e-12)
+    def test_constant_exact(self):
+        aligned = align_streams(*self._streams(np.full(200, 5.0)))
+        np.testing.assert_allclose(aligned.force[:, 2], 5.0, atol=1e-12)
 
-    def test_boxcar_mean_matches_hand_window(self, participant):
+    def test_boxcar_mean_matches_hand_window(self):
         # 10:1 decimation: each marker frame gets the mean of the ten raw
         # samples in its centred window (4 before, 5 after)
         values = np.arange(200, dtype=float) ** 2 / 100.0
-        trial = self._trial(participant, values)
-        out = align_streams(trial)
-        a = out.grf_aligned
+        a = align_streams(*self._streams(values))
         i = 5  # an interior aligned frame
         c = int(round(a.time[i] / 0.001))
         expected = values[c - 4:c + 6].mean()
         assert a.force[i, 2] == pytest.approx(expected, rel=1e-12)
 
-    def test_frames_without_coverage_dropped(self, participant):
-        trial = self._trial(participant, np.full(200, 1.0))
-        out = align_streams(trial)
+    def test_frames_without_coverage_dropped(self):
+        markers, grf = self._streams(np.full(200, 1.0))
+        aligned = align_streams(markers, grf)
         # the first marker frame (t=0) lacks 4 leading raw samples
-        assert out.grf_aligned.time[0] > 0.0
-        assert len(out.grf_aligned) < len(trial.markers)
+        assert aligned.time[0] > 0.0
+        assert len(aligned) < len(markers)
 
-    def test_no_overlap(self, participant):
-        trial = self._trial(participant, np.full(200, 1.0))
-        trial.grf.time += 100.0
+    def test_no_overlap(self):
+        markers, grf = self._streams(np.full(200, 1.0))
+        grf.time += 100.0
         with pytest.raises(AlignmentError, match="overlap"):
-            align_streams(trial)
+            align_streams(markers, grf)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sandgait.dynamics import FrameState
 from sandgait.errors import (ConfigurationError, ParameterError,
                              SingularSegmentError)
 from sandgait.ingest import MarkerData
@@ -118,6 +119,25 @@ class TestMovingAverage:
         np.testing.assert_allclose(y[:, 1], moving_average(x[:, 1], 5),
                                    atol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10), st.integers(0, 30), st.integers(1, 6),
+           st.data())
+    def test_marker_stack_equals_one_marker_at_a_time(self, half, extra, k,
+                                                      data):
+        # the analysis smooths every marker of a stage in one (N, k, 3)
+        # call; each marker must come out byte for byte as if alone
+        window = 2 * half + 1
+        n = window + extra
+        x = data.draw(arrays(np.float64, (n, k, 3),
+                             elements=st.floats(-1e3, 1e3)))
+        for _ in range(data.draw(st.integers(0, 8))):
+            at = tuple(data.draw(st.integers(0, d - 1)) for d in x.shape)
+            x[at] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        stacked = moving_average(x, window)
+        for j in range(k):
+            assert (stacked[:, j].tobytes()
+                    == moving_average(x[:, j], window).tobytes())
+
 
 class TestDifferentiate:
     def test_constant_zero(self):
@@ -214,9 +234,9 @@ class TestSegmentStates:
         m = _markers_for(schema, "left", "shank", prox, dist, n)
         s = segment_states(m, schema, "left", "shank", self.params)
         np.testing.assert_allclose(s.e, [[0.0, 0.0, -1.0]] * n, atol=1e-12)
-        np.testing.assert_allclose(s.com_acc, 0.0, atol=1e-9)
+        np.testing.assert_allclose(s.acc, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.omega_dot, 0.0, atol=1e-9)
-        np.testing.assert_allclose(s.com_pos,
+        np.testing.assert_allclose(s.com,
                                    [[0.0, 0.0, 0.5 - 0.17]] * n, atol=1e-12)
 
     def test_constant_rotation_circular_motion(self):
@@ -231,11 +251,10 @@ class TestSegmentStates:
         dist = np.column_stack([L * np.sin(theta), np.zeros(n),
                                 -L * np.cos(theta)])
         m = _markers_for(schema, "left", "shank", prox, dist, n, dt=dt)
-        s = segment_states(m, schema, "left", "shank", self.params,
-                           filter_window=1)
+        s = segment_states(m, schema, "left", "shank", self.params)
         mid = slice(50, -50)
         np.testing.assert_allclose(
-            np.linalg.norm(s.com_acc[mid], axis=1),
+            np.linalg.norm(s.acc[mid], axis=1),
             omega * omega * self.params.com_offset, rtol=1e-4)
         np.testing.assert_allclose(s.omega_dot[mid], 0.0, atol=1e-6)
         np.testing.assert_allclose(np.linalg.norm(s.e, axis=1), 1.0,
@@ -249,8 +268,7 @@ class TestSegmentStates:
         dist[:4] += [0.0, 0.0, -0.4]  # degenerate from frame 4 onward
         m = _markers_for(schema, "left", "shank", prox, dist, n)
         with pytest.raises(SingularSegmentError, match="frame"):
-            segment_states(m, schema, "left", "shank", self.params,
-                           filter_window=1)
+            segment_states(m, schema, "left", "shank", self.params)
 
 
 class TestJointAngles:
@@ -258,9 +276,7 @@ class TestJointAngles:
         def series(e):
             arr = np.tile(e, (n, 1)).astype(float)
             z = np.zeros((n, 3))
-            from sandgait.kinematics import SegmentStateSeries
-            return SegmentStateSeries(time=np.arange(n) * 0.01, e=arr,
-                                      com_pos=z, com_acc=z, omega_dot=z)
+            return FrameState(e=arr, acc=z, omega_dot=z, com=z)
         return joint_angles(series(e_t), series(e_s), series(e_f))
 
     def test_straight_vertical_leg(self):
@@ -303,15 +319,13 @@ class TestJointAngles:
 
 class TestComTrajectory:
     def test_two_segment_toy_mean(self, participant, table):
-        from sandgait.kinematics import SegmentStateSeries
         n = 4
         z = np.zeros((n, 3))
 
         def series(pos):
-            return SegmentStateSeries(time=np.arange(n) * 0.01,
-                                      e=np.tile([0, 0, -1.0], (n, 1)),
-                                      com_pos=np.tile(pos, (n, 1)).astype(float),
-                                      com_acc=z, omega_dot=z)
+            return FrameState(e=np.tile([0, 0, -1.0], (n, 1)), acc=z,
+                              omega_dot=z,
+                              com=np.tile(pos, (n, 1)).astype(float))
 
         params = {"shank": SegmentParams(10.0, 0.4, 0.2, 0.1)}
         states = {("left", "shank"): series([1.0, 0.0, 0.0]),
@@ -324,26 +338,20 @@ class TestComTrajectory:
         np.testing.assert_allclose(com[:, 2], 60.0 * 1.0 / 80.0, atol=1e-12)
 
     def test_all_mass_on_hat_equals_pelvis(self):
-        from sandgait.kinematics import SegmentStateSeries
         n = 3
         z = np.zeros((n, 3))
-        s = SegmentStateSeries(time=np.arange(n) * 0.01,
-                               e=np.tile([0, 0, -1.0], (n, 1)),
-                               com_pos=np.ones((n, 3)), com_acc=z,
-                               omega_dot=z)
+        s = FrameState(e=np.tile([0, 0, -1.0], (n, 1)), acc=z, omega_dot=z,
+                       com=np.ones((n, 3)))
         params = {"shank": SegmentParams(1e-9, 0.4, 0.2, 0.1)}
         pelvis = np.tile([4.0, 5.0, 6.0], (n, 1))
         com = com_trajectory({("left", "shank"): s}, params, 70.0, pelvis)
         np.testing.assert_allclose(com, pelvis, atol=1e-9)
 
     def test_overweight_segments_rejected(self):
-        from sandgait.kinematics import SegmentStateSeries
         n = 3
         z = np.zeros((n, 3))
-        s = SegmentStateSeries(time=np.arange(n) * 0.01,
-                               e=np.tile([0, 0, -1.0], (n, 1)),
-                               com_pos=np.ones((n, 3)), com_acc=z,
-                               omega_dot=z)
+        s = FrameState(e=np.tile([0, 0, -1.0], (n, 1)), acc=z, omega_dot=z,
+                       com=np.ones((n, 3)))
         params = {"shank": SegmentParams(100.0, 0.4, 0.2, 0.1)}
         with pytest.raises(ConfigurationError, match="exceed"):
             com_trajectory({("left", "shank"): s}, params, 70.0,
@@ -359,7 +367,7 @@ def test_pelvis_midpoint_average():
         pos[label] = np.tile([1.0, 0.0, 1.0], (n, 1))
     pos[schema.pelvis_labels()[0]] = np.tile([3.0, 0.0, 1.0], (n, 1))
     m = MarkerData(time=time, pos=pos)
-    mid = pelvis_midpoint(m, schema, filter_window=1)
+    mid = pelvis_midpoint(m, schema)
     k = len(schema.pelvis_labels())
     expected = (3.0 + (k - 1) * 1.0) / k
     np.testing.assert_allclose(mid[:, 0], expected, atol=1e-12)

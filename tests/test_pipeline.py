@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from sandgait import metrics
+from sandgait import kinematics, metrics
 from sandgait.dynamics import JOINTS
 from sandgait.errors import ConfigurationError, FitError
 from sandgait.forces import default_calibration_curve
@@ -64,6 +64,26 @@ class TestSand:
         out = analyze_trial(TrialRecord(meta=meta, markers=stride.markers,
                                         grf=stride.grf))
         assert out.warnings[0].startswith("fx passed through uncalibrated")
+
+
+class TestSmoothingPasses:
+    def test_one_moving_average_call_per_window(self, stride, monkeypatch):
+        # the leg chain and pelvis markers at filter_window, the heels and
+        # toes at event_filter_window, the GRF at grf_smooth_window: a
+        # stage that filters again adds a call
+        windows = []
+        original = kinematics.moving_average
+
+        def counting(x, window):
+            windows.append(window)
+            return original(x, window)
+
+        monkeypatch.setattr(kinematics, "moving_average", counting)
+        analyze_trial(_trial(stride))
+        cfg = RunConfig()
+        assert sorted(windows) == sorted([cfg.filter_window,
+                                          cfg.event_filter_window,
+                                          cfg.grf_smooth_window])
 
 
 class TestNoPlateStance:
