@@ -5,9 +5,10 @@ Two broad families matter for the CLI exit-code contract: input problems
 failures exit 2.  ``read_text`` is the one reader of user text files,
 so that undecodable bytes are an input error too; ``read_json`` adds the
 same for malformed JSON, and ``read_json_as`` for a document that does not
-convert.
+convert.  ``check_number`` is the one rule for a number in such a document.
 """
 import json
+import math
 from pathlib import Path
 
 
@@ -86,16 +87,30 @@ def read_json(path, error: type[GaitInputError] = FormatError):
         raise error(f"{path}: invalid JSON ({exc})") from None
 
 
-def read_json_as(path, build, what: str):
-    """``build(doc)`` of a user JSON file.  A missing key, a value of the
-    wrong type, or one that ``build`` rejects with ``ConfigurationError``
-    raises ``ConfigurationError`` naming the path and ``what`` it holds."""
-    doc = read_json(path)
+def read_json_as(path, build, what: str,
+                 error: type[GaitInputError] = FormatError):
+    """``build(doc)`` of a user JSON file read with ``error``.  A missing
+    key, a value of the wrong type, or one that ``build`` rejects with
+    ``ConfigurationError`` raises ``ConfigurationError`` naming the path
+    and ``what`` it holds."""
+    doc = read_json(path, error)
     try:
         return build(doc)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing {what} field {exc}") from None
     except ConfigurationError as exc:  # a value ``build`` rejects
         raise ConfigurationError(f"{path}: {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{path}: malformed {what} ({exc})") from None
+
+
+def check_number(key: str, value, rule: str | None = None) -> float:
+    """``float(value)`` of the user number ``key``, which must pass ``rule``
+    (``"> 0"``, ``">= 0"`` or None) and be finite; else ``ConfigurationError``
+    quoting ``value``.  A NaN fails the rule, so it reads "must be > 0"."""
+    x = float(value)
+    if rule == "> 0" and not x > 0 or rule == ">= 0" and not x >= 0:
+        raise ConfigurationError(f"{key} must be {rule}, got {value!r}")
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{key} must be finite, got {value!r}")
+    return x

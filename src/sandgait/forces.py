@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExtrapolationError, FitError, FormatError, ParameterError
+from .errors import (ExtrapolationError, FitError, FormatError, GaitError,
+                     ParameterError)
 from .gaitseg import _local_extrema
 from .ingest import expect_columns, read_csv_table, write_rows
 from .model import GRAVITY, Participant
@@ -138,8 +139,9 @@ class GrfFeatures:
     hump2_missing: bool = False
 
     def __post_init__(self):
+        # a valid record (a plate with an offset) can fail this: exit 2
         if self.fx_bwd_peak > 0 or self.fx_fwd_peak < 0:
-            raise ParameterError("fx peaks must straddle zero")
+            raise GaitError("fx peaks must straddle zero")
 
 
 def extract_grf_features(fx: np.ndarray, fz: np.ndarray) -> GrfFeatures:
@@ -185,4 +187,8 @@ def read_calibration_curve(path: str | Path) -> CalibrationCurve:
         path, ["depth_cm", "zeta", "residual", "n"]), comments=True)
     if not len(arr):
         raise FormatError(f"{path}: empty calibration curve")
-    return CalibrationCurve(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(int))
+    try:
+        return CalibrationCurve(arr[:, 0], arr[:, 1], arr[:, 2],
+                                arr[:, 3].astype(int))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None

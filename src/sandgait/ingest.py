@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (AlignmentError, ConfigurationError, FormatError,
-                     SchemaError, read_json_as, read_text)
+                     SchemaError, check_number, read_json_as, read_text)
 from .model import Participant
 from .schema import MarkerSchema
 
@@ -79,6 +79,9 @@ class TrialMeta:
             raise ConfigurationError(f"unknown terrain {self.terrain!r}")
         if self.terrain == "sand" and self.sand_depth is None:
             raise ConfigurationError("sand terrain requires sand_depth")
+        if self.sand_depth is not None:
+            check_number("sand_depth_cm", self.sand_depth, "> 0")
+        check_number("sync_offset_s", self.sync_offset)
 
 
 @dataclass
@@ -125,10 +128,11 @@ def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
                    *, comments: bool = False,
                    empty_is_nan: bool = False) -> np.ndarray:
     """A CSV file of one header line, which ``check_header`` vets first,
-    and numeric rows as an (N, width of header) array; (0, 0) if empty.
-    Blank lines are errors, unless ``comments`` skips them and ``#`` lines.
-    ``empty_is_nan`` reads empty cells after the first column as NaN.
-    Errors name ``path:line``."""
+    and finite numeric rows as an (N, width of header) array; (0, 0) if
+    empty.  Blank lines are errors, unless ``comments`` skips them and
+    ``#`` lines.  ``empty_is_nan`` reads empty cells after the first column
+    as NaN, and lets a NaN stand there for a missing value.  Errors name
+    ``path:line``."""
     text = read_text(path)
     if text and not text.endswith("\n"):
         text += "\n"
@@ -155,8 +159,8 @@ def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
     data = io.BytesIO(text.encode("utf-8"))
     data.seek(len(text[:body_at].encode("utf-8")))
     try:
-        return np.loadtxt(data, delimiter=",", comments=None, ndmin=2,
-                          encoding="utf-8")
+        table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2,
+                           encoding="utf-8")
     except ValueError as exc:
         m = _LOADTXT_ERROR.search(str(exc))
         if not m:
@@ -166,6 +170,13 @@ def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
                if cell is not None else f"expected {len(header)} fields, got {got}")
         row = int(row) if cell is not None else int(row_from_1) - 1
         raise FormatError(f"{path}:{_file_line(text, row)}: {msg}") from None
+    bad = np.isinf(table) if empty_is_nan else ~np.isfinite(table)
+    bad[:, 0] |= np.isnan(table[:, 0])
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise FormatError(f"{path}:{_file_line(text, row)}: non-finite value "
+                          f"{table[row, col]:g} in column {header[col].strip()}")
+    return table
 
 
 def _file_line(text: str, row: int) -> int:
@@ -179,16 +190,6 @@ def expect_columns(path, columns: list[str]) -> Callable[[list[str]], None]:
         if [c.strip() for c in header] != columns:
             raise FormatError(f"{path}: expected header {','.join(columns)}")
     return check
-
-
-def _check_finite(table: np.ndarray, bad: np.ndarray, path,
-                  columns: list[str]) -> None:
-    """Reject the first cell of ``table`` that ``bad`` marks, by line and
-    column; a file with one header line and no skipped lines."""
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise FormatError(f"{path}:{row + 2}: non-finite value "
-                          f"{table[row, col]:g} in column {columns[col]}")
 
 
 def _check_monotone(time: np.ndarray, path, header_lines: int) -> None:
@@ -450,11 +451,6 @@ def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
     arr = read_csv_table(path, check_header, empty_is_nan=True)
     if not len(arr):
         raise FormatError(f"{path}: marker file has no data rows")
-    # a NaN position is a missing one; a time must be finite
-    bad = np.isinf(arr)
-    bad[:, 0] = ~np.isfinite(arr[:, 0])
-    _check_finite(arr, bad, path, ["time"] + [f"{l}_{ax}" for l in labels
-                                              for ax in "xyz"])
     _check_monotone(arr[:, 0], path, header_lines=1)
     return MarkerData(time=arr[:, 0].copy(), pos={
         label: arr[:, 1 + 3 * k:4 + 3 * k].copy() for k, label in enumerate(labels)})
@@ -474,7 +470,6 @@ def read_grf_file(path: str | Path) -> GrfData:
     arr = read_csv_table(path, expect_columns(path, GRF_COLUMNS))
     if not len(arr):
         raise FormatError(f"{path}: GRF file has no data rows")
-    _check_finite(arr, ~np.isfinite(arr), path, GRF_COLUMNS)
     _check_monotone(arr[:, 0], path, header_lines=1)
     return GrfData(time=arr[:, 0], force=arr[:, 1:4],
                    moment=arr[:, 4:7], cop=arr[:, 7:9])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, read_text
+from .errors import ConfigurationError, check_number, read_text
 
 GRAVITY = 9.81
 E_Z = np.array([0.0, 0.0, 1.0])
@@ -31,10 +31,8 @@ class Participant:
     mass: float    # kg
 
     def __post_init__(self):
-        if not self.height > 0:
-            raise ConfigurationError(f"participant {self.id!r}: height must be > 0")
-        if not self.mass > 0:
-            raise ConfigurationError(f"participant {self.id!r}: mass must be > 0")
+        check_number(f"participant {self.id!r}: height", self.height, "> 0")
+        check_number(f"participant {self.id!r}: mass", self.mass, "> 0")
 
     def to_json(self) -> dict:
         """The ``participant`` object of trial metadata and profiles."""

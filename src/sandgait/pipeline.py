@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, forces, gaitseg, kinematics, metrics
-from .errors import ConfigurationError, GaitError, read_json
+from .errors import ConfigurationError, GaitError, check_number, read_json_as
 from .forces import CalibrationCurve
 from .gaitseg import EventThresholds, GaitEvents, NormalizedCurve, SideEvents
 from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
@@ -30,7 +30,7 @@ from .schema import SIDES, MarkerSchema
 log = logging.getLogger(__name__)
 
 #: Config keys that must be odd and >= 1, and those that must be >= 0; every
-#: other number must be > 0.
+#: other number must be > 0.  Each is finite.
 _ODD_WINDOWS = ("filter_window", "event_filter_window", "grf_smooth_window")
 _NON_NEGATIVE = ("max_gap_frames", "plate_threshold_bw")
 
@@ -55,18 +55,20 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        doc = read_json(path, ConfigurationError)
+        return read_json_as(path, cls._from_json, "config", ConfigurationError)
+
+    @classmethod
+    def _from_json(cls, doc) -> "RunConfig":
         if not isinstance(doc, dict):
-            raise ConfigurationError(f"{path}: expected a JSON object of "
-                                     f"config keys, got {doc!r}")
+            raise ConfigurationError(f"expected a JSON object of config keys, "
+                                     f"got {doc!r}")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")
+            raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
         for key, value in doc.items():
-            problem = _config_problem(key, value,
-                                      cls.__dataclass_fields__[key].default)
-            if problem:
-                raise ConfigurationError(f"{path}: {key} {problem}, got {value!r}")
+            if problem := _config_problem(
+                    key, value, cls.__dataclass_fields__[key].default):
+                raise ConfigurationError(f"{key} {problem}, got {value!r}")
         return cls(**doc)
 
     def thresholds(self) -> EventThresholds:
@@ -98,9 +100,10 @@ class RunConfig:
 
 
 def _config_problem(key: str, value, default) -> str | None:
-    """What is wrong with one config value, its type taken from the
-    field's default: a path is a string or null, an int field takes no
-    bool, a float field takes an int or a float."""
+    """What is wrong with one config value's type, taken from the field's
+    default (a path is a string or null, an int field takes no bool, a
+    float field takes an int or a float), or with an odd window; any other
+    number is held to its rule by ``check_number``."""
     if default is None:
         return None if value is None or isinstance(value, str) \
             else "must be a path string or null"
@@ -111,9 +114,8 @@ def _config_problem(key: str, value, default) -> str | None:
         return "must be a number"
     if key in _ODD_WINDOWS:
         return None if value >= 1 and value % 2 else "must be odd and >= 1"
-    if key in _NON_NEGATIVE:
-        return None if value >= 0 else "must be >= 0"
-    return None if value > 0 else "must be > 0"
+    check_number(key, value, ">= 0" if key in _NON_NEGATIVE else "> 0")
+    return None
 
 
 @dataclass
@@ -321,8 +323,11 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
         grf_stance = {name: gaitseg.phase_normalize(
             grf.time, fxz_bw[:, k], stance)
             for k, name in enumerate(("fx", "fz"))}
-        grf_features = forces.extract_grf_features(grf_stance["fx"].values,
-                                                   grf_stance["fz"].values)
+        try:
+            grf_features = forces.extract_grf_features(
+                grf_stance["fx"].values, grf_stance["fz"].values)
+        except GaitError as exc:
+            warnings.append(f"GRF features not computed: {exc}")
         moment_stance = {joint: gaitseg.phase_normalize(
             time, moments[plate_side].normalized[joint], stance)
             for joint in dynamics.JOINTS}

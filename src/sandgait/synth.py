@@ -11,14 +11,14 @@ window, so a motionless profile yields exactly body weight on the plate.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import ExternalLoad, JOINTS, recursive_leg, FrameState
-from .errors import ConfigurationError, GenerationError, read_json_as
+from .errors import (ConfigurationError, GenerationError, check_number,
+                     read_json_as)
 from .gaitseg import (EventThresholds, GaitEvents, SideEvents,
                       detect_side_events, stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta, write_json
@@ -61,11 +61,18 @@ class Trig:
                 "terms": [list(t) for t in self.terms]}
 
     @classmethod
-    def from_json(cls, doc):
-        return cls(a0=float(doc.get("a0", 0.0)),
-                   rate=float(doc.get("rate", 0.0)),
-                   terms=tuple(tuple(float(v) for v in t)
-                               for t in doc.get("terms", [])))
+    def from_json(cls, doc, key: str = "trig"):
+        """The inverse of ``to_json``; errors name profile key ``key``."""
+        terms = doc.get("terms", [])
+        for i, term in enumerate(terms):
+            if len(term) != 3:
+                raise ConfigurationError(f"{key}.terms[{i}] must hold three "
+                                         f"numbers, got {term!r}")
+        return cls(a0=check_number(f"{key}.a0", doc.get("a0", 0.0)),
+                   rate=check_number(f"{key}.rate", doc.get("rate", 0.0)),
+                   terms=tuple(tuple(check_number(f"{key}.terms[{i}][{j}]", v)
+                                     for j, v in enumerate(term))
+                               for i, term in enumerate(terms)))
 
 
 @dataclass(frozen=True)
@@ -127,26 +134,19 @@ class GaitProfile:
     def from_json(cls, doc: dict) -> "GaitProfile":
         """The inverse of ``to_json``; a key left out keeps the field's
         default."""
-        for key, rule in _RANGES.items():
-            if doc.get(key) is not None:
-                _in_range(key, doc[key], *rule)
-        for t0, t1 in doc.get("stance_windows_s") or ():
-            if not -math.inf < float(t0) < float(t1) < math.inf:
-                raise ConfigurationError(f"stance window {[t0, t1]} must be "
-                                         f"finite with start < end")
-        p = doc["participant"]
         geo = doc.get("geometry", {})
-        kw = {name: _in_range(f"geometry.{name}", geo[name], *rule)
+        kw = {name: check_number(f"geometry.{name}", geo[name], rule)
               for name, rule in _GEOMETRY.items() if name in geo}
-        kw.update((name, convert(doc[key]))
+        kw.update((name, convert(key, doc[key]))
                   for key, (name, convert) in _PROFILE_KEYS.items() if key in doc)
-        legs = {}
-        for side, la in doc["legs"].items():
-            legs[side] = LegAngles(thigh_pitch=Trig.from_json(la["thigh_pitch"]),
-                                   knee_flexion=Trig.from_json(la["knee_flexion"]),
-                                   foot_pitch=Trig.from_json(la["foot_pitch"]))
-        profile = cls(participant=Participant.from_json(p),
-                      duration=float(doc["duration_s"]), legs=legs, **kw)
+        legs = {side: LegAngles(**{name: Trig.from_json(
+                    la[name], f"legs.{side}.{name}")
+                    for name in LegAngles.__dataclass_fields__})
+                for side, la in doc["legs"].items()}
+        profile = cls(participant=Participant.from_json(doc["participant"]),
+                      duration=check_number("duration_s", doc["duration_s"],
+                                            "> 0"),
+                      legs=legs, **kw)
         if profile.grf_side not in SIDES:
             raise ConfigurationError(f"grf_side must be one of {SIDES}, "
                                      f"got {profile.grf_side!r}")
@@ -162,53 +162,45 @@ class GaitProfile:
         write_json(path, self.to_json())
 
 
-def _in_range(key: str, value, rule: str, ok) -> float:
-    """``value`` of profile key ``key`` as a float, which must be finite and
-    pass ``ok(value, 0.0)``, the test that ``rule`` names."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ConfigurationError(f"{key} must be finite, got {value!r}")
-    if not ok(x, 0.0):
-        raise ConfigurationError(f"{key} must be {rule}, got {value!r}")
-    return x
+#: The profile's "geometry" numbers, in m, and their rules.
+_GEOMETRY = {"thigh_len": "> 0", "shank_len": "> 0", "foot_len": "> 0",
+             "ankle_height": ">= 0", "hip_half_width": ">= 0"}
 
-
-_POSITIVE, _NON_NEGATIVE = ("> 0", operator.gt), (">= 0", operator.ge)
-
-#: Top-level profile numbers with a range; a null sand depth means none.
-_RANGES = {"duration_s": _POSITIVE, "marker_dt_s": _POSITIVE,
-           "grf_dt_s": _POSITIVE, "ramp_s": _NON_NEGATIVE,
-           "sand_depth_cm": _POSITIVE}
-
-#: The profile's "geometry" numbers, in m, and their ranges.
-_GEOMETRY = {"thigh_len": _POSITIVE, "shank_len": _POSITIVE,
-             "foot_len": _POSITIVE, "ankle_height": _NON_NEGATIVE,
-             "hip_half_width": _NON_NEGATIVE}
-
-
-def _cop_fixed(cop) -> tuple[float, float] | None:
+def _cop_fixed(key, cop) -> tuple[float, float] | None:
     """A profile's ``cop_fixed_m``: null, or two finite numbers."""
     if cop is None:
         return None
-    xy = tuple(float(v) for v in cop)
-    if len(xy) != 2 or not all(map(math.isfinite, xy)):
-        raise ConfigurationError(f"cop_fixed_m must be two finite numbers, "
+    xy = tuple(check_number(f"{key}[{i}]", v) for i, v in enumerate(cop))
+    if len(xy) != 2:
+        raise ConfigurationError(f"{key} must be two finite numbers, "
                                  f"got {cop!r}")
     return xy
 
 
-#: Top-level profile.json key -> (GaitProfile field, conversion).
+def _stance_windows(key, windows) -> list[tuple] | None:
+    """A profile's ``stance_windows_s``: null, or [start, end] pairs of
+    finite numbers, start < end, kept as the file gives them."""
+    for i, (t0, t1) in enumerate(windows or ()):
+        if not (check_number(f"{key}[{i}][0]", t0)
+                < check_number(f"{key}[{i}][1]", t1)):
+            raise ConfigurationError(f"stance window {[t0, t1]} must be "
+                                     f"finite with start < end")
+    return None if windows is None else [tuple(w) for w in windows]
+
+
+#: Top-level profile.json key -> (GaitProfile field, conversion of the key
+#: and its value).
 _PROFILE_KEYS = {
-    "pelvis_x": ("pelvis_x", Trig.from_json),
-    "pelvis_z": ("pelvis_z", Trig.from_json),
-    "grf_side": ("grf_side", lambda v: v),
-    "ramp_s": ("ramp", float),
-    "marker_dt_s": ("marker_dt", float),
-    "grf_dt_s": ("grf_dt", float),
-    "terrain": ("terrain", lambda v: v),
-    "sand_depth_cm": ("sand_depth", lambda v: None if v is None else float(v)),
-    "stance_windows_s": ("stance_windows",
-                         lambda w: None if w is None else [tuple(x) for x in w]),
+    "pelvis_x": ("pelvis_x", lambda key, v: Trig.from_json(v, key)),
+    "pelvis_z": ("pelvis_z", lambda key, v: Trig.from_json(v, key)),
+    "grf_side": ("grf_side", lambda key, v: v),
+    "ramp_s": ("ramp", lambda key, v: check_number(key, v, ">= 0")),
+    "marker_dt_s": ("marker_dt", lambda key, v: check_number(key, v, "> 0")),
+    "grf_dt_s": ("grf_dt", lambda key, v: check_number(key, v, "> 0")),
+    "terrain": ("terrain", lambda key, v: v),
+    "sand_depth_cm": ("sand_depth", lambda key, v: None if v is None
+                      else check_number(key, v, "> 0")),
+    "stance_windows_s": ("stance_windows", _stance_windows),
     "cop_fixed_m": ("cop_fixed", _cop_fixed),
 }
 
@@ -292,23 +284,17 @@ class SynthResult:
 
 
 def _truth_events(feet: dict[str, tuple[np.ndarray, np.ndarray]],
-                  t: np.ndarray, dt: float,
-                  thresholds: EventThresholds) -> GaitEvents:
+                  t: np.ndarray, dt: float) -> GaitEvents:
     """Gait events from each side's analytic ``(heel, toe)`` on the GRF grid
     ``t`` of step ``dt``, so that every event time is a written GRF sample."""
     return GaitEvents(**{
         side: detect_side_events(t, heel[:, 2], toe[:, 2],
-                                 np.gradient(heel[:, 0], dt), thresholds)
+                                 np.gradient(heel[:, 0], dt), EventThresholds())
         for side, (heel, toe) in feet.items()})
 
 
-def synthesize_gait(profile: GaitProfile,
-                    table: AnthropometricTable | None = None,
-                    thresholds: EventThresholds | None = None,
-                    g: float = GRAVITY) -> SynthResult:
+def synthesize_gait(profile: GaitProfile) -> SynthResult:
     """Forward-generate a trial plus ground truth from a scripted profile."""
-    table = table if table is not None else AnthropometricTable.default()
-    thresholds = thresholds if thresholds is not None else EventThresholds()
     pr = profile
     if set(pr.legs) != set(SIDES):
         raise GenerationError(f"profile must script both legs, has {set(pr.legs)}")
@@ -316,7 +302,8 @@ def synthesize_gait(profile: GaitProfile,
         raise GenerationError(f"unknown grf_side {pr.grf_side!r}")
 
     lengths = {"thigh": pr.thigh_len, "shank": pr.shank_len, "foot": pr.foot_len}
-    params = segment_parameters(pr.participant, table, lengths)
+    params = segment_parameters(pr.participant, AnthropometricTable.default(),
+                                lengths)
     leg_mass = sum(p.mass for p in params.values())
     hat_mass = pr.participant.mass - 2 * leg_mass
 
@@ -362,7 +349,7 @@ def synthesize_gait(profile: GaitProfile,
         truth_events = GaitEvents(**{side: SideEvents(np.array([]), np.array([]))
                                      for side in SIDES})
     else:
-        truth_events = _truth_events(feet_g, t_g, pr.grf_dt, thresholds)
+        truth_events = _truth_events(feet_g, t_g, pr.grf_dt)
     if pr.stance_windows is not None:
         windows = list(pr.stance_windows)
     else:
@@ -388,7 +375,7 @@ def synthesize_gait(profile: GaitProfile,
         return cop
 
     # whole-body Newton balance: weight plus the total inertial force
-    weight = pr.participant.mass * g * E_Z[None, :]
+    weight = pr.participant.mass * GRAVITY * E_Z[None, :]
     w_g = _stance_weight(t_g, windows, pr.ramp)
     force_g = w_g[:, None] * (inertia_g + weight)
     cop_g = cop_track(t_g, feet_g)
@@ -428,7 +415,7 @@ def synthesize_gait(profile: GaitProfile,
             force=np.where(loaded, force_m, 0.0),
             moment=np.zeros((len(t_m), 3)),
             r=np.where(loaded, kin.pos["toe"] - cop3_m, 0.0))
-        rec = recursive_leg(load, kin.states, params, g)
+        rec = recursive_leg(load, kin.states, params, GRAVITY)
         truth[side] = {j: rec[j][1][:, 1] for j in JOINTS}
 
     meta = TrialMeta(participant=pr.participant, terrain=pr.terrain,

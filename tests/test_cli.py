@@ -5,6 +5,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +166,25 @@ class TestAnalyze:
                      "--meta", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_biased_plate_skips_grf_features(self, sim_dir, tmp_path, caplog):
+        # 300 N on every fx cell: both fx peaks forward, a valid record
+        lines = (sim_dir / "grf.csv").read_text().split("\n")
+        for i in range(1, len(lines) - 1):
+            cells = lines[i].split(",")
+            cells[1] = f"{float(cells[1]) + 300:.9f}"
+            lines[i] = ",".join(cells)
+        (tmp_path / "grf.csv").write_text("\n".join(lines))
+        out = tmp_path / "b"
+        assert main(["analyze", "--markers", str(sim_dir / "markers.csv"),
+                     "--grf", str(tmp_path / "grf.csv"),
+                     "--meta", str(sim_dir / "meta.json"),
+                     "--out", str(out)]) == 0
+        assert (out / "grf_stance.csv").exists()
+        assert "grf" not in json.loads((out / "features.json").read_text())
+        warning = "GRF features not computed: fx peaks must straddle zero"
+        assert warning in json.loads((out / "meta.json").read_text())["warnings"]
+        assert warning in caplog.text
+
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--bogus"])
@@ -261,11 +282,33 @@ def _bad_marker_cell(sim, tmp):
     return {"--markers": tmp / "markers.csv"}, "markers.csv:5:"
 
 
-def _bad_zeta_cell(sim, tmp):
-    (tmp / "curve.csv").write_text("depth_cm,zeta,residual,n\n"
-                                   "0,1,0,0\n20,0.7x,0,12\n")
-    return ({"--calibration": tmp / "curve.csv", "--terrain": "sand",
-             "--sand-depth": "10"}, "curve.csv:3:")
+def _curve(name, rows, named):
+    """A malformed-input case: a sand trial at 10 cm analysed with a
+    calibration curve of ``rows``."""
+    def fixture(sim, tmp):
+        (tmp / "curve.csv").write_text("depth_cm,zeta,residual,n\n" + rows)
+        return ({"--calibration": tmp / "curve.csv", "--terrain": "sand",
+                 "--sand-depth": "10"}, f"curve.csv{named}")
+    fixture.__name__ = name
+    return fixture
+
+
+def _samples(name, rows, named):
+    """A malformed-input case for ``calibrate``: samples of ``rows``."""
+    def fixture(sim, tmp):
+        (tmp / "samples.csv").write_text("depth_cm,f_surface_n,f_buried_n\n"
+                                         + rows)
+        return {"--samples": tmp / "samples.csv"}, f"samples.csv{named}"
+    fixture.__name__ = name
+    return fixture
+
+
+def _flags(name, flags, named):
+    """A malformed-input case: the trial analysed with extra ``flags``."""
+    def fixture(sim, tmp):
+        return flags, named
+    fixture.__name__ = name
+    return fixture
 
 
 def _heavy_meta(sim, tmp):
@@ -369,7 +412,8 @@ def _bundle(name, file, edit, named):
 #: (subcommand, fixture) rows; a ``compare`` fixture gets the bundle, the
 #: others the ``simulate`` output.
 _MALFORMED = [
-    ("analyze", _bad_marker_cell), ("analyze", _bad_zeta_cell),
+    ("analyze", _bad_marker_cell),
+    ("analyze", _curve("_bad_zeta_cell", "0,1,0,0\n20,0.7x,0,12\n", ":3:")),
     ("analyze", _heavy_meta), ("analyze", _list_meta),
     ("analyze", _non_utf8_markers),
     ("analyze", _trial_cell("_grf_nan_time", "grf.csv", "time", "nan", [5],
@@ -386,6 +430,21 @@ _MALFORMED = [
     ("analyze", _meta("_negative_mass",
                       lambda m: m["participant"].update(mass_kg=-3),
                       "participant 'synthetic': mass must be > 0")),
+    ("analyze", _meta("_nan_sand_depth",
+                      lambda m: m.update(terrain="sand", sand_depth_cm=math.nan),
+                      "sand_depth_cm must be > 0, got nan")),
+    ("analyze", _flags("_sand_depth_flag_nan",
+                       {"--terrain": "sand", "--sand-depth": "nan"},
+                       "sand_depth_cm must be > 0, got nan")),
+    ("analyze", _flags("_sand_depth_flag_negative",
+                       {"--terrain": "sand", "--sand-depth": "-3"},
+                       "sand_depth_cm must be > 0, got -3.0")),
+    ("analyze", _curve("_curve_zeta_above_one", "0,1,0,0\n20,1.5,0,12\n",
+                       ": zeta values must lie in (0, 1]")),
+    ("analyze", _curve("_curve_nan_zeta", "0,1,0,0\n20,nan,0,12\n",
+                       ":3: non-finite value nan in column zeta")),
+    ("calibrate", _samples("_samples_nan_cell", "10,100,81\n10,200,nan\n",
+                           ":3: non-finite value nan in column f_buried_n")),
     ("analyze", _meta("_unknown_terrain", lambda m: m.update(terrain="gravel"),
                       "unknown terrain 'gravel'")),
     ("analyze", _meta("_sand_without_depth",
@@ -404,6 +463,10 @@ _MALFORMED = [
     ("analyze", _config("_config_negative_threshold",
                         '{"plate_threshold_bw": -0.5}',
                         "plate_threshold_bw must be >= 0, got -0.5")),
+    ("analyze", _config("_config_huge_integer",
+                        '{"gravity": 1%s}' % ("0" * 400),
+                        "malformed config (int too large to convert to "
+                        "float)")),
     ("simulate", _profile("_truncated_profile", _truncate, "invalid JSON")),
     ("simulate", _profile("_profile_thigh_len_string",
                           _edit_json(lambda d: d["geometry"].update(
@@ -453,6 +516,11 @@ _MALFORMED = [
                               cop_fixed_m=[0.1],
                               stance_windows_s=[[0.2, 0.8]])),
                           "cop_fixed_m must be two finite numbers, got [0.1]")),
+    ("simulate", _profile("_profile_two_value_term",
+                          _edit_json(lambda d: d["legs"]["right"][
+                              "thigh_pitch"].update(terms=[[0.3, 0.8]])),
+                          "legs.right.thigh_pitch.terms[0] must hold three "
+                          "numbers, got [0.3, 0.8]")),
     ("simulate", _profile("_profile_negative_thigh_len",
                           _edit_json(lambda d: d["geometry"].update(
                               thigh_len=-0.4)),
@@ -484,7 +552,8 @@ class TestMalformedInput:
                             "--meta": sim_dir / "meta.json",
                             "--out": tmp_path / "bundle"},
                 "simulate": {"--out": tmp_path / "trial"},
-                "compare": {"--out": tmp_path / "report"}}[command]
+                "compare": {"--out": tmp_path / "report"},
+                "calibrate": {"--out": tmp_path / "curve.csv"}}[command]
         changed, named = fixture(bundle_dir if command == "compare"
                                  else sim_dir, tmp_path)
         args.update(changed)
@@ -492,6 +561,88 @@ class TestMalformedInput:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
+
+
+def _numeric_leaves(doc, path=()):
+    """The path of every number in a JSON document, bools left out."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path
+
+
+def _dotted(path):
+    """A leaf's keys, dotted, with list indexes in brackets."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path)[1:]
+
+
+def _leaf_name(path):
+    """How an error names a leaf: a participant number by its field
+    (``height``, ``mass``), any other by its dotted keys."""
+    if path[0] == "participant":
+        return f": {path[1].split('_')[0]} must be"
+    return f"{_dotted(path)} must be"
+
+
+def _documents():
+    """The stride preset's profile.json and meta.json as ``simulate``
+    writes them, and a config that sets every number of ``RunConfig``."""
+    profile = synth.stride_profile()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "meta.json"
+        ingest.write_meta_file(path, ingest.TrialMeta(
+            profile.participant, profile.terrain, profile.sand_depth))
+        meta = json.loads(path.read_text())
+    config = {key: value for key, value in asdict(RunConfig()).items()
+              if value is not None}
+    return {"profile.json": profile.to_json(), "meta.json": meta,
+            "cfg.json": config}
+
+
+_DOCUMENTS = _documents()
+_LEAVES = [(name, path, value) for name, doc in _DOCUMENTS.items()
+           for path in _numeric_leaves(doc) for value in ("NaN", "Infinity")]
+
+
+class TestEveryDocumentNumber:
+    """Each number of each document, made NaN or infinite, exits 1 with one
+    error line naming the file and the key, and leaves no output."""
+
+    @pytest.mark.parametrize(
+        "name, path, value", _LEAVES,
+        ids=[f"{n}:{_dotted(p)}:{v}" for n, p, v in _LEAVES])
+    def test_non_finite_exits_one(self, sim_dir, tmp_path, caplog, capsys,
+                                  name, path, value):
+        doc = json.loads(json.dumps(_DOCUMENTS[name]))
+        if name != "cfg.json":  # the files the preset writes
+            assert json.loads((sim_dir / name).read_text()) == doc
+        leaf = doc
+        for key in path[:-1]:
+            leaf = leaf[key]
+        leaf[path[-1]] = float(value)
+        (tmp_path / name).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        if name == "profile.json":
+            argv = ["simulate", "--profile", str(tmp_path / name)]
+        else:
+            argv = ["analyze", "--markers", str(sim_dir / "markers.csv"),
+                    "--grf", str(sim_dir / "grf.csv"),
+                    "--meta", str((tmp_path if name == "meta.json"
+                                   else sim_dir) / "meta.json")]
+            if name == "cfg.json":
+                argv += ["--config", str(tmp_path / name)]
+        assert main(argv + ["--out", str(out)]) == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1, errors
+        assert errors[0].startswith(f"{tmp_path / name}: ")
+        assert _leaf_name(path) in errors[0]
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (out / "markers.csv").exists()
+        assert not (out / "meta.json").exists()
 
 
 class TestInternalError:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sandgait.errors import (ExtrapolationError, FitError, FormatError,
-                             ParameterError)
+                             GaitError, GaitInputError, ParameterError)
 from sandgait.forces import (CalibrationCurve, calibrate_grf,
                              default_calibration_curve, extract_grf_features,
                              fit_calibration, normalize_grf,
@@ -180,9 +180,12 @@ class TestFeatures:
         assert feats.fz_hump1 == pytest.approx(1.2, abs=1e-3)
 
     def test_fx_sign_invariant(self):
-        with pytest.raises(ParameterError):
+        # a processing failure (exit 2), not an input error: the record
+        # itself is valid
+        with pytest.raises(GaitError, match="straddle") as exc:
             extract_grf_features(np.full(101, 0.1) + 0.1,
                                  self._double_hump())
+        assert not isinstance(exc.value, GaitInputError)
 
 
 class TestIo:
@@ -212,7 +215,8 @@ class TestIo:
     @pytest.mark.parametrize("row, message", [
         ("14,200,lots", r":7: non-numeric field 'lots' in column f_buried_n"),
         ("14,200", r":7: expected 3 fields, got 2"),
-    ], ids=["non_numeric", "short_row"])
+        ("14,200,-inf", r":7: non-finite value -inf in column f_buried_n"),
+    ], ids=["non_numeric", "short_row", "non_finite"])
     def test_samples_bad_row_names_line(self, tmp_path, row, message):
         path = tmp_path / "s.csv"
         path.write_text("# rig 2\n\ndepth_cm,f_surface_n,f_buried_n\n"

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import re
 import subprocess
@@ -489,6 +490,16 @@ class TestMeta:
     def test_sand_requires_depth(self, participant):
         with pytest.raises(ConfigurationError, match="sand_depth"):
             TrialMeta(participant=participant, terrain="sand")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(terrain="sand", sand_depth=-3.0), "sand_depth_cm must be > 0"),
+        (dict(terrain="sand", sand_depth=math.nan), "sand_depth_cm must be > 0"),
+        (dict(terrain="solid", sync_offset=math.inf),
+         "sync_offset_s must be finite"),
+    ], ids=["negative_depth", "nan_depth", "infinite_offset"])
+    def test_numbers_checked(self, participant, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            TrialMeta(participant=participant, **kwargs)
 
     def test_unknown_terrain(self, participant):
         with pytest.raises(ConfigurationError, match="terrain"):

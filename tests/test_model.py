@@ -22,6 +22,8 @@ def test_participant_json_round_trip(participant):
     dict(height=-1.7, mass=70.0),
     dict(height=1.7, mass=0.0),
     dict(height=1.7, mass=-5.0),
+    dict(height=math.inf, mass=70.0),
+    dict(height=1.7, mass=math.nan),
 ])
 def test_participant_validation(kwargs):
     with pytest.raises(ConfigurationError):

@@ -121,8 +121,9 @@ class TestConfigFile:
         ({"hs_forward_speed": float("nan")}, "hs_forward_speed must be > 0"),
         ({"grf_smooth_window": -1}, "grf_smooth_window must be odd and >= 1"),
         ({"max_gap_frames": 2.0}, "max_gap_frames must be an integer"),
+        ({"gravity": float("inf")}, "gravity must be finite"),
     ], ids=["path_number", "gravity_text", "zero_swing", "nan_speed",
-            "negative_window", "float_gap"])
+            "negative_window", "float_gap", "infinite_gravity"])
     def test_rejected_values_name_path_and_key(self, tmp_path, doc, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from sandgait import synth
-from sandgait.errors import GenerationError
+from sandgait.errors import ConfigurationError, GenerationError
 from sandgait.model import (GRAVITY, AnthropometricTable, Participant,
                             segment_parameters)
 from sandgait.schema import MarkerSchema
@@ -25,6 +26,16 @@ class TestTrig:
     def test_json_round_trip(self):
         f = Trig(a0=0.3, rate=1.1, terms=((0.2, 1.5, 0.4),))
         assert Trig.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"terms": [[0.2, 1.5]]}, r"pelvis_x\.terms\[0\] must hold three"),
+        ({"terms": [[0.2, math.nan, 0.4]]},
+         r"pelvis_x\.terms\[0\]\[1\] must be finite, got nan"),
+        ({"rate": math.inf}, r"pelvis_x\.rate must be finite, got inf"),
+    ], ids=["two_values", "nan_frequency", "infinite_rate"])
+    def test_from_json_names_the_key(self, doc, message):
+        with pytest.raises(ConfigurationError, match=message):
+            Trig.from_json(doc, "pelvis_x")
 
 
 class TestProfile:
