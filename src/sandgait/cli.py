@@ -71,9 +71,14 @@ def cmd_analyze(args) -> int:
     if args.calibration:
         cfg.calibration = args.calibration
     meta = ingest.read_meta_file(args.meta)
-    meta = replace(meta, terrain=args.terrain or meta.terrain,
-                   sand_depth=(args.sand_depth if args.sand_depth is not None
-                               else meta.sand_depth))
+    try:
+        meta = replace(meta, terrain=args.terrain or meta.terrain,
+                       sand_depth=(args.sand_depth if args.sand_depth is not None
+                                   else meta.sand_depth))
+    except ConfigurationError as exc:  # the file's values passed on reading
+        if args.sand_depth is None:
+            raise
+        raise ConfigurationError(f"--sand-depth: {exc}") from None
     trial = ingest.parse_trial(args.markers, args.grf, meta,
                                schema=cfg.load_schema())
     result = analyze_trial(trial, cfg)
@@ -227,14 +232,14 @@ def cmd_simulate(args) -> int:
                       "%s,%s,%.6f\n",
                       [np.array(result.truth_events.rows(), dtype=object)])
 
+    # the rows of one side, then the other's: each side is text of its row
+    # format, so every cell is a number
     tm = result.truth_moments
-    ingest.write_rows(
+    ingest.write_row_groups(
         out / "truth_moments.csv", "time,side,ankle_nm,knee_nm,hip_nm",
-        "%.6f,%s,%.9f,%.9f,%.9f\n",
-        [np.tile(result.marker_time, len(SIDES)),
-         np.repeat(np.array(SIDES, dtype=object), len(result.marker_time))]
-        + [np.concatenate([tm[side][j] for side in SIDES])
-           for j in ("ankle", "knee", "hip")])
+        [(f"%.6f,{side},%.9f,%.9f,%.9f\n", [result.marker_time]
+          + [tm[side][j] for j in ("ankle", "knee", "hip")])
+         for side in SIDES])
     _echo(f"simulated trial written to {out} "
           f"({len(result.markers)} marker frames, {len(result.grf)} GRF samples)")
     return EXIT_OK

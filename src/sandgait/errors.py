@@ -2,10 +2,11 @@
 
 Two broad families matter for the CLI exit-code contract: input problems
 (bad files, bad config, bad parameters) exit 1, numerical/contract
-failures exit 2.  ``read_text`` is the one reader of user text files,
-so that undecodable bytes are an input error too; ``read_json`` adds the
-same for malformed JSON, and ``read_json_as`` for a document that does not
-convert.  ``check_number`` is the one rule for a number in such a document.
+failures exit 2.  ``decode_utf8`` is the one decoder of user text files
+(``read_text`` reads one through it), so that undecodable bytes are an
+input error too; ``read_json`` adds the same for malformed JSON, and
+``read_json_as`` for a document that does not convert.  ``check_number``
+is the one rule for a number in such a document.
 """
 import json
 import math
@@ -68,14 +69,22 @@ class GenerationError(GaitError):
     """Synthetic-gait profile is infeasible (e.g. foot below ground)."""
 
 
-def read_text(path, error: type[GaitInputError] = FormatError) -> str:
-    """A user file as UTF-8 text with universal newlines; bytes that are
-    not UTF-8 raise ``error`` naming the path and the byte offset."""
+def decode_utf8(path, raw: bytes,
+                error: type[GaitInputError] = FormatError) -> str:
+    """The bytes ``raw`` of user file ``path`` as UTF-8 text; bytes that
+    are not UTF-8 raise ``error`` naming the path and the byte offset."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
                     f"at offset {exc.start})") from None
+
+
+def read_text(path, error: type[GaitInputError] = FormatError) -> str:
+    """A user file as UTF-8 text (see ``decode_utf8``) with universal
+    newlines."""
+    text = decode_utf8(path, Path(path).read_bytes(), error)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json(path, error: type[GaitInputError] = FormatError):

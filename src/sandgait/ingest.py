@@ -3,15 +3,17 @@
 Marker files are plain CSV (``time,<label>_x,<label>_y,<label>_z,...`` in
 meters, missing coordinates as empty fields).  GRF files carry
 ``time,fx,fy,fz,mx,my,mz,copx,copy`` in N, N m, m, all as UTF-8.  A file
-is parsed from its bytes by one ``np.loadtxt`` call and written in blocks
-of ``ROW_BLOCK`` rows, so reading or writing holds a small multiple of the
-file, not of the whole table as text.  A block is formatted by one printf
-row format; where every cell is ``%.Nf`` over float64, as in marker and
-GRF files, a numpy kernel writes the same bytes two to four times as
-fast.
-Every file sandgait writes goes through ``write_rows``, ``write_text`` or
-``write_json``: UTF-8 whatever the locale, and atomic (written to
-``<name>.tmp``, then renamed) so partial runs never corrupt outputs.
+is parsed from its bytes by one ``np.loadtxt`` call, and decoded only to
+check that a non-ASCII file is UTF-8; empty marker cells become ``nan``
+block by block as loadtxt reads the lines.  So reading holds the file's
+bytes and the table, under twice the file.  Files are written
+``ROW_BLOCK`` rows at a time, each block formatted by one printf row
+format; where every cell is ``%.Nf`` over float64, as in marker and GRF
+files, a numpy kernel writes the same bytes two to four times as fast.
+Every file sandgait writes goes through ``write_rows`` (or
+``write_row_groups``), ``write_text`` or ``write_json``: UTF-8 whatever
+the locale, and atomic (written to ``<name>.tmp``, then renamed) so
+partial runs never corrupt outputs.
 The 1000 Hz GRF stream is decimated 10:1 by boxcar averaging onto the
 100 Hz marker timeline; the raw stream is retained for peak extraction.
 """
@@ -22,14 +24,14 @@ import io
 import json
 import os
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (AlignmentError, ConfigurationError, FormatError,
-                     SchemaError, check_number, read_json_as, read_text)
+                     SchemaError, check_number, decode_utf8, read_json_as)
 from .model import Participant
 from .schema import MarkerSchema
 
@@ -102,8 +104,10 @@ def _meta_from_json(raw: dict) -> TrialMeta:
     participant = Participant.from_json(raw["participant"])
     depth = raw.get("sand_depth_cm")
     return TrialMeta(participant=participant, terrain=raw["terrain"],
-                     sand_depth=None if depth is None else float(depth),
-                     sync_offset=float(raw.get("sync_offset_s", 0.0)))
+                     sand_depth=None if depth is None
+                     else check_number("sand_depth_cm", depth, "> 0"),
+                     sync_offset=check_number("sync_offset_s",
+                                              raw.get("sync_offset_s", 0.0)))
 
 
 def write_meta_file(path: str | Path, meta: TrialMeta) -> None:
@@ -114,10 +118,11 @@ def write_meta_file(path: str | Path, meta: TrialMeta) -> None:
     write_json(path, doc)
 
 
-_SKIPPED_LINE = re.compile(r"^[ \t]*(?:#.*)?$", re.M)
-_BLANK_LINE = re.compile(r"\n[ \t]*\n")  # the newline before and after it
-_NEXT_LINE = re.compile(r"\n*([^\n]*)")  # the next line that is not empty
-_EMPTY_CELL = re.compile(r",[ \t]*(?=[,\n])")
+_SKIPPED_LINE = re.compile(rb"^[ \t]*(?:#.*)?$", re.M)
+_BLANK_START = re.compile(rb"[ \t]*\n")
+_BLANK_LINE = re.compile(rb"\n[ \t]*\n")  # the newline before and after it
+_NEXT_LINE = re.compile(rb"\n*([^\n]*)")  # the next line that is not empty
+_EMPTY_CELL = re.compile(rb",[ \t]*(?=[,\n])")
 # loadtxt counts data rows from 0 in conversion errors, from 1 in width ones
 _LOADTXT_ERROR = re.compile(
     r"convert string (.*) to float64 at row (\d+), column (\d+)"
@@ -127,37 +132,41 @@ _LOADTXT_ERROR = re.compile(
 def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
                    *, comments: bool = False,
                    empty_is_nan: bool = False) -> np.ndarray:
-    """A CSV file of one header line, which ``check_header`` vets first,
-    and finite numeric rows as an (N, width of header) array; (0, 0) if
-    empty.  Blank lines are errors, unless ``comments`` skips them and
+    """A UTF-8 CSV file of one header line, which ``check_header`` vets
+    first, and finite numeric rows as an (N, width of header) array; (0, 0)
+    if empty.  Blank lines are errors, unless ``comments`` skips them and
     ``#`` lines.  ``empty_is_nan`` reads empty cells after the first column
     as NaN, and lets a NaN stand there for a missing value.  Errors name
-    ``path:line``."""
-    text = read_text(path)
-    if text and not text.endswith("\n"):
-        text += "\n"
+    ``path:line``.  The file is parsed from its bytes, with universal
+    newlines; it is decoded whole only to check a non-ASCII file."""
+    raw = Path(path).read_bytes()
+    if not raw.isascii():
+        decode_utf8(path, raw)  # only to reject bytes that are not UTF-8
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
     if comments:
-        text = _SKIPPED_LINE.sub("", text)
-    elif blank := _BLANK_LINE.search("\n" + text):
-        line = text.count("\n", 0, blank.start()) + 1
-        raise FormatError(f"{path}:{line}: blank line")
-    line = _NEXT_LINE.match(text)
+        raw = _SKIPPED_LINE.sub(b"", raw)
+    elif blank := _first_blank_line(raw):
+        raise FormatError(f"{path}:{blank}: blank line")
+    line = _NEXT_LINE.match(raw)
     if not line[1]:
         return np.empty((0, 0))
-    check_header(header := line[1].split(","))
+    check_header(header := line[1].decode("utf-8").split(","))
     body_at = line.end() + 1
-    if empty_is_nan and _EMPTY_CELL.search(text, body_at):
-        text = text[:body_at] + _EMPTY_CELL.sub(",nan", text[body_at:])
-    first_row = _NEXT_LINE.match(text, body_at)[1]
+    first_row = _NEXT_LINE.match(raw, body_at)[1]
     if not first_row:
         return np.empty((0, len(header)))
     # loadtxt takes its width from the first row
-    if (got := first_row.count(",") + 1) != len(header):
-        raise FormatError(f"{path}:{_file_line(text, 0)}: expected "
+    if (got := first_row.count(b",") + 1) != len(header):
+        raise FormatError(f"{path}:{_file_line(raw, 0)}: expected "
                           f"{len(header)} fields, got {got}")
-    # bytes, not a StringIO: that would hold the text at 4 bytes a character
-    data = io.BytesIO(text.encode("utf-8"))
-    data.seek(len(text[:body_at].encode("utf-8")))
+    if empty_is_nan:
+        data = _empty_as_nan(raw, body_at)
+    else:
+        data = io.BytesIO(raw)  # shares the buffer of raw
+        data.seek(body_at)
     try:
         table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2,
                            encoding="utf-8")
@@ -169,19 +178,43 @@ def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
         msg = (f"non-numeric field {cell} in column {header[int(col) - 1]}"
                if cell is not None else f"expected {len(header)} fields, got {got}")
         row = int(row) if cell is not None else int(row_from_1) - 1
-        raise FormatError(f"{path}:{_file_line(text, row)}: {msg}") from None
+        raise FormatError(f"{path}:{_file_line(raw, row)}: {msg}") from None
     bad = np.isinf(table) if empty_is_nan else ~np.isfinite(table)
     bad[:, 0] |= np.isnan(table[:, 0])
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise FormatError(f"{path}:{_file_line(text, row)}: non-finite value "
+        raise FormatError(f"{path}:{_file_line(raw, row)}: non-finite value "
                           f"{table[row, col]:g} in column {header[col].strip()}")
     return table
 
 
-def _file_line(text: str, row: int) -> int:
+def _first_blank_line(raw: bytes) -> int | None:
+    """The file line of the first blank line in ``raw``, if any.  (A search
+    for a newline is many times as fast as one for a line start.)"""
+    if _BLANK_START.match(raw):
+        return 1
+    if blank := _BLANK_LINE.search(raw):
+        return raw.count(b"\n", 0, blank.start()) + 2
+    return None
+
+
+#: Bytes of a file read at a time by ``_empty_as_nan``.
+_NAN_BLOCK = 1 << 16
+
+
+def _empty_as_nan(raw: bytes, at: int) -> Iterator[bytes]:
+    """The lines of ``raw`` from ``at``, each empty cell read as ``nan``,
+    substituted about ``_NAN_BLOCK`` bytes at a time: no second copy of
+    ``raw`` is held."""
+    while at < len(raw):
+        end = raw.index(b"\n", min(at + _NAN_BLOCK, len(raw) - 1)) + 1
+        yield from io.BytesIO(_EMPTY_CELL.sub(b",nan", raw[at:end]))
+        at = end
+
+
+def _file_line(raw: bytes, row: int) -> int:
     """File line of data row ``row`` (from 0), loadtxt skipping empty lines."""
-    return [i for i, line in enumerate(text.split("\n"), 1) if line][row + 1]
+    return [i for i, line in enumerate(raw.split(b"\n"), 1) if line][row + 1]
 
 
 def expect_columns(path, columns: list[str]) -> Callable[[list[str]], None]:
@@ -410,22 +443,32 @@ def write_json(path: str | Path, doc) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_rows(path: str | Path, header: str, row_format: str,
-               columns: list[np.ndarray], *, nan_as_empty: bool = False) -> None:
-    """A UTF-8 CSV file, atomically: the ``header`` line(s), then the rows
-    of ``columns`` (equal-length 1-D or 2-D arrays side by side; object
-    arrays for text cells) through one printf row format, ``ROW_BLOCK``
-    rows at a time.  ``nan_as_empty`` writes a NaN after the first column
-    as an empty cell."""
+def write_row_groups(path: str | Path, header: str,
+                     groups: list[tuple[str, list[np.ndarray]]], *,
+                     nan_as_empty: bool = False) -> None:
+    """A UTF-8 CSV file, atomically: the ``header`` line(s), then for each
+    ``(row_format, columns)`` group in turn the rows of ``columns``
+    (equal-length 1-D or 2-D arrays side by side; object arrays for text
+    cells) through that one printf row format, ``ROW_BLOCK`` rows at a
+    time.  ``nan_as_empty`` writes a NaN after the first column as an
+    empty cell."""
     def chunks():
         yield header + "\n"
-        for i in range(0, len(columns[0]), ROW_BLOCK):
-            rows = format_rows(row_format, np.column_stack(
-                [c[i:i + ROW_BLOCK] for c in columns]))
-            # a block ends a row, and "%.9f" prints no other token that
-            # starts with "n"
-            yield rows.replace(",nan", ",") if nan_as_empty else rows
+        for row_format, columns in groups:
+            for i in range(0, len(columns[0]), ROW_BLOCK):
+                rows = format_rows(row_format, np.column_stack(
+                    [c[i:i + ROW_BLOCK] for c in columns]))
+                # a block ends a row, and "%.9f" prints no other token that
+                # starts with "n"
+                yield rows.replace(",nan", ",") if nan_as_empty else rows
     write_text(path, chunks())
+
+
+def write_rows(path: str | Path, header: str, row_format: str,
+               columns: list[np.ndarray], *, nan_as_empty: bool = False) -> None:
+    """``write_row_groups`` of one group."""
+    write_row_groups(path, header, [(row_format, columns)],
+                     nan_as_empty=nan_as_empty)
 
 
 def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:

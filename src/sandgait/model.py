@@ -40,8 +40,12 @@ class Participant:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Participant":
-        return cls(id=str(doc["id"]), height=float(doc["height_m"]),
-                   mass=float(doc["mass_kg"]))
+        """The inverse of ``to_json``; errors quote a number as given."""
+        pid = str(doc["id"])
+        key = f"participant {pid!r}: "
+        return cls(id=pid,
+                   height=check_number(key + "height", doc["height_m"], "> 0"),
+                   mass=check_number(key + "mass", doc["mass_kg"], "> 0"))
 
     @property
     def weight(self) -> float:

@@ -7,6 +7,9 @@ ingest formats together with ground-truth joint moments and gait events
 for round-trip testing.  The scripted ground force balances whole-body
 Newton dynamics (weight plus total inertial force) inside each stance
 window, so a motionless profile yields exactly body weight on the plate.
+At the GRF rate each leg's chain is built ``_CHAIN_BLOCK`` samples at a
+time and only the feet and the inertial force are kept, so generation
+holds under three times the arrays it returns, however long the trial.
 """
 from __future__ import annotations
 
@@ -179,8 +182,12 @@ def _cop_fixed(key, cop) -> tuple[float, float] | None:
 
 def _stance_windows(key, windows) -> list[tuple] | None:
     """A profile's ``stance_windows_s``: null, or [start, end] pairs of
-    finite numbers, start < end, kept as the file gives them."""
+    finite JSON numbers, start < end, kept as the file gives them."""
     for i, (t0, t1) in enumerate(windows or ()):
+        for j, t in enumerate((t0, t1)):
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                raise ConfigurationError(f"{key}[{i}][{j}] must be a number, "
+                                         f"got {t!r}")
         if not (check_number(f"{key}[{i}][0]", t0)
                 < check_number(f"{key}[{i}][1]", t1)):
             raise ConfigurationError(f"stance window {[t0, t1]} must be "
@@ -250,6 +257,11 @@ class _LegKinematics:
         e_f = self.states["foot"].e
         sole = np.stack([-e_f[:, 2], zeros, e_f[:, 0]], axis=-1)
         self.heel = self.pos["ankle"] - 0.05 * e_f - 0.9 * pr.ankle_height * sole
+
+
+#: GRF-rate samples of one leg's chain built at a time by ``synthesize_gait``;
+#: at least 3001, so a 3 s trial at 1 kHz is one block.
+_CHAIN_BLOCK = 4096
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -330,14 +342,21 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
                 raise GenerationError(
                     f"{side} {name} penetrates the ground ({low:.4f} m)")
 
-    # at 1 kHz only the feet and the inertial force are read: build one
-    # side's chain at a time and keep just those
-    feet_g, inertia_g = {}, None
-    for side in SIDES:
-        kin = _LegKinematics(pr, side, t_g, params)
-        feet_g[side] = kin.heel, kin.pos["toe"]
-        inertia_g = inertial_force(kin, inertia_g)
-        del kin
+    # at 1 kHz only the feet and the inertial force are read: build each
+    # side's chain over at most _CHAIN_BLOCK samples at a time and keep just
+    # those; every step is elementwise, so blocks give the same floats
+    feet_g = {side: (np.empty((len(t_g), 3)), np.empty((len(t_g), 3)))
+              for side in SIDES}
+    inertia_g = np.empty((len(t_g), 3))
+    for start in range(0, len(t_g), _CHAIN_BLOCK):
+        block, f = slice(start, start + _CHAIN_BLOCK), None
+        for side in SIDES:
+            kin = _LegKinematics(pr, side, t_g[block], params)
+            heel, toe = feet_g[side]
+            heel[block], toe[block] = kin.heel, kin.pos["toe"]
+            f = inertial_force(kin, f)
+            del kin
+        inertia_g[block] = f
 
     # stance schedule
     is_static = all(
@@ -376,11 +395,12 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
 
     # whole-body Newton balance: weight plus the total inertial force
     weight = pr.participant.mass * GRAVITY * E_Z[None, :]
-    w_g = _stance_weight(t_g, windows, pr.ramp)
-    force_g = w_g[:, None] * (inertia_g + weight)
+    force_g = (_stance_weight(t_g, windows, pr.ramp)[:, None]
+               * (inertia_g + weight))
     cop_g = cop_track(t_g, feet_g)
-    cop3_g = np.concatenate([cop_g, np.zeros((len(t_g), 1))], axis=1)
-    moment_g = np.cross(cop3_g, force_g)  # plate-origin moment, zero couple at COP
+    del feet_g, inertia_g  # nothing after reads the 1 kHz chain
+    # plate-origin moment, zero couple at COP
+    moment_g = np.cross(np.column_stack([cop_g, np.zeros(len(t_g))]), force_g)
 
     grf = GrfData(time=t_g, force=force_g, moment=moment_g, cop=cop_g)
 

@@ -439,6 +439,9 @@ _MALFORMED = [
     ("analyze", _flags("_sand_depth_flag_negative",
                        {"--terrain": "sand", "--sand-depth": "-3"},
                        "sand_depth_cm must be > 0, got -3.0")),
+    ("analyze", _flags("_sand_depth_flag_infinite",
+                       {"--terrain": "sand", "--sand-depth": "inf"},
+                       "--sand-depth: sand_depth_cm must be finite, got inf")),
     ("analyze", _curve("_curve_zeta_above_one", "0,1,0,0\n20,1.5,0,12\n",
                        ": zeta values must lie in (0, 1]")),
     ("analyze", _curve("_curve_nan_zeta", "0,1,0,0\n20,nan,0,12\n",
@@ -502,6 +505,11 @@ _MALFORMED = [
                               stance_windows_s=[[0.5, 0.2]])),
                           "stance window [0.5, 0.2] must be finite with "
                           "start < end")),
+    ("simulate", _profile("_profile_stance_window_strings",
+                          _edit_json(lambda d: d.update(
+                              stance_windows_s=[["0.2", "0.8"]])),
+                          "stance_windows_s[0][0] must be a number, "
+                          "got '0.2'")),
     ("simulate", _profile("_profile_sand_depth_string",
                           _edit_json(lambda d: d.update(terrain="sand",
                                                         sand_depth_cm="deep")),

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import os
 import re
@@ -16,6 +17,7 @@ from scipy.interpolate import interp1d
 from sandgait import ingest
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
                              SchemaError)
+from sandgait.forces import read_calibration_samples
 from sandgait.ingest import (ROW_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
                              TrialMeta, align_streams, fill_gaps,
                              format_rows, read_csv_table, read_grf_file,
@@ -224,6 +226,116 @@ def test_rows_start_after_a_non_ascii_header(tmp_path):
     table = read_csv_table(path, headers.append)
     assert headers == [["time", "Zo\u00eb-\u00c5sa-\u00d8rn"]]
     assert table.tolist() == [[0.5, 1.0], [1.5, 2.0]]
+
+
+def _marker_text(schema):
+    markers = _make_markers(schema, n=5)
+    markers.pos["L-heel"][2] = np.nan
+    labels = sorted(schema.labels)
+    rows = np.column_stack([markers.pos[l] for l in labels])
+    return "".join(
+        [",".join(["time"] + [f"{l}_{ax}" for l in labels for ax in "xyz"])]
+        + [f"\n{t:.6f}," + ",".join("" if math.isnan(v) else f"{v:.9f}"
+                                    for v in row)
+           for t, row in zip(markers.time, rows)]) + "\n"
+
+
+#: reader -> (read a path to one array, a file of it as LF text, the
+#: line and column of a cell to spoil); the samples carry comments
+_CSV_READERS = {
+    "grf": (lambda path: np.column_stack(
+                [(g := read_grf_file(path)).time, g.force, g.moment, g.cop]),
+            "time,fx,fy,fz,mx,my,mz,copx,copy\n"
+            + "".join(f"{i / 1000:.6f}" + f",{i + 0.5:.9f}" * 8 + "\n"
+                      for i in range(4)), 3, 3),
+    "markers": (lambda path: np.column_stack(
+                    [(m := read_marker_file(path, MarkerSchema.default())).time]
+                    + [m.pos[l] for l in sorted(m.pos)]),
+                None, 4, 7),
+    "samples": (lambda path: np.array(read_calibration_samples(path)),
+                "# rig 2\ndepth_cm,f_surface_n,f_buried_n\n14,100,81\n"
+                "# second load\n14,200,162\n", 5, 2),
+}
+
+
+class TestReaderBytes:
+    """The CSV readers parse bytes as the text reader before them did:
+    universal newlines, UTF-8 checked, the same tables, errors and lines."""
+
+    @pytest.fixture(params=list(_CSV_READERS))
+    @staticmethod
+    def reader(request, schema):
+        read, text, line, col = _CSV_READERS[request.param]
+        return read, text or _marker_text(schema), line, col
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_newlines_read_the_same(self, tmp_path, reader, newline):
+        read, text, _, _ = reader
+        (tmp_path / "lf.csv").write_bytes(text.encode())
+        (tmp_path / "other.csv").write_bytes(
+            text.replace("\n", newline).encode())
+        assert np.array_equal(read(tmp_path / "other.csv"),
+                              read(tmp_path / "lf.csv"), equal_nan=True)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_error_names_the_same_line(self, tmp_path, reader, newline):
+        read, text, line, col = reader
+        lines = text.split("\n")
+        cells = lines[line - 1].split(",")
+        cells[col] = "x1"
+        lines[line - 1] = ",".join(cells)
+        header = next(l for l in lines if not l.startswith("#")).split(",")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(newline.join(lines).encode())
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == (f"{path}:{line}: non-numeric field 'x1' "
+                                  f"in column {header[col]}")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_names_the_file_offset(self, tmp_path, reader,
+                                                newline):
+        read, text, line, _ = reader
+        data = text.replace("\n", newline).encode()
+        at = data.index(b",", sum(len(l) + len(newline)
+                                  for l in text.split("\n")[:line - 1]))
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data[:at] + b"\xc3(" + data[at:])
+        with pytest.raises(FormatError) as exc:
+            read(path)
+        assert str(exc.value) == (f"{path}: not UTF-8 text "
+                                  f"(byte 0xc3 at offset {at})")
+
+    def test_non_ascii_comment(self, tmp_path):
+        read, text, line, col = _CSV_READERS["samples"]
+        path = tmp_path / "s.csv"
+        path.write_text(text.replace("# rig 2", "# Bohr\u00e4nde \u2116 2"),
+                        encoding="utf-8")
+        assert read(path).tolist() == [[14, 100, 81], [14, 200, 162]]
+        path.write_text(path.read_text(encoding="utf-8") + "1,2,x1\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=r"s\.csv:6: non-numeric"):
+            read(path)
+
+    def test_non_ascii_grf_header(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text(_CSV_READERS["grf"][1].replace("copy", "c\u00f6py"),
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            read_grf_file(path)
+        assert str(exc.value) == (f"{path}: expected header "
+                                  f"{','.join(GRF_COLUMNS)}")
+
+    def test_non_ascii_marker_label(self, tmp_path, schema):
+        path = tmp_path / "m.csv"
+        text = _marker_text(schema)
+        path.write_text(text.replace("L-heel_", "L-h\u00e9el_"),
+                        encoding="utf-8")
+        with pytest.raises(SchemaError, match="unknown marker label.*"
+                                              "'L-h\u00e9el'"):
+            read_marker_file(path, schema)
 
 
 class TestGrfIo:
@@ -500,6 +612,23 @@ class TestMeta:
     def test_numbers_checked(self, participant, kwargs, message):
         with pytest.raises(ConfigurationError, match=message):
             TrialMeta(participant=participant, **kwargs)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["participant"].update(mass_kg=-3),
+         r"mass must be > 0, got -3$"),
+        (lambda m: m.update(terrain="sand", sand_depth_cm=-3),
+         r"sand_depth_cm must be > 0, got -3$"),
+    ], ids=["mass", "sand_depth"])
+    def test_numbers_quoted_as_given(self, tmp_path, participant, edit,
+                                     message):
+        path = tmp_path / "meta.json"
+        write_meta_file(path, TrialMeta(participant=participant,
+                                        terrain="solid"))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match=message):
+            read_meta_file(path)
 
     def test_unknown_terrain(self, participant):
         with pytest.raises(ConfigurationError, match="terrain"):

@@ -66,14 +66,14 @@ def trial(walk, tmp_path_factory):
 def test_read_grf_file(trial):
     path = trial[0] / "grf.csv"
     _, peak = _peak(ingest.read_grf_file, path)
-    assert peak <= 4.5 * path.stat().st_size
+    assert peak <= 2.0 * path.stat().st_size
 
 
 def test_read_marker_file_with_gaps(trial):
     path = trial[0] / "markers.csv"
     markers, peak = _peak(ingest.read_marker_file, path, MarkerSchema.default())
     assert any(np.isnan(p).any() for p in markers.pos.values())
-    assert peak <= 4.5 * path.stat().st_size
+    assert peak <= 2.1 * path.stat().st_size
 
 
 def test_write_grf_file(trial, tmp_path):
@@ -90,4 +90,4 @@ def test_write_marker_file(trial, tmp_path):
 
 def test_synthesize_gait(walk):
     res, peak = _peak(synth.synthesize_gait, walk)
-    assert peak <= 6 * _array_bytes(res)
+    assert peak <= 2.9 * _array_bytes(res)

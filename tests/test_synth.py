@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -43,6 +44,21 @@ class TestProfile:
         p = stride_profile()
         assert GaitProfile.from_json(p.to_json()) == p
 
+    @pytest.mark.parametrize("window", [["0.2", 0.8], [True, 0.8], [None, 0.8]],
+                             ids=["string", "boolean", "null"])
+    def test_stance_window_must_be_a_number(self, window):
+        doc = stride_profile().to_json()
+        doc["stance_windows_s"] = [window]
+        with pytest.raises(ConfigurationError,
+                           match=r"stance_windows_s\[0\]\[0\] must be a number"):
+            GaitProfile.from_json(doc)
+
+    def test_stance_windows_kept_as_given(self):
+        doc = stride_profile().to_json()
+        doc["stance_windows_s"] = [[0, 2], [2.5, 3]]
+        back = GaitProfile.from_json(doc).to_json()["stance_windows_s"]
+        assert json.dumps(back) == "[[0, 2], [2.5, 3]]"
+
     def test_minimal_json_takes_dataclass_defaults(self):
         doc = {"participant": {"id": "p", "height_m": 1.7, "mass_kg": 70.0},
                "duration_s": 3.0,
@@ -75,6 +91,27 @@ class TestStanding:
             for joint in ("ankle", "knee", "hip"):
                 m = res.truth_moments[side][joint]
                 np.testing.assert_allclose(m - m[0], 0.0, atol=1e-6)
+
+
+def _full_chain_force(pr, result):
+    """The GRF force of ``result``, generated from ``pr``, rebuilt from both
+    sides' 1 kHz chains over the whole trial at once: weight plus HAT mass x
+    hip acceleration, then the left thigh, shank and foot terms, then the
+    right ones; and the chains."""
+    params = segment_parameters(pr.participant, AnthropometricTable.default(),
+                                {"thigh": pr.thigh_len, "shank": pr.shank_len,
+                                 "foot": pr.foot_len})
+    t = result.grf.time
+    kin = {side: synth._LegKinematics(pr, side, t, params)
+           for side in ("left", "right")}
+    hat = pr.participant.mass - 2 * sum(p.mass for p in params.values())
+    f = hat * kin["left"].hip_acc
+    for side in ("left", "right"):
+        for seg in ("thigh", "shank", "foot"):
+            f = f + params[seg].mass * kin[side].states[seg].acc
+    f = f + pr.participant.mass * GRAVITY * np.array([0.0, 0.0, 1.0])
+    w = synth._stance_weight(t, result.stance_windows, pr.ramp)
+    return w[:, None] * f, kin
 
 
 class TestStride:
@@ -118,23 +155,8 @@ class TestStride:
         assert 0.5 * W < result.grf.force[:, 2].max() < 2.0 * W
 
     def test_grf_force_is_one_fixed_float_sum(self, result):
-        # weight plus HAT mass x hip acceleration, then the left thigh,
-        # shank and foot terms, then the right ones, from both 1 kHz chains
-        pr = stride_profile()
-        params = segment_parameters(pr.participant, AnthropometricTable.default(),
-                                    {"thigh": pr.thigh_len, "shank": pr.shank_len,
-                                     "foot": pr.foot_len})
-        t = result.grf.time
-        kin = {side: synth._LegKinematics(pr, side, t, params)
-               for side in ("left", "right")}
-        hat = pr.participant.mass - 2 * sum(p.mass for p in params.values())
-        f = hat * kin["left"].hip_acc
-        for side in ("left", "right"):
-            for seg in ("thigh", "shank", "foot"):
-                f = f + params[seg].mass * kin[side].states[seg].acc
-        f = f + pr.participant.mass * GRAVITY * np.array([0.0, 0.0, 1.0])
-        w = synth._stance_weight(t, result.stance_windows, pr.ramp)
-        np.testing.assert_array_equal(result.grf.force, w[:, None] * f)
+        force, _ = _full_chain_force(stride_profile(), result)
+        np.testing.assert_array_equal(result.grf.force, force)
 
     def test_cop_stays_within_foot(self, result):
         markers = result.markers
@@ -170,3 +192,31 @@ def test_leg_kinematics_built_once_per_side_and_rate(monkeypatch):
     synthesize_gait(stride_profile())
     assert sorted(built) == [("left", 301), ("left", 3001),
                              ("right", 301), ("right", 3001)]
+
+
+@pytest.mark.parametrize("n", [synth._CHAIN_BLOCK - 1, synth._CHAIN_BLOCK,
+                               synth._CHAIN_BLOCK + 1, 5 * synth._CHAIN_BLOCK],
+                         ids=["block_less_one", "block", "block_and_one",
+                              "five_blocks"])
+def test_chain_blocks_equal_one_full_chain(monkeypatch, n):
+    # the GRF-rate chain built in blocks gives the floats of one chain over
+    # all n GRF samples, bit for bit
+    pr = dataclasses.replace(stride_profile(), duration=(n - 1) * 0.001)
+    res = synthesize_gait(pr)
+    assert len(res.grf.time) == n
+    force, kin = _full_chain_force(pr, res)
+    np.testing.assert_array_equal(res.grf.force, force)
+    events = synth._truth_events(
+        {side: (k.heel, k.pos["toe"]) for side, k in kin.items()},
+        res.grf.time, pr.grf_dt)
+    assert res.truth_events.rows() == events.rows()
+    monkeypatch.setattr(synth, "_CHAIN_BLOCK", n)
+    whole = synthesize_gait(pr)
+    for name in ("time", "force", "moment", "cop"):
+        np.testing.assert_array_equal(getattr(res.grf, name),
+                                      getattr(whole.grf, name))
+    assert res.truth_moments.keys() == whole.truth_moments.keys()
+    for side, joints in whole.truth_moments.items():
+        for joint, moment in joints.items():
+            np.testing.assert_array_equal(res.truth_moments[side][joint],
+                                          moment)
