@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except GaitInputError as exc:
         log.error("%s", exc)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read or written
         log.error("%s", exc)
         return EXIT_INPUT
     except GaitError as exc:

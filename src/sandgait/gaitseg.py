@@ -11,17 +11,18 @@ interrupts, is none.  Curves are resampled onto a 101-point phase grid
 Every quantity that pairs events reads ``cycle_table``: a row per
 ipsilateral heel strike ``hs``, NaN where an event is missing, with the
 columns ``HS`` (``hs``), ``TO`` (the first ipsilateral toe-off after it),
-``NEXT_HS`` (the next ipsilateral heel strike), ``C_HS`` and ``C_TO`` (the
-first contralateral heel strike and toe-off after ``hs``) and
+``NEXT_HS`` (the next ipsilateral heel strike), ``C_HS`` (the first
+contralateral heel strike after ``hs``, if it comes before ``NEXT_HS``),
+``C_TO`` (the first contralateral toe-off after ``hs``) and
 ``C_HS_AFTER_TO`` (the first contralateral heel strike after ``C_TO``).
-Each side's events must alternate in time order, as ``detect_side_events``
-returns them; on hand-built events that do not, ``cycle_table`` and every
-function that reads it raise ``SegmentationError``.  So a cycle is
-``hs -> to -> next_hs``, its toe-off the first after its heel strike.
+A ``SideEvents`` holds events that alternate in time order, as
+``detect_side_events`` returns them; building one that does not raises
+``SegmentationError``.  So a cycle is ``hs -> to -> next_hs``, its toe-off
+the first after its heel strike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,28 +54,32 @@ class EventThresholds:
 
 @dataclass
 class SideEvents:
-    heel_strikes: np.ndarray  # times, s
+    """One side's heel-strike and toe-off times, s, strictly alternating."""
+
+    heel_strikes: np.ndarray
     toe_offs: np.ndarray
+
+    def __post_init__(self):
+        _check_alternation(self)
 
 
 @dataclass
 class GaitEvents:
-    """Heel-strike / toe-off times per side, strictly alternating."""
+    """Heel-strike / toe-off times per side."""
 
-    left: SideEvents | None = field(default=None)
-    right: SideEvents | None = field(default=None)
+    left: SideEvents
+    right: SideEvents
 
     def side(self, name: str) -> SideEvents:
-        ev = getattr(self, name)
-        if ev is None:
+        if name not in SIDES:
             raise SegmentationError(f"no events for side {name!r}")
-        return ev
+        return getattr(self, name)
 
     def rows(self) -> list[tuple[str, str, float]]:
         """``(side, event, time)`` of every event: left, then right, each
         side in time order with a heel strike first at equal times."""
         return [(side, kind, t) for side in SIDES
-                if (ev := getattr(self, side)) is not None
+                for ev in (getattr(self, side),)
                 for t, kind in sorted(
                     [(t, "heel_strike") for t in ev.heel_strikes.tolist()]
                     + [(t, "toe_off") for t in ev.toe_offs.tolist()])]
@@ -98,21 +103,22 @@ def _local_extrema(x: np.ndarray, sign: int) -> np.ndarray:
     return cand[y[j + 1] > y[j]]
 
 
-def detect_side_events(time: np.ndarray, heel_z: np.ndarray,
-                       toe_z: np.ndarray, heel_vx: np.ndarray,
+def detect_side_events(time: np.ndarray, heel: np.ndarray, toe: np.ndarray,
                        thresholds: EventThresholds | None = None,
                        ) -> SideEvents:
-    """Detect heel strikes and toe-offs for one side.
-
-    Inputs are expected to be (lightly) filtered marker series at the
-    marker rate.  Alternation is enforced by discarding the weaker of two
-    same-kind consecutive detections.
+    """Detect one side's heel strikes and toe-offs from its (N, 3) heel and
+    toe positions, (lightly) filtered marker series at the marker rate whose
+    velocities are differenced at the median time step.  Alternation is
+    enforced by discarding the weaker of two same-kind consecutive
+    detections.
     """
     th = thresholds if thresholds is not None else EventThresholds()
     if len(time) < 3:
         raise SegmentationError("series too short for event detection")
     dt = float(np.median(np.diff(time)))
-    toe_vz = np.gradient(toe_z, dt)
+    heel_z = heel[:, 2]
+    heel_vx = np.gradient(heel[:, 0], dt)
+    toe_vz = np.gradient(toe[:, 2], dt)
 
     # isfinite: -inf passes < and +inf passes >
     hs_idx = _local_extrema(heel_z, 1)
@@ -156,9 +162,7 @@ def detect_side_events(time: np.ndarray, heel_z: np.ndarray,
     to = np.array([time[i] for i, k in cleaned if k == "to"])
     if hs.size == 0:
         raise SegmentationError("no heel strikes survived alternation cleanup")
-    ev = SideEvents(heel_strikes=hs, toe_offs=to)
-    _check_alternation(ev)
-    return ev
+    return SideEvents(heel_strikes=hs, toe_offs=to)
 
 
 def _check_alternation(ev: SideEvents) -> None:
@@ -185,21 +189,19 @@ def cycle_table(ipsi: SideEvents, contra: SideEvents | None = None) -> np.ndarra
     docstring for its columns.  Without ``contra`` the contralateral
     columns are NaN."""
     contra = contra if contra is not None else SideEvents(np.empty(0), np.empty(0))
-    for ev in (ipsi, contra):
-        _check_alternation(ev)
     hs = np.asarray(ipsi.heel_strikes, dtype=float)
+    next_hs = np.append(hs, np.nan)[1:]
+    c_hs = _first_after(contra.heel_strikes, hs)
     c_to = _first_after(contra.toe_offs, hs)
-    return np.column_stack([hs, _first_after(ipsi.toe_offs, hs),
-                            np.append(hs, np.nan)[1:],
-                            _first_after(contra.heel_strikes, hs), c_to,
+    return np.column_stack([hs, _first_after(ipsi.toe_offs, hs), next_hs,
+                            np.where(c_hs < next_hs, c_hs, np.nan), c_to,
                             _first_after(contra.heel_strikes, c_to)])
 
 
-def stance_windows(ev: SideEvents) -> np.ndarray:
-    """(heel strike, toe-off) of every cycle-table row with a toe-off, as
-    an (m, 2) array."""
-    cyc = cycle_table(ev)
-    return cyc[~np.isnan(cyc[:, TO])][:, [HS, TO]]
+def stance_windows(cycles: np.ndarray) -> np.ndarray:
+    """(heel strike, toe-off) of every row of a cycle table with a toe-off,
+    as an (m, 2) array."""
+    return cycles[~np.isnan(cycles[:, TO])][:, [HS, TO]]
 
 
 def grf_stance_check(ev: SideEvents, grf_time: np.ndarray, fz: np.ndarray,
@@ -245,14 +247,15 @@ def phase_normalize(time: np.ndarray, values: np.ndarray,
     return NormalizedCurve(values=np.interp(t_grid, time, values))
 
 
-def stance_swing_durations(ev: SideEvents) -> list[dict[str, float]]:
-    """Per full cycle: stance/swing durations and the stance fraction.
+def stance_swing_durations(cycles: np.ndarray) -> list[dict[str, float]]:
+    """Per full cycle of a cycle table: stance/swing durations and the
+    stance fraction.
 
     stance = TO - HS, swing = next HS - TO, fraction = stance / cycle.
     """
-    if len(ev.heel_strikes) < 2:
+    if len(cycles) < 2:
         raise InsufficientDataError(
-            f"need at least 2 heel strikes, got {len(ev.heel_strikes)}")
+            f"need at least 2 heel strikes, got {len(cycles)}")
     return [{"stance_s": to - hs, "swing_s": hs1 - to,
              "stance_fraction": (to - hs) / (hs1 - hs)}
-            for hs, to, hs1 in cycle_table(ev)[:-1, [HS, TO, NEXT_HS]].tolist()]
+            for hs, to, hs1 in cycles[:-1, [HS, TO, NEXT_HS]].tolist()]

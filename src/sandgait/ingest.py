@@ -482,6 +482,9 @@ def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
         if header[1:] != [f"{l}_{ax}" for l in labels for ax in "xyz"]:
             raise FormatError(f"{path}: marker columns must come in "
                               f"<label>_x,<label>_y,<label>_z triples")
+        repeated = sorted({l for l in labels if labels.count(l) > 1})
+        if repeated:
+            raise SchemaError(f"{path}: duplicate marker label(s) {repeated}")
         expected = set(schema.labels)
         unknown = [l for l in labels if l not in expected]
         if unknown:

@@ -13,19 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, InsufficientDataError, ParameterError
-from .gaitseg import (C_HS, C_HS_AFTER_TO, C_TO, HS, NEXT_HS, TO, GaitEvents,
-                      SideEvents, cycle_table)
+from .gaitseg import C_HS, C_HS_AFTER_TO, C_TO, HS, NEXT_HS, TO
 from .model import Participant
 
 
-def stride_metrics(events: GaitEvents,
+def stride_metrics(cycles: dict[str, np.ndarray],
                    heel_pos: dict[str, np.ndarray],
                    com: np.ndarray,
                    pelvis_mid: np.ndarray,
                    time: np.ndarray,
                    participant: Participant) -> list[dict]:
     """Per-stride spatiotemporal metrics for every complete ipsilateral
-    cycle on either side.
+    cycle of either side's cycle table in ``cycles``, left first.
 
     stride_length: forward (X) distance between consecutive ipsilateral
     heel-strike heel positions; stride_width: lateral (Y) distance to the
@@ -35,18 +34,14 @@ def stride_metrics(events: GaitEvents,
     """
     h = participant.height
     rows = []
-    for side in ("left", "right"):
-        ev = getattr(events, side)
-        if ev is None or len(ev.heel_strikes) < 2:
-            continue
+    for side, table in cycles.items():
+        cyc = table[:-1]
         other = "right" if side == "left" else "left"
-        cyc = cycle_table(ev, getattr(events, other))[:-1]
         hs0, to, hs1 = cyc[:, HS], cyc[:, TO], cyc[:, NEXT_HS]
         heel_x = np.interp(cyc[:, [HS, NEXT_HS]], time, heel_pos[side][:, 0])
         pelvis_x = np.interp(cyc[:, [HS, NEXT_HS]], time, pelvis_mid[:, 0])
         length = np.abs(heel_x[:, 1] - heel_x[:, 0])
-        c_hs = np.where(cyc[:, C_HS] < hs1, cyc[:, C_HS], np.nan)
-        width = np.abs(np.interp(c_hs, time, heel_pos[other][:, 1])
+        width = np.abs(np.interp(cyc[:, C_HS], time, heel_pos[other][:, 1])
                        - np.interp(hs0, time, heel_pos[side][:, 1]))
         com_var = np.array([
             np.nanmax(com[i:j, 2]) - np.nanmin(com[i:j, 2]) if j > i else math.nan
@@ -122,16 +117,14 @@ def _ols_slope(x: np.ndarray, y: np.ndarray, label: str) -> StiffnessFit:
 def knee_stiffness(time: np.ndarray,
                    knee_angle: np.ndarray,
                    knee_moment_norm: np.ndarray,
-                   events: GaitEvents,
-                   side: str = "right") -> StiffnessResult:
+                   cycles: np.ndarray,
+                   side: str) -> StiffnessResult:
     """OLS slopes of mass-normalized knee moment vs knee angle over the
-    three event-delimited sub-phases."""
-    ips: SideEvents = events.side(side)
-    con: SideEvents = events.side("left" if side == "right" else "right")
-    if len(ips.heel_strikes) < 1:
+    three event-delimited sub-phases of row 0 of the cycle table ``cycles``."""
+    if not len(cycles):
         raise InsufficientDataError(f"no {side} heel strike")
 
-    cyc = cycle_table(ips, con)[0]
+    cyc = cycles[0]
     for col, missing in ((C_TO, "contralateral toe-off after heel strike"),
                          (C_HS_AFTER_TO, "contralateral heel strike after toe-off"),
                          (TO, f"{side} toe-off after heel strike"),
@@ -177,7 +170,7 @@ def paired_compare(a, b) -> dict:
             raise ParameterError("zero-variance differences with nonzero mean")
     else:
         t_stat = mean_d / (sd_d / math.sqrt(n))
-        p = float(2.0 * (1.0 - stdtr(n - 1, abs(t_stat))))
+        p = float(2.0 * stdtr(n - 1, -abs(t_stat)))
     s_a = float(a.std(ddof=1))
     s_b = float(b.std(ddof=1))
     pooled = math.sqrt((s_a ** 2 + s_b ** 2) / 2.0)

@@ -2,9 +2,10 @@
 
 ``analyze_trial`` runs named stages on whole arrays: ``_surface_grf`` (the
 sand rescale), gap-fill and alignment, marker smoothing (once per window),
-segment kinematics, ``_detect_events``, ``_plate_load``, inverse dynamics,
-``_plate_stance`` (the stance window of the stance curves), then the
-outcome curves and scalars.  Every output embeds the config hash.
+segment kinematics, ``_detect_events`` and one cycle table per side,
+``_plate_load``, inverse dynamics, ``_plate_stance`` (the plate row), then
+the outcome curves and scalars, read from rows of the two cycle tables.
+Every output embeds the config hash.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ import numpy as np
 from . import dynamics, forces, gaitseg, kinematics, metrics
 from .errors import ConfigurationError, GaitError, check_number, read_json_as
 from .forces import CalibrationCurve
-from .gaitseg import EventThresholds, GaitEvents, NormalizedCurve, SideEvents
+from .gaitseg import (HS, NEXT_HS, TO, EventThresholds, GaitEvents,
+                      NormalizedCurve)
 from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
                      fill_gaps, write_json, write_rows)
 from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
@@ -47,10 +49,10 @@ class RunConfig:
     grf_smooth_window: int = 21   # raw-rate samples, GRF smoothing
     max_gap_frames: int = 5
     plate_threshold_bw: float = 0.05
-    hs_forward_speed: float = 0.2
-    to_vertical_speed: float = 0.05
-    min_stance_s: float = 0.2
-    min_swing_s: float = 0.15
+    hs_forward_speed: float = EventThresholds.hs_forward_speed
+    to_vertical_speed: float = EventThresholds.to_vertical_speed
+    min_stance_s: float = EventThresholds.min_stance_s
+    min_swing_s: float = EventThresholds.min_swing_s
     gravity: float = GRAVITY
 
     @classmethod
@@ -72,10 +74,8 @@ class RunConfig:
         return cls(**doc)
 
     def thresholds(self) -> EventThresholds:
-        return EventThresholds(hs_forward_speed=self.hs_forward_speed,
-                               to_vertical_speed=self.to_vertical_speed,
-                               min_stance_s=self.min_stance_s,
-                               min_swing_s=self.min_swing_s)
+        return EventThresholds(**{key: getattr(self, key) for key in
+                                  EventThresholds.__dataclass_fields__})
 
     def config_hash(self) -> str:
         doc = asdict(self)
@@ -135,7 +135,7 @@ class AnalysisResult:
     stance_fractions: dict[str, list[dict]]
     plate_side: str
     time: np.ndarray
-    knee_loop: dict[str, np.ndarray]                     # angle/moment over cycle
+    knee_loop: dict[str, np.ndarray]                     # over the plate cycle
     warnings: list[str] = field(default_factory=list)
 
 
@@ -196,9 +196,8 @@ def _detect_events(markers: MarkerData, schema: MarkerSchema,
     for side in SIDES:
         heel[side], toe = (markers.pos[schema.joint_label(side, part)]
                            for part in ("heel", "toe"))
-        ev[side] = gaitseg.detect_side_events(
-            markers.time, heel[side][:, 2], toe[:, 2],
-            np.gradient(heel[side][:, 0], markers.dt), cfg.thresholds())
+        ev[side] = gaitseg.detect_side_events(markers.time, heel[side], toe,
+                                              cfg.thresholds())
     return GaitEvents(**ev), heel
 
 
@@ -229,13 +228,13 @@ def _plate_load(aligned: GrfData, time: np.ndarray, toe_pos: np.ndarray,
     return load, on_plate
 
 
-def _plate_stance(ev: SideEvents, time: np.ndarray,
-                  on_plate: np.ndarray) -> tuple[float, float] | None:
-    """The first heel-strike-to-toe-off window that holds a plate-loaded
-    frame, or None."""
-    for hs, to in gaitseg.stance_windows(ev).tolist():
+def _plate_stance(cycles: np.ndarray, time: np.ndarray,
+                  on_plate: np.ndarray) -> int | None:
+    """The first row of the plate side's cycle table whose stance (heel
+    strike to toe-off) holds a plate-loaded frame, or None."""
+    for row, (hs, to) in enumerate(cycles[:, [HS, TO]].tolist()):
         if np.any(on_plate & (time >= hs) & (time <= to)):
-            return hs, to
+            return row
     return None
 
 
@@ -279,11 +278,12 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     com = kinematics.com_trajectory(states, params, participant.mass, pelvis_mid)
 
     events, heel = _detect_events(feet, schema, cfg)
+    cycles = {side: gaitseg.cycle_table(events.side(side), events.side(other))
+              for side, other in zip(SIDES, SIDES[::-1])}
     plate_side = _attribute_plate_side(aligned, markers, schema)
-    plate_ev = events.side(plate_side)
     body_weight = participant.mass * cfg.gravity
     warnings.extend(gaitseg.grf_stance_check(
-        plate_ev, grf.time, grf.force[:, 2], body_weight,
+        events.side(plate_side), grf.time, grf.force[:, 2], body_weight,
         fraction=cfg.plate_threshold_bw))
 
     # inverse dynamics; only the plate side carries a ground load
@@ -297,25 +297,32 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
         states[(side, "thigh")], params, participant.mass, cfg.gravity)
         for side in SIDES}
 
-    # cycle-normalized angles
-    angle_cycle, cycles, peak, stance_fracs = {}, {}, {}, {}
+    # each side's first cycle: cycle-normalized angles
+    angle_cycle, peak, stance_fracs = {}, {}, {}
     for side in SIDES:
-        side_ev = events.side(side)
         angle_cycle[side] = {}
-        if len(side_ev.heel_strikes) >= 2:
-            cycles[side] = (float(side_ev.heel_strikes[0]),
-                            float(side_ev.heel_strikes[1]))
-            angle_cycle[side] = {
-                joint: gaitseg.phase_normalize(time, series, cycles[side])
+        if len(cycles[side]) >= 2:
+            angle_cycle[side] = {joint: gaitseg.phase_normalize(
+                time, series, cycles[side][0, [HS, NEXT_HS]])
                 for joint, series in angles[side].items()}
-            stance_fracs[side] = gaitseg.stance_swing_durations(side_ev)
+            stance_fracs[side] = gaitseg.stance_swing_durations(cycles[side])
         peak[side] = metrics.peak_angles(
             {j: c.values for j, c in angle_cycle[side].items()})
 
-    # stance-normalized GRF and moments for the plate side
-    stance = _plate_stance(plate_ev, time, on_plate)
+    stride_rows = metrics.stride_metrics(cycles, heel, com, pelvis_mid,
+                                         time, participant)
+
+    # the plate row: stance-normalized GRF and moments over its stance, the
+    # knee stiffness and the knee loop over its cycle
     grf_stance, moment_stance, grf_features = {}, {}, None
-    if stance is not None:
+    stiffness, knee_loop = None, {}
+    row = _plate_stance(cycles[plate_side], time, on_plate)
+    if row is None:
+        warnings += ["no plate-loaded stance found; GRF features skipped",
+                     "no plate-loaded cycle; knee stiffness and loop skipped"]
+    else:
+        plate_cycles = cycles[plate_side][row:]
+        stance = plate_cycles[0, [HS, TO]]
         fxz_bw = forces.normalize_grf(
             kinematics.moving_average(grf.force[:, [0, 2]],
                                       cfg.grf_smooth_window),
@@ -331,26 +338,19 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
         moment_stance = {joint: gaitseg.phase_normalize(
             time, moments[plate_side].normalized[joint], stance)
             for joint in dynamics.JOINTS}
-    else:
-        warnings.append("no plate-loaded stance found; GRF features skipped")
 
-    stride_rows = metrics.stride_metrics(events, heel, com, pelvis_mid,
-                                         time, participant)
-
-    stiffness, knee_loop = None, {}
-    knee_moment = moments[plate_side].normalized["knee"]
-    try:
-        stiffness = metrics.knee_stiffness(
-            time, angles[plate_side]["knee"], knee_moment, events,
-            side=plate_side)
-    except GaitError as exc:  # stiffness is best-effort on real trials
-        warnings.append(f"knee stiffness not computed: {exc}")
-    if plate_side in cycles:
-        knee_loop = {
-            "angle_deg": angle_cycle[plate_side]["knee"].values,
-            "moment_nmkg": gaitseg.phase_normalize(
-                time, knee_moment, cycles[plate_side]).values,
-        }
+        knee = {"angle_deg": angles[plate_side]["knee"],
+                "moment_nmkg": moments[plate_side].normalized["knee"]}
+        try:  # stiffness is best-effort on real trials
+            stiffness = metrics.knee_stiffness(
+                time, knee["angle_deg"], knee["moment_nmkg"], plate_cycles,
+                plate_side)
+        except GaitError as exc:
+            warnings.append(f"knee stiffness not computed: {exc}")
+        if len(plate_cycles) >= 2:
+            knee_loop = {name: gaitseg.phase_normalize(
+                time, series, plate_cycles[0, [HS, NEXT_HS]]).values
+                for name, series in knee.items()}
 
     return AnalysisResult(
         participant_id=participant.id, terrain=trial.meta.terrain,

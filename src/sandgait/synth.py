@@ -22,8 +22,8 @@ import numpy as np
 from .dynamics import ExternalLoad, JOINTS, recursive_leg, FrameState
 from .errors import (ConfigurationError, GenerationError, check_number,
                      read_json_as)
-from .gaitseg import (EventThresholds, GaitEvents, SideEvents,
-                      detect_side_events, stance_windows)
+from .gaitseg import (GaitEvents, SideEvents, cycle_table, detect_side_events,
+                      stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta, write_json
 from .model import (E_Z, GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     Participant, SegmentParams, segment_parameters)
@@ -296,12 +296,11 @@ class SynthResult:
 
 
 def _truth_events(feet: dict[str, tuple[np.ndarray, np.ndarray]],
-                  t: np.ndarray, dt: float) -> GaitEvents:
+                  t: np.ndarray) -> GaitEvents:
     """Gait events from each side's analytic ``(heel, toe)`` on the GRF grid
-    ``t`` of step ``dt``, so that every event time is a written GRF sample."""
+    ``t``, so that every event time is a written GRF sample."""
     return GaitEvents(**{
-        side: detect_side_events(t, heel[:, 2], toe[:, 2],
-                                 np.gradient(heel[:, 0], dt), EventThresholds())
+        side: detect_side_events(t, heel, toe)
         for side, (heel, toe) in feet.items()})
 
 
@@ -368,12 +367,12 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
         truth_events = GaitEvents(**{side: SideEvents(np.array([]), np.array([]))
                                      for side in SIDES})
     else:
-        truth_events = _truth_events(feet_g, t_g, pr.grf_dt)
+        truth_events = _truth_events(feet_g, t_g)
     if pr.stance_windows is not None:
         windows = list(pr.stance_windows)
     else:
-        windows = [tuple(w) for w in
-                   stance_windows(truth_events.side(pr.grf_side)).tolist()]
+        windows = [tuple(w) for w in stance_windows(cycle_table(
+            truth_events.side(pr.grf_side))).tolist()]
         if not windows:
             raise GenerationError("no stance window found for the plate side")
 

@@ -282,6 +282,16 @@ def _bad_marker_cell(sim, tmp):
     return {"--markers": tmp / "markers.csv"}, "markers.csv:5:"
 
 
+def _duplicate_marker_label(sim, tmp):
+    # an extra, zeroed L-heel triple would replace the real one
+    lines = (sim / "markers.csv").read_text().split("\n")
+    lines = [lines[0] + ",L-heel_x,L-heel_y,L-heel_z"] + [
+        line + ",0,0,0" if line else line for line in lines[1:]]
+    (tmp / "markers.csv").write_text("\n".join(lines))
+    return ({"--markers": tmp / "markers.csv"},
+            "markers.csv: duplicate marker label(s) ['L-heel']")
+
+
 def _curve(name, rows, named):
     """A malformed-input case: a sand trial at 10 cm analysed with a
     calibration curve of ``rows``."""
@@ -412,7 +422,7 @@ def _bundle(name, file, edit, named):
 #: (subcommand, fixture) rows; a ``compare`` fixture gets the bundle, the
 #: others the ``simulate`` output.
 _MALFORMED = [
-    ("analyze", _bad_marker_cell),
+    ("analyze", _bad_marker_cell), ("analyze", _duplicate_marker_label),
     ("analyze", _curve("_bad_zeta_cell", "0,1,0,0\n20,0.7x,0,12\n", ":3:")),
     ("analyze", _heavy_meta), ("analyze", _list_meta),
     ("analyze", _non_utf8_markers),
@@ -548,8 +558,76 @@ _MALFORMED = [
 ]
 
 
+def _compare_a_file(sim, bundle, tmp):
+    target = tmp / "a.txt"
+    target.write_text("not a bundle\n")
+    return ["compare", "--a", target, "--b", bundle,
+            "--out", tmp / "report"], target
+
+
+def _analyze_markers_dir(sim, bundle, tmp):
+    return ["analyze", "--markers", sim, "--grf", sim / "grf.csv",
+            "--meta", sim / "meta.json", "--out", tmp / "bundle"], sim
+
+
+def _analyze_out_file(sim, bundle, tmp):
+    target = tmp / "bundle"
+    target.write_text("kept\n")
+    return ["analyze", "--markers", sim / "markers.csv",
+            "--grf", sim / "grf.csv", "--meta", sim / "meta.json",
+            "--out", target], target
+
+
+def _simulate_out_file(sim, bundle, tmp):
+    target = tmp / "trial"
+    target.write_text("kept\n")
+    return ["simulate", "--out", target], target
+
+
+def _calibrate_out_dir(sim, bundle, tmp):
+    (tmp / "samples.csv").write_text(_calibration_samples())
+    target = tmp / "curve"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    return ["calibrate", "--samples", tmp / "samples.csv",
+            "--out", target], target
+
+
+#: Paths that cannot be read or written as given: each case gives its argv
+#: and the path the error must name.
+_PATH_ERRORS = [_compare_a_file, _analyze_markers_dir, _analyze_out_file,
+                _simulate_out_file, _calibrate_out_dir]
+
+
+def _snapshot(path):
+    """A file's bytes, or every file's bytes under a directory."""
+    if path.is_dir():
+        return {p.relative_to(path): p.read_bytes()
+                for p in sorted(path.rglob("*")) if p.is_file()}
+    return path.read_bytes()
+
+
 class TestMalformedInput:
     """Each malformed input exits 1 with an error naming it, no traceback."""
+
+    @pytest.mark.parametrize("case", _PATH_ERRORS,
+                             ids=[c.__name__ for c in _PATH_ERRORS])
+    def test_path_error_exits_one(self, sim_dir, bundle_dir, tmp_path,
+                                  caplog, case):
+        # one ERROR line naming the path, the path as it was, no other
+        # output and no .tmp file
+        argv, target = case(sim_dir, bundle_dir, tmp_path)
+        before = _snapshot(target)
+        assert main([str(x) for x in argv]) == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1, errors
+        assert str(target) in errors[0]
+        assert "internal error" not in errors[0]
+        assert _snapshot(target) == before
+        out = argv[argv.index("--out") + 1]
+        assert out == target or not out.exists()
+        assert not list(target.parent.rglob("*.tmp"))
 
     @pytest.mark.parametrize("command, fixture", _MALFORMED,
                              ids=[f.__name__ for _, f in _MALFORMED])
@@ -760,10 +838,12 @@ class TestPinnedBytes:
 
     #: ``compare`` of three participants, the gappy bundle swapped into
     #: one condition or the other and one metric shifted, run on relative
-    #: paths
+    #: paths; report.json re-recorded when p became 2 * stdtr(df, -|t|)
+    #: (no 1 - cdf cancellation), which moved the fz_hs_peak p in its 13th
+    #: digit to the closed-form df = 2 value
     COMPARE = {
         "report.csv": "aad34c09579758b36668599f23a14be795617a93a762a1558b0fe34b2722dc3d",
-        "report.json": "300d4ab0260cde71d88eaf0fc07a90a3db2942739651714e92cd9bc9f61be99d",
+        "report.json": "de31d8ea1708da8f91a5151043d6655fddcd25836e85d33115f34291521a076a",
     }
     #: ``calibrate`` of ``_calibration_samples``
     CURVE = "58d2da097a95a1cacad9959ae6609087f0f46ab3f21269963b523fea1c232387"
@@ -907,9 +987,10 @@ class TestCompare:
 
     def test_failed_analyze_leaves_no_bundle(self, tmp_path, bundle_dir,
                                              sim_dir):
-        # an analyze that fails on its last write leaves no meta.json, so
-        # compare does not take the directory for a bundle with missing
-        # metrics; an older bundle there loses its meta.json first
+        # an analyze that fails on its last write (a path error, exit 1)
+        # leaves no meta.json, so compare does not take the directory for a
+        # bundle with missing metrics; an older bundle there loses its
+        # meta.json first
         pid = json.loads((sim_dir / "meta.json").read_text())["participant"]["id"]
         a, b = self._sets(tmp_path, bundle_dir, ["p1", "p2", pid],
                           ["p1", "p2", pid])
@@ -918,7 +999,7 @@ class TestCompare:
         assert main(["analyze", "--markers", str(sim_dir / "markers.csv"),
                      "--grf", str(sim_dir / "grf.csv"),
                      "--meta", str(sim_dir / "meta.json"),
-                     "--out", str(a / pid)]) == 2
+                     "--out", str(a / pid)]) == 1
         assert not (a / pid / "meta.json").exists()
         (a / pid / "features.json").rmdir()
         out = tmp_path / "report"

@@ -21,19 +21,21 @@ from sandgait.model import Participant
 
 
 def _scripted_side(n_strides=3, dt=0.01, period=1.2, stance_frac=0.6):
-    """Heel/toe series with heel-strike minima at k*period and toe-off
-    vertical-velocity onsets at k*period + stance_frac*period."""
+    """(N, 3) heel and toe positions with heel-strike minima at k*period
+    and toe-off vertical-velocity onsets at k*period + stance_frac*period."""
     t = np.arange(int(n_strides * period / dt) + 1) * dt
     phase = (t / period) % 1.0
     swing = phase >= stance_frac
     bump = np.where(swing, np.sin(np.pi * (phase - stance_frac)
                                   / (1 - stance_frac)) ** 2, 0.0)
-    # heel: flat and still through stance, arcs through swing; strikes
-    # land at k*period where the arc returns to the floor
-    heel_z = 0.02 + 0.10 * bump
-    heel_vx = np.where(swing, 1.5, 0.0)
-    toe_z = 0.02 + 0.12 * bump
-    return t, heel_z, toe_z, heel_vx
+    # heel: flat and still through stance, arcs through swing moving
+    # forward at up to 1.5 m/s; strikes land at k*period where the arc
+    # returns to the floor
+    zero = np.zeros_like(t)
+    heel = np.column_stack([np.cumsum(1.5 * bump) * dt, zero,
+                            0.02 + 0.10 * bump])
+    toe = np.column_stack([heel[:, 0] + 0.2, zero, 0.02 + 0.12 * bump])
+    return t, heel, toe
 
 
 def _local_minima_loop(x):
@@ -99,8 +101,8 @@ class TestLocalExtrema:
 
 class TestDetect:
     def test_scripted_events_within_one_frame(self):
-        t, heel_z, toe_z, heel_vx = _scripted_side()
-        ev = detect_side_events(t, heel_z, toe_z, heel_vx, EventThresholds())
+        t, heel, toe = _scripted_side()
+        ev = detect_side_events(t, heel, toe, EventThresholds())
         for hs in ev.heel_strikes:
             k = round(hs / 1.2)
             assert abs(hs - k * 1.2) <= 0.011
@@ -109,8 +111,8 @@ class TestDetect:
             assert abs(to - (k * 1.2 + 0.72)) <= 0.011
 
     def test_alternation(self):
-        t, heel_z, toe_z, heel_vx = _scripted_side(4)
-        ev = detect_side_events(t, heel_z, toe_z, heel_vx, EventThresholds())
+        t, heel, toe = _scripted_side(4)
+        ev = detect_side_events(t, heel, toe, EventThresholds())
         merged = sorted([(x, "hs") for x in ev.heel_strikes]
                         + [(x, "to") for x in ev.toe_offs])
         kinds = [k for _, k in merged]
@@ -119,32 +121,30 @@ class TestDetect:
 
     def test_flat_trial_errors(self):
         t = np.arange(300) * 0.01
-        flat = np.full_like(t, 0.05)
+        flat = np.column_stack([np.zeros_like(t), np.zeros_like(t),
+                                np.full_like(t, 0.05)])
         with pytest.raises(SegmentationError, match="no heel strikes"):
-            detect_side_events(t, flat, flat, np.zeros_like(t),
-                               EventThresholds())
+            detect_side_events(t, flat, flat, EventThresholds())
 
     def test_flat_minimum_and_nan_samples(self):
         # the heel rests flat through stance, so each strike is the first
         # sample of a plateau; NaN samples in mid-swing change nothing
-        t, heel_z, toe_z, heel_vx = _scripted_side()
-        clean = detect_side_events(t, heel_z, toe_z, heel_vx,
-                                   EventThresholds())
+        t, heel, toe = _scripted_side()
+        clean = detect_side_events(t, heel, toe, EventThresholds())
         i = np.searchsorted(t, clean.heel_strikes)
-        assert np.all(heel_z[i] == heel_z[i + 1])
-        assert np.all(heel_z[i - 1] > heel_z[i])
-        for arr in (heel_z, toe_z, heel_vx):
+        assert np.all(heel[i, 2] == heel[i + 1, 2])
+        assert np.all(heel[i - 1, 2] > heel[i, 2])
+        for arr in (heel, toe):
             arr[[96, 216, 217]] = np.nan
-        ev = detect_side_events(t, heel_z, toe_z, heel_vx, EventThresholds())
+        ev = detect_side_events(t, heel, toe, EventThresholds())
         np.testing.assert_array_equal(ev.heel_strikes, clean.heel_strikes)
         np.testing.assert_array_equal(ev.toe_offs, clean.toe_offs)
 
     def test_fast_heel_minimum_rejected(self):
         # a mid-swing dip with high forward speed must not become a strike
-        t, heel_z, toe_z, heel_vx = _scripted_side()
-        dip = np.exp(-((t - 0.95) / 0.02) ** 2) * 0.08
-        ev = detect_side_events(t, heel_z - dip, toe_z, heel_vx,
-                                EventThresholds())
+        t, heel, toe = _scripted_side()
+        heel[:, 2] -= np.exp(-((t - 0.95) / 0.02) ** 2) * 0.08
+        ev = detect_side_events(t, heel, toe, EventThresholds())
         assert not np.any(np.abs(ev.heel_strikes - 0.95) < 0.05)
 
     def test_threshold_validation(self):
@@ -198,27 +198,26 @@ class TestDurations:
         # HS 0 s, TO 0.67 s, HS 1.15 s -> stance 0.67 s, swing 0.48 s
         ev = SideEvents(heel_strikes=np.array([0.0, 1.15]),
                         toe_offs=np.array([0.67]))
-        out = stance_swing_durations(ev)
+        out = stance_swing_durations(cycle_table(ev))
         assert out[0]["stance_s"] == pytest.approx(0.67)
         assert out[0]["swing_s"] == pytest.approx(0.48)
 
     def test_half_fraction(self):
         ev = SideEvents(heel_strikes=np.array([0.0, 1.0]),
                         toe_offs=np.array([0.5]))
-        assert stance_swing_durations(ev)[0]["stance_fraction"] == \
-            pytest.approx(0.5)
+        out = stance_swing_durations(cycle_table(ev))
+        assert out[0]["stance_fraction"] == pytest.approx(0.5)
 
     def test_needs_two_strikes(self):
         ev = SideEvents(heel_strikes=np.array([0.0]),
                         toe_offs=np.array([0.5]))
         with pytest.raises(InsufficientDataError):
-            stance_swing_durations(ev)
+            stance_swing_durations(cycle_table(ev))
 
     def test_missing_toe_off_in_cycle(self):
-        ev = SideEvents(heel_strikes=np.array([0.0, 1.0]),
-                        toe_offs=np.array([1.5]))
         with pytest.raises(SegmentationError):
-            stance_swing_durations(ev)
+            SideEvents(heel_strikes=np.array([0.0, 1.0]),
+                       toe_offs=np.array([1.5]))
 
 
 class TestGrfCheck:
@@ -244,7 +243,7 @@ def test_gait_events_side_lookup():
     ev = GaitEvents(left=left, right=right)
     assert ev.side("left") is left
     with pytest.raises(SegmentationError):
-        GaitEvents(left=left).side("right")
+        ev.side("middle")
 
 
 # The per-cycle loops that paired heel strikes and toe-offs before the cycle
@@ -377,6 +376,12 @@ def _stance_windows_loop(ev):
     return windows
 
 
+def _plate_stance_window(cycles, time, on_plate):
+    """The stance window of the row ``pipeline._plate_stance`` picks."""
+    row = pipeline._plate_stance(cycles, time, on_plate)
+    return None if row is None else tuple(cycles[row, [HS, TO]].tolist())
+
+
 def _outcome(f, *args, **kwargs):
     """What ``f`` returns as exact JSON (floats by repr, NaN included), or
     the error it raises."""
@@ -414,8 +419,18 @@ class TestCycleTable:
         np.testing.assert_array_equal(table[0, [HS, TO, NEXT_HS, C_HS, C_TO,
                                                 C_HS_AFTER_TO]],
                                       [0.1, 0.8, 1.3, 0.6, 0.75, 1.4])
+        # the left strike at 1.4 s comes after no next right strike, so it
+        # is no contralateral strike of the last row
         np.testing.assert_array_equal(table[1],
-                                      [1.3, np.nan, np.nan, 1.4, np.nan, np.nan])
+                                      [1.3, np.nan, np.nan, np.nan, np.nan,
+                                       np.nan])
+
+    def test_contralateral_strike_after_next_strike(self):
+        # the left strikes at 1.4 s, after the next right strike (1.3 s):
+        # row 0 has no contralateral strike, but still its toe-off
+        table = cycle_table(_side([0.1, 1.3], [0.8]), _side([1.4], [0.75]))
+        np.testing.assert_array_equal(table[0], [0.1, 0.8, 1.3, np.nan,
+                                                 0.75, 1.4])
 
     def test_without_contralateral_side(self):
         table = cycle_table(_side([0.1, 1.3], [0.8]))
@@ -424,15 +439,16 @@ class TestCycleTable:
     def test_no_heel_strikes(self):
         assert cycle_table(_side([], [0.4])).shape == (0, 6)
 
-    @pytest.mark.parametrize("ipsi, contra", [
-        (_side([0.0, 1.0], [1.5]), None),           # two strikes in a row
-        (_side([0.0, 1.0], [0.5]), _side([0.2], [0.3, 0.4])),
-        (_side([0.0, 0.5], [0.5]), None),           # coincident events
-        (_side([1.2, 0.0], [0.6]), None),           # out of time order
+    @pytest.mark.parametrize("hs, to", [
+        ([0.0, 1.0], [1.5]),           # two strikes in a row
+        ([0.2], [0.3, 0.4]),           # two toe-offs in a row
+        ([0.0, 0.5], [0.5]),           # coincident events
+        ([1.2, 0.0], [0.6]),           # out of time order
     ])
-    def test_non_alternating_raises(self, ipsi, contra):
+    def test_non_alternating_raises(self, hs, to):
+        # refused when built, so no cycle table ever holds such events
         with pytest.raises(SegmentationError, match="do not alternate"):
-            cycle_table(ipsi, contra)
+            _side(hs, to)
 
     @settings(max_examples=300, deadline=None)
     @given(*[st.lists(st.integers(0, 8).map(float), max_size=5)
@@ -447,7 +463,7 @@ class TestCycleTable:
                    for (t0, k0), (t1, k1) in zip(merged, merged[1:]))
         expected = walk and hs == sorted(hs) and to == sorted(to)
         try:
-            cycle_table(_side(hs, to))
+            _side(hs, to)
         except SegmentationError:
             assert not expected
         else:
@@ -455,7 +471,7 @@ class TestCycleTable:
 
     @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
     @settings(max_examples=300, deadline=None)
-    @given(right=_alternating_side(), left=st.none() | _alternating_side(),
+    @given(right=_alternating_side(), left=_alternating_side(),
            seed=st.integers(0, 2 ** 32 - 1),
            plate=st.sampled_from([0.0, 0.01, 0.3]))
     @example(right=_side([0.1, 1.3], [0.8]), left=_side([0.6, 1.4], [0.75]),
@@ -464,25 +480,28 @@ class TestCycleTable:
         rng = np.random.default_rng(seed)
         time = np.arange(600) * 0.01
         events = GaitEvents(left=left, right=right)
+        cycles = {"left": cycle_table(left, right),
+                  "right": cycle_table(right, left)}
         heel = {side: rng.normal(size=(600, 3)) for side in ("left", "right")}
         com = rng.normal(size=(600, 3))
         com[rng.random(600) < 0.2, 2] = np.nan
         pelvis = rng.normal(size=(600, 3))
         who = Participant(id="p", height=1.7, mass=70.0)
-        assert _outcome(metrics.stride_metrics, events, heel, com, pelvis,
+        assert _outcome(metrics.stride_metrics, cycles, heel, com, pelvis,
                         time, who) == \
             _outcome(_stride_metrics_loop, events, heel, com, pelvis, time, who)
         angle, moment = rng.normal(size=(2, 600))
         for side in ("left", "right"):
             assert _outcome(metrics.knee_stiffness, time, angle, moment,
-                            events, side=side) == \
+                            cycles[side], side) == \
                 _outcome(_knee_stiffness_loop, time, angle, moment, events,
                          side=side)
         on_plate = rng.random(600) < plate
-        for ev in filter(None, (left, right)):
-            assert _outcome(stance_swing_durations, ev) == \
+        for side, ev in (("left", left), ("right", right)):
+            assert _outcome(stance_swing_durations, cycles[side]) == \
                 _outcome(_stance_swing_loop, ev)
-            assert _outcome(pipeline._plate_stance, ev, time, on_plate) == \
+            assert _outcome(_plate_stance_window, cycles[side], time,
+                            on_plate) == \
                 _outcome(_plate_stance_loop, ev, time, on_plate)
-            assert stance_windows(ev).tolist() == \
+            assert stance_windows(cycles[side]).tolist() == \
                 [list(w) for w in _stance_windows_loop(ev)]

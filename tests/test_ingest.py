@@ -115,6 +115,16 @@ class TestMarkerIo:
         with pytest.raises(SchemaError, match="X-extra"):
             read_marker_file(path, schema)
 
+    def test_duplicate_label(self, tmp_path, schema):
+        # a repeated triple would silently replace the first
+        markers = _make_markers(schema)
+        path = tmp_path / "m.csv"
+        write_marker_file(path, markers, sorted(markers.pos) + ["L-heel"])
+        with pytest.raises(SchemaError) as exc:
+            read_marker_file(path, schema)
+        assert str(exc.value) == \
+            f"{path}: duplicate marker label(s) ['L-heel']"
+
     def test_missing_label(self, tmp_path, schema):
         markers = _make_markers(schema)
         del markers.pos["R-toe"]

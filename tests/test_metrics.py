@@ -7,20 +7,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.special import gammaln
+from scipy.stats import t as student_t
 
 from sandgait.errors import (FitError, InsufficientDataError, ParameterError)
-from sandgait.gaitseg import GaitEvents, SideEvents
+from sandgait.gaitseg import SideEvents, cycle_table
 from sandgait.metrics import (knee_stiffness, paired_compare, peak_angles,
                               stride_metrics)
 from sandgait.model import Participant
 
 
-def _events(hs_r, to_r, hs_l, to_l):
-    return GaitEvents(
-        right=SideEvents(heel_strikes=np.array(hs_r, dtype=float),
-                         toe_offs=np.array(to_r, dtype=float)),
-        left=SideEvents(heel_strikes=np.array(hs_l, dtype=float),
-                        toe_offs=np.array(to_l, dtype=float)))
+def _cycles(hs_r, to_r, hs_l, to_l):
+    """Each side's cycle table, the other side contralateral."""
+    right = SideEvents(heel_strikes=np.array(hs_r, dtype=float),
+                       toe_offs=np.array(to_r, dtype=float))
+    left = SideEvents(heel_strikes=np.array(hs_l, dtype=float),
+                      toe_offs=np.array(to_l, dtype=float))
+    return {"left": cycle_table(left, right), "right": cycle_table(right, left)}
 
 
 class TestStrideMetrics:
@@ -40,8 +42,8 @@ class TestStrideMetrics:
     def test_paper_normalized_stride_length(self):
         # heel advances 1.27 m over one cycle; height 1.717 m
         time, heel, com, pelvis = self._inputs()
-        events = _events([0.0, 1.15], [0.67], [0.55], [1.2])
-        rows = stride_metrics(events, heel, com, pelvis, time,
+        cycles = _cycles([0.0, 1.15], [0.67], [0.55], [1.2])
+        rows = stride_metrics(cycles, heel, com, pelvis, time,
                               self.participant)
         r = [row for row in rows if row["side"] == "right"][0]
         assert r["stride_length"] == pytest.approx(1.27, abs=1e-9)
@@ -49,23 +51,23 @@ class TestStrideMetrics:
 
     def test_stride_width_from_lateral_offsets(self):
         time, heel, com, pelvis = self._inputs()
-        events = _events([0.0, 1.15], [0.67], [0.55], [1.2])
-        r = [row for row in stride_metrics(events, heel, com, pelvis, time,
+        cycles = _cycles([0.0, 1.15], [0.67], [0.55], [1.2])
+        r = [row for row in stride_metrics(cycles, heel, com, pelvis, time,
                                            self.participant)
              if row["side"] == "right"][0]
         assert r["stride_width"] == pytest.approx(0.12, abs=1e-9)
 
     def test_flat_com_zero_variation(self):
         time, heel, com, pelvis = self._inputs()
-        events = _events([0.0, 1.15], [0.67], [0.55], [1.2])
-        r = stride_metrics(events, heel, com, pelvis, time,
+        cycles = _cycles([0.0, 1.15], [0.67], [0.55], [1.2])
+        r = stride_metrics(cycles, heel, com, pelvis, time,
                            self.participant)[0]
         assert r["com_variation"] == pytest.approx(0.0, abs=1e-12)
 
     def test_durations_and_velocity(self):
         time, heel, com, pelvis = self._inputs()
-        events = _events([0.0, 1.15], [0.67], [0.55], [1.2])
-        r = [row for row in stride_metrics(events, heel, com, pelvis, time,
+        cycles = _cycles([0.0, 1.15], [0.67], [0.55], [1.2])
+        r = [row for row in stride_metrics(cycles, heel, com, pelvis, time,
                                            self.participant)
              if row["side"] == "right"][0]
         assert r["stance_time"] == pytest.approx(0.67)
@@ -74,8 +76,8 @@ class TestStrideMetrics:
 
     def test_normalized_times_height(self):
         time, heel, com, pelvis = self._inputs()
-        events = _events([0.0, 1.15], [0.67], [0.55], [1.2])
-        r = stride_metrics(events, heel, com, pelvis, time,
+        cycles = _cycles([0.0, 1.15], [0.67], [0.55], [1.2])
+        r = stride_metrics(cycles, heel, com, pelvis, time,
                            self.participant)[0]
         for key in ("stride_length", "stride_width", "com_variation",
                     "avg_velocity"):
@@ -84,9 +86,9 @@ class TestStrideMetrics:
 
     def test_no_complete_cycle(self):
         time, heel, com, pelvis = self._inputs()
-        events = _events([0.0], [0.67], [0.55], [])
+        cycles = _cycles([0.0], [0.67], [0.55], [])
         with pytest.raises(InsufficientDataError):
-            stride_metrics(events, heel, com, pelvis, time, self.participant)
+            stride_metrics(cycles, heel, com, pelvis, time, self.participant)
 
 
 class TestPeakAngles:
@@ -114,17 +116,16 @@ class TestPeakAngles:
 
 
 class TestStiffness:
-    def _events(self):
+    def _cycles(self):
         # right stance 0.0 -> 0.7; left TO 0.15, left HS 0.6; next right
         # HS 1.2
-        return _events([0.0, 1.2], [0.7], [0.6, 1.8], [0.15, 1.35])
+        return _cycles([0.0, 1.2], [0.7], [0.6, 1.8], [0.15, 1.35])["right"]
 
     def test_exact_linear_flexion_slope(self):
         time = np.arange(0, 1.3, 0.01)
         angle = 5.0 + 30.0 * time
         moment = 0.15 * angle  # exactly linear in angle
-        res = knee_stiffness(time, angle, moment, self._events(),
-                             side="right")
+        res = knee_stiffness(time, angle, moment, self._cycles(), "right")
         assert res.k_flexion.slope == pytest.approx(0.15, rel=1e-9)
         assert res.k_extension.slope == pytest.approx(0.15, rel=1e-9)
 
@@ -132,13 +133,14 @@ class TestStiffness:
         time = np.arange(0, 1.3, 0.01)
         angle = np.full_like(time, 20.0)
         with pytest.raises(FitError, match="constant"):
-            knee_stiffness(time, angle, 0.15 * angle, self._events())
+            knee_stiffness(time, angle, 0.15 * angle, self._cycles(),
+                           "right")
 
     def test_matches_independent_ols(self, rng):
         time = np.arange(0, 1.3, 0.01)
         angle = 5.0 + 30.0 * time + rng.normal(0, 0.5, size=time.size)
         moment = 0.15 * angle + rng.normal(0, 0.05, size=time.size)
-        res = knee_stiffness(time, angle, moment, self._events())
+        res = knee_stiffness(time, angle, moment, self._cycles(), "right")
         sel = (time >= 0.0) & (time <= 0.15)
         slope = np.polyfit(angle[sel], moment[sel], 1)[0]
         assert res.k_flexion.slope == pytest.approx(slope, rel=1e-9)
@@ -146,9 +148,10 @@ class TestStiffness:
     def test_intercept_absorbed(self):
         time = np.arange(0, 1.3, 0.01)
         angle = 5.0 + 30.0 * time
-        res1 = knee_stiffness(time, angle, 0.15 * angle, self._events())
+        res1 = knee_stiffness(time, angle, 0.15 * angle, self._cycles(),
+                              "right")
         res2 = knee_stiffness(time, angle, 0.15 * angle + 2.0,
-                              self._events())
+                              self._cycles(), "right")
         assert res2.k_flexion.slope == pytest.approx(res1.k_flexion.slope,
                                                      rel=1e-12)
 
@@ -219,6 +222,17 @@ class TestPairedCompare:
         b = [2.0, 2.1, 1.95, 2.02, 1.9]
         out = paired_compare(a, b)
         assert out["significant"] and out["p"] < 0.001
+
+    def test_p_of_a_large_t_without_cancellation(self, rng):
+        # 1 - cdf rounds to 0 (or 2.2e-16) long before the tail does
+        z = rng.normal(size=20)
+        z = (z - z.mean()) / z.std(ddof=1)
+        b = rng.normal(size=20)
+        out = paired_compare(b + 1.0 + z * math.sqrt(20) / 40.0, b)
+        assert abs(out["t"]) == pytest.approx(40.0, rel=1e-6)
+        assert out["p"] > 0.0
+        assert out["p"] == pytest.approx(
+            2.0 * student_t.sf(abs(out["t"]), 19), rel=1e-9)
 
     def test_shape_validation(self):
         with pytest.raises(ParameterError):

@@ -5,10 +5,11 @@ import logging
 import numpy as np
 import pytest
 
-from sandgait import kinematics, metrics
+from sandgait import gaitseg, kinematics, metrics
 from sandgait.dynamics import JOINTS
 from sandgait.errors import ConfigurationError, FitError
 from sandgait.forces import default_calibration_curve
+from sandgait.gaitseg import C_TO, HS, NEXT_HS, cycle_table, phase_normalize
 from sandgait.ingest import (GrfData, TrialMeta, TrialRecord, parse_trial,
                              write_grf_file, write_marker_file)
 from sandgait.pipeline import RunConfig, analyze_trial, write_bundle
@@ -95,12 +96,57 @@ class TestNoPlateStance:
                                         markers=stride.markers, grf=zero))
         assert ("no plate-loaded stance found; GRF features skipped"
                 in out.warnings)
+        assert ("no plate-loaded cycle; knee stiffness and loop skipped"
+                in out.warnings)
         assert out.grf_stance == {} and out.moment_stance == {}
         assert out.grf_features is None
+        assert out.stiffness is None and out.knee_loop == {}
         write_bundle(out, tmp_path)
         assert not (tmp_path / "grf_stance.csv").exists()
         assert not (tmp_path / "moments_stance.csv").exists()
+        assert not (tmp_path / "knee_loop.csv").exists()
         assert (tmp_path / "moments.csv").exists()
+
+
+class TestPlateCycle:
+    def test_knee_loop_and_stiffness_from_the_loaded_cycle(self):
+        # the plate loads only the second right stance: the knee loop and
+        # the stiffness come from that cycle, not from the first (unloaded)
+        # one, and the loop's moment matches the truth within criterion
+        # 2's 1% RMS
+        res = synthesize_gait(dataclasses.replace(
+            stride_profile(), stance_windows=[(1.596, 2.402)]))
+        out = analyze_trial(_trial(res))
+        assert out.plate_side == "right"
+        table = cycle_table(out.events.right, out.events.left)
+        hs, next_hs, c_to = table[1, [HS, NEXT_HS, C_TO]]
+        assert abs(hs - 1.596) <= 0.01
+        truth = phase_normalize(
+            res.marker_time,
+            res.truth_moments["right"]["knee"] / res.meta.participant.mass,
+            (hs, next_hs)).values
+        err = out.knee_loop["moment_nmkg"] - truth
+        assert np.sqrt(np.mean(err ** 2)) < 0.01 * np.sqrt(np.mean(truth ** 2))
+        t = out.time
+        assert out.stiffness.k_flexion.n == np.count_nonzero(
+            (t >= hs) & (t <= c_to))
+
+
+class TestOneCycleTablePerSide:
+    def test_two_tables_and_two_alternation_checks(self, stride, monkeypatch):
+        # each side's table is built once and read by every cycle output;
+        # alternation is checked once per SideEvents, when it is built
+        calls = {"cycle_table": 0, "_check_alternation": 0}
+        for name in calls:
+            original = getattr(gaitseg, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(gaitseg, name, counting)
+        analyze_trial(_trial(stride))
+        assert calls == {"cycle_table": 2, "_check_alternation": 2}
 
 
 class TestConfigFile:

@@ -208,7 +208,7 @@ def test_chain_blocks_equal_one_full_chain(monkeypatch, n):
     np.testing.assert_array_equal(res.grf.force, force)
     events = synth._truth_events(
         {side: (k.heel, k.pos["toe"]) for side, k in kin.items()},
-        res.grf.time, pr.grf_dt)
+        res.grf.time)
     assert res.truth_events.rows() == events.rows()
     monkeypatch.setattr(synth, "_CHAIN_BLOCK", n)
     whole = synthesize_gait(pr)
