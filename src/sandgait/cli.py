@@ -219,11 +219,15 @@ def cmd_simulate(args) -> int:
     else:
         profile = synth.stride_profile()
     result = synth.synthesize_gait(profile)
+    grf = result.grf
+    if profile.terrain == "sand":  # what a plate under the sand layer reads
+        zeta = forces.default_calibration_curve().zeta_at(profile.sand_depth)
+        grf = forces.with_vertical_force(grf, grf.force[:, 2] * zeta)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ingest.write_marker_file(out / "markers.csv", result.markers)
-    ingest.write_grf_file(out / "grf.csv", result.grf)
+    ingest.write_grf_file(out / "grf.csv", grf)
     ingest.write_meta_file(out / "meta.json", result.meta)
     profile.save(out / "profile.json")
 

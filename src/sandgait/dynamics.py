@@ -10,10 +10,10 @@ Closed-form ankle/knee/hip moment expressions, written directly against
 the chain, are kept as the test oracle.  In them every lever is expressed
 with the segment axis pointing from the distal joint to the proximal joint
 (``u = -e`` for a proximal->distal state vector ``e``), so the force lever
-telescopes from the COP to the joint of interest.  The recursive pass
-reproduces the ankle and knee closed forms exactly; at the hip it
-additionally carries the thigh-mass force term that the closed form omits
-(``hip_thigh_mass_term``).
+telescopes from the load's reference point to the joint of interest.  The
+recursive pass reproduces the ankle and knee closed forms exactly; at the
+hip it additionally carries the thigh-mass force term that the closed form
+omits (``hip_thigh_mass_term``).
 
 The same code path serves stance and swing: swing frames simply carry a
 zero external load.  One state type, ``FrameState``, runs from segment
@@ -34,16 +34,17 @@ JOINTS = ("ankle", "knee", "hip")
 
 @dataclass(frozen=True)
 class ExternalLoad:
-    """Ground load on the foot, at one instant ``(3,)`` or per frame ``(N, 3)``.
+    """Ground wrench on the foot, at one instant ``(3,)`` or per frame ``(N, 3)``.
 
-    ``r`` is the position vector from the COP to the toe.  ``moment`` is
-    the ground couple; only its lab-Y component is meaningful in the
-    sagittal model (X/Z components are dropped by the pipeline and logged).
+    ``moment`` is the ground moment about a reference point and ``r`` the
+    lever from that point to the toe.  The joint moments depend only on the
+    wrench, not on the point it is described about: the pipeline takes the
+    plate origin, the synthetic oracle the COP with zero couple.
     """
 
     force: np.ndarray   # (3,) or (N, 3), N
-    moment: np.ndarray  # (3,) or (N, 3), N m
-    r: np.ndarray       # (3,) or (N, 3), m, COP -> toe
+    moment: np.ndarray  # (3,) or (N, 3), N m, about the reference point
+    r: np.ndarray       # (3,) or (N, 3), m, reference point -> toe
 
     @classmethod
     def zero(cls) -> "ExternalLoad":
@@ -61,27 +62,13 @@ class FrameState:
     com: np.ndarray | None = None  # (N, 3), COM position; not read here
 
 
-def transfer_to_distal(F_G: np.ndarray, M_G: np.ndarray,
-                       r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer the ground wrench from the COP to the toe.
-
-    Returns (distal force, distal moment) with the moment reduced by the
-    lever ``r`` (COP -> toe): ``M_D = M_G - r x F_G``.
-    """
-    F_G = np.asarray(F_G, dtype=float)
-    M_G = np.asarray(M_G, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return F_G.copy(), M_G - np.cross(r, F_G)
-
-
 def ankle_dynamics(load: ExternalLoad, foot: FrameState,
                    params_f: SegmentParams,
                    g: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form proximal (ankle) force and moment of the foot segment."""
     u_f = -foot.e  # distal -> proximal (toe -> ankle)
-    F_D, _ = transfer_to_distal(load.force, load.moment, load.r)
-    F_P = -F_D + params_f.mass * foot.acc - params_f.mass * g * E_Z
-    M_P = (-load.moment
+    F_P = -load.force + params_f.mass * foot.acc - params_f.mass * g * E_Z
+    M_P = (load.moment
            - np.cross(load.r + params_f.length * u_f, load.force)
            - np.cross(params_f.com_offset * u_f,
                       params_f.mass * (foot.acc + g * E_Z))
@@ -95,7 +82,7 @@ def knee_closed_form(load: ExternalLoad, foot: FrameState, shank: FrameState,
     """Closed-form knee moment of the foot+shank chain."""
     pf, ps = params["foot"], params["shank"]
     u_f, u_s = -foot.e, -shank.e
-    return (-load.moment
+    return (load.moment
             - np.cross(load.r + pf.length * u_f + ps.length * u_s, load.force)
             + pf.inertia * foot.omega_dot + ps.inertia * shank.omega_dot
             - np.cross(pf.com_offset * u_f + ps.length * u_s,
@@ -123,7 +110,7 @@ def hip_closed_form(load: ExternalLoad, foot: FrameState, shank: FrameState,
                        pf.mass * (foot.acc + g * E_Z))
             + pf.inertia * foot.omega_dot + ps.inertia * shank.omega_dot
             + pt.inertia * thigh.omega_dot
-            - load.moment)
+            + load.moment)
 
 
 def hip_thigh_mass_term(thigh: FrameState, params_t: SegmentParams,
@@ -148,7 +135,7 @@ def recursive_leg(load: ExternalLoad,
     (proximal force, proximal moment).
     """
     F_c = np.asarray(load.force, dtype=float).copy()
-    M_c = np.asarray(load.moment, dtype=float) + np.cross(load.r, load.force)
+    M_c = np.cross(load.r, load.force) - load.moment
     out = {}
     for joint, segment in zip(JOINTS, LEG_SEGMENTS):
         p = params[segment]

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ExtrapolationError, FitError, FormatError, GaitError,
                      ParameterError)
 from .gaitseg import _local_extrema
-from .ingest import expect_columns, read_csv_table, write_rows
+from .ingest import GrfData, expect_columns, read_csv_table, write_rows
 from .model import GRAVITY, Participant
 
 
@@ -119,6 +119,16 @@ def calibrate_grf(fz_buried: np.ndarray, depth: float,
                   curve: CalibrationCurve) -> np.ndarray:
     """Recover the surface vertical force: F_surface = F_buried / zeta."""
     return np.asarray(fz_buried, dtype=float) / curve.zeta_at(depth)
+
+
+def with_vertical_force(grf: GrfData, fz: np.ndarray) -> GrfData:
+    """The plate record with F_z replaced by ``fz`` and the free couple at
+    the COP kept: the plate-origin moment follows the changed force."""
+    force = grf.force.copy()
+    force[:, 2] = fz
+    cop3 = np.column_stack([grf.cop, np.zeros(len(grf))])
+    moment = grf.moment + np.cross(cop3, force - grf.force)
+    return GrfData(time=grf.time, force=force, moment=moment, cop=grf.cop)
 
 
 def normalize_grf(force: np.ndarray, participant: Participant,

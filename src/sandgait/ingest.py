@@ -14,8 +14,11 @@ Every file sandgait writes goes through ``write_rows`` (or
 ``write_row_groups``), ``write_text`` or ``write_json``: UTF-8 whatever
 the locale, and atomic (written to ``<name>.tmp``, then renamed) so
 partial runs never corrupt outputs.
-The 1000 Hz GRF stream is decimated 10:1 by boxcar averaging onto the
-100 Hz marker timeline; the raw stream is retained for peak extraction.
+The GRF stream is averaged onto the marker timeline, ``ratio`` raw
+samples per frame with ``ratio`` the rounded rate ratio (10 for 1000 Hz
+GRF and 100 Hz markers); at an even ratio the window leans half a raw
+sample ahead of the frame.  The raw stream is retained for peak
+extraction.
 """
 from __future__ import annotations
 
@@ -578,11 +581,15 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
 
 
 def align_streams(markers: MarkerData, grf: GrfData) -> GrfData:
-    """The GRF stream resampled onto the marker timeline (10:1 boxcar).
+    """The GRF stream resampled onto the marker timeline by boxcar means.
 
-    Each marker timestamp receives the mean of the GRF samples in its
-    centred 10-sample window; marker frames without full GRF coverage are
-    dropped from the aligned stream.
+    ``ratio`` is the marker interval over the GRF interval, rounded (at
+    least 1).  Each marker timestamp receives the mean of ``ratio`` raw
+    samples about the raw sample nearest it: ``ratio // 2`` on each side
+    at an odd ratio, centred; at an even ratio ``ratio // 2 - 1`` before
+    and ``ratio // 2`` after, so the window leans half a raw sample ahead.
+    Force, moment and COP are averaged separately.  Marker frames without
+    full GRF coverage are dropped from the aligned stream.
     """
     m, g = markers, grf
     if m.time[-1] < g.time[0] or g.time[-1] < m.time[0]:

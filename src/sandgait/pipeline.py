@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -28,8 +27,6 @@ from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
 from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     segment_parameters)
 from .schema import SIDES, MarkerSchema
-
-log = logging.getLogger(__name__)
 
 #: Config keys that must be odd and >= 1, and those that must be >= 0; every
 #: other number must be > 0.  Each is finite.
@@ -81,7 +78,7 @@ class RunConfig:
         doc = asdict(self)
         for key in ("marker_schema", "anthropometry", "calibration"):
             path = doc[key]
-            if path and Path(path).exists():
+            if path:
                 doc[key] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         blob = json.dumps(doc, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -174,18 +171,13 @@ def _attribute_plate_side(aligned, markers, schema) -> str:
 
 def _surface_grf(trial: TrialRecord, cfg: RunConfig) -> GrfData:
     """The plate record as the surface load: on sand, F_z divided by
-    zeta(depth) with the free couple kept at the COP (the plate-origin
-    moment follows the rescaled force); on firm ground ``trial.grf``.
-    The longitudinal force passes through uncalibrated."""
+    zeta(depth) with the free couple kept at the COP; on firm ground
+    ``trial.grf``.  The longitudinal force passes through uncalibrated."""
     grf = trial.grf
     if trial.meta.terrain != "sand":
         return grf
-    force = grf.force.copy()
-    force[:, 2] = forces.calibrate_grf(force[:, 2], trial.meta.sand_depth,
-                                       cfg.load_calibration())
-    cop3 = np.column_stack([grf.cop, np.zeros(len(grf))])
-    moment = grf.moment + np.cross(cop3, force - grf.force)
-    return GrfData(time=grf.time, force=force, moment=moment, cop=grf.cop)
+    return forces.with_vertical_force(grf, forces.calibrate_grf(
+        grf.force[:, 2], trial.meta.sand_depth, cfg.load_calibration()))
 
 
 def _detect_events(markers: MarkerData, schema: MarkerSchema,
@@ -203,9 +195,10 @@ def _detect_events(markers: MarkerData, schema: MarkerSchema,
 
 def _plate_load(aligned: GrfData, time: np.ndarray, toe_pos: np.ndarray,
                 threshold: float) -> tuple[dynamics.ExternalLoad, np.ndarray]:
-    """The plate's ground load on the marker timeline, zero where F_z is
-    under ``threshold`` N, and the mask of the frames it loads.  Of the
-    couple about the COP only lab Y is kept; the rest is logged.
+    """The plate's ground wrench on the marker timeline, zero where F_z is
+    under ``threshold`` N, and the mask of the frames it loads.  The moment
+    is about the plate origin, the lab origin, so the lever is the toe;
+    only its lab-Y component reaches a sagittal joint moment.
 
     ``align_streams`` copies the marker times, so searchsorted finds each
     aligned row's frame exactly.  A NaN force counts as loaded, so its
@@ -215,16 +208,10 @@ def _plate_load(aligned: GrfData, time: np.ndarray, toe_pos: np.ndarray,
     frames = np.searchsorted(time, aligned.time[loaded])
     on_plate = np.zeros(n, dtype=bool)
     on_plate[frames] = True
-    cop3 = np.column_stack([aligned.cop[loaded], np.zeros(len(frames))])
-    m_cop = aligned.moment[loaded] - np.cross(cop3, aligned.force[loaded])
-    dropped = np.abs(m_cop[:, [0, 2]]).max(initial=0.0)
-    if dropped >= 5e-4:  # nonzero at %.3f, above the rounding of GRF files
-        log.info("dropped non-sagittal ground moment components "
-                 "(max |M_x|,|M_z| = %.3f N m)", dropped)
     load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
     load.force[frames] = aligned.force[loaded]
-    load.moment[frames, 1] = m_cop[:, 1]
-    load.r[frames] = toe_pos[frames] - cop3
+    load.moment[frames] = aligned.moment[loaded]
+    load.r[frames] = toe_pos[frames]
     return load, on_plate
 
 

@@ -6,7 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,30 @@ def unfilled_gap_bundle_dir(tmp_path_factory, sim_dir):
     return out
 
 
+def _simulate_sand(out, depth):
+    """``simulate`` of the stride preset walked over a plate under
+    ``depth`` cm of sand; returns the profile and the trial directory."""
+    profile = replace(synth.stride_profile(), terrain="sand",
+                      sand_depth=depth)
+    path = out.parent / f"sand_{depth:g}.json"
+    profile.save(path)
+    assert main(["simulate", "--profile", str(path), "--out", str(out)]) == 0
+    return profile, out
+
+
+@pytest.fixture(scope="module")
+def sand_sim_dir(tmp_path_factory):
+    return _simulate_sand(tmp_path_factory.mktemp("sand") / "trial", 14.0)[1]
+
+
+def _side_moments(path, side):
+    """The (time, ankle, knee, hip) N m rows of one side of a moments CSV."""
+    rows = [line.split(",") for line in path.read_text().splitlines()
+            if line[:1].isdigit()]
+    return np.array([[float(c) for c in [r[0]] + r[2:5]]
+                     for r in rows if r[1] == side])
+
+
 class TestSimulate:
     def test_files_emitted(self, sim_dir):
         for name in ("markers.csv", "grf.csv", "meta.json", "profile.json",
@@ -110,6 +134,52 @@ class TestSimulate:
         rows = (out / "grf.csv").read_text().splitlines()[1:]
         fz = np.array([float(r.split(",")[3]) for r in rows])
         np.testing.assert_allclose(fz, 74.5 * 9.81, rtol=1e-9)
+
+
+class TestSandSimulate:
+    @pytest.mark.parametrize("depth", [6.0, 14.0])
+    def test_analyze_recovers_surface_moments(self, tmp_path, depth):
+        # simulate writes what the buried plate reads, and analyze divides
+        # it by the same zeta(depth): plate-side stance moments within
+        # criterion 2's 1% RMS of the surface truth
+        profile, trial = _simulate_sand(tmp_path / "trial", depth)
+        assert main(["analyze", "--markers", str(trial / "markers.csv"),
+                     "--grf", str(trial / "grf.csv"),
+                     "--meta", str(trial / "meta.json"),
+                     "--out", str(tmp_path / "bundle")]) == 0
+        est = _side_moments(tmp_path / "bundle" / "moments.csv", "right")
+        truth = _side_moments(trial / "truth_moments.csv", "right")
+        t = truth[:, 0]
+        np.testing.assert_allclose(est[:, 0], t, atol=1e-6)
+        inside = np.zeros(len(t), dtype=bool)
+        for a, b in synth.synthesize_gait(profile).stance_windows:
+            inside |= (t >= a + 0.05) & (t <= b - 0.05)
+        for k, joint in enumerate(("ankle", "knee", "hip"), 1):
+            err = (np.sqrt(np.mean((est[inside, k] - truth[inside, k]) ** 2))
+                   / np.sqrt(np.mean(truth[inside, k] ** 2)))
+            assert err < 0.01, f"{joint}: {100 * err:.2f}% RMS"
+
+    def test_buried_vertical_force(self, sim_dir, sand_sim_dir):
+        # only F_z (scaled by zeta(14) = 0.81) and the moment change
+        def columns(trial):
+            rows = (trial / "grf.csv").read_text().splitlines()[1:]
+            return np.array([[float(c) for c in r.split(",")] for r in rows])
+
+        firm, sand = columns(sim_dir), columns(sand_sim_dir)
+        for k in (0, 1, 2, 7, 8):  # time, fx, fy, copx, copy
+            np.testing.assert_array_equal(sand[:, k], firm[:, k])
+        np.testing.assert_allclose(sand[:, 3], 0.81 * firm[:, 3], atol=1e-6)
+
+    def test_depth_past_the_curve_exits_two(self, tmp_path, caplog):
+        profile = tmp_path / "deep.json"
+        replace(synth.stride_profile(), terrain="sand",
+                sand_depth=16.0).save(profile)
+        assert main(["simulate", "--profile", str(profile),
+                     "--out", str(tmp_path / "trial")]) == 2
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert errors == ["depth 16 cm outside calibrated range [0, 14] cm"]
+        assert not (tmp_path / "trial").exists()
 
 
 class TestAnalyze:
@@ -593,14 +663,26 @@ def _calibrate_out_dir(sim, bundle, tmp):
             "--out", target], target
 
 
+def _analyze_missing_calibration(sim, bundle, tmp):
+    # a firm trial never reads the curve, but the config hash does
+    target = tmp / "curve.csv"
+    return ["analyze", "--markers", sim / "markers.csv",
+            "--grf", sim / "grf.csv", "--meta", sim / "meta.json",
+            "--calibration", target, "--out", tmp / "bundle"], target
+
+
 #: Paths that cannot be read or written as given: each case gives its argv
 #: and the path the error must name.
 _PATH_ERRORS = [_compare_a_file, _analyze_markers_dir, _analyze_out_file,
-                _simulate_out_file, _calibrate_out_dir]
+                _simulate_out_file, _calibrate_out_dir,
+                _analyze_missing_calibration]
 
 
 def _snapshot(path):
-    """A file's bytes, or every file's bytes under a directory."""
+    """A file's bytes, every file's bytes under a directory, or None where
+    there is no file."""
+    if not path.exists():
+        return None
     if path.is_dir():
         return {p.relative_to(path): p.read_bytes()
                 for p in sorted(path.rglob("*")) if p.is_file()}
@@ -767,7 +849,14 @@ class TestPinnedBytes:
     numpy 2.4.6 and scipy 1.17.1.  Reruns of one commit are compared
     elsewhere; these digests catch a change of output bytes between
     commits.  A change that alters them on purpose re-records them and
-    says why; so does a numpy or scipy upgrade that alters them."""
+    says why; so does a numpy or scipy upgrade that alters them.
+
+    The moment-derived digests (``moments.csv``, ``moments_stance.csv``,
+    ``knee_loop.csv``, ``features.json`` and ``COMPARE``) were re-recorded
+    when the ground moment took one sign in every formulation: the aligned
+    record's couple at its COP (the covariance of moment, COP and force
+    over the alignment window) had been added with the wrong sign, and the
+    bundle moments moved by at most 0.81 N m (0.0108 N m/kg)."""
 
     SIMULATE = {
         "grf.csv": "c299a83151a49ee3aab1498a898a323f88d9c84d31d200ba6adcb904f9903f2d",
@@ -780,12 +869,12 @@ class TestPinnedBytes:
     BUNDLE = {
         "angles_cycle.csv": "7f7e1ae3158b389c23f11ca7741833d6762546b29b90c798f9c928c3f7ce875d",
         "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
-        "features.json": "bb654a81a525fa7ca326ca5e9851e6f9dd4c53985a3f32079890eb3c702c7d9e",
+        "features.json": "06ffb526348813f04004764b8eed2f9ca1b17dec8087575b48b1a6073440ccbf",
         "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
-        "knee_loop.csv": "c4cc69f7d1ce5095e47b4695d4208b9e6d37081b210453de2fe776e1b05f16ef",
+        "knee_loop.csv": "f7215ad60d63bc27ac8bfdd791a51dfb4184a84ed98eab27e5e0476e384303a6",
         "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
-        "moments.csv": "4a28058e6f2bcd2cf55916bebabbec6f0335904e9fe120fb4fd72229ea6d0fad",
-        "moments_stance.csv": "18d94ab5e773b4d33169ab685ce2bfa49f15918d6bab193fd8a9b1c48f034ebd",
+        "moments.csv": "b7e753a9efb5b1616ca3e6ed4e9fa480698a1a685c0f25131257411377ce845b",
+        "moments_stance.csv": "555ba7becb7af50cc4ae3d37039157e4b97e8437e4ce48cd862cd4c5a7be3532",
         "stride_metrics.csv": "70903c379aeafc617e8e04ce87647f2c67f803aa4a6c4f16189a5ee8fb54c1ff",
     }
 
@@ -793,12 +882,12 @@ class TestPinnedBytes:
     GAPPY_BUNDLE = {
         "angles_cycle.csv": "d781dfe7d91c98f83fd3075112430e870fa2fe9577d578503030450c34944f91",
         "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
-        "features.json": "d7ce4d3a749fcb039a9f772c38dff4eb3fce65e245d6cd23a0b83b3652559c63",
+        "features.json": "3b3740d515c8182e6adeff93396dfe73d1659102b31d738820b4df2805b69793",
         "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
-        "knee_loop.csv": "296b16fde499364b623cccbe2338617aa070cc0cccd19ba2b0116693de51f627",
+        "knee_loop.csv": "34e89c82fb8414f65334f72a9c20989558a3b05ba02caa075d568ea7917483b4",
         "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
-        "moments.csv": "623368cbd9af18e3b6585aa72379cae85514658b8bda6208b71cbd0c04e874e4",
-        "moments_stance.csv": "e6a973fb044624a6aa314c2eae257681f1847f7a79a62079a3affaf01de068cf",
+        "moments.csv": "c2e8d40ea0a108869deecfaea4ea0d8c24663fdfb329b7252b9a59abb925f2ac",
+        "moments_stance.csv": "79bf0ce7698429a9c749f0d0d6e15dcd72f51c110a34ecc0b453210c0833b074",
         "stride_metrics.csv": "ddc671814d284976b28a40b5f6de872dfbcbaebd9256d22fd3a0b74f4afa15cf",
     }
 
@@ -807,12 +896,12 @@ class TestPinnedBytes:
     UNFILLED_GAP_BUNDLE = {
         "angles_cycle.csv": "499e301c2d413c6e6d1f43f43d45222483c368906fdd60bd5b12a499e4c30364",
         "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
-        "features.json": "8412bcbd176ec749d55d78b9c65342834b52ffd4e48cb938537532e5981578b5",
+        "features.json": "9005f04db39cb4b298bde5193b70b7dd5553423dbd579d14bcdf8d0f8ff7fdba",
         "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
-        "knee_loop.csv": "934adb9e66e1b41713fb0b2c068f1c5a41cebc5f5c9046233d2f4b435c93936f",
+        "knee_loop.csv": "8242fe18d7eea6a9ddd5c66311d30d04ec7648a68b9e0382c33e32fd1267c7df",
         "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
-        "moments.csv": "a4aa9eecf46df218e359570a97f4508f29a8fc1d5efad3fdc0f7b2de3803b66b",
-        "moments_stance.csv": "836cc5b3764ea28a291f37c9dfbc0ed57d260a0df974f1f123c6c24e55be9b53",
+        "moments.csv": "97fc1edd414e5949bba511f37ecd038d4ff795d62715d02b6e08026394da55f3",
+        "moments_stance.csv": "d6545703fb722a7708b04bc7af38c7280d395b1a7e0a11cfcb65d3e2de099e67",
         "stride_metrics.csv": "70903c379aeafc617e8e04ce87647f2c67f803aa4a6c4f16189a5ee8fb54c1ff",
     }
 
@@ -821,8 +910,20 @@ class TestPinnedBytes:
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(directory.iterdir())}
 
+    #: ``simulate`` of the stride preset over a plate under 14 cm of sand:
+    #: F_z and the moment of the buried record, every other file as firm
+    SAND_SIMULATE = {
+        **SIMULATE,
+        "grf.csv": "c088055db1b930f5ba353afd4ed9905165f0ace1060afbdf869d4325a3765f02",
+        "meta.json": "0f92b882be6b01a6df31bd64e858568c1bf40fcdcfab1c45b30d882101b7e807",
+        "profile.json": "55f144fda51ccdd8062200f40bd5c927a7b8c4b784bf33000f0c062122615626",
+    }
+
     def test_simulate_files(self, sim_dir):
         assert self._digests(sim_dir) == self.SIMULATE
+
+    def test_sand_simulate_files(self, sand_sim_dir):
+        assert self._digests(sand_sim_dir) == self.SAND_SIMULATE
 
     def test_bundle_files(self, bundle_dir):
         assert self._digests(bundle_dir) == self.BUNDLE
@@ -838,12 +939,11 @@ class TestPinnedBytes:
 
     #: ``compare`` of three participants, the gappy bundle swapped into
     #: one condition or the other and one metric shifted, run on relative
-    #: paths; report.json re-recorded when p became 2 * stdtr(df, -|t|)
-    #: (no 1 - cdf cancellation), which moved the fz_hs_peak p in its 13th
-    #: digit to the closed-form df = 2 value
+    #: paths; both files re-recorded with the moment-derived digests above
+    #: (the knee stiffness slopes moved)
     COMPARE = {
-        "report.csv": "aad34c09579758b36668599f23a14be795617a93a762a1558b0fe34b2722dc3d",
-        "report.json": "de31d8ea1708da8f91a5151043d6655fddcd25836e85d33115f34291521a076a",
+        "report.csv": "c34f029ec893530fa2050e3dbf2d0fb9bd3102d6e0fa7012fd3711f9ffd572d8",
+        "report.json": "ba4807adc7f23a62e9fd621f9e6502c201f0739e0c6a76744fb654dc7eb0c859",
     }
     #: ``calibrate`` of ``_calibration_samples``
     CURVE = "58d2da097a95a1cacad9959ae6609087f0f46ab3f21269963b523fea1c232387"

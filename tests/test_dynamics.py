@@ -8,7 +8,7 @@ from sandgait.dynamics import (JOINTS, ExternalLoad, FrameState,
                                ankle_dynamics, hip_closed_form,
                                hip_thigh_mass_term, knee_closed_form,
                                leg_inverse_dynamics, leg_moment_series,
-                               recursive_leg, transfer_to_distal)
+                               recursive_leg)
 from sandgait.errors import ContractError
 from sandgait.model import GRAVITY, SegmentParams
 
@@ -37,26 +37,6 @@ def _random_state(rng):
 def _random_load(rng):
     return ExternalLoad(force=rng.normal(size=3), moment=rng.normal(size=3),
                         r=rng.normal(size=3))
-
-
-class TestTransfer:
-    def test_zero(self):
-        F, M = transfer_to_distal(np.zeros(3), np.zeros(3),
-                                  np.array([0.1, 0.0, 0.0]))
-        np.testing.assert_array_equal(F, 0.0)
-        np.testing.assert_array_equal(M, 0.0)
-
-    def test_hand_cross_product(self):
-        # -(0.1,0,0) x (0,0,100) = (0,10,0)
-        F, M = transfer_to_distal(np.array([0.0, 0.0, 100.0]), np.zeros(3),
-                                  np.array([0.1, 0.0, 0.0]))
-        np.testing.assert_allclose(M, [0.0, 10.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(F, [0.0, 0.0, 100.0])
-
-    def test_coincident_points(self):
-        M_G = np.array([1.0, 2.0, 3.0])
-        _, M = transfer_to_distal(np.array([5.0, 6.0, 7.0]), M_G, np.zeros(3))
-        np.testing.assert_array_equal(M, M_G)
 
 
 class TestAnkle:
@@ -158,16 +138,30 @@ class TestProperties:
             np.testing.assert_allclose(both[j], a[j] + b[j] - zero[j],
                                        atol=1e-9)
 
-    def test_translation_invariance(self, rng):
-        # the load is parameterized by the relative lever r, so a rigid
-        # scene translation leaves every moment unchanged by construction;
-        # verify through the series API where positions enter
-        load = _random_load(rng)
-        states = {s: _random_state(rng) for s in ("foot", "shank", "thigh")}
-        rec1 = recursive_leg(load, states, PARAMS)
-        rec2 = recursive_leg(load, states, PARAMS)
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_translation_invariance(self, data):
+        # one wrench described about two points: moving the reference point
+        # by d changes the moment to M - d x F and the lever to r - d, and
+        # leaves every joint moment of both formulations unchanged
+        def vec(bound):
+            return data.draw(arrays(np.float64, 3,
+                                    elements=st.floats(-bound, bound)))
+
+        load = ExternalLoad(force=vec(1e3), moment=vec(1e3), r=vec(2.0))
+        states = {s: FrameState(e=vec(1.0), acc=vec(50.0),
+                                omega_dot=vec(50.0))
+                  for s in ("foot", "shank", "thigh")}
+        d = vec(2.0)
+        moved = ExternalLoad(force=load.force,
+                             moment=load.moment - np.cross(d, load.force),
+                             r=load.r - d)
+        a = leg_inverse_dynamics(load, *states.values(), PARAMS)
+        b = leg_inverse_dynamics(moved, *states.values(), PARAMS)
         for j in JOINTS:
-            np.testing.assert_array_equal(rec1[j][1], rec2[j][1])
+            np.testing.assert_allclose(b.moments[j], a.moments[j], atol=1e-8)
+            np.testing.assert_allclose(b.closed_form[j], a.closed_form[j],
+                                       atol=1e-8)
 
     def test_mass_normalization_scale_invariance(self, rng):
         # doubling body mass, segment masses/inertias, and the ground load

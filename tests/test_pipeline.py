@@ -8,10 +8,9 @@ import pytest
 from sandgait import gaitseg, kinematics, metrics
 from sandgait.dynamics import JOINTS
 from sandgait.errors import ConfigurationError, FitError
-from sandgait.forces import default_calibration_curve
+from sandgait.forces import default_calibration_curve, with_vertical_force
 from sandgait.gaitseg import C_TO, HS, NEXT_HS, cycle_table, phase_normalize
-from sandgait.ingest import (GrfData, TrialMeta, TrialRecord, parse_trial,
-                             write_grf_file, write_marker_file)
+from sandgait.ingest import TrialMeta, TrialRecord
 from sandgait.pipeline import RunConfig, analyze_trial, write_bundle
 from sandgait.synth import stride_profile, synthesize_gait
 
@@ -45,13 +44,11 @@ def _stance_rms_errors(res, out):
 class TestSand:
     def test_buried_plate_moments_match_truth(self, stride):
         # a plate under 14 cm of sand reads F_z * zeta(14) with the same
-        # COP, so its plate-origin moment is cop x F of the buried force
+        # COP and free couple
         depth = 14.0
-        force = stride.grf.force.copy()
-        force[:, 2] *= default_calibration_curve().zeta_at(depth)
-        cop3 = np.column_stack([stride.grf.cop, np.zeros(len(stride.grf))])
-        buried = GrfData(time=stride.grf.time, force=force,
-                         moment=np.cross(cop3, force), cop=stride.grf.cop)
+        buried = with_vertical_force(
+            stride.grf, stride.grf.force[:, 2]
+            * default_calibration_curve().zeta_at(depth))
         meta = TrialMeta(participant=stride.meta.participant, terrain="sand",
                          sand_depth=depth)
         out = analyze_trial(TrialRecord(meta=meta, markers=stride.markers,
@@ -212,30 +209,29 @@ class TestStiffnessCatch:
         assert not any("stiffness" in r.getMessage() for r in caplog.records)
 
 
-class TestDroppedMomentLog:
-    MESSAGE = "dropped non-sagittal ground moment"
+class TestGroundWrench:
+    """Inverse dynamics reads the plate's force and its moment about the
+    plate origin; the COP is one description of that wrench among many."""
 
-    def test_firm_trial_from_csv_logs_nothing(self, tmp_path, caplog):
-        # a COP with more than 9 decimals leaves a rounding residue of
-        # ~1e-7 N m in M - cop x F once the GRF file is read back
-        res = synthesize_gait(dataclasses.replace(
-            stride_profile(), hip_half_width=0.1 * 1.69 / 1.72))
-        write_marker_file(tmp_path / "markers.csv", res.markers)
-        write_grf_file(tmp_path / "grf.csv", res.grf)
-        trial = parse_trial(tmp_path / "markers.csv", tmp_path / "grf.csv",
-                            res.meta)
-        with caplog.at_level(logging.INFO, logger="sandgait.pipeline"):
-            analyze_trial(trial)
-        assert self.MESSAGE not in caplog.text
+    @staticmethod
+    def _bundle(stride, grf, out):
+        write_bundle(analyze_trial(TrialRecord(
+            meta=stride.meta, markers=stride.markers, grf=grf)), out)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    def test_off_plane_moment_logged(self, stride, caplog):
+    def test_cop_moved_with_the_same_wrench(self, stride, tmp_path):
+        cop = stride.grf.cop.copy()
+        cop[:, 0] += 0.02
+        moved = dataclasses.replace(stride.grf, cop=cop)
+        assert (self._bundle(stride, moved, tmp_path / "moved")
+                == self._bundle(stride, stride.grf, tmp_path / "recorded"))
+
+    def test_off_plane_moment_reaches_no_output(self, stride, tmp_path):
         moment = stride.grf.moment.copy()
-        moment[:, 0] += 1.0
-        grf = dataclasses.replace(stride.grf, moment=moment)
-        with caplog.at_level(logging.INFO, logger="sandgait.pipeline"):
-            analyze_trial(TrialRecord(meta=stride.meta, markers=stride.markers,
-                                      grf=grf))
-        assert "max |M_x|,|M_z| = 1.000 N m" in caplog.text
+        moment[:, [0, 2]] += 1.0
+        tilted = dataclasses.replace(stride.grf, moment=moment)
+        assert (self._bundle(stride, tilted, tmp_path / "tilted")
+                == self._bundle(stride, stride.grf, tmp_path / "recorded"))
 
 
 class TestBundleNumbers:
