@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, SegmentationError
+from .kinematics import differentiate
 from .schema import SIDES
 
 PHASE_GRID = np.linspace(0.0, 1.0, 101)
@@ -117,8 +118,8 @@ def detect_side_events(time: np.ndarray, heel: np.ndarray, toe: np.ndarray,
         raise SegmentationError("series too short for event detection")
     dt = float(np.median(np.diff(time)))
     heel_z = heel[:, 2]
-    heel_vx = np.gradient(heel[:, 0], dt)
-    toe_vz = np.gradient(toe[:, 2], dt)
+    heel_vx = differentiate(heel[:, 0], dt)
+    toe_vz = differentiate(toe[:, 2], dt)
 
     # isfinite: -inf passes < and +inf passes >
     hs_idx = _local_extrema(heel_z, 1)

@@ -47,11 +47,6 @@ class Participant:
                    height=check_number(key + "height", doc["height_m"], "> 0"),
                    mass=check_number(key + "mass", doc["mass_kg"], "> 0"))
 
-    @property
-    def weight(self) -> float:
-        """Body weight in newtons."""
-        return self.mass * GRAVITY
-
 
 @dataclass(frozen=True)
 class SegmentRatios:
@@ -72,7 +67,9 @@ class SegmentParams:
 
 @dataclass
 class AnthropometricTable:
-    """Per-segment scaling ratios, all dimensionless fractions in (0, 1)."""
+    """Per-segment scaling ratios, all dimensionless fractions in (0, 1),
+    with a row for each of ``LEG_SEGMENTS``.  The mass fractions, the leg
+    segments counted twice (both legs), sum to at most 1."""
 
     ratios: dict[str, SegmentRatios] = field(default_factory=dict)
 
@@ -85,10 +82,14 @@ class AnthropometricTable:
                     raise ConfigurationError(
                         f"anthropometric table: {fname} for segment {name!r} "
                         f"must lie in (0, 1), got {v}")
-            total += r.mass_fraction
+            total += r.mass_fraction * (2 if name in LEG_SEGMENTS else 1)
         if total > 1.0 + 1e-12:
             raise ConfigurationError(
-                f"anthropometric table: mass fractions sum to {total:.4f} > 1")
+                f"anthropometric table: mass fractions sum to {total:.4f} > 1 "
+                f"(foot, shank and thigh count twice, once per leg)")
+        if missing := [s for s in LEG_SEGMENTS if s not in self.ratios]:
+            raise ConfigurationError(f"anthropometric table: no row for "
+                                     f"segment(s) {', '.join(missing)}")
 
     def __getitem__(self, segment: str) -> SegmentRatios:
         try:
@@ -124,7 +125,10 @@ class AnthropometricTable:
             ratios[name] = SegmentRatios(*vals)
         if not ratios:
             raise ConfigurationError(f"{path}: no segment rows found")
-        return cls(ratios)
+        try:
+            return cls(ratios)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     @classmethod
     def default(cls) -> "AnthropometricTable":

@@ -169,15 +169,16 @@ def _attribute_plate_side(aligned, markers, schema) -> str:
     return best
 
 
-def _surface_grf(trial: TrialRecord, cfg: RunConfig) -> GrfData:
+def _surface_grf(trial: TrialRecord, curve: CalibrationCurve) -> GrfData:
     """The plate record as the surface load: on sand, F_z divided by
-    zeta(depth) with the free couple kept at the COP; on firm ground
-    ``trial.grf``.  The longitudinal force passes through uncalibrated."""
+    zeta(depth) of ``curve`` with the free couple kept at the COP; on firm
+    ground ``trial.grf``.  The longitudinal force passes through
+    uncalibrated."""
     grf = trial.grf
     if trial.meta.terrain != "sand":
         return grf
     return forces.with_vertical_force(grf, forces.calibrate_grf(
-        grf.force[:, 2], trial.meta.sand_depth, cfg.load_calibration()))
+        grf.force[:, 2], trial.meta.sand_depth, curve))
 
 
 def _detect_events(markers: MarkerData, schema: MarkerSchema,
@@ -227,14 +228,16 @@ def _plate_stance(cycles: np.ndarray, time: np.ndarray,
 
 def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisResult:
     cfg = cfg if cfg is not None else RunConfig()
-    schema = cfg.load_schema()
-    table = cfg.load_table()
+    # every config file is read before any stage runs: a bad one fails first
+    config_hash = cfg.config_hash()
+    schema, table, curve = (cfg.load_schema(), cfg.load_table(),
+                            cfg.load_calibration())
     participant = trial.meta.participant
     warnings = (["fx passed through uncalibrated (sand terrain)"]
                 if trial.meta.terrain == "sand" else [])
 
     markers = fill_gaps(trial.markers, cfg.max_gap_frames)
-    grf = _surface_grf(trial, cfg)
+    grf = _surface_grf(trial, curve)
     aligned = align_streams(markers, grf)
     time = markers.time
     params = segment_parameters(participant, table,
@@ -341,7 +344,7 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
 
     return AnalysisResult(
         participant_id=participant.id, terrain=trial.meta.terrain,
-        config_hash=cfg.config_hash(), events=events,
+        config_hash=config_hash, events=events,
         angle_cycle=angle_cycle, moments=moments,
         moment_stance=moment_stance, grf_stance=grf_stance,
         grf_features=grf_features, stride_rows=stride_rows,

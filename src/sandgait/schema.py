@@ -1,117 +1,96 @@
-"""Marker schema: maps the configured marker labels to body segments.
+"""Marker schema: the anatomical landmark each marker label sits on.
 
-The canonical 18-label set is defined by the bundled config file, not by
-code; users supply their own file to rename or re-map markers.
+A schema file is CSV with the header ``label,side,landmark`` (blank and
+``#`` lines skipped).  A landmark is ``pelvis`` (any number per side),
+``hip``, ``knee``, ``ankle``, ``heel`` or ``toe`` (exactly one each per
+side), or ``tracking``: a marker the trial must hold that no stage reads.
+The bundled file holds the canonical 18 labels; a user file renames them.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigurationError, read_text
 
-SEGMENTS = ("pelvis", "thigh", "shank", "foot")
 SIDES = ("left", "right")
-ROLES = ("proximal", "distal", "auxiliary")
-
-
-@dataclass(frozen=True)
-class MarkerAssignment:
-    label: str
-    segment: str
-    side: str
-    role: str
+_JOINTS = ("hip", "knee", "ankle", "heel", "toe")
+_LANDMARKS = ("pelvis", *_JOINTS, "tracking")
+_HEADER = "label,side,landmark"
+#: (proximal, distal) landmark of each leg segment, along hip -> knee ->
+#: ankle -> toe
+_SEGMENT_ENDS = {"thigh": ("hip", "knee"), "shank": ("knee", "ankle"),
+                 "foot": ("ankle", "toe")}
 
 
 class MarkerSchema:
-    """Label -> (segment, side, role) mapping with chain-aware lookups."""
+    """The marker labels in file order, each side's label at each joint
+    landmark, and the pelvis labels: the left side's in file order, then
+    the right side's."""
 
-    def __init__(self, assignments: list[MarkerAssignment]):
-        self._by_label = {}
-        self._by_key = {}
-        for a in assignments:
-            if a.segment not in SEGMENTS:
-                raise ConfigurationError(f"marker {a.label!r}: unknown segment {a.segment!r}")
-            if a.side not in SIDES:
-                raise ConfigurationError(f"marker {a.label!r}: unknown side {a.side!r}")
-            if a.role not in ROLES:
-                raise ConfigurationError(f"marker {a.label!r}: unknown role {a.role!r}")
-            if a.label in self._by_label:
-                raise ConfigurationError(f"duplicate marker label {a.label!r}")
-            self._by_label[a.label] = a
-            self._by_key.setdefault((a.segment, a.side, a.role), []).append(a.label)
-        for side in SIDES:
-            for seg, role in (("thigh", "proximal"), ("thigh", "distal"),
-                              ("shank", "distal"), ("foot", "distal")):
-                if (seg, side, role) not in self._by_key:
-                    raise ConfigurationError(
-                        f"marker schema missing required {side} {seg} {role} marker")
-
-    @property
-    def labels(self) -> list[str]:
-        return list(self._by_label)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._by_label
-
-    def label_for(self, segment: str, side: str, role: str) -> str:
-        labels = self._by_key.get((segment, side, role))
-        if not labels:
-            raise ConfigurationError(
-                f"marker schema has no {side} {segment} {role} marker")
-        return labels[0]
+    def __init__(self, labels: list[str], joints: dict[tuple[str, str], str],
+                 pelvis: list[str]):
+        self.labels = labels
+        self._joints = joints
+        self._pelvis = pelvis
 
     def joint_label(self, side: str, joint: str) -> str:
-        """Marker sitting at a chain joint: hip, knee, ankle, toe, heel."""
-        key = {
-            "hip": ("thigh", "proximal"),
-            "knee": ("thigh", "distal"),
-            "ankle": ("shank", "distal"),
-            "toe": ("foot", "distal"),
-            "heel": ("foot", "auxiliary"),
-        }
+        """The label at ``side``'s hip, knee, ankle, heel or toe."""
         try:
-            seg, role = key[joint]
+            return self._joints[(side, joint)]
         except KeyError:
-            raise ConfigurationError(f"unknown joint {joint!r}") from None
-        return self.label_for(seg, side, role)
+            raise ConfigurationError(f"no {side} {joint!r} landmark") from None
 
     def segment_endpoints(self, side: str, segment: str) -> tuple[str, str]:
         """(proximal, distal) marker labels for a leg segment."""
-        chain = {"thigh": ("hip", "knee"),
-                 "shank": ("knee", "ankle"),
-                 "foot": ("ankle", "toe")}
         try:
-            p, d = chain[segment]
+            prox, dist = _SEGMENT_ENDS[segment]
         except KeyError:
             raise ConfigurationError(f"{segment!r} is not a leg segment") from None
-        return self.joint_label(side, p), self.joint_label(side, d)
+        return self.joint_label(side, prox), self.joint_label(side, dist)
 
     def pelvis_labels(self) -> list[str]:
-        out = []
-        for side in SIDES:
-            for role in ROLES:
-                out.extend(self._by_key.get(("pelvis", side, role), []))
-        if not out:
-            raise ConfigurationError("marker schema has no pelvis markers")
-        return out
+        return list(self._pelvis)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MarkerSchema":
-        assignments = []
-        text = read_text(path, ConfigurationError)
-        rows = [r for r in csv.reader(text.splitlines())
-                if r and not r[0].lstrip().startswith("#")]
-        if not rows or [c.strip() for c in rows[0]] != ["label", "segment", "side", "role"]:
+        """Read a schema file; an error names the file, and a row's error
+        its line."""
+        rows = [(n, [c.strip() for c in line.split(",")]) for n, line
+                in enumerate(read_text(path, ConfigurationError).split("\n"), 1)
+                if line.strip() and not line.lstrip().startswith("#")]
+        if not rows or rows[0][1] != _HEADER.split(","):
+            where = f"{path}:{rows[0][0]}" if rows else path
+            raise ConfigurationError(f"{where}: expected header {_HEADER!r}")
+        line_of, joints, pelvis = {}, {}, {side: [] for side in SIDES}
+        for n, cells in rows[1:]:
+            if len(cells) != 3:
+                raise ConfigurationError(f"{path}:{n}: expected 3 fields "
+                                         f"({_HEADER}), got {len(cells)}")
+            label, side, landmark = cells
+            key = (side, landmark)
+            problem = (
+                f"side must be left or right, got {side!r}" if side not in SIDES
+                else f"unknown landmark {landmark!r}; expected one of "
+                     f"{', '.join(_LANDMARKS)}" if landmark not in _LANDMARKS
+                else f"already on line {line_of[label]}" if label in line_of
+                else f"second {side} {landmark} marker ({joints[key]!r} is on "
+                     f"line {line_of[joints[key]]})" if key in joints
+                else None)
+            if problem:
+                raise ConfigurationError(f"{path}:{n}: marker {label!r}: {problem}")
+            line_of[label] = n
+            if landmark == "pelvis":
+                pelvis[side].append(label)
+            elif landmark != "tracking":
+                joints[key] = label
+        if missing := [f"{side} {joint}" for side in SIDES for joint in _JOINTS
+                       if (side, joint) not in joints]:
             raise ConfigurationError(
-                f"{path}: expected header 'label,segment,side,role'")
-        for row in rows[1:]:
-            if len(row) != 4:
-                raise ConfigurationError(f"{path}: bad schema row {row!r}")
-            assignments.append(MarkerAssignment(*[c.strip() for c in row]))
-        return cls(assignments)
+                f"{path}: no marker for landmark(s) {', '.join(missing)}")
+        if not any(pelvis.values()):
+            raise ConfigurationError(f"{path}: no pelvis marker")
+        return cls(list(line_of), joints, pelvis["left"] + pelvis["right"])
 
     @classmethod
     def default(cls) -> "MarkerSchema":

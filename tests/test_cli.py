@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sandgait import ingest, synth
+from sandgait import ingest, pipeline, synth
 from sandgait.cli import main
 from sandgait.pipeline import RunConfig
 
@@ -268,6 +268,127 @@ class TestAnalyze:
                      "--meta", str(sim_dir / "meta.json"),
                      "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 1
+
+
+def _analyze_argv(sim, out, *flags):
+    return ["analyze", "--markers", str(sim / "markers.csv"),
+            "--grf", str(sim / "grf.csv"), "--meta", str(sim / "meta.json"),
+            "--out", str(out), *(str(f) for f in flags)]
+
+
+def _without_config_hash(directory):
+    """Each file's text under ``directory`` with its config-hash line (the
+    CSV comment, the JSON key) dropped."""
+    return {p.name: [line for line in p.read_text().split("\n")
+                     if "config_hash" not in line]
+            for p in sorted(directory.iterdir())}
+
+
+#: Plug-in-Gait-style name and landmark of each default label's part
+_PIG = {"asis": ("ASI", "pelvis"), "psis": ("PSI", "pelvis"),
+        "hip": ("HJC", "hip"), "thigh": ("THI", "tracking"),
+        "knee": ("KNE", "knee"), "shank": ("TIB", "tracking"),
+        "ankle": ("ANK", "ankle"), "heel": ("HEE", "heel"),
+        "toe": ("TOE", "toe")}
+
+
+class TestConfigFiles:
+    """The marker schema, anthropometric table and calibration curve a
+    config names, and the config file itself."""
+
+    @pytest.fixture
+    def stage_calls(self, monkeypatch):
+        """The calls of the first stage that reads both trial streams."""
+        calls = []
+        monkeypatch.setattr(pipeline, "align_streams",
+                            lambda *a: calls.append(a))
+        return calls
+
+    def test_renamed_labels_same_bundle(self, sim_dir, bundle_dir, tmp_path):
+        # every label renamed, the rows listed by side: the bundle differs
+        # from the default run only in its config hash
+        (tmp_path / "schema.csv").write_text(
+            "# Plug-in-Gait-style labels\nlabel,side,landmark\n" + "".join(
+                f"{side[0].upper()}{name},{side},{landmark}\n"
+                for side in ("left", "right") for name, landmark in _PIG.values()))
+        lines = (sim_dir / "markers.csv").read_text().split("\n", 1)
+        header = ",".join(
+            c if c == "time" else c[0] + _PIG[c[2:-2]][0] + c[-2:]
+            for c in lines[0].split(","))
+        (tmp_path / "markers.csv").write_text(header + "\n" + lines[1])
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"marker_schema": str(tmp_path / "schema.csv")}))
+        out = tmp_path / "b"
+        assert main(["analyze", "--markers", str(tmp_path / "markers.csv"),
+                     "--grf", str(sim_dir / "grf.csv"),
+                     "--meta", str(sim_dir / "meta.json"),
+                     "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)]) == 0
+        assert _snapshot(out) != _snapshot(bundle_dir)
+        assert _without_config_hash(out) == _without_config_hash(bundle_dir)
+
+    def test_config_from_environment(self, sim_dir, tmp_path, monkeypatch):
+        # SANDGAIT_CONFIG gives the bundle --config gives; --config wins
+        env, flag = tmp_path / "env.json", tmp_path / "flag.json"
+        env.write_text('{"filter_window": 9}')
+        flag.write_text('{"filter_window": 5}')
+
+        def bundle(name, *flags):
+            assert main(_analyze_argv(sim_dir, tmp_path / name, *flags)) == 0
+            return _snapshot(tmp_path / name)
+
+        env_by_flag = bundle("env_by_flag", "--config", env)
+        flag_only = bundle("flag_only", "--config", flag)
+        assert env_by_flag != flag_only
+        monkeypatch.setenv("SANDGAIT_CONFIG", str(env))
+        assert bundle("env_only") == env_by_flag
+        assert bundle("both", "--config", flag) == flag_only
+
+    @pytest.mark.parametrize("key, text, named", [
+        ("marker_schema", "label,segment,side,role\nL-asis,pelvis,left,proximal\n",
+         ":1: expected header 'label,side,landmark'"),
+        ("marker_schema", "label,side,landmark\nL-asis,left,pelvis\n"
+         "L-hip,left,hjc\n", ":3: marker 'L-hip': unknown landmark 'hjc'"),
+        ("marker_schema", "label,side,landmark\nL-heel,left,heel\n"
+         "L-mt5,left,heel\n", ":3: marker 'L-mt5': second left heel marker "
+         "('L-heel' is on line 2)"),
+        ("marker_schema", "label,side,landmark\nL-asis,left,pelvis\n",
+         ": no marker for landmark(s) left hip, left knee, left ankle, "
+         "left heel, left toe, right hip"),
+        ("marker_schema", "label,side,landmark\n" + "".join(
+            f"{side[0].upper()}{name},{side},{landmark}\n"
+            for side in ("left", "right") for name, landmark in _PIG.values()
+            if landmark != "pelvis"), ": no pelvis marker"),
+        ("anthropometry", "foot 0.0145 0.50 0.475\nshank 0.0465 0.433 1.302\n",
+         ": anthropometric table: gyration_fraction for segment 'shank' "
+         "must lie in (0, 1), got 1.302"),
+        ("anthropometry", "foot 0.05 0.5 0.475\nshank 0.15 0.433 0.302\n"
+         "thigh 0.35 0.433 0.323\nhat 0.40 0.626 0.496\n",
+         ": anthropometric table: mass fractions sum to 1.5000 > 1"),
+    ], ids=["old_schema_header", "unknown_landmark", "second_heel",
+            "missing_landmarks", "no_pelvis", "gyration_over_one",
+            "two_leg_mass"])
+    def test_bad_file_fails_before_any_stage(self, sim_dir, tmp_path, caplog,
+                                             stage_calls, key, text, named):
+        # one ERROR line naming the file, exit 1, and no stage has run
+        (tmp_path / "file.txt").write_text(text)
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({key: str(tmp_path / "file.txt")}))
+        assert main(_analyze_argv(sim_dir, tmp_path / "b", "--config",
+                                  tmp_path / "cfg.json")) == 1
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelname == "ERROR"]
+        assert len(errors) == 1, errors
+        assert f"{tmp_path / 'file.txt'}{named}" in errors[0]
+        assert stage_calls == []
+        assert not (tmp_path / "b").exists()
+
+    def test_missing_calibration_fails_before_any_stage(self, sim_dir,
+                                                        tmp_path, stage_calls):
+        # a firm trial never uses the curve, but reads it before any stage
+        assert main(_analyze_argv(sim_dir, tmp_path / "b", "--calibration",
+                                  tmp_path / "curve.csv")) == 1
+        assert stage_calls == []
 
 
 def _run_python(*args, text=True, **env):

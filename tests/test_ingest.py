@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import json
 import math
@@ -27,6 +28,10 @@ from sandgait.ingest import (ROW_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
 from sandgait.model import AnthropometricTable
 from sandgait.pipeline import RunConfig
 from sandgait.schema import MarkerSchema
+
+
+#: the bundled marker schema
+_SCHEMA_FILE = Path(ingest.__file__).parent / "data" / "marker_schema.csv"
 
 
 @pytest.fixture
@@ -93,6 +98,66 @@ class TestSchema:
 
     def test_eighteen_labels(self, schema):
         assert len(schema.labels) == 18
+
+    def test_pelvis_order(self, schema):
+        # left side first, each side in file order: this order fixes the
+        # float sum of the pelvis midpoint
+        assert schema.pelvis_labels() == ["L-asis", "L-psis", "R-asis", "R-psis"]
+
+    def test_tracking_markers_are_labels_only(self, schema):
+        assert {"L-thigh", "R-shank"} <= set(schema.labels)
+        assert "L-thigh" not in [
+            label for side in ("left", "right") for seg in ("thigh", "shank", "foot")
+            for label in schema.segment_endpoints(side, seg)]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: ["label,segment,side,role", "L-asis,pelvis,left,proximal"],
+         ":1: expected header 'label,side,landmark'"),
+        (lambda rows: [],
+         ": expected header 'label,side,landmark'"),
+        (lambda rows: rows[:1] + ["L-thigh,left"] + rows[1:],
+         ":2: expected 3 fields (label,side,landmark), got 2"),
+        (lambda rows: rows + ["L-mid,middle,tracking"],
+         ":20: marker 'L-mid': side must be left or right, got 'middle'"),
+        (lambda rows: rows + ["L-mid,left,aux"],
+         ":20: marker 'L-mid': unknown landmark 'aux'; expected one of "
+         "pelvis, hip, knee, ankle, heel, toe, tracking"),
+        (lambda rows: rows + ["L-heel,left,tracking"],
+         ":20: marker 'L-heel': already on line 16"),
+        # a forefoot marker listed before the heel was once taken for it
+        (lambda rows: rows[:15] + ["L-mt5,left,heel"] + rows[15:],
+         ":17: marker 'L-heel': second left heel marker ('L-mt5' is on "
+         "line 16)"),
+        # a medial knee marker was once ignored
+        (lambda rows: rows + ["L-mknee,left,knee"],
+         ":20: marker 'L-mknee': second left knee marker ('L-knee' is on "
+         "line 10)"),
+        (lambda rows: [r for r in rows if r != "R-toe,right,toe"],
+         ": no marker for landmark(s) right toe"),
+        (lambda rows: [r for r in rows if not r.endswith(",pelvis")],
+         ": no pelvis marker"),
+    ], ids=["old_header", "empty", "two_fields", "unknown_side",
+            "unknown_landmark", "duplicate_label", "forefoot_before_heel",
+            "medial_knee", "missing_toe", "no_pelvis"])
+    def test_bad_file_names_path_and_line(self, tmp_path, edit, message):
+        # header on line 1, then the default rows from line 2 (L-knee on
+        # line 10, L-heel on 16)
+        rows = [line for line in _SCHEMA_FILE.read_text().splitlines()
+                if not line.startswith("#")]
+        path = tmp_path / "schema.csv"
+        path.write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(ConfigurationError) as exc:
+            MarkerSchema.from_file(path)
+        assert str(exc.value) == f"{path}{message}"
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path, schema):
+        path = tmp_path / "schema.csv"
+        path.write_text("\n\n" + _SCHEMA_FILE.read_text().replace(
+            "\nR-hip", "\n# hip\n\nR-hip"))
+        back = MarkerSchema.from_file(path)
+        assert back.labels == schema.labels
+        assert back.pelvis_labels() == schema.pelvis_labels()
+        assert back.segment_endpoints("right", "thigh") == ("R-hip", "R-knee")
 
 
 class TestMarkerIo:
@@ -579,6 +644,46 @@ def test_only_ingest_writes_files():
              for n, line in enumerate(path.read_text().splitlines(), 1)
              if _FILE_WRITE.search(line)]
     assert found == []
+
+
+#: a call that reads a file: Path.read_bytes/read_text, open() without a
+#: write, append, create or update mode, or a numpy or json file loader
+_FILE_READ = re.compile(r"""\.read_(?:bytes|text)\(|\bjson\.load\("""
+                        r"""|\bnp\.(?:loadtxt|genfromtxt|fromfile|load)\("""
+                        r"""|\bopen\((?![^)]*["'][rbt]*[wax+])""")
+
+
+def _enclosing_functions(path: Path) -> dict[int, str]:
+    """The innermost function (``Class.method``) holding each source line."""
+    owner = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                for n in range(child.lineno, child.end_lineno + 1):
+                    owner[n] = name
+                name += "."
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), "")
+    return owner
+
+
+def test_user_files_read_in_three_places():
+    # every input file is read by errors.read_text (read_json and
+    # read_json_as go through it) or ingest.read_csv_table, and only the
+    # config hash reads bytes of its own: no reader gets a private decoder
+    src = Path(ingest.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        owner = _enclosing_functions(path)
+        found |= {f"{path.stem}.{owner.get(n)}" for n, line
+                  in enumerate(path.read_text().splitlines(), 1)
+                  if _FILE_READ.search(line)}
+    assert found == {"errors.read_text", "ingest.read_csv_table",
+                     "pipeline.RunConfig.config_hash"}
 
 
 def test_marker_file_is_utf8_under_the_c_locale(tmp_path):

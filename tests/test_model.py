@@ -7,10 +7,6 @@ from sandgait.model import (AnthropometricTable, Participant, SegmentRatios,
                             segment_parameters)
 
 
-def test_participant_weight(participant):
-    assert participant.weight == pytest.approx(74.5 * 9.81, rel=1e-12)
-
-
 def test_participant_json_round_trip(participant):
     doc = participant.to_json()
     assert doc == {"id": "p01", "height_m": 1.75, "mass_kg": 74.5}
@@ -44,6 +40,23 @@ def test_table_rejects_mass_sum_over_one():
     ratios = {f"s{i}": SegmentRatios(0.3, 0.5, 0.5) for i in range(4)}
     with pytest.raises(ConfigurationError, match="sum"):
         AnthropometricTable(ratios)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("foot 0.0145 0.50 0.475\nshank 0.0465 0.433 1.302\n",
+     "gyration_fraction for segment 'shank' must lie in (0, 1), got 1.302"),
+    ("foot 0.05 0.5 0.475\nshank 0.15 0.433 0.302\nthigh 0.35 0.433 0.323\n"
+     "hat 0.40 0.626 0.496\n", "mass fractions sum to 1.5000 > 1 (foot, "
+     "shank and thigh count twice, once per leg)"),
+    ("foot 0.0145 0.50 0.475\nhat 0.678 0.626 0.496\n",
+     "no row for segment(s) shank, thigh"),
+], ids=["gyration_over_one", "two_leg_mass", "no_shank_or_thigh"])
+def test_table_from_file_names_path(tmp_path, rows, message):
+    path = tmp_path / "t.txt"
+    path.write_text(rows)
+    with pytest.raises(ConfigurationError) as exc:
+        AnthropometricTable.from_file(path)
+    assert str(exc.value) == f"{path}: anthropometric table: {message}"
 
 
 def test_table_missing_segment(table):
