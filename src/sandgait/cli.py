@@ -68,8 +68,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
-    if args.calibration:
-        cfg.calibration = args.calibration
+    if args.calibration is not None:
+        if not args.calibration:
+            raise ConfigurationError("--calibration must name a file, got ''")
+        cfg = replace(cfg, calibration=args.calibration)
     meta = ingest.read_meta_file(args.meta)
     try:
         meta = replace(meta, terrain=args.terrain or meta.terrain,
@@ -79,8 +81,8 @@ def cmd_analyze(args) -> int:
         if args.sand_depth is None:
             raise
         raise ConfigurationError(f"--sand-depth: {exc}") from None
-    trial = ingest.parse_trial(args.markers, args.grf, meta,
-                               schema=cfg.load_schema())
+    # the config's files are read before the trial's, and parsed once
+    trial = ingest.parse_trial(args.markers, args.grf, meta, cfg.load_schema())
     result = analyze_trial(trial, cfg)
     write_bundle(result, args.out)
     for w in result.warnings:

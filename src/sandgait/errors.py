@@ -80,10 +80,12 @@ def decode_utf8(path, raw: bytes,
                     f"at offset {exc.start})") from None
 
 
-def read_text(path, error: type[GaitInputError] = FormatError) -> str:
-    """A user file as UTF-8 text (see ``decode_utf8``) with universal
-    newlines."""
-    text = decode_utf8(path, Path(path).read_bytes(), error)
+def read_text(path, error: type[GaitInputError] = FormatError,
+              raw: bytes | None = None) -> str:
+    """A user file, or its bytes ``raw`` where they were read already, as
+    UTF-8 text (see ``decode_utf8``) with universal newlines."""
+    raw = Path(path).read_bytes() if raw is None else raw
+    text = decode_utf8(path, raw, error)
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -192,9 +192,10 @@ def write_calibration_curve(path: str | Path, curve: CalibrationCurve) -> None:
                [curve.depths, curve.zeta, curve.residual, curve.n])
 
 
-def read_calibration_curve(path: str | Path) -> CalibrationCurve:
+def read_calibration_curve(path: str | Path,
+                           raw: bytes | None = None) -> CalibrationCurve:
     arr = read_csv_table(path, expect_columns(
-        path, ["depth_cm", "zeta", "residual", "n"]), comments=True)
+        path, ["depth_cm", "zeta", "residual", "n"]), comments=True, raw=raw)
     if not len(arr):
         raise FormatError(f"{path}: empty calibration curve")
     try:

@@ -133,16 +133,17 @@ _LOADTXT_ERROR = re.compile(
 
 
 def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
-                   *, comments: bool = False,
-                   empty_is_nan: bool = False) -> np.ndarray:
+                   *, comments: bool = False, empty_is_nan: bool = False,
+                   raw: bytes | None = None) -> np.ndarray:
     """A UTF-8 CSV file of one header line, which ``check_header`` vets
     first, and finite numeric rows as an (N, width of header) array; (0, 0)
     if empty.  Blank lines are errors, unless ``comments`` skips them and
     ``#`` lines.  ``empty_is_nan`` reads empty cells after the first column
     as NaN, and lets a NaN stand there for a missing value.  Errors name
-    ``path:line``.  The file is parsed from its bytes, with universal
-    newlines; it is decoded whole only to check a non-ASCII file."""
-    raw = Path(path).read_bytes()
+    ``path:line``.  The file is parsed from its bytes (``raw``, where they
+    were read already), with universal newlines; it is decoded whole only
+    to check a non-ASCII file."""
+    raw = Path(path).read_bytes() if raw is None else raw
     if not raw.isascii():
         decode_utf8(path, raw)  # only to reject bytes that are not UTF-8
     if b"\r" in raw:
@@ -228,10 +229,17 @@ def expect_columns(path, columns: list[str]) -> Callable[[list[str]], None]:
     return check
 
 
-def _check_monotone(time: np.ndarray, path, header_lines: int) -> None:
+def _check_trial_rows(table: np.ndarray, path, what: str) -> None:
+    """A trial file's table holds at least two data rows (one has no
+    sampling interval) and strictly increasing times."""
+    if len(table) < 2:
+        raise FormatError(f"{path}: {what} file has "
+                          f"{'one data row' if len(table) else 'no data rows'}"
+                          f"; at least two are needed")
+    time = table[:, 0]
     bad = np.where(np.diff(time) <= 0)[0]
     if bad.size:
-        line = int(bad[0]) + 2 + header_lines  # 1-based, after header
+        line = int(bad[0]) + 3  # 1-based, after the header
         raise FormatError(f"{path}:{line}: non-monotone timestamp "
                           f"({time[bad[0] + 1]:g} after {time[bad[0]]:g})")
 
@@ -498,9 +506,7 @@ def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
             raise SchemaError(f"{path}: marker file missing label(s) {missing}")
 
     arr = read_csv_table(path, check_header, empty_is_nan=True)
-    if not len(arr):
-        raise FormatError(f"{path}: marker file has no data rows")
-    _check_monotone(arr[:, 0], path, header_lines=1)
+    _check_trial_rows(arr, path, "marker")
     return MarkerData(time=arr[:, 0].copy(), pos={
         label: arr[:, 1 + 3 * k:4 + 3 * k].copy() for k, label in enumerate(labels)})
 
@@ -517,9 +523,7 @@ def write_marker_file(path: str | Path, markers: MarkerData,
 
 def read_grf_file(path: str | Path) -> GrfData:
     arr = read_csv_table(path, expect_columns(path, GRF_COLUMNS))
-    if not len(arr):
-        raise FormatError(f"{path}: GRF file has no data rows")
-    _check_monotone(arr[:, 0], path, header_lines=1)
+    _check_trial_rows(arr, path, "GRF")
     return GrfData(time=arr[:, 0], force=arr[:, 1:4],
                    moment=arr[:, 4:7], cop=arr[:, 7:9])
 
@@ -530,9 +534,8 @@ def write_grf_file(path: str | Path, grf: GrfData) -> None:
 
 
 def parse_trial(marker_file: str | Path, grf_file: str | Path,
-                meta: TrialMeta, schema: MarkerSchema | None = None) -> TrialRecord:
+                meta: TrialMeta, schema: MarkerSchema) -> TrialRecord:
     """Parse and validate both trial files into a TrialRecord."""
-    schema = schema if schema is not None else MarkerSchema.default()
     markers = read_marker_file(marker_file, schema)
     grf = read_grf_file(grf_file)
     if meta.sync_offset:
@@ -548,11 +551,12 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
     valid frames; a column with a mask of its own gets its own spline.  With
     fewer than four valid frames the fill is linear (``np.interp``) per
     column.  Longer gaps and runs off either end are left missing and poison
-    downstream frames.
+    downstream frames.  The result shares the input's time and every
+    marker that has nothing filled; a filled marker is a copy.
     """
-    out = markers.copy()
+    out = MarkerData(markers.time, dict(markers.pos))
     idx = np.arange(len(markers))
-    for pos in out.pos.values():
+    for label, pos in markers.pos.items():
         miss = np.isnan(pos)
         if not miss.any():
             continue
@@ -569,6 +573,8 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
                 continue
             fill = gap & ok[np.cumsum(step[:-1] == 1) - 1]
             valid = ~gap
+            if pos is markers.pos[label]:
+                pos = out.pos[label] = pos.copy()
             if np.count_nonzero(valid) < 4:
                 for c in cols:
                     pos[fill, c] = np.interp(idx[fill], idx[valid], pos[valid, c])

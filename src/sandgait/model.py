@@ -103,25 +103,31 @@ class AnthropometricTable:
         return segment in self.ratios
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "AnthropometricTable":
-        """Read the column-delimited table; '#' starts a comment line."""
-        ratios = {}
-        text = read_text(path, ConfigurationError)
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
+    def from_file(cls, path: str | Path,
+                  raw: bytes | None = None) -> "AnthropometricTable":
+        """Read the column-delimited table, or its bytes ``raw``; '#' starts
+        a comment line, and a segment has one row."""
+        ratios, line_of = {}, {}
+        text = read_text(path, ConfigurationError, raw)
+        for lineno, row in enumerate(text.splitlines(), start=1):
+            line = row.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 4:
                 raise ConfigurationError(
                     f"{path}:{lineno}: expected 'name mass_fraction "
-                    f"com_fraction gyration_fraction', got {raw!r}")
+                    f"com_fraction gyration_fraction', got {row!r}")
             name = parts[0]
             try:
                 vals = [float(p) for p in parts[1:]]
             except ValueError:
                 raise ConfigurationError(
-                    f"{path}:{lineno}: non-numeric ratio in {raw!r}") from None
+                    f"{path}:{lineno}: non-numeric ratio in {row!r}") from None
+            if name in line_of:
+                raise ConfigurationError(f"{path}:{lineno}: segment {name!r}: "
+                                         f"already on line {line_of[name]}")
+            line_of[name] = lineno
             ratios[name] = SegmentRatios(*vals)
         if not ratios:
             raise ConfigurationError(f"{path}: no segment rows found")

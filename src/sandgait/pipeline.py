@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,16 @@ from .schema import SIDES, MarkerSchema
 _ODD_WINDOWS = ("filter_window", "event_filter_window", "grf_smooth_window")
 _NON_NEGATIVE = ("max_gap_frames", "plate_threshold_bw")
 
+#: Each config key that names an input file: its reader, given the path and
+#: the file's bytes, and the bundled default that a null key takes.
+_INPUT_FILES = {
+    "marker_schema": (MarkerSchema.from_file, MarkerSchema.default),
+    "anthropometry": (AnthropometricTable.from_file, AnthropometricTable.default),
+    "calibration": (forces.read_calibration_curve, forces.default_calibration_curve),
+}
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
     """Pipeline knobs; all numeric defaults are surfaced in reports."""
 
@@ -74,36 +83,37 @@ class RunConfig:
         return EventThresholds(**{key: getattr(self, key) for key in
                                   EventThresholds.__dataclass_fields__})
 
-    def config_hash(self) -> str:
-        doc = asdict(self)
-        for key in ("marker_schema", "anthropometry", "calibration"):
-            path = doc[key]
-            if path:
-                doc[key] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    @cached_property
+    def inputs(self) -> tuple[str, MarkerSchema, AnthropometricTable,
+                              CalibrationCurve]:
+        """The config hash and what ``_INPUT_FILES`` hold, resolved once:
+        each file a key names is read once, and the hash takes the SHA-256
+        of those bytes in place of its path before they are parsed."""
+        raw = {key: Path(path).read_bytes() for key in _INPUT_FILES
+               if (path := getattr(self, key)) is not None}
+        doc = asdict(self) | {key: hashlib.sha256(b).hexdigest()
+                              for key, b in raw.items()}
         blob = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return (hashlib.sha256(blob).hexdigest()[:16], *(
+            read(getattr(self, key), raw[key]) if key in raw else default()
+            for key, (read, default) in _INPUT_FILES.items()))
+
+    def config_hash(self) -> str:
+        return self.inputs[0]
 
     def load_schema(self) -> MarkerSchema:
-        return (MarkerSchema.from_file(self.marker_schema)
-                if self.marker_schema else MarkerSchema.default())
-
-    def load_table(self) -> AnthropometricTable:
-        return (AnthropometricTable.from_file(self.anthropometry)
-                if self.anthropometry else AnthropometricTable.default())
-
-    def load_calibration(self) -> CalibrationCurve:
-        return (forces.read_calibration_curve(self.calibration)
-                if self.calibration else forces.default_calibration_curve())
+        return self.inputs[1]
 
 
 def _config_problem(key: str, value, default) -> str | None:
     """What is wrong with one config value's type, taken from the field's
-    default (a path is a string or null, an int field takes no bool, a
-    float field takes an int or a float), or with an odd window; any other
-    number is held to its rule by ``check_number``."""
+    default (a path is a non-empty string or null, an int field takes no
+    bool, a float field takes an int or a float), or with an odd window;
+    any other number is held to its rule by ``check_number``."""
     if default is None:
-        return None if value is None or isinstance(value, str) \
-            else "must be a path string or null"
+        return (None if value is None or isinstance(value, str) and value
+                else "must name a file" if value == ""
+                else "must be a path string or null")
     if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             return "must be an integer"
@@ -229,14 +239,14 @@ def _plate_stance(cycles: np.ndarray, time: np.ndarray,
 def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisResult:
     cfg = cfg if cfg is not None else RunConfig()
     # every config file is read before any stage runs: a bad one fails first
-    config_hash = cfg.config_hash()
-    schema, table, curve = (cfg.load_schema(), cfg.load_table(),
-                            cfg.load_calibration())
+    config_hash, schema, table, curve = cfg.inputs
     participant = trial.meta.participant
     warnings = (["fx passed through uncalibrated (sand terrain)"]
                 if trial.meta.terrain == "sand" else [])
 
-    markers = fill_gaps(trial.markers, cfg.max_gap_frames)
+    markers = fill_gaps(MarkerData(trial.markers.time, {
+        label: trial.markers.pos[label] for label in schema.landmark_labels()}),
+        cfg.max_gap_frames)
     grf = _surface_grf(trial, curve)
     aligned = align_streams(markers, grf)
     time = markers.time

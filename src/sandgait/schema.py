@@ -52,12 +52,18 @@ class MarkerSchema:
     def pelvis_labels(self) -> list[str]:
         return list(self._pelvis)
 
+    def landmark_labels(self) -> list[str]:
+        """The labels a stage reads: every marker but the tracking ones."""
+        return [*self._joints.values(), *self._pelvis]
+
     @classmethod
-    def from_file(cls, path: str | Path) -> "MarkerSchema":
-        """Read a schema file; an error names the file, and a row's error
-        its line."""
+    def from_file(cls, path: str | Path,
+                  raw: bytes | None = None) -> "MarkerSchema":
+        """Read a schema file, or its bytes ``raw``; an error names the
+        file, and a row's error its line."""
+        text = read_text(path, ConfigurationError, raw)
         rows = [(n, [c.strip() for c in line.split(",")]) for n, line
-                in enumerate(read_text(path, ConfigurationError).split("\n"), 1)
+                in enumerate(text.split("\n"), 1)
                 if line.strip() and not line.lstrip().startswith("#")]
         if not rows or rows[0][1] != _HEADER.split(","):
             where = f"{path}:{rows[0][0]}" if rows else path

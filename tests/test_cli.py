@@ -7,14 +7,16 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import asdict, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sandgait import ingest, pipeline, synth
+from sandgait import forces, ingest, pipeline, synth
 from sandgait.cli import main
 from sandgait.pipeline import RunConfig
+from sandgait.schema import MarkerSchema
 
 
 @pytest.fixture(scope="module")
@@ -292,9 +294,56 @@ _PIG = {"asis": ("ASI", "pelvis"), "psis": ("PSI", "pelvis"),
         "toe": ("TOE", "toe")}
 
 
+_DATA = resources.files("sandgait.data")
+_BUNDLED_TABLE = (_DATA / "anthropometry.txt").read_text()
+
+
 class TestConfigFiles:
     """The marker schema, anthropometric table and calibration curve a
     config names, and the config file itself."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Every file read, in order, and the count of schema parses."""
+        reads = {"files": [], "schema_parses": 0}
+        read_bytes, init = Path.read_bytes, MarkerSchema.__init__
+
+        def reading(path):
+            reads["files"].append(Path(path).name)
+            return read_bytes(path)
+
+        def parsing(schema, *args):
+            reads["schema_parses"] += 1
+            init(schema, *args)
+
+        monkeypatch.setattr(Path, "read_bytes", reading)
+        monkeypatch.setattr(MarkerSchema, "__init__", parsing)
+        return reads
+
+    def test_each_config_file_read_once(self, sim_dir, tmp_path, reads):
+        # the config, meta.json, then each file the config names, once, and
+        # only then the trial files; the schema is parsed once
+        (tmp_path / "schema.csv").write_bytes(
+            (_DATA / "marker_schema.csv").read_bytes())
+        (tmp_path / "table.txt").write_text(_BUNDLED_TABLE)
+        forces.write_calibration_curve(tmp_path / "curve.csv",
+                                       forces.default_calibration_curve())
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "marker_schema": str(tmp_path / "schema.csv"),
+            "anthropometry": str(tmp_path / "table.txt"),
+            "calibration": str(tmp_path / "curve.csv")}))
+        del reads["files"][:]
+        assert main(_analyze_argv(sim_dir, tmp_path / "b", "--config",
+                                  tmp_path / "cfg.json")) == 0
+        assert reads == {"files": ["cfg.json", "meta.json", "schema.csv",
+                                   "table.txt", "curve.csv", "markers.csv",
+                                   "grf.csv"], "schema_parses": 1}
+
+    def test_bundled_schema_parsed_once(self, sim_dir, tmp_path, reads):
+        assert main(_analyze_argv(sim_dir, tmp_path / "b")) == 0
+        assert reads == {"files": ["meta.json", "marker_schema.csv",
+                                   "anthropometry.txt", "markers.csv",
+                                   "grf.csv"], "schema_parses": 1}
 
     @pytest.fixture
     def stage_calls(self, monkeypatch):
@@ -365,9 +414,11 @@ class TestConfigFiles:
         ("anthropometry", "foot 0.05 0.5 0.475\nshank 0.15 0.433 0.302\n"
          "thigh 0.35 0.433 0.323\nhat 0.40 0.626 0.496\n",
          ": anthropometric table: mass fractions sum to 1.5000 > 1"),
+        ("anthropometry", _BUNDLED_TABLE + "foot 0.0145 0.40 0.475\n",
+         ":14: segment 'foot': already on line 10"),
     ], ids=["old_schema_header", "unknown_landmark", "second_heel",
             "missing_landmarks", "no_pelvis", "gyration_over_one",
-            "two_leg_mass"])
+            "two_leg_mass", "repeated_segment"])
     def test_bad_file_fails_before_any_stage(self, sim_dir, tmp_path, caplog,
                                              stage_calls, key, text, named):
         # one ERROR line naming the file, exit 1, and no stage has run
@@ -548,6 +599,18 @@ def _trial_cell(name, file, column, value, lines, named):
     return fixture
 
 
+def _first_row(name, file, named):
+    """A malformed-input case: the trial's ``file`` cut to its header and
+    first data row."""
+    def fixture(sim, tmp):
+        lines = (sim / file).read_text().split("\n")
+        (tmp / file).write_text("\n".join(lines[:2]) + "\n")
+        return ({f"--{file.split('.')[0]}": tmp / file},
+                f"{tmp / file}: {named}; at least two are needed")
+    fixture.__name__ = name
+    return fixture
+
+
 def _meta(name, edit, named):
     """A malformed-input case: the trial's meta.json changed by ``edit``."""
     def fixture(sim, tmp):
@@ -656,6 +719,18 @@ _MALFORMED = [
                                  m.pop("sand_depth_cm", None)),
                       "sand terrain requires sand_depth")),
     ("analyze", _config("_config_number", "5\n", "expected a JSON object")),
+    ("analyze", _config("_config_empty_schema_path", '{"marker_schema": ""}',
+                        "marker_schema must name a file, got ''")),
+    ("analyze", _config("_config_empty_table_path", '{"anthropometry": ""}',
+                        "anthropometry must name a file, got ''")),
+    ("analyze", _config("_config_empty_curve_path", '{"calibration": ""}',
+                        "calibration must name a file, got ''")),
+    ("analyze", _flags("_calibration_flag_empty", {"--calibration": ""},
+                       "--calibration must name a file, got ''")),
+    ("analyze", _first_row("_markers_one_row", "markers.csv",
+                           "marker file has one data row")),
+    ("analyze", _first_row("_grf_one_row", "grf.csv",
+                           "GRF file has one data row")),
     ("analyze", _config("_config_window_string", '{"filter_window": "7"}',
                         "filter_window must be an integer, got '7'")),
     ("analyze", _config("_config_window_null", '{"filter_window": null}',

@@ -470,6 +470,9 @@ class TestWriterRoundTrip:
         write_marker_file(d / "a.csv", markers)
         if not len(table):
             assert (d / "a.csv").read_text().count("\n") == 1
+        if len(table) < 2:  # a trial file needs two rows to be read back
+            with pytest.raises(FormatError, match="at least two are needed"):
+                read_marker_file(d / "a.csv", schema)
             return
         write_marker_file(d / "b.csv", read_marker_file(d / "a.csv", schema))
         assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
@@ -482,6 +485,10 @@ class TestWriterRoundTrip:
                       moment=table[:, 3:6], cop=table[:, 6:])
         d = tmp_path_factory.mktemp("rt")
         write_grf_file(d / "a.csv", grf)
+        if len(table) < 2:  # a trial file needs two rows to be read back
+            with pytest.raises(FormatError, match="at least two are needed"):
+                read_grf_file(d / "a.csv")
+            return
         write_grf_file(d / "b.csv", read_grf_file(d / "a.csv"))
         assert (d / "a.csv").read_bytes() == (d / "b.csv").read_bytes()
 
@@ -674,7 +681,8 @@ def _enclosing_functions(path: Path) -> dict[int, str]:
 def test_user_files_read_in_three_places():
     # every input file is read by errors.read_text (read_json and
     # read_json_as go through it) or ingest.read_csv_table, and only the
-    # config hash reads bytes of its own: no reader gets a private decoder
+    # resolution of a config's input files reads bytes of its own, which it
+    # hashes and hands to those readers: no reader gets a private decoder
     src = Path(ingest.__file__).parent
     found = set()
     for path in sorted(src.glob("*.py")):
@@ -683,7 +691,7 @@ def test_user_files_read_in_three_places():
                   in enumerate(path.read_text().splitlines(), 1)
                   if _FILE_READ.search(line)}
     assert found == {"errors.read_text", "ingest.read_csv_table",
-                     "pipeline.RunConfig.config_hash"}
+                     "pipeline.RunConfig.inputs"}
 
 
 def test_marker_file_is_utf8_under_the_c_locale(tmp_path):
@@ -880,6 +888,17 @@ class TestFillGaps:
         markers.pos["L-heel"][10:12] = np.nan
         fill_gaps(markers)
         assert np.isnan(markers.pos["L-heel"][10]).all()
+
+    def test_copies_only_filled_markers(self, schema):
+        # a marker with nothing filled, one whose gap is too long among
+        # them, is the input's own array; a filled one is a copy
+        markers = _make_markers(schema, n=40)
+        markers.pos["L-heel"][10:12] = np.nan
+        markers.pos["L-toe"][5:15] = np.nan
+        filled = fill_gaps(markers)
+        assert filled.time is markers.time
+        assert [label for label in schema.labels
+                if filled.pos[label] is not markers.pos[label]] == ["L-heel"]
 
 
 class TestAlign:

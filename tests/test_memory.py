@@ -91,3 +91,17 @@ def test_write_marker_file(trial, tmp_path):
 def test_synthesize_gait(walk):
     res, peak = _peak(synth.synthesize_gait, walk)
     assert peak <= 2.9 * _array_bytes(res)
+
+
+def test_fill_gaps_copies_only_filled_markers(trial):
+    # gaps in one marker of 18: the fill copies that marker alone, so it
+    # holds less than one copy of all the markers, its spline included
+    markers = trial[2]
+    gappy = max(markers.pos, key=lambda label: np.isnan(markers.pos[label]).sum())
+    one_gappy = ingest.MarkerData(markers.time, {
+        label: pos if label == gappy else np.nan_to_num(pos)
+        for label, pos in markers.pos.items()})
+    ingest.fill_gaps(one_gappy)  # the first fill imports scipy
+    filled, peak = _peak(ingest.fill_gaps, one_gappy)
+    assert not np.isnan(filled.pos[gappy]).any()
+    assert peak <= _array_bytes(one_gappy)

@@ -59,6 +59,16 @@ def test_table_from_file_names_path(tmp_path, rows, message):
     assert str(exc.value) == f"{path}: anthropometric table: {message}"
 
 
+def test_table_repeated_segment_names_both_lines(tmp_path):
+    # a second row for a segment would replace the first
+    path = tmp_path / "t.txt"
+    path.write_text("foot 0.0145 0.50 0.475\nshank 0.0465 0.433 0.302\n"
+                    "# again\nfoot 0.0145 0.40 0.475\n")
+    with pytest.raises(ConfigurationError) as exc:
+        AnthropometricTable.from_file(path)
+    assert str(exc.value) == f"{path}:4: segment 'foot': already on line 1"
+
+
 def test_table_missing_segment(table):
     with pytest.raises(ConfigurationError, match="torso"):
         table["torso"]

@@ -5,13 +5,14 @@ import logging
 import numpy as np
 import pytest
 
-from sandgait import gaitseg, kinematics, metrics
+from sandgait import gaitseg, kinematics, metrics, pipeline
 from sandgait.dynamics import JOINTS
 from sandgait.errors import ConfigurationError, FitError
 from sandgait.forces import default_calibration_curve, with_vertical_force
 from sandgait.gaitseg import C_TO, HS, NEXT_HS, cycle_table, phase_normalize
 from sandgait.ingest import TrialMeta, TrialRecord
 from sandgait.pipeline import RunConfig, analyze_trial, write_bundle
+from sandgait.schema import MarkerSchema
 from sandgait.synth import stride_profile, synthesize_gait
 
 
@@ -165,8 +166,12 @@ class TestConfigFile:
         ({"grf_smooth_window": -1}, "grf_smooth_window must be odd and >= 1"),
         ({"max_gap_frames": 2.0}, "max_gap_frames must be an integer"),
         ({"gravity": float("inf")}, "gravity must be finite"),
+        ({"marker_schema": ""}, "marker_schema must name a file"),
+        ({"anthropometry": ""}, "anthropometry must name a file"),
+        ({"calibration": ""}, "calibration must name a file"),
     ], ids=["path_number", "gravity_text", "zero_swing", "nan_speed",
-            "negative_window", "float_gap", "infinite_gravity"])
+            "negative_window", "float_gap", "infinite_gravity",
+            "empty_schema_path", "empty_table_path", "empty_curve_path"])
     def test_rejected_values_name_path_and_key(self, tmp_path, doc, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -175,7 +180,36 @@ class TestConfigFile:
         assert str(exc.value).startswith(f"{path}: {message}, got ")
 
 
+class TestInputsResolvedOnce:
+    def test_one_resolution_per_config(self):
+        # the hash and the schema come from one resolution, kept on the
+        # frozen config; a replaced config resolves its own
+        cfg = RunConfig()
+        assert cfg.inputs is cfg.inputs
+        assert cfg.config_hash() == cfg.inputs[0]
+        assert cfg.load_schema() is cfg.inputs[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.calibration = "curve.csv"
+        other = dataclasses.replace(cfg, filter_window=9)
+        assert other.load_schema() is not cfg.load_schema()
+        assert other.config_hash() != cfg.config_hash()
+
+
 class TestMarkerGap:
+    def test_tracking_markers_not_filled(self, stride, monkeypatch):
+        # only the markers a stage reads reach the gap fill
+        labels = []
+        original = pipeline.fill_gaps
+
+        def recording(markers, max_gap):
+            labels.append(sorted(markers.pos))
+            return original(markers, max_gap)
+
+        monkeypatch.setattr(pipeline, "fill_gaps", recording)
+        analyze_trial(_trial(stride))
+        tracking = {"L-thigh", "R-thigh", "L-shank", "R-shank"}
+        assert labels == [sorted(set(MarkerSchema.default().labels) - tracking)]
+
     def test_unfilled_gap_stays_local(self):
         # a gap longer than max_gap_frames is left NaN; only the frames
         # whose filter windows reach it lose their moments
