@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -16,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import forces, ingest, metrics, synth
-from .errors import (ConfigurationError, FormatError, GaitError,
-                     GaitInputError, InsufficientDataError, read_json_as,
-                     read_text)
+from .errors import (ConfigurationError, GaitError, GaitInputError,
+                     InsufficientDataError, read_json_as)
 from .pipeline import RunConfig, analyze_trial, write_bundle
 from .schema import SIDES
 
@@ -104,49 +102,17 @@ def _bundle_dirs(root: Path) -> list[Path]:
     return dirs
 
 
-def _stride_means(path: Path) -> dict[str, float]:
-    """Column means of a bundle's stride_metrics.csv, leaving out empty and
-    NaN cells; a non-numeric cell is an error naming ``path:line``."""
-    lines = [(n, line.split(",")) for n, line
-             in enumerate(read_text(path).splitlines(), 1)
-             if line and not line.startswith("#")]
-    header = lines[0][1] if lines else []
-    vals = {key: [] for key in header if key not in ("side", "cycle_start_s")}
-    for n, cells in lines[1:]:
-        for key, cell in zip(header, cells):
-            if key not in vals or not cell:
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise FormatError(f"{path}:{n}: non-numeric {key} "
-                                  f"{cell!r}") from None
-            if not math.isnan(v):
-                vals[key].append(v)
-    return {key: float(np.mean(v)) for key, v in vals.items() if v}
-
-
-def _feature_scalars(feats: dict) -> dict[str, float]:
-    """The scalar metrics of one bundle's features.json."""
-    out = {}
-    grf = feats.get("grf", {})
-    for key in ("fx_fwd_peak", "fx_bwd_peak", "fz_hs_peak",
-                "fz_hump1", "fz_hump2"):
-        if grf.get(key) is not None:
-            out[key] = float(grf[key])
-    stiff = feats.get("knee_stiffness", {})
-    for key in ("k_flexion", "k_extension", "k_swing"):
-        if key in stiff:
-            out[key] = float(stiff[key]["slope"])
-    for side, joints in feats.get("peak_angles_deg", {}).items():
-        for joint, v in joints.items():
-            out[f"peak_{joint}_{side}"] = float(v)
-    fracs = [c["stance_fraction"]
-             for cycles in feats.get("stance_fractions", {}).values()
-             for c in cycles]
-    if fracs:
-        out["stance_fraction"] = float(np.mean(fracs))
-    return out
+def _scalars(feats) -> dict[str, float]:
+    """The ``scalars`` object of a bundle's features.json, every value a
+    number; without one the bundle must be re-analysed."""
+    scalars = feats.get("scalars") if isinstance(feats, dict) else None
+    if not isinstance(scalars, dict):
+        raise ConfigurationError("no 'scalars' object; re-run analyze")
+    for key, v in scalars.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigurationError(f"scalar {key!r} is not a number, got "
+                                     f"{v!r}; re-run analyze")
+    return scalars
 
 
 def _bundle_scalars(bundle: Path) -> tuple[str, dict[str, float]]:
@@ -154,12 +120,7 @@ def _bundle_scalars(bundle: Path) -> tuple[str, dict[str, float]]:
     pid = read_json_as(bundle / "meta.json",
                        lambda meta: str(meta["participant_id"]),
                        "bundle metadata")
-    sm = bundle / "stride_metrics.csv"
-    out = _stride_means(sm) if sm.exists() else {}
-    fj = bundle / "features.json"
-    if fj.exists():
-        out.update(read_json_as(fj, _feature_scalars, "features"))
-    return pid, out
+    return pid, read_json_as(bundle / "features.json", _scalars, "features")
 
 
 def cmd_compare(args) -> int:

@@ -163,11 +163,9 @@ def paired_compare(a, b) -> dict:
     d = a - b
     mean_d = float(d.mean())
     sd_d = float(d.std(ddof=1))
-    if sd_d == 0.0:
-        if mean_d == 0.0:
-            t_stat, p = 0.0, 1.0
-        else:
-            raise ParameterError("zero-variance differences with nonzero mean")
+    if sd_d == 0.0:  # every difference equal: none, or a certain one
+        t_stat, p = ((0.0, 1.0) if mean_d == 0.0
+                     else (math.copysign(math.inf, mean_d), 0.0))
     else:
         t_stat = mean_d / (sd_d / math.sqrt(n))
         p = float(2.0 * stdtr(n - 1, -abs(t_stat)))

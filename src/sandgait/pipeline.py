@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -61,6 +61,12 @@ class RunConfig:
     min_swing_s: float = EventThresholds.min_swing_s
     gravity: float = GRAVITY
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if problem := _config_problem(f.name, value, f.default):
+                raise ConfigurationError(f"{f.name} {problem}, got {value!r}")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         return read_json_as(path, cls._from_json, "config", ConfigurationError)
@@ -73,10 +79,6 @@ class RunConfig:
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
-        for key, value in doc.items():
-            if problem := _config_problem(
-                    key, value, cls.__dataclass_fields__[key].default):
-                raise ConfigurationError(f"{key} {problem}, got {value!r}")
         return cls(**doc)
 
     def thresholds(self) -> EventThresholds:
@@ -384,6 +386,33 @@ def _write_phase_table(path: Path, config_hash: str, header: list[str],
                  [gaitseg.PHASE_GRID, *curves])
 
 
+def bundle_scalars(result: AnalysisResult) -> dict[str, float]:
+    """Every scalar ``compare`` tests, by name: the mean of each
+    ``stride_metrics.csv`` column as written (``%.9g``, NaN cells left out),
+    the GRF peaks, the knee stiffness slopes, ``peak_<joint>_<side>`` and the
+    mean stance fraction."""
+    out = {}
+    for key in result.stride_rows[0] if result.stride_rows else ():
+        if key in ("side", "cycle_start_s"):
+            continue
+        written = [float("%.9g" % row[key]) for row in result.stride_rows]
+        if kept := [v for v in written if not math.isnan(v)]:
+            out[key] = float(np.mean(kept))
+    for key in ("fx_fwd_peak", "fx_bwd_peak", "fz_hs_peak", "fz_hump1",
+                "fz_hump2"):
+        if (v := getattr(result.grf_features, key, None)) is not None:
+            out[key] = float(v)
+    if result.stiffness is not None:
+        for key in ("k_flexion", "k_extension", "k_swing"):
+            out[key] = getattr(result.stiffness, key).slope
+    for side, joints in result.peak_angles.items():
+        out.update((f"peak_{joint}_{side}", v) for joint, v in joints.items())
+    if fracs := [c["stance_fraction"] for cycles
+                 in result.stance_fractions.values() for c in cycles]:
+        out["stance_fraction"] = float(np.mean(fracs))
+    return out
+
+
 def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -443,7 +472,8 @@ def write_bundle(result: AnalysisResult, out_dir: str | Path) -> None:
                                dtype=object)], fmt)
 
     features = {"config_hash": h, "peak_angles_deg": result.peak_angles,
-                "stance_fractions": result.stance_fractions}
+                "stance_fractions": result.stance_fractions,
+                "scalars": bundle_scalars(result)}
     if result.grf_features is not None:
         features["grf"] = asdict(result.grf_features)
     if result.stiffness is not None:

@@ -644,14 +644,6 @@ def _truncate(text):
     return text[:len(text) // 2]
 
 
-def _bad_stride_cell(text):
-    lines = text.split("\n")
-    cells = lines[2].split(",")
-    cells[3] = "0.4x"
-    lines[2] = ",".join(cells)
-    return "\n".join(lines)
-
-
 def _profile(name, edit, named):
     """A malformed-input case for ``simulate``: ``--profile`` given the
     stride preset's profile.json with its text changed by ``edit``."""
@@ -813,14 +805,17 @@ _MALFORMED = [
                         ": invalid JSON")),
     ("compare", _bundle("_truncated_bundle_meta", "meta.json", _truncate,
                         ": invalid JSON")),
-    ("compare", _bundle("_bad_stride_cell", "stride_metrics.csv",
-                        _bad_stride_cell, ":3: non-numeric")),
+    ("compare", _bundle("_features_without_scalars", "features.json",
+                        _edit_json(lambda f: f.pop("scalars")),
+                        ": no 'scalars' object; re-run analyze")),
     ("compare", _bundle("_bundle_without_participant", "meta.json",
                         _edit_json(lambda m: m.pop("participant_id")),
                         ": missing bundle metadata field 'participant_id'")),
-    ("compare", _bundle("_features_grf_list", "features.json",
-                        _edit_json(lambda f: f.update(grf=[1.0])),
-                        ": malformed features")),
+    ("compare", _bundle("_scalar_not_a_number", "features.json",
+                        _edit_json(lambda f: f["scalars"].update(
+                            fz_hs_peak="1.2")),
+                        ": scalar 'fz_hs_peak' is not a number, got '1.2'; "
+                        "re-run analyze")),
 ]
 
 
@@ -1052,7 +1047,12 @@ class TestPinnedBytes:
     when the ground moment took one sign in every formulation: the aligned
     record's couple at its COP (the covariance of moment, COP and force
     over the alignment window) had been added with the wrong sign, and the
-    bundle moments moved by at most 0.81 N m (0.0108 N m/kg)."""
+    bundle moments moved by at most 0.81 N m (0.0108 N m/kg).
+
+    The three ``features.json`` digests were re-recorded again when
+    ``features.json`` took its ``scalars`` object, the one map ``compare``
+    reads: every other key of the file, and every other file, is as it
+    was, and ``COMPARE`` holds."""
 
     SIMULATE = {
         "grf.csv": "c299a83151a49ee3aab1498a898a323f88d9c84d31d200ba6adcb904f9903f2d",
@@ -1065,7 +1065,7 @@ class TestPinnedBytes:
     BUNDLE = {
         "angles_cycle.csv": "7f7e1ae3158b389c23f11ca7741833d6762546b29b90c798f9c928c3f7ce875d",
         "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
-        "features.json": "06ffb526348813f04004764b8eed2f9ca1b17dec8087575b48b1a6073440ccbf",
+        "features.json": "a1795b20bff50668c4c443833b24998d8ec7fdebd6dc29e572989a1b43db2c35",
         "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
         "knee_loop.csv": "f7215ad60d63bc27ac8bfdd791a51dfb4184a84ed98eab27e5e0476e384303a6",
         "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
@@ -1078,7 +1078,7 @@ class TestPinnedBytes:
     GAPPY_BUNDLE = {
         "angles_cycle.csv": "d781dfe7d91c98f83fd3075112430e870fa2fe9577d578503030450c34944f91",
         "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
-        "features.json": "3b3740d515c8182e6adeff93396dfe73d1659102b31d738820b4df2805b69793",
+        "features.json": "4d7fb219564a36601749d8e07cfa3d5f792bf012feeb12b255200a006ee8aff4",
         "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
         "knee_loop.csv": "34e89c82fb8414f65334f72a9c20989558a3b05ba02caa075d568ea7917483b4",
         "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
@@ -1092,7 +1092,7 @@ class TestPinnedBytes:
     UNFILLED_GAP_BUNDLE = {
         "angles_cycle.csv": "499e301c2d413c6e6d1f43f43d45222483c368906fdd60bd5b12a499e4c30364",
         "events.csv": "5c05e2d475008ea9dec518d9424b8e297ed9fb1f00b3ff06b1679798bfd3f033",
-        "features.json": "9005f04db39cb4b298bde5193b70b7dd5553423dbd579d14bcdf8d0f8ff7fdba",
+        "features.json": "5b448dab9db052471ba1a0e11f03f01de2468ec24dc4d549e976f3c94c7f22c3",
         "grf_stance.csv": "445e9a4dcc7127b8aa04f927a984f224c7b12d0fbc6520fdb9bf9b1b9d9821ff",
         "knee_loop.csv": "8242fe18d7eea6a9ddd5c66311d30d04ec7648a68b9e0382c33e32fd1267c7df",
         "meta.json": "1d8a5615c43e10d869155ca4db55b09d4fc7c278289eca3bedecf7121bd4c909",
@@ -1155,7 +1155,7 @@ class TestPinnedBytes:
         for k in (1, 2, 3):  # one metric 0.1 to 0.12 higher in b: significant
             path = Path("b", f"p{k}", "features.json")
             feats = json.loads(path.read_text())
-            feats["grf"]["fz_hs_peak"] += 0.09 + 0.01 * k
+            feats["scalars"]["fz_hs_peak"] += 0.09 + 0.01 * k
             path.write_text(json.dumps(feats))
         assert main(["compare", "--a", "a", "--b", "b", "--out", "r"]) == 0
         assert self._digests(Path("r")) == self.COMPARE
@@ -1305,12 +1305,12 @@ class TestCompare:
         assert report["participants"] == ["p1", "p2"]
         assert len(report["rows"]) == 25
 
-    def test_header_only_stride_metrics(self, tmp_path, bundle_dir):
-        # a stride file with no rows adds no stride metrics; the metrics it
-        # leaves out of the intersection are named in one warning
+    def test_missing_scalar_excluded_with_one_warning(self, tmp_path,
+                                                      bundle_dir):
+        # a scalar one bundle lacks is left out of the intersection and
+        # named in one warning
         a, b = self._sets(tmp_path, bundle_dir, ["p1", "p2"], ["p1", "p2"])
-        sm = a / "p2" / "stride_metrics.csv"
-        sm.write_text("".join(sm.read_text().splitlines(True)[:2]))
+        _edit_features(a / "p2", lambda s: s.pop("stride_length"))
         out = tmp_path / "report"
         proc = _run_cli("compare", "--a", str(a), "--b", str(b),
                         "--out", str(out))
@@ -1322,3 +1322,68 @@ class TestCompare:
         report = json.loads((out / "report.json").read_text())
         metrics = {row["metric"] for row in report["rows"]}
         assert "stride_length" not in metrics and "fz_hs_peak" in metrics
+
+    def test_reads_meta_and_features_only(self, tmp_path, bundle_dir,
+                                          monkeypatch):
+        # per bundle, meta.json and then features.json, and no other file
+        a, b = self._sets(tmp_path, bundle_dir, ["p1", "p2"], ["p1", "p2"])
+        reads, read_bytes = [], Path.read_bytes
+
+        def reading(path):
+            reads.append(Path(path).relative_to(tmp_path).as_posix())
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", reading)
+        assert main(["compare", "--a", str(a), "--b", str(b),
+                     "--out", str(tmp_path / "report")]) == 0
+        assert reads == [f"{g}/{pid}/{name}" for g in "ab"
+                         for pid in ("p1", "p2")
+                         for name in ("meta.json", "features.json")]
+
+    def test_new_scalar_reaches_the_report(self, tmp_path, sim_dir,
+                                           monkeypatch):
+        # a scalar that bundle_scalars adds is tested with no edit to compare
+        original = pipeline.bundle_scalars
+        monkeypatch.setattr(pipeline, "bundle_scalars", lambda result: {
+            **original(result), "dummy_scalar": 2.5})
+        assert main(_analyze_argv(sim_dir, tmp_path / "bundle")) == 0
+        a, b = self._sets(tmp_path, tmp_path / "bundle", ["p1", "p2"],
+                          ["p1", "p2"])
+        assert main(["compare", "--a", str(a), "--b", str(b),
+                     "--out", str(tmp_path / "report")]) == 0
+        rows = (tmp_path / "report" / "report.csv").read_text().splitlines()
+        assert "dummy_scalar,2,2.5,0,2.5,0,0,1,0," in rows
+
+    def test_equal_nonzero_differences_keep_the_report(self, tmp_path,
+                                                       bundle_dir):
+        # both participants' GRF features are higher in b by the same
+        # amount: those rows read t = -inf, p = 0, and every other row is
+        # still written
+        grf = ("fx_bwd_peak", "fx_fwd_peak", "fz_hs_peak", "fz_hump1",
+               "fz_hump2")
+        a, b = self._sets(tmp_path, bundle_dir, ["p1", "p2"], ["p1", "p2"])
+        for pid in ("p1", "p2"):
+            _edit_features(b / pid, lambda s: s.update(
+                {key: s[key] + 0.125 for key in grf}))
+        out = tmp_path / "report"
+        assert main(["compare", "--a", str(a), "--b", str(b),
+                     "--out", str(out)]) == 0
+        rows = {r["metric"]: r for r in
+                json.loads((out / "report.json").read_text())["rows"]}
+        assert len(rows) == 25
+        for metric, row in rows.items():
+            want = ((-math.inf, 0.0, True) if metric in grf
+                    else (0.0, 1.0, False))
+            assert (row["t"], row["p"], row["significant"]) == want, metric
+        lines = (out / "report.csv").read_text().splitlines()
+        assert sum(",-inf,0," in line and line.endswith(",*")
+                   for line in lines) == len(grf)
+
+
+def _edit_features(bundle, change):
+    """Apply ``change`` to the ``scalars`` object of a bundle's
+    features.json."""
+    path = bundle / "features.json"
+    feats = json.loads(path.read_text())
+    change(feats["scalars"])
+    path.write_text(json.dumps(feats))

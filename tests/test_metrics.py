@@ -172,9 +172,14 @@ class TestPairedCompare:
         assert out["t"] == 0.0 and out["p"] == 1.0 and out["cohens_d"] == 0.0
         assert not out["significant"]
 
-    def test_zero_variance_nonzero_mean(self):
-        with pytest.raises(ParameterError, match="zero-variance"):
-            paired_compare([1.0, 2.0, 3.0], [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("shift, t", [(1.0, math.inf), (-1.0, -math.inf)])
+    def test_zero_variance_nonzero_mean(self, shift, t):
+        # every difference the same nonzero amount: a certain difference,
+        # t infinite with its sign, p = 0
+        out = paired_compare([1.0, 2.0, 3.0], [1.0 - shift, 2.0 - shift,
+                                               3.0 - shift])
+        assert (out["t"], out["p"], out["significant"]) == (t, 0.0, True)
+        assert out["cohens_d"] == pytest.approx(shift)
 
     def test_five_pair_worked_example(self):
         # hand-derived: d = a-b = [0.5, 0.9, 0.1, 0.7, 0.3]
@@ -206,12 +211,7 @@ class TestPairedCompare:
     def test_swapping_conditions_negates_t_and_d(self, ab):
         # b - a is exactly -(a - b), so t and d negate and p repeats exactly
         a, b = ab
-        try:
-            fwd = paired_compare(a, b)
-        except ParameterError:  # zero-variance differences, nonzero mean
-            with pytest.raises(ParameterError):
-                paired_compare(b, a)
-            return
+        fwd = paired_compare(a, b)
         rev = paired_compare(b, a)
         assert rev["t"] == -fwd["t"]
         assert rev["cohens_d"] == -fwd["cohens_d"]

@@ -158,26 +158,48 @@ class TestConfigFile:
         assert (cfg.calibration, cfg.filter_window, cfg.gravity) == \
             ("curve.csv", 1, 10)
 
-    @pytest.mark.parametrize("doc, message", [
-        ({"marker_schema": 3}, "marker_schema must be a path string or null"),
-        ({"gravity": "9.81"}, "gravity must be a number"),
-        ({"min_swing_s": 0}, "min_swing_s must be > 0"),
-        ({"hs_forward_speed": float("nan")}, "hs_forward_speed must be > 0"),
-        ({"grf_smooth_window": -1}, "grf_smooth_window must be odd and >= 1"),
-        ({"max_gap_frames": 2.0}, "max_gap_frames must be an integer"),
-        ({"gravity": float("inf")}, "gravity must be finite"),
-        ({"marker_schema": ""}, "marker_schema must name a file"),
-        ({"anthropometry": ""}, "anthropometry must name a file"),
-        ({"calibration": ""}, "calibration must name a file"),
-    ], ids=["path_number", "gravity_text", "zero_swing", "nan_speed",
-            "negative_window", "float_gap", "infinite_gravity",
-            "empty_schema_path", "empty_table_path", "empty_curve_path"])
+    #: (doc, message) of each rejected value, by test id
+    _REJECTED = [pytest.param(doc, message, id=name) for name, doc, message in [
+        ("path_number", {"marker_schema": 3},
+         "marker_schema must be a path string or null"),
+        ("gravity_text", {"gravity": "9.81"}, "gravity must be a number"),
+        ("zero_swing", {"min_swing_s": 0}, "min_swing_s must be > 0"),
+        ("nan_speed", {"hs_forward_speed": float("nan")},
+         "hs_forward_speed must be > 0"),
+        ("negative_window", {"grf_smooth_window": -1},
+         "grf_smooth_window must be odd and >= 1"),
+        ("float_gap", {"max_gap_frames": 2.0},
+         "max_gap_frames must be an integer"),
+        ("infinite_gravity", {"gravity": float("inf")},
+         "gravity must be finite"),
+        ("empty_schema_path", {"marker_schema": ""},
+         "marker_schema must name a file"),
+        ("empty_table_path", {"anthropometry": ""},
+         "anthropometry must name a file"),
+        ("empty_curve_path", {"calibration": ""},
+         "calibration must name a file"),
+        ("negative_gap", {"max_gap_frames": -3},
+         "max_gap_frames must be >= 0"),
+        ("nan_threshold", {"plate_threshold_bw": float("nan")},
+         "plate_threshold_bw must be >= 0"),
+        ("even_window", {"filter_window": 4},
+         "filter_window must be odd and >= 1"),
+    ]]
+
+    @pytest.mark.parametrize("doc, message", _REJECTED)
     def test_rejected_values_name_path_and_key(self, tmp_path, doc, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError) as exc:
             RunConfig.from_file(path)
         assert str(exc.value).startswith(f"{path}: {message}, got ")
+
+    @pytest.mark.parametrize("doc, message", _REJECTED)
+    def test_rejected_values_built_in_python(self, doc, message):
+        # a config built in code is held to the rules a config file is
+        with pytest.raises(ConfigurationError) as exc:
+            RunConfig(**doc)
+        assert str(exc.value).startswith(f"{message}, got ")
 
 
 class TestInputsResolvedOnce:
