@@ -15,9 +15,9 @@ from .ingest import (MarkerData, GrfData, TrialMeta, TrialRecord,
 from .kinematics import (moving_average, differentiate, pitch_angle,
                          smooth_markers, segment_states, joint_angles,
                          com_trajectory)
-from .gaitseg import (EventThresholds, SideEvents, GaitEvents,
-                      detect_side_events, phase_normalize, NormalizedCurve,
-                      stance_swing_durations, PHASE_GRID)
+from .gaitseg import (SideEvents, GaitEvents, detect_side_events,
+                      phase_normalize, NormalizedCurve, stance_swing_durations,
+                      PHASE_GRID)
 from .forces import (CalibrationCurve, fit_calibration, calibrate_grf,
                      normalize_grf, GrfFeatures, extract_grf_features,
                      default_calibration_curve)

@@ -118,8 +118,15 @@ def read_json_as(path, build, what: str,
 def check_number(key: str, value, rule: str | None = None) -> float:
     """``float(value)`` of the user number ``key``, which must pass ``rule``
     (``"> 0"``, ``">= 0"`` or None) and be finite; else ``ConfigurationError``
-    quoting ``value``.  A NaN fails the rule, so it reads "must be > 0"."""
-    x = float(value)
+    quoting ``value``.  A NaN fails the rule, so it reads "must be > 0".  A
+    bool is no number, and an integer past the float range not finite."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{key} must be finite, got an integer "
+                                 f"too large for a float") from None
     if rule == "> 0" and not x > 0 or rule == ">= 0" and not x >= 0:
         raise ConfigurationError(f"{key} must be {rule}, got {value!r}")
     if not math.isfinite(x):

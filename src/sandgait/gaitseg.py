@@ -39,20 +39,6 @@ HS_ONSET_TOL_S = 0.05
 HS, TO, NEXT_HS, C_HS, C_TO, C_HS_AFTER_TO = range(6)
 
 
-@dataclass(frozen=True)
-class EventThresholds:
-    hs_forward_speed: float = 0.2   # m/s
-    to_vertical_speed: float = 0.05  # m/s
-    min_stance_s: float = 0.2
-    min_swing_s: float = 0.15
-
-    def __post_init__(self):
-        for f in ("hs_forward_speed", "to_vertical_speed",
-                  "min_stance_s", "min_swing_s"):
-            if not getattr(self, f) > 0:
-                raise ParameterError(f"threshold {f} must be positive")
-
-
 @dataclass
 class SideEvents:
     """One side's heel-strike and toe-off times, s, strictly alternating."""
@@ -105,15 +91,15 @@ def _local_extrema(x: np.ndarray, sign: int) -> np.ndarray:
 
 
 def detect_side_events(time: np.ndarray, heel: np.ndarray, toe: np.ndarray,
-                       thresholds: EventThresholds | None = None,
-                       ) -> SideEvents:
+                       cfg) -> SideEvents:
     """Detect one side's heel strikes and toe-offs from its (N, 3) heel and
     toe positions, (lightly) filtered marker series at the marker rate whose
-    velocities are differenced at the median time step.  Alternation is
-    enforced by discarding the weaker of two same-kind consecutive
-    detections.
+    velocities are differenced at the median time step, under the event
+    thresholds of the ``RunConfig`` ``cfg`` (``hs_forward_speed``,
+    ``to_vertical_speed``, m/s; ``min_stance_s``, ``min_swing_s``).
+    Alternation is enforced by discarding the weaker of two same-kind
+    consecutive detections.
     """
-    th = thresholds if thresholds is not None else EventThresholds()
     if len(time) < 3:
         raise SegmentationError("series too short for event detection")
     dt = float(np.median(np.diff(time)))
@@ -124,10 +110,10 @@ def detect_side_events(time: np.ndarray, heel: np.ndarray, toe: np.ndarray,
     # isfinite: -inf passes < and +inf passes >
     hs_idx = _local_extrema(heel_z, 1)
     hs_idx = hs_idx[np.isfinite(heel_vx[hs_idx])
-                    & (heel_vx[hs_idx] < th.hs_forward_speed)]
+                    & (heel_vx[hs_idx] < cfg.hs_forward_speed)]
     to_idx = np.flatnonzero(np.isfinite(toe_vz[1:])
-                            & (toe_vz[1:] > th.to_vertical_speed)
-                            & (toe_vz[:-1] <= th.to_vertical_speed)) + 1
+                            & (toe_vz[1:] > cfg.to_vertical_speed)
+                            & (toe_vz[:-1] <= cfg.to_vertical_speed)) + 1
 
     if hs_idx.size == 0:
         raise SegmentationError("no heel strikes detected")
@@ -153,7 +139,8 @@ def detect_side_events(time: np.ndarray, heel: np.ndarray, toe: np.ndarray,
         if cleaned:
             prev_idx, prev_kind = cleaned[-1]
             span = time[idx] - time[prev_idx]
-            min_span = th.min_stance_s if prev_kind == "hs" else th.min_swing_s
+            min_span = (cfg.min_stance_s if prev_kind == "hs"
+                        else cfg.min_swing_s)
             if span < min_span:
                 # too-early opposite event: spurious, drop it
                 continue

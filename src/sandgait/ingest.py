@@ -85,8 +85,10 @@ class TrialMeta:
         if self.terrain == "sand" and self.sand_depth is None:
             raise ConfigurationError("sand terrain requires sand_depth")
         if self.sand_depth is not None:
-            check_number("sand_depth_cm", self.sand_depth, "> 0")
-        check_number("sync_offset_s", self.sync_offset)
+            object.__setattr__(self, "sand_depth", check_number(
+                "sand_depth_cm", self.sand_depth, "> 0"))
+        object.__setattr__(self, "sync_offset", check_number(
+            "sync_offset_s", self.sync_offset))
 
 
 @dataclass
@@ -104,13 +106,10 @@ def read_meta_file(path: str | Path) -> TrialMeta:
 
 
 def _meta_from_json(raw: dict) -> TrialMeta:
-    participant = Participant.from_json(raw["participant"])
-    depth = raw.get("sand_depth_cm")
-    return TrialMeta(participant=participant, terrain=raw["terrain"],
-                     sand_depth=None if depth is None
-                     else check_number("sand_depth_cm", depth, "> 0"),
-                     sync_offset=check_number("sync_offset_s",
-                                              raw.get("sync_offset_s", 0.0)))
+    return TrialMeta(participant=Participant.from_json(raw["participant"]),
+                     terrain=raw["terrain"],
+                     sand_depth=raw.get("sand_depth_cm"),
+                     sync_offset=raw.get("sync_offset_s", 0.0))
 
 
 def write_meta_file(path: str | Path, meta: TrialMeta) -> None:

@@ -144,11 +144,18 @@ def knee_stiffness(time: np.ndarray,
         side=side)
 
 
+#: A paired difference of at most this times the larger |value| of its pair
+#: is round-off.
+ROUND_OFF = 1e-12
+
+
 def paired_compare(a, b) -> dict:
     """Paired t-test with Cohen's d (pooled SD) for one metric.
 
     ``a`` and ``b`` are per-participant values paired by index.  Returns a
     report row with t, two-sided p, d, and the p < 0.05 significance flag.
+    Where every pair differs by one and the same amount, t is 0 (and d 0,
+    p 1) if that amount is round-off for every pair, else ±inf (p 0).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -163,8 +170,10 @@ def paired_compare(a, b) -> dict:
     d = a - b
     mean_d = float(d.mean())
     sd_d = float(d.std(ddof=1))
+    round_off = sd_d == 0.0 and bool(np.all(
+        np.abs(d) <= ROUND_OFF * np.maximum(np.abs(a), np.abs(b))))
     if sd_d == 0.0:  # every difference equal: none, or a certain one
-        t_stat, p = ((0.0, 1.0) if mean_d == 0.0
+        t_stat, p = ((0.0, 1.0) if round_off
                      else (math.copysign(math.inf, mean_d), 0.0))
     else:
         t_stat = mean_d / (sd_d / math.sqrt(n))
@@ -172,7 +181,8 @@ def paired_compare(a, b) -> dict:
     s_a = float(a.std(ddof=1))
     s_b = float(b.std(ddof=1))
     pooled = math.sqrt((s_a ** 2 + s_b ** 2) / 2.0)
-    cohens_d = 0.0 if pooled == 0.0 else (float(a.mean()) - float(b.mean())) / pooled
+    cohens_d = (0.0 if round_off or pooled == 0.0
+                else (float(a.mean()) - float(b.mean())) / pooled)
     return {
         "n": n,
         "mean_a": float(a.mean()), "sd_a": s_a,

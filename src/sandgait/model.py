@@ -31,8 +31,10 @@ class Participant:
     mass: float    # kg
 
     def __post_init__(self):
-        check_number(f"participant {self.id!r}: height", self.height, "> 0")
-        check_number(f"participant {self.id!r}: mass", self.mass, "> 0")
+        for name in ("height", "mass"):
+            key = f"participant {self.id!r}: {name}"
+            object.__setattr__(self, name,
+                               check_number(key, getattr(self, name), "> 0"))
 
     def to_json(self) -> dict:
         """The ``participant`` object of trial metadata and profiles."""
@@ -41,11 +43,8 @@ class Participant:
     @classmethod
     def from_json(cls, doc: dict) -> "Participant":
         """The inverse of ``to_json``; errors quote a number as given."""
-        pid = str(doc["id"])
-        key = f"participant {pid!r}: "
-        return cls(id=pid,
-                   height=check_number(key + "height", doc["height_m"], "> 0"),
-                   mass=check_number(key + "mass", doc["mass_kg"], "> 0"))
+        return cls(id=str(doc["id"]), height=doc["height_m"],
+                   mass=doc["mass_kg"])
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, forces, gaitseg, kinematics, metrics
-from .errors import ConfigurationError, GaitError, check_number, read_json_as
+from .errors import (ConfigurationError, GaitError, InsufficientDataError,
+                     check_number, read_json_as)
 from .forces import CalibrationCurve
-from .gaitseg import (HS, NEXT_HS, TO, EventThresholds, GaitEvents,
-                      NormalizedCurve)
+from .gaitseg import HS, NEXT_HS, TO, GaitEvents, NormalizedCurve
 from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
                      fill_gaps, write_json, write_rows)
 from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
@@ -55,10 +55,10 @@ class RunConfig:
     grf_smooth_window: int = 21   # raw-rate samples, GRF smoothing
     max_gap_frames: int = 5
     plate_threshold_bw: float = 0.05
-    hs_forward_speed: float = EventThresholds.hs_forward_speed
-    to_vertical_speed: float = EventThresholds.to_vertical_speed
-    min_stance_s: float = EventThresholds.min_stance_s
-    min_swing_s: float = EventThresholds.min_swing_s
+    hs_forward_speed: float = 0.2    # m/s, heel speed a strike is under
+    to_vertical_speed: float = 0.05  # m/s, toe speed a toe-off rises past
+    min_stance_s: float = 0.2        # s, shortest heel strike -> toe-off
+    min_swing_s: float = 0.15        # s, shortest toe-off -> heel strike
     gravity: float = GRAVITY
 
     def __post_init__(self):
@@ -80,10 +80,6 @@ class RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
         return cls(**doc)
-
-    def thresholds(self) -> EventThresholds:
-        return EventThresholds(**{key: getattr(self, key) for key in
-                                  EventThresholds.__dataclass_fields__})
 
     @cached_property
     def inputs(self) -> tuple[str, MarkerSchema, AnthropometricTable,
@@ -165,20 +161,28 @@ def _mean_segment_lengths(markers, schema) -> dict[str, float]:
     return lengths
 
 
-def _attribute_plate_side(aligned, markers, schema) -> str:
+def _attribute_plate_side(aligned: GrfData, markers: MarkerData,
+                          schema: MarkerSchema, threshold: float) -> str:
     """Pick the leg standing on the instrumented plate: the side whose
-    ankle is nearest the COP at peak vertical force."""
-    i_peak = int(np.nanargmax(aligned.force[:, 2]))
-    cop_x = aligned.cop[i_peak, 0]
-    t_peak = aligned.time[i_peak]
-    best, best_d = None, math.inf
-    for side in SIDES:
-        label = schema.joint_label(side, "ankle")
-        x = np.interp(t_peak, markers.time, markers.pos[label][:, 0])
-        d = abs(x - cop_x)
-        if d < best_d:
-            best, best_d = side, d
-    return best
+    ankle x lies nearer the COP x, by the median over the frames where F_z
+    is not under ``threshold`` N and that ankle is seen; the left at a
+    tie, and where no frame loads the plate.  A side whose ankle is seen on
+    no loaded frame is not picked."""
+    loaded = ~(aligned.force[:, 2] < threshold)
+    if not loaded.any():
+        return SIDES[0]
+    frames = np.searchsorted(markers.time, aligned.time[loaded])
+    labels = [schema.joint_label(side, "ankle") for side in SIDES]
+    dist = {}
+    for side, label in zip(SIDES, labels):
+        d = np.abs(markers.pos[label][frames, 0] - aligned.cop[loaded, 0])
+        if (d := d[~np.isnan(d)]).size:
+            dist[side] = float(np.median(d))
+    if not dist:
+        raise InsufficientDataError(
+            f"cannot attribute the plate to a side: neither {labels[0]} nor "
+            f"{labels[1]} is seen on a plate-loaded frame")
+    return min(dist, key=dist.get)  # SIDES order: the left at a tie
 
 
 def _surface_grf(trial: TrialRecord, curve: CalibrationCurve) -> GrfData:
@@ -202,7 +206,7 @@ def _detect_events(markers: MarkerData, schema: MarkerSchema,
         heel[side], toe = (markers.pos[schema.joint_label(side, part)]
                            for part in ("heel", "toe"))
         ev[side] = gaitseg.detect_side_events(markers.time, heel[side], toe,
-                                              cfg.thresholds())
+                                              cfg)
     return GaitEvents(**ev), heel
 
 
@@ -282,8 +286,10 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     events, heel = _detect_events(feet, schema, cfg)
     cycles = {side: gaitseg.cycle_table(events.side(side), events.side(other))
               for side, other in zip(SIDES, SIDES[::-1])}
-    plate_side = _attribute_plate_side(aligned, markers, schema)
     body_weight = participant.mass * cfg.gravity
+    plate_threshold = cfg.plate_threshold_bw * body_weight
+    plate_side = _attribute_plate_side(aligned, markers, schema,
+                                       plate_threshold)
     warnings.extend(gaitseg.grf_stance_check(
         events.side(plate_side), grf.time, grf.force[:, 2], body_weight,
         fraction=cfg.plate_threshold_bw))
@@ -291,7 +297,7 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     # inverse dynamics; only the plate side carries a ground load
     plate_load, on_plate = _plate_load(
         aligned, time, markers.pos[schema.joint_label(plate_side, "toe")],
-        cfg.plate_threshold_bw * body_weight)
+        plate_threshold)
     no_load = dynamics.ExternalLoad(*np.zeros((3, len(time), 3)))
     moments = {side: dynamics.leg_moment_series(
         time, plate_load if side == plate_side else no_load,

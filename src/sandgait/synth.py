@@ -27,6 +27,7 @@ from .gaitseg import (GaitEvents, SideEvents, cycle_table, detect_side_events,
 from .ingest import GrfData, MarkerData, TrialMeta, write_json
 from .model import (E_Z, GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     Participant, SegmentParams, segment_parameters)
+from .pipeline import RunConfig
 from .schema import SIDES
 
 
@@ -87,7 +88,9 @@ class LegAngles:
 
 @dataclass
 class GaitProfile:
-    """Scripted trial: geometry, trajectories, and stance schedule."""
+    """Scripted trial: geometry, trajectories, and stance schedule.  Each
+    value is held to the rules of its ``profile.json`` key (``_KEYS``) when
+    the profile is built, and each number in ``_RULES`` kept as a float."""
 
     participant: Participant
     duration: float
@@ -110,52 +113,50 @@ class GaitProfile:
     # fixed COP (x, y) for static trials; None means "progress heel -> toe"
     cop_fixed: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        for name, rule in _RULES.items():
+            setattr(self, name,
+                    check_number(_KEYS[name], getattr(self, name), rule))
+        if self.grf_side not in SIDES:
+            raise ConfigurationError(f"grf_side must be one of {SIDES}, "
+                                     f"got {self.grf_side!r}")
+        # the meta.json this profile writes: checks the terrain and depth
+        self.sand_depth = TrialMeta(self.participant, self.terrain,
+                                    self.sand_depth).sand_depth
+        self.stance_windows = _stance_windows(self.stance_windows)
+        self.cop_fixed = _cop_fixed(self.cop_fixed)
+
     def to_json(self) -> dict:
-        return {
-            "participant": self.participant.to_json(),
-            "duration_s": self.duration,
-            "geometry": {"thigh_len": self.thigh_len, "shank_len": self.shank_len,
-                         "foot_len": self.foot_len, "ankle_height": self.ankle_height,
-                         "hip_half_width": self.hip_half_width},
-            "pelvis_x": self.pelvis_x.to_json(),
-            "pelvis_z": self.pelvis_z.to_json(),
-            "legs": {side: {"thigh_pitch": la.thigh_pitch.to_json(),
-                            "knee_flexion": la.knee_flexion.to_json(),
-                            "foot_pitch": la.foot_pitch.to_json()}
-                     for side, la in self.legs.items()},
-            "grf_side": self.grf_side,
-            "ramp_s": self.ramp,
-            "marker_dt_s": self.marker_dt,
-            "grf_dt_s": self.grf_dt,
-            "terrain": self.terrain,
-            "sand_depth_cm": self.sand_depth,
-            "stance_windows_s": self.stance_windows,
-            "cop_fixed_m": list(self.cop_fixed) if self.cop_fixed else None,
-        }
+        doc = {"participant": self.participant.to_json(), "geometry": {},
+               "legs": {side: {name: getattr(la, name).to_json()
+                               for name in LegAngles.__dataclass_fields__}
+                        for side, la in self.legs.items()}}
+        for name, key in _KEYS.items():
+            value = getattr(self, name)
+            group, _, last = key.rpartition(".")
+            (doc[group] if group else doc)[last] = (
+                value.to_json() if isinstance(value, Trig) else value)
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "GaitProfile":
         """The inverse of ``to_json``; a key left out keeps the field's
-        default."""
-        geo = doc.get("geometry", {})
-        kw = {name: check_number(f"geometry.{name}", geo[name], rule)
-              for name, rule in _GEOMETRY.items() if name in geo}
-        kw.update((name, convert(key, doc[key]))
-                  for key, (name, convert) in _PROFILE_KEYS.items() if key in doc)
+        default, and only ``duration_s`` must be given."""
+        kw = {}
+        for name, key in _KEYS.items():
+            group, _, last = key.rpartition(".")
+            values = doc.get(group, {}) if group else doc
+            if last in values or name == "duration":
+                kw[name] = values[last]
+        for name in ("pelvis_x", "pelvis_z"):
+            if name in kw:
+                kw[name] = Trig.from_json(kw[name], name)
         legs = {side: LegAngles(**{name: Trig.from_json(
                     la[name], f"legs.{side}.{name}")
                     for name in LegAngles.__dataclass_fields__})
                 for side, la in doc["legs"].items()}
-        profile = cls(participant=Participant.from_json(doc["participant"]),
-                      duration=check_number("duration_s", doc["duration_s"],
-                                            "> 0"),
-                      legs=legs, **kw)
-        if profile.grf_side not in SIDES:
-            raise ConfigurationError(f"grf_side must be one of {SIDES}, "
-                                     f"got {profile.grf_side!r}")
-        # the meta.json this profile writes: rejects an unknown terrain
-        TrialMeta(profile.participant, profile.terrain, profile.sand_depth)
-        return profile
+        return cls(participant=Participant.from_json(doc["participant"]),
+                   legs=legs, **kw)
 
     @classmethod
     def load(cls, path: str | Path) -> "GaitProfile":
@@ -165,27 +166,43 @@ class GaitProfile:
         write_json(path, self.to_json())
 
 
-#: The profile's "geometry" numbers, in m, and their rules.
-_GEOMETRY = {"thigh_len": "> 0", "shank_len": "> 0", "foot_len": "> 0",
-             "ankle_height": ">= 0", "hip_half_width": ">= 0"}
+#: Each GaitProfile field but ``participant`` and ``legs``: its profile.json
+#: key, ``geometry.<name>`` for one in the "geometry" object.
+_KEYS = {"duration": "duration_s",
+         **{name: f"geometry.{name}" for name in (
+             "thigh_len", "shank_len", "foot_len", "ankle_height",
+             "hip_half_width")},
+         "pelvis_x": "pelvis_x", "pelvis_z": "pelvis_z",
+         "grf_side": "grf_side", "ramp": "ramp_s",
+         "marker_dt": "marker_dt_s", "grf_dt": "grf_dt_s",
+         "terrain": "terrain", "sand_depth": "sand_depth_cm",
+         "stance_windows": "stance_windows_s", "cop_fixed": "cop_fixed_m"}
 
-def _cop_fixed(key, cop) -> tuple[float, float] | None:
-    """A profile's ``cop_fixed_m``: null, or two finite numbers."""
+#: The rule of each number field (see ``check_number``); lengths in m,
+#: times in s.
+_RULES = {"duration": "> 0", "thigh_len": "> 0", "shank_len": "> 0",
+          "foot_len": "> 0", "ankle_height": ">= 0", "hip_half_width": ">= 0",
+          "ramp": ">= 0", "marker_dt": "> 0", "grf_dt": "> 0"}
+
+
+def _cop_fixed(cop) -> tuple[float, float] | None:
+    """A profile's ``cop_fixed_m``: None, or two finite numbers."""
     if cop is None:
         return None
-    xy = tuple(check_number(f"{key}[{i}]", v) for i, v in enumerate(cop))
+    xy = tuple(check_number(f"cop_fixed_m[{i}]", v) for i, v in enumerate(cop))
     if len(xy) != 2:
-        raise ConfigurationError(f"{key} must be two finite numbers, "
+        raise ConfigurationError(f"cop_fixed_m must be two finite numbers, "
                                  f"got {cop!r}")
     return xy
 
 
-def _stance_windows(key, windows) -> list[tuple] | None:
-    """A profile's ``stance_windows_s``: null, or [start, end] pairs of
-    finite JSON numbers, start < end, kept as the file gives them."""
+def _stance_windows(windows) -> list[tuple] | None:
+    """A profile's ``stance_windows_s``: None, or (start, end) pairs of
+    finite numbers (not strings or bools), start < end, kept as given."""
+    key = "stance_windows_s"
     for i, (t0, t1) in enumerate(windows or ()):
         for j, t in enumerate((t0, t1)):
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
+            if not isinstance(t, (int, float)):
                 raise ConfigurationError(f"{key}[{i}][{j}] must be a number, "
                                          f"got {t!r}")
         if not (check_number(f"{key}[{i}][0]", t0)
@@ -193,23 +210,6 @@ def _stance_windows(key, windows) -> list[tuple] | None:
             raise ConfigurationError(f"stance window {[t0, t1]} must be "
                                      f"finite with start < end")
     return None if windows is None else [tuple(w) for w in windows]
-
-
-#: Top-level profile.json key -> (GaitProfile field, conversion of the key
-#: and its value).
-_PROFILE_KEYS = {
-    "pelvis_x": ("pelvis_x", lambda key, v: Trig.from_json(v, key)),
-    "pelvis_z": ("pelvis_z", lambda key, v: Trig.from_json(v, key)),
-    "grf_side": ("grf_side", lambda key, v: v),
-    "ramp_s": ("ramp", lambda key, v: check_number(key, v, ">= 0")),
-    "marker_dt_s": ("marker_dt", lambda key, v: check_number(key, v, "> 0")),
-    "grf_dt_s": ("grf_dt", lambda key, v: check_number(key, v, "> 0")),
-    "terrain": ("terrain", lambda key, v: v),
-    "sand_depth_cm": ("sand_depth", lambda key, v: None if v is None
-                      else check_number(key, v, "> 0")),
-    "stance_windows_s": ("stance_windows", _stance_windows),
-    "cop_fixed_m": ("cop_fixed", _cop_fixed),
-}
 
 
 def _dir(a, a1, a2):
@@ -298,9 +298,11 @@ class SynthResult:
 def _truth_events(feet: dict[str, tuple[np.ndarray, np.ndarray]],
                   t: np.ndarray) -> GaitEvents:
     """Gait events from each side's analytic ``(heel, toe)`` on the GRF grid
-    ``t``, so that every event time is a written GRF sample."""
+    ``t``, so that every event time is a written GRF sample, under the
+    default event thresholds."""
+    cfg = RunConfig()
     return GaitEvents(**{
-        side: detect_side_events(t, heel, toe)
+        side: detect_side_events(t, heel, toe, cfg)
         for side, (heel, toe) in feet.items()})
 
 
@@ -309,8 +311,6 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     pr = profile
     if set(pr.legs) != set(SIDES):
         raise GenerationError(f"profile must script both legs, has {set(pr.legs)}")
-    if pr.grf_side not in SIDES:
-        raise GenerationError(f"unknown grf_side {pr.grf_side!r}")
 
     lengths = {"thigh": pr.thigh_len, "shank": pr.shank_len, "foot": pr.foot_len}
     params = segment_parameters(pr.participant, AnthropometricTable.default(),

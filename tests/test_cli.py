@@ -704,6 +704,10 @@ _MALFORMED = [
                        ":3: non-finite value nan in column zeta")),
     ("calibrate", _samples("_samples_nan_cell", "10,100,81\n10,200,nan\n",
                            ":3: non-finite value nan in column f_buried_n")),
+    ("analyze", _meta("_boolean_height",
+                      lambda m: m["participant"].update(height_m=True),
+                      "participant 'synthetic': height must be a number, "
+                      "got True")),
     ("analyze", _meta("_unknown_terrain", lambda m: m.update(terrain="gravel"),
                       "unknown terrain 'gravel'")),
     ("analyze", _meta("_sand_without_depth",
@@ -736,8 +740,8 @@ _MALFORMED = [
                         "plate_threshold_bw must be >= 0, got -0.5")),
     ("analyze", _config("_config_huge_integer",
                         '{"gravity": 1%s}' % ("0" * 400),
-                        "malformed config (int too large to convert to "
-                        "float)")),
+                        "gravity must be finite, got an integer too large "
+                        "for a float")),
     ("simulate", _profile("_truncated_profile", _truncate, "invalid JSON")),
     ("simulate", _profile("_profile_thigh_len_string",
                           _edit_json(lambda d: d["geometry"].update(
@@ -1378,6 +1382,39 @@ class TestCompare:
         lines = (out / "report.csv").read_text().splitlines()
         assert sum(",-inf,0," in line and line.endswith(",*")
                    for line in lines) == len(grf)
+
+    def test_round_off_difference_is_none(self, tmp_path, sim_dir):
+        # firm: the stride preset; sand: its own record buried under 6 cm
+        # by simulate and rescaled by analyze.  Each participant is analysed
+        # at the default filter window and at 9.  The zeta round trip moves
+        # fz_hs_peak by about 1e-13 BW alike in both pairs: no difference.
+        # (The knee stiffness slopes, fitted to moments of the %.9f GRF
+        # text, differ by about 1e-11 of their values and are not checked.)
+        _, sand = _simulate_sand(tmp_path / "trial", 6.0)
+        (tmp_path / "cfg.json").write_text('{"filter_window": 9}')
+        for pid, config in (("p1", []), ("p2", ["--config",
+                                                str(tmp_path / "cfg.json")])):
+            for group, trial in (("a", sim_dir), ("b", sand)):
+                bundle = tmp_path / group / pid
+                assert main(["analyze", *config,
+                             "--markers", str(trial / "markers.csv"),
+                             "--grf", str(trial / "grf.csv"),
+                             "--meta", str(trial / "meta.json"),
+                             "--out", str(bundle)]) == 0
+                meta = json.loads((bundle / "meta.json").read_text())
+                meta["participant_id"] = pid
+                (bundle / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "report"
+        assert main(["compare", "--a", str(tmp_path / "a"),
+                     "--b", str(tmp_path / "b"), "--out", str(out)]) == 0
+        rows = {r["metric"]: r for r in
+                json.loads((out / "report.json").read_text())["rows"]}
+        assert len(rows) == 25
+        for metric in ("fx_bwd_peak", "fx_fwd_peak", "fz_hs_peak",
+                       "fz_hump1", "fz_hump2"):
+            row = rows[metric]
+            assert (row["t"], row["p"], row["cohens_d"],
+                    row["significant"]) == (0.0, 1.0, 0.0, False), metric
 
 
 def _edit_features(bundle, change):

@@ -12,7 +12,7 @@ from sandgait import metrics, pipeline
 from sandgait.errors import (GaitError, InsufficientDataError, ParameterError,
                              SegmentationError)
 from sandgait.gaitseg import (C_HS, C_HS_AFTER_TO, C_TO, HS, NEXT_HS,
-                              PHASE_GRID, TO, EventThresholds, GaitEvents,
+                              PHASE_GRID, TO, GaitEvents,
                               SideEvents, _local_extrema, cycle_table,
                               detect_side_events, grf_stance_check,
                               phase_normalize, stance_swing_durations,
@@ -102,7 +102,7 @@ class TestLocalExtrema:
 class TestDetect:
     def test_scripted_events_within_one_frame(self):
         t, heel, toe = _scripted_side()
-        ev = detect_side_events(t, heel, toe, EventThresholds())
+        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
         for hs in ev.heel_strikes:
             k = round(hs / 1.2)
             assert abs(hs - k * 1.2) <= 0.011
@@ -112,7 +112,7 @@ class TestDetect:
 
     def test_alternation(self):
         t, heel, toe = _scripted_side(4)
-        ev = detect_side_events(t, heel, toe, EventThresholds())
+        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
         merged = sorted([(x, "hs") for x in ev.heel_strikes]
                         + [(x, "to") for x in ev.toe_offs])
         kinds = [k for _, k in merged]
@@ -124,19 +124,19 @@ class TestDetect:
         flat = np.column_stack([np.zeros_like(t), np.zeros_like(t),
                                 np.full_like(t, 0.05)])
         with pytest.raises(SegmentationError, match="no heel strikes"):
-            detect_side_events(t, flat, flat, EventThresholds())
+            detect_side_events(t, flat, flat, pipeline.RunConfig())
 
     def test_flat_minimum_and_nan_samples(self):
         # the heel rests flat through stance, so each strike is the first
         # sample of a plateau; NaN samples in mid-swing change nothing
         t, heel, toe = _scripted_side()
-        clean = detect_side_events(t, heel, toe, EventThresholds())
+        clean = detect_side_events(t, heel, toe, pipeline.RunConfig())
         i = np.searchsorted(t, clean.heel_strikes)
         assert np.all(heel[i, 2] == heel[i + 1, 2])
         assert np.all(heel[i - 1, 2] > heel[i, 2])
         for arr in (heel, toe):
             arr[[96, 216, 217]] = np.nan
-        ev = detect_side_events(t, heel, toe, EventThresholds())
+        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
         np.testing.assert_array_equal(ev.heel_strikes, clean.heel_strikes)
         np.testing.assert_array_equal(ev.toe_offs, clean.toe_offs)
 
@@ -144,12 +144,8 @@ class TestDetect:
         # a mid-swing dip with high forward speed must not become a strike
         t, heel, toe = _scripted_side()
         heel[:, 2] -= np.exp(-((t - 0.95) / 0.02) ** 2) * 0.08
-        ev = detect_side_events(t, heel, toe, EventThresholds())
+        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
         assert not np.any(np.abs(ev.heel_strikes - 0.95) < 0.05)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ParameterError):
-            EventThresholds(hs_forward_speed=-0.1)
 
 
 class TestPhaseNormalize:

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import interp1d
 
-from sandgait import ingest
+from sandgait import ingest, model
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
-                             SchemaError)
+                             SchemaError, check_number)
 from sandgait.forces import read_calibration_samples
 from sandgait.ingest import (ROW_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
                              TrialMeta, align_streams, fill_gaps,
@@ -752,6 +752,33 @@ class TestMeta:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigurationError, match=message):
             read_meta_file(path)
+
+    def test_stores_floats(self, participant):
+        meta = TrialMeta(participant=participant, terrain="sand",
+                         sand_depth=14, sync_offset=0)
+        assert (meta.sand_depth, meta.sync_offset) == (14.0, 0.0)
+        assert type(meta.sand_depth) is float
+        assert type(meta.sync_offset) is float
+
+    def test_each_key_checked_once(self, tmp_path, participant, monkeypatch):
+        # the values of a meta.json are checked where the types are built,
+        # and nowhere else
+        path = tmp_path / "meta.json"
+        write_meta_file(path, TrialMeta(participant=participant,
+                                        terrain="sand", sand_depth=14.0,
+                                        sync_offset=0.25))
+        keys = []
+
+        def recording(key, value, rule=None):
+            keys.append(key)
+            return check_number(key, value, rule)
+
+        monkeypatch.setattr(model, "check_number", recording)
+        monkeypatch.setattr(ingest, "check_number", recording)
+        read_meta_file(path)
+        assert sorted(keys) == ["participant 'p01': height",
+                                "participant 'p01': mass",
+                                "sand_depth_cm", "sync_offset_s"]
 
     def test_unknown_terrain(self, participant):
         with pytest.raises(ConfigurationError, match="terrain"):

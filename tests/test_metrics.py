@@ -181,6 +181,19 @@ class TestPairedCompare:
         assert (out["t"], out["p"], out["significant"]) == (t, 0.0, True)
         assert out["cohens_d"] == pytest.approx(shift)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_equal_round_off_differences_are_none(self, sign):
+        # the 1.16e-13 BW that a zeta round trip leaves on a 1.03 BW peak,
+        # alike in both pairs, is no difference; 1e-9 of the values, as
+        # %.9g text can differ, is one
+        a = [1.0344915467679] * 2
+        out = paired_compare(a, [a[0] + sign * 1.16e-13] * 2)
+        assert (out["t"], out["p"], out["cohens_d"], out["significant"]) == \
+            (0.0, 1.0, 0.0, False)
+        out = paired_compare(a, [a[0] + sign * 1.03e-9] * 2)
+        assert (out["t"], out["p"], out["significant"]) == \
+            (-sign * math.inf, 0.0, True)
+
     def test_five_pair_worked_example(self):
         # hand-derived: d = a-b = [0.5, 0.9, 0.1, 0.7, 0.3]
         a = [10.5, 11.9, 10.1, 11.7, 10.3]

@@ -20,10 +20,19 @@ def test_participant_json_round_trip(participant):
     dict(height=1.7, mass=-5.0),
     dict(height=math.inf, mass=70.0),
     dict(height=1.7, mass=math.nan),
+    dict(height=True, mass=70.0),
+    dict(height=1.7, mass=10 ** 400),
 ])
 def test_participant_validation(kwargs):
     with pytest.raises(ConfigurationError):
         Participant(id="x", **kwargs)
+
+
+def test_participant_stores_floats():
+    # a participant built in Python is held to the meta.json rules
+    p = Participant(id="x", height="1.7", mass=70)
+    assert (p.height, p.mass) == (1.7, 70.0)
+    assert type(p.height) is float and type(p.mass) is float
 
 
 def test_default_table_segments(table):

@@ -7,13 +7,14 @@ import pytest
 
 from sandgait import gaitseg, kinematics, metrics, pipeline
 from sandgait.dynamics import JOINTS
-from sandgait.errors import ConfigurationError, FitError
+from sandgait.errors import (ConfigurationError, FitError,
+                             InsufficientDataError)
 from sandgait.forces import default_calibration_curve, with_vertical_force
 from sandgait.gaitseg import C_TO, HS, NEXT_HS, cycle_table, phase_normalize
-from sandgait.ingest import TrialMeta, TrialRecord
+from sandgait.ingest import TrialMeta, TrialRecord, align_streams
 from sandgait.pipeline import RunConfig, analyze_trial, write_bundle
 from sandgait.schema import MarkerSchema
-from sandgait.synth import stride_profile, synthesize_gait
+from sandgait.synth import standing_profile, stride_profile, synthesize_gait
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,44 @@ class TestNoPlateStance:
         assert (tmp_path / "moments.csv").exists()
 
 
+class TestPlateSide:
+    """The plate side is the side whose ankle x lies nearer the COP x, by
+    the median over the plate-loaded frames where the ankle is seen."""
+
+    @pytest.mark.parametrize("hidden", [["R-ankle"], ["R-ankle", "L-ankle"]],
+                             ids=["plate_ankle", "both_ankles"])
+    def test_ankle_gap_at_the_force_peak(self, stride, hidden):
+        # the ankles hidden for 11 frames around the aligned F_z peak, too
+        # long to fill: the other loaded frames still place the plate
+        aligned = align_streams(stride.markers, stride.grf)
+        t_peak = aligned.time[np.nanargmax(aligned.force[:, 2])]
+        markers = stride.markers.copy()
+        near = np.abs(markers.time - t_peak) <= 0.05 + 1e-9
+        for label in hidden:
+            markers.pos[label][near] = np.nan
+        out = analyze_trial(TrialRecord(meta=stride.meta, markers=markers,
+                                        grf=stride.grf))
+        assert out.plate_side == "right"
+
+    def test_no_ankle_on_a_loaded_frame(self, stride):
+        aligned = align_streams(stride.markers, stride.grf)
+        markers = stride.markers.copy()
+        loaded = np.isin(markers.time, aligned.time[aligned.force[:, 2] > 0])
+        for label in ("L-ankle", "R-ankle"):
+            markers.pos[label][loaded] = np.nan
+        with pytest.raises(InsufficientDataError,
+                           match="neither L-ankle nor R-ankle is seen"):
+            pipeline._attribute_plate_side(aligned, markers,
+                                           MarkerSchema.default(), 1.0)
+
+    def test_standing_tie_goes_left(self):
+        # both ankles stand at one x: the left, as before
+        res = synthesize_gait(standing_profile())
+        aligned = align_streams(res.markers, res.grf)
+        assert pipeline._attribute_plate_side(
+            aligned, res.markers, MarkerSchema.default(), 1.0) == "left"
+
+
 class TestPlateCycle:
     def test_knee_loop_and_stiffness_from_the_loaded_cycle(self):
         # the plate loads only the second right stance: the knee loop and
@@ -184,6 +223,7 @@ class TestConfigFile:
          "plate_threshold_bw must be >= 0"),
         ("even_window", {"filter_window": 4},
          "filter_window must be odd and >= 1"),
+        ("huge_gravity", {"gravity": 10 ** 400}, "gravity must be finite"),
     ]]
 
     @pytest.mark.parametrize("doc, message", _REJECTED)

@@ -69,6 +69,33 @@ class TestProfile:
             duration=3.0,
             legs={"right": LegAngles(Trig(a0=0.1), Trig(), Trig())})
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(marker_dt=0), "marker_dt_s must be > 0, got 0"),
+        (dict(duration=-1), "duration_s must be > 0, got -1"),
+        (dict(ramp=math.nan), "ramp_s must be >= 0, got nan"),
+        (dict(grf_side="middle"),
+         "grf_side must be one of ('left', 'right'), got 'middle'"),
+        (dict(terrain="mud"), "unknown terrain 'mud'"),
+        (dict(hip_half_width=True),
+         "geometry.hip_half_width must be a number, got True"),
+    ], ids=["zero_marker_dt", "negative_duration", "nan_ramp", "middle_side",
+            "unknown_terrain", "boolean_width"])
+    def test_rejected_values_built_in_python(self, change, message):
+        # a profile built in code is held to the profile.json rules, and
+        # named by its keys, when it is built
+        with pytest.raises(ConfigurationError) as exc:
+            dataclasses.replace(stride_profile(), **change)
+        assert str(exc.value) == message
+
+    def test_numbers_stored_as_floats(self):
+        p = dataclasses.replace(stride_profile(), duration=3, ramp=0,
+                                terrain="sand", sand_depth=6,
+                                cop_fixed=(0, 1))
+        assert (p.duration, p.ramp, p.sand_depth, p.cop_fixed) == \
+            (3.0, 0.0, 6.0, (0.0, 1.0))
+        assert all(type(v) is float for v in (p.duration, p.ramp,
+                                              p.sand_depth, *p.cop_fixed))
+
     def test_save_load(self, tmp_path):
         p = standing_profile()
         p.save(tmp_path / "p.json")
