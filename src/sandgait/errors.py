@@ -119,7 +119,8 @@ def check_number(key: str, value, rule: str | None = None) -> float:
     """``float(value)`` of the user number ``key``, which must pass ``rule``
     (``"> 0"``, ``">= 0"`` or None) and be finite; else ``ConfigurationError``
     quoting ``value``.  A NaN fails the rule, so it reads "must be > 0".  A
-    bool is no number, and an integer past the float range not finite."""
+    bool, or a value ``float()`` refuses, is no number (a numeric string is
+    one), and an integer past the float range is not finite."""
     if isinstance(value, bool):
         raise ConfigurationError(f"{key} must be a number, got {value!r}")
     try:
@@ -127,6 +128,9 @@ def check_number(key: str, value, rule: str | None = None) -> float:
     except OverflowError:
         raise ConfigurationError(f"{key} must be finite, got an integer "
                                  f"too large for a float") from None
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be a number, "
+                                 f"got {value!r}") from None
     if rule == "> 0" and not x > 0 or rule == ">= 0" and not x >= 0:
         raise ConfigurationError(f"{key} must be {rule}, got {value!r}")
     if not math.isfinite(x):

@@ -39,23 +39,33 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
         raise ParameterError(f"window must be odd and >= 1, got {window}")
     if window > n:
         raise ParameterError(f"window {window} exceeds sequence length {n}")
-    i = np.arange(n)
-    k = np.minimum(window // 2, np.minimum(i, n - 1 - i))
-    lo, hi = i - k, i + k + 1
-    bad = ~np.isfinite(x)
-    any_bad = bad.any()
+    # rows h .. n-1-h see a full window, from slices; only the h edge rows
+    # at each end, whose windows shrink, are gathered
+    h = window // 2
+    edge = np.r_[:h, n - h:n]
+    k = np.minimum(edge, n - 1 - edge)
+    lo, hi = edge - k, edge + k + 1
     # running sums with a leading zero row: sum(x[lo:hi]) = csum[hi] - csum[lo]
-    # (summed from that +0.0 row, so a leading -0.0 sums to +0.0)
+    # (summed from that +0.0 row, so a leading -0.0 sums to +0.0), and the
+    # same running counts of non-finite inputs if there are any
     csum = np.empty((n + 1,) + x.shape[1:])
     csum[0], csum[1:] = 0.0, x
-    if any_bad:
+    bad, nbad = ~np.isfinite(x), None
+    if bad.any():
         csum[1:][bad] = 0.0
-    np.cumsum(csum, axis=0, out=csum)
-    shape = (n,) + (1,) * (x.ndim - 1)
-    out = (csum[hi] - csum[lo]) / (hi - lo).reshape(shape)
-    if any_bad:
         nbad = np.cumsum(np.concatenate([np.zeros_like(bad[:1]), bad]), axis=0)
-        out[nbad[hi] != nbad[lo]] = np.nan
+    del bad  # freed before the output: the sums and it are the peak
+    np.cumsum(csum, axis=0, out=csum)
+    out = np.empty(x.shape)
+    full = out[h:n - h]
+    np.subtract(csum[window:], csum[:-window], out=full)
+    full /= window
+    edges = ((csum[hi] - csum[lo])
+             / (hi - lo).reshape((-1,) + (1,) * (x.ndim - 1)))
+    if nbad is not None:
+        full[nbad[window:] != nbad[:-window]] = np.nan
+        edges[nbad[hi] != nbad[lo]] = np.nan
+    out[edge] = edges
     return out
 
 

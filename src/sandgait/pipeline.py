@@ -161,17 +161,26 @@ def _mean_segment_lengths(markers, schema) -> dict[str, float]:
     return lengths
 
 
-def _attribute_plate_side(aligned: GrfData, markers: MarkerData,
-                          schema: MarkerSchema, threshold: float) -> str:
-    """Pick the leg standing on the instrumented plate: the side whose
-    ankle x lies nearer the COP x, by the median over the frames where F_z
-    is not under ``threshold`` N and that ankle is seen; the left at a
-    tie, and where no frame loads the plate.  A side whose ankle is seen on
-    no loaded frame is not picked."""
+def _plate_frames(aligned: GrfData, time: np.ndarray,
+                  threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The aligned rows that load the plate, F_z not under ``threshold`` N
+    (a NaN force counts as loaded), and the marker frame of each.
+    ``align_streams`` copies the marker times, so searchsorted finds each
+    aligned row's frame exactly."""
     loaded = ~(aligned.force[:, 2] < threshold)
+    return loaded, np.searchsorted(time, aligned.time[loaded])
+
+
+def _attribute_plate_side(aligned: GrfData, markers: MarkerData,
+                          schema: MarkerSchema, loaded: np.ndarray,
+                          frames: np.ndarray) -> str:
+    """Pick the leg standing on the instrumented plate: the side whose
+    ankle x lies nearer the COP x, by the median over the ``_plate_frames``
+    where that ankle is seen; the left at a tie, and where no frame loads
+    the plate.  A side whose ankle is seen on no loaded frame is not
+    picked."""
     if not loaded.any():
         return SIDES[0]
-    frames = np.searchsorted(markers.time, aligned.time[loaded])
     labels = [schema.joint_label(side, "ankle") for side in SIDES]
     dist = {}
     for side, label in zip(SIDES, labels):
@@ -210,19 +219,14 @@ def _detect_events(markers: MarkerData, schema: MarkerSchema,
     return GaitEvents(**ev), heel
 
 
-def _plate_load(aligned: GrfData, time: np.ndarray, toe_pos: np.ndarray,
-                threshold: float) -> tuple[dynamics.ExternalLoad, np.ndarray]:
-    """The plate's ground wrench on the marker timeline, zero where F_z is
-    under ``threshold`` N, and the mask of the frames it loads.  The moment
-    is about the plate origin, the lab origin, so the lever is the toe;
-    only its lab-Y component reaches a sagittal joint moment.
-
-    ``align_streams`` copies the marker times, so searchsorted finds each
-    aligned row's frame exactly.  A NaN force counts as loaded, so its
-    frames come out NaN."""
-    n = len(time)
-    loaded = ~(aligned.force[:, 2] < threshold)
-    frames = np.searchsorted(time, aligned.time[loaded])
+def _plate_load(aligned: GrfData, toe_pos: np.ndarray, loaded: np.ndarray,
+                frames: np.ndarray) -> tuple[dynamics.ExternalLoad, np.ndarray]:
+    """The plate's ground wrench on the marker timeline of ``toe_pos``,
+    zero but on the ``_plate_frames``, and the mask of the frames it loads.
+    The moment is about the plate origin, the lab origin, so the lever is
+    the toe; only its lab-Y component reaches a sagittal joint moment.  A
+    NaN force counts as loaded, so its frames come out NaN."""
+    n = len(toe_pos)
     on_plate = np.zeros(n, dtype=bool)
     on_plate[frames] = True
     load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
@@ -288,16 +292,17 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
               for side, other in zip(SIDES, SIDES[::-1])}
     body_weight = participant.mass * cfg.gravity
     plate_threshold = cfg.plate_threshold_bw * body_weight
-    plate_side = _attribute_plate_side(aligned, markers, schema,
-                                       plate_threshold)
+    loaded, frames = _plate_frames(aligned, time, plate_threshold)
+    plate_side = _attribute_plate_side(aligned, markers, schema, loaded,
+                                       frames)
     warnings.extend(gaitseg.grf_stance_check(
         events.side(plate_side), grf.time, grf.force[:, 2], body_weight,
         fraction=cfg.plate_threshold_bw))
 
     # inverse dynamics; only the plate side carries a ground load
     plate_load, on_plate = _plate_load(
-        aligned, time, markers.pos[schema.joint_label(plate_side, "toe")],
-        plate_threshold)
+        aligned, markers.pos[schema.joint_label(plate_side, "toe")], loaded,
+        frames)
     no_load = dynamics.ExternalLoad(*np.zeros((3, len(time), 3)))
     moments = {side: dynamics.leg_moment_series(
         time, plate_load if side == plate_side else no_load,

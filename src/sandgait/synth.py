@@ -33,32 +33,41 @@ from .schema import SIDES
 
 @dataclass(frozen=True)
 class Trig:
-    """a0 + rate*t + sum(amp * sin(2 pi f t + phase)); analytic to any order."""
+    """a0 + rate*t + sum(amp * sin(2 pi f t + phase)), given with its first
+    and second time derivative by ``at``.  Each number must be finite and
+    is kept as a float, checked when the series is built; each term is
+    (amp, freq, phase)."""
 
     a0: float = 0.0
     rate: float = 0.0
     terms: tuple[tuple[float, float, float], ...] = ()
 
-    def __call__(self, t, order: int = 0):
+    def __post_init__(self):
+        for i, term in enumerate(self.terms):
+            if not isinstance(term, (list, tuple)) or len(term) != 3:
+                raise ConfigurationError(f"terms[{i}] must hold three "
+                                         f"numbers, got {term!r}")
+        object.__setattr__(self, "a0", check_number("a0", self.a0))
+        object.__setattr__(self, "rate", check_number("rate", self.rate))
+        object.__setattr__(self, "terms", tuple(
+            tuple(check_number(f"terms[{i}][{j}]", v) for j, v in enumerate(term))
+            for i, term in enumerate(self.terms)))
+
+    def at(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The series and its first and second time derivative at times
+        ``t``, from one sin and one cos of each term."""
         t = np.asarray(t, dtype=float)
-        if order == 0:
-            out = np.full_like(t, self.a0) + self.rate * t
-        elif order == 1:
-            out = np.full_like(t, self.rate)
-        else:
-            out = np.zeros_like(t)
+        x = np.full_like(t, self.a0) + self.rate * t
+        x1 = np.full_like(t, self.rate)
+        x2 = np.zeros_like(t)
         for amp, freq, phase in self.terms:
             w = 2.0 * math.pi * freq
             arg = w * t + phase
-            if order == 0:
-                out = out + amp * np.sin(arg)
-            elif order == 1:
-                out = out + amp * w * np.cos(arg)
-            elif order == 2:
-                out = out - amp * w * w * np.sin(arg)
-            else:
-                raise ValueError(f"unsupported derivative order {order}")
-        return out
+            s = np.sin(arg)
+            x = x + amp * s
+            x1 = x1 + amp * w * np.cos(arg)
+            x2 = x2 - amp * w * w * s
+        return x, x1, x2
 
     def to_json(self):
         return {"a0": self.a0, "rate": self.rate,
@@ -67,16 +76,11 @@ class Trig:
     @classmethod
     def from_json(cls, doc, key: str = "trig"):
         """The inverse of ``to_json``; errors name profile key ``key``."""
-        terms = doc.get("terms", [])
-        for i, term in enumerate(terms):
-            if len(term) != 3:
-                raise ConfigurationError(f"{key}.terms[{i}] must hold three "
-                                         f"numbers, got {term!r}")
-        return cls(a0=check_number(f"{key}.a0", doc.get("a0", 0.0)),
-                   rate=check_number(f"{key}.rate", doc.get("rate", 0.0)),
-                   terms=tuple(tuple(check_number(f"{key}.terms[{i}][{j}]", v)
-                                     for j, v in enumerate(term))
-                               for i, term in enumerate(terms)))
+        try:
+            return cls(a0=doc.get("a0", 0.0), rate=doc.get("rate", 0.0),
+                       terms=doc.get("terms", ()))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{key}.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -224,23 +228,25 @@ def _dir(a, a1, a2):
 
 class _LegKinematics:
     """One side's analytic chain at times ``t``: joint positions, the hip
-    acceleration, the heel marker and each segment's dynamics state."""
+    acceleration, the heel marker and each segment's dynamics state.
+    ``pelvis`` is ``(pelvis_x.at(t), pelvis_z.at(t))`` of the profile,
+    which both sides read."""
 
     def __init__(self, profile: GaitProfile, side: str, t: np.ndarray,
-                 params: dict[str, SegmentParams]):
+                 params: dict[str, SegmentParams], pelvis):
         pr = profile
         la = pr.legs[side]
         zeros = np.zeros_like(t)
-        thigh = tuple(la.thigh_pitch(t, k) for k in range(3))
+        thigh = la.thigh_pitch.at(t)
         pitch = {"thigh": thigh,
-                 "shank": tuple(a - la.knee_flexion(t, k)
-                                for k, a in enumerate(thigh)),
-                 "foot": tuple(la.foot_pitch(t, k) for k in range(3))}
+                 "shank": tuple(a - k for a, k in zip(thigh,
+                                                      la.knee_flexion.at(t))),
+                 "foot": la.foot_pitch.at(t)}
 
         y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
-        pos = np.stack([pr.pelvis_x(t), np.full_like(t, y), pr.pelvis_z(t)], axis=-1)
-        acc = self.hip_acc = np.stack([pr.pelvis_x(t, 2), zeros,
-                                       pr.pelvis_z(t, 2)], axis=-1)
+        (x, _, x_dd), (z, _, z_dd) = pelvis
+        pos = np.stack([x, np.full_like(t, y), z], axis=-1)
+        acc = self.hip_acc = np.stack([x_dd, zeros, z_dd], axis=-1)
         self.pos = {"hip": pos}
         self.states = {}
         for seg, end, length in (("thigh", "knee", pr.thigh_len),
@@ -330,7 +336,9 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
             f = f + params[seg].mass * kin.states[seg].acc
         return f
 
-    kin_m = {side: _LegKinematics(pr, side, t_m, params) for side in SIDES}
+    pelvis_m = (pr.pelvis_x.at(t_m), pr.pelvis_z.at(t_m))
+    kin_m = {side: _LegKinematics(pr, side, t_m, params, pelvis_m)
+             for side in SIDES}
 
     # ground-clearance feasibility
     for side in SIDES:
@@ -349,8 +357,10 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     inertia_g = np.empty((len(t_g), 3))
     for start in range(0, len(t_g), _CHAIN_BLOCK):
         block, f = slice(start, start + _CHAIN_BLOCK), None
+        t = t_g[block]
+        pelvis = (pr.pelvis_x.at(t), pr.pelvis_z.at(t))
         for side in SIDES:
-            kin = _LegKinematics(pr, side, t_g[block], params)
+            kin = _LegKinematics(pr, side, t, params, pelvis)
             heel, toe = feet_g[side]
             heel[block], toe[block] = kin.heel, kin.pos["toe"]
             f = inertial_force(kin, f)

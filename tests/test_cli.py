@@ -746,7 +746,7 @@ _MALFORMED = [
     ("simulate", _profile("_profile_thigh_len_string",
                           _edit_json(lambda d: d["geometry"].update(
                               thigh_len="long")),
-                          "malformed profile")),
+                          "geometry.thigh_len must be a number, got 'long'")),
     ("simulate", _profile("_profile_without_duration",
                           _edit_json(lambda d: d.pop("duration_s")),
                           "missing profile field 'duration_s'")),
@@ -785,8 +785,7 @@ _MALFORMED = [
     ("simulate", _profile("_profile_sand_depth_string",
                           _edit_json(lambda d: d.update(terrain="sand",
                                                         sand_depth_cm="deep")),
-                          "malformed profile (could not convert string to "
-                          "float: 'deep')")),
+                          "sand_depth_cm must be a number, got 'deep'")),
     ("simulate", _profile("_profile_negative_sand_depth",
                           _edit_json(lambda d: d.update(terrain="sand",
                                                         sand_depth_cm=-5)),

@@ -792,12 +792,14 @@ class TestMeta:
 
     @pytest.mark.parametrize("text, message", [
         ('{"participant": {"id": "x", "height_m": 1.7, "mass_kg": "heavy"},'
-         ' "terrain": "solid"}', "malformed metadata .*'heavy'"),
+         ' "terrain": "solid"}',
+         "participant 'x': mass must be a number, got 'heavy'"),
         ('{"participant": {"id": "x", "height_m": null, "mass_kg": 70},'
-         ' "terrain": "solid"}', "malformed metadata .*NoneType"),
+         ' "terrain": "solid"}',
+         "participant 'x': height must be a number, got None"),
         ('{"participant": {"id": "x", "height_m": 1.7, "mass_kg": 70},'
          ' "terrain": "sand", "sand_depth_cm": [14]}',
-         "malformed metadata .*list"),
+         r"sand_depth_cm must be a number, got \[14\]"),
         ('[1, 2]', "malformed metadata"),
         ('{"participant": [1.7, 70], "terrain": "solid"}',
          "malformed metadata"),

@@ -1,14 +1,15 @@
-"""Peak memory of the trial readers, writers and generator, as traced by
-``tracemalloc`` (numpy reports its array buffers to it), on a 20 s walk.
-Each bound is a small multiple of the data: the file's size, or the arrays
-the generator returns."""
+"""Peak memory of the trial readers, writers and generator, and of the
+marker filter, as traced by ``tracemalloc`` (numpy reports its array
+buffers to it), on a 20 s walk.  Each bound is a small multiple of the
+data: the file's size, the arrays the generator returns, or the filter's
+input."""
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sandgait import ingest, synth
+from sandgait import ingest, kinematics, synth
 from sandgait.schema import MarkerSchema
 
 
@@ -105,3 +106,11 @@ def test_fill_gaps_copies_only_filled_markers(trial):
     filled, peak = _peak(ingest.fill_gaps, one_gappy)
     assert not np.isnan(filled.pos[gappy]).any()
     assert peak <= _array_bytes(one_gappy)
+
+
+def test_moving_average_full_windows_from_slices(trial):
+    # a gap-free 20 s stack: the running sums and the output, and no
+    # input-sized gather of either
+    stack = np.nan_to_num(np.stack(list(trial[2].pos.values()), axis=1))
+    _, peak = _peak(kinematics.moving_average, stack, 7)
+    assert peak <= 2.2 * stack.nbytes

@@ -134,15 +134,17 @@ class TestPlateSide:
             markers.pos[label][loaded] = np.nan
         with pytest.raises(InsufficientDataError,
                            match="neither L-ankle nor R-ankle is seen"):
-            pipeline._attribute_plate_side(aligned, markers,
-                                           MarkerSchema.default(), 1.0)
+            pipeline._attribute_plate_side(
+                aligned, markers, MarkerSchema.default(),
+                *pipeline._plate_frames(aligned, markers.time, 1.0))
 
     def test_standing_tie_goes_left(self):
         # both ankles stand at one x: the left, as before
         res = synthesize_gait(standing_profile())
         aligned = align_streams(res.markers, res.grf)
         assert pipeline._attribute_plate_side(
-            aligned, res.markers, MarkerSchema.default(), 1.0) == "left"
+            aligned, res.markers, MarkerSchema.default(),
+            *pipeline._plate_frames(aligned, res.markers.time, 1.0)) == "left"
 
 
 class TestPlateCycle:

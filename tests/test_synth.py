@@ -4,25 +4,63 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sandgait import synth
-from sandgait.errors import ConfigurationError, GenerationError
+from sandgait.errors import ConfigurationError, GenerationError, check_number
+from sandgait.ingest import TrialMeta
 from sandgait.model import (GRAVITY, AnthropometricTable, Participant,
                             segment_parameters)
+from sandgait.pipeline import RunConfig
 from sandgait.schema import MarkerSchema
 from sandgait.synth import (GaitProfile, LegAngles, Trig, standing_profile,
                             stride_profile, synthesize_gait)
 
 
+def _unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_series = st.builds(
+    Trig, a0=_unit(-2.0, 2.0), rate=_unit(-2.0, 2.0),
+    terms=st.lists(st.tuples(_unit(-1.0, 1.0), _unit(0.0, 3.0),
+                             _unit(-math.pi, math.pi)),
+                   max_size=3).map(tuple))
+
+
 class TestTrig:
-    def test_derivatives_match_numeric(self):
-        f = Trig(a0=0.3, rate=1.1, terms=((0.2, 1.5, 0.4), (0.05, 3.0, 1.0)))
-        t = np.linspace(0.0, 2.0, 50)
+    @settings(max_examples=100, deadline=None)
+    @given(f=_series, t0=_unit(0.0, 20.0))
+    def test_derivatives_match_numeric(self, f, t0):
+        # each derivative against a central difference of the one below it
+        t = t0 + np.linspace(0.0, 2.0, 50)
         h = 1e-6
-        d1_num = (f(t + h) - f(t - h)) / (2 * h)
-        d2_num = (f(t + h) - 2 * f(t) + f(t - h)) / (h * h)
-        np.testing.assert_allclose(f(t, order=1), d1_num, atol=1e-5)
-        np.testing.assert_allclose(f(t, order=2), d2_num, atol=1e-3)
+        (_, x1, x2), (up, up1, _), (down, down1, _) = (
+            f.at(t), f.at(t + h), f.at(t - h))
+        step = (t + h) - (t - h)
+        # a bound on |x|, |x'|, |x''| and |x'''| over every t
+        scale = 1.0 + abs(f.a0) + abs(f.rate) + sum(
+            abs(amp) * (1.0 + 2 * math.pi * freq) ** 3
+            for amp, freq, _ in f.terms)
+        np.testing.assert_allclose(x1, (up - down) / step,
+                                   rtol=0, atol=1e-7 * scale)
+        np.testing.assert_allclose(x2, (up1 - down1) / step,
+                                   rtol=0, atol=1e-7 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=_series, n=st.integers(1, 300), data=st.data())
+    def test_split_grid_equals_whole_grid(self, f, n, data):
+        # the series on a grid split anywhere, or one sample at a time, is
+        # the series on the whole grid bit for bit: what synthesize_gait's
+        # _CHAIN_BLOCK blocks rely on
+        t = np.round(np.arange(n) * 0.001, 9)
+        k = data.draw(st.integers(0, n), label="split")
+        i = data.draw(st.integers(0, n - 1), label="sample")
+        for whole, head, tail, one in zip(f.at(t), f.at(t[:k]), f.at(t[k:]),
+                                          f.at(t[i:i + 1])):
+            assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
+            assert one.tobytes() == whole[i:i + 1].tobytes()
 
     def test_json_round_trip(self):
         f = Trig(a0=0.3, rate=1.1, terms=((0.2, 1.5, 0.4),))
@@ -30,19 +68,69 @@ class TestTrig:
 
     @pytest.mark.parametrize("doc, message", [
         ({"terms": [[0.2, 1.5]]}, r"pelvis_x\.terms\[0\] must hold three"),
+        ({"terms": [5]},
+         r"pelvis_x\.terms\[0\] must hold three numbers, got 5$"),
         ({"terms": [[0.2, math.nan, 0.4]]},
          r"pelvis_x\.terms\[0\]\[1\] must be finite, got nan"),
         ({"rate": math.inf}, r"pelvis_x\.rate must be finite, got inf"),
-    ], ids=["two_values", "nan_frequency", "infinite_rate"])
+    ], ids=["two_values", "number_term", "nan_frequency", "infinite_rate"])
     def test_from_json_names_the_key(self, doc, message):
         with pytest.raises(ConfigurationError, match=message):
             Trig.from_json(doc, "pelvis_x")
+
+
+_BUILT_IN_PYTHON = {
+    "participant": (lambda v: Participant("x", v, 70.0),
+                    "participant 'x': height"),
+    "trial_meta": (lambda v: TrialMeta(Participant("x", 1.7, 70.0), "solid",
+                                       sync_offset=v), "sync_offset_s"),
+    "profile": (lambda v: dataclasses.replace(stride_profile(), thigh_len=v),
+                "geometry.thigh_len"),
+    "series": (lambda v: Trig(rate=v), "rate"),
+    "series_term": (lambda v: Trig(terms=((0.2, v, 0.4),)), "terms[0][1]"),
+    "profile_series": (lambda v: dataclasses.replace(
+        stride_profile(), pelvis_z=Trig(a0=v)), "a0"),
+    "run_config": (lambda v: RunConfig(gravity=v), "gravity"),
+}
+
+
+@pytest.mark.parametrize("value", ["tall", None, math.nan, True],
+                         ids=["string", "null", "nan", "bool"])
+@pytest.mark.parametrize("built", _BUILT_IN_PYTHON)
+def test_bad_number_rejected_where_built(built, value):
+    # every input type checks each of its numbers when it is built, and
+    # names it by its file key
+    build, key = _BUILT_IN_PYTHON[built]
+    with pytest.raises(ConfigurationError) as exc:
+        build(value)
+    if isinstance(value, float):  # NaN fails the key's rule or finiteness
+        assert str(exc.value).startswith(f"{key} must be ")
+        assert str(exc.value).endswith(", got nan")
+    else:
+        assert str(exc.value) == f"{key} must be a number, got {value!r}"
 
 
 class TestProfile:
     def test_json_round_trip(self):
         p = stride_profile()
         assert GaitProfile.from_json(p.to_json()) == p
+
+    def test_each_series_number_checked_once(self, tmp_path, monkeypatch):
+        # a series' numbers are checked where the Trig is built, and
+        # from_json only names the key of one that fails
+        path = tmp_path / "profile.json"
+        stride_profile().save(path)
+        keys = []
+
+        def recording(key, value, rule=None):
+            keys.append(key)
+            return check_number(key, value, rule)
+
+        monkeypatch.setattr(synth, "check_number", recording)
+        GaitProfile.load(path)
+        series = ["a0", "rate", "terms[0][0]", "terms[0][1]", "terms[0][2]"]
+        assert sorted(keys) == sorted(
+            [synth._KEYS[name] for name in synth._RULES] + series * 8)
 
     @pytest.mark.parametrize("window", [["0.2", 0.8], [True, 0.8], [None, 0.8]],
                              ids=["string", "boolean", "null"])
@@ -129,7 +217,8 @@ def _full_chain_force(pr, result):
                                 {"thigh": pr.thigh_len, "shank": pr.shank_len,
                                  "foot": pr.foot_len})
     t = result.grf.time
-    kin = {side: synth._LegKinematics(pr, side, t, params)
+    pelvis = (pr.pelvis_x.at(t), pr.pelvis_z.at(t))
+    kin = {side: synth._LegKinematics(pr, side, t, params, pelvis)
            for side in ("left", "right")}
     hat = pr.participant.mass - 2 * sum(p.mass for p in params.values())
     f = hat * kin["left"].hip_acc
