@@ -7,9 +7,10 @@ is parsed from its bytes by one ``np.loadtxt`` call, and decoded only to
 check that a non-ASCII file is UTF-8; empty marker cells become ``nan``
 block by block as loadtxt reads the lines.  So reading holds the file's
 bytes and the table, under twice the file.  Files are written
-``ROW_BLOCK`` rows at a time, each block formatted by one printf row
-format; where every cell is ``%.Nf`` over float64, as in marker and GRF
-files, a numpy kernel writes the same bytes two to four times as fast.
+``CELL_BLOCK`` cells at a time, in whole rows, each block formatted by one
+printf row format; where every cell is ``%.Nf`` over float64, as in marker
+and GRF files, a numpy kernel writes the same bytes two to four times as
+fast.
 Every file sandgait writes goes through ``write_rows`` (or
 ``write_row_groups``), ``write_text`` or ``write_json``: UTF-8 whatever
 the locale, and atomic (written to ``<name>.tmp``, then renamed) so
@@ -428,8 +429,9 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-#: Rows formatted and written at a time by ``write_rows``.
-ROW_BLOCK = 256
+#: Cells formatted and written at a time by ``write_row_groups``: a block
+#: holds as many whole rows as fit, and at least one.
+CELL_BLOCK = 8192
 
 
 def write_text(path: str | Path, text: str | Iterable[str]) -> None:
@@ -459,15 +461,17 @@ def write_row_groups(path: str | Path, header: str,
     """A UTF-8 CSV file, atomically: the ``header`` line(s), then for each
     ``(row_format, columns)`` group in turn the rows of ``columns``
     (equal-length 1-D or 2-D arrays side by side; object arrays for text
-    cells) through that one printf row format, ``ROW_BLOCK`` rows at a
+    cells) through that one printf row format, ``CELL_BLOCK`` cells at a
     time.  ``nan_as_empty`` writes a NaN after the first column as an
     empty cell."""
     def chunks():
         yield header + "\n"
         for row_format, columns in groups:
-            for i in range(0, len(columns[0]), ROW_BLOCK):
+            width = sum(c.shape[1] if c.ndim == 2 else 1 for c in columns)
+            step = max(1, CELL_BLOCK // width)
+            for i in range(0, len(columns[0]), step):
                 rows = format_rows(row_format, np.column_stack(
-                    [c[i:i + ROW_BLOCK] for c in columns]))
+                    [c[i:i + step] for c in columns]))
                 # a block ends a row, and "%.9f" prints no other token that
                 # starts with "n"
                 yield rows.replace(",nan", ",") if nan_as_empty else rows

@@ -46,15 +46,20 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     k = np.minimum(edge, n - 1 - edge)
     lo, hi = edge - k, edge + k + 1
     # running sums with a leading zero row: sum(x[lo:hi]) = csum[hi] - csum[lo]
-    # (summed from that +0.0 row, so a leading -0.0 sums to +0.0), and the
-    # same running counts of non-finite inputs if there are any
+    # (summed from that +0.0 row, so a leading -0.0 sums to +0.0), the
+    # non-finite inputs summed as 0.0
     csum = np.empty((n + 1,) + x.shape[1:])
     csum[0], csum[1:] = 0.0, x
-    bad, nbad = ~np.isfinite(x), None
+    bad, full_bad = ~np.isfinite(x), None
     if bad.any():
         csum[1:][bad] = 0.0
-        nbad = np.cumsum(np.concatenate([np.zeros_like(bad[:1]), bad]), axis=0)
-    del bad  # freed before the output: the sums and it are the peak
+        # the windows that hold a non-finite input: the full ones from a
+        # view of every window, the shrinking ones one slice each
+        full_bad = np.lib.stride_tricks.sliding_window_view(
+            bad, window, axis=0).any(axis=-1)
+        edge_bad = np.array([bad[a:b].any(axis=0) for a, b in zip(lo, hi)],
+                            dtype=bool).reshape((len(edge),) + x.shape[1:])
+    del bad  # freed first: the sums, the output and the masks are the peak
     np.cumsum(csum, axis=0, out=csum)
     out = np.empty(x.shape)
     full = out[h:n - h]
@@ -62,9 +67,9 @@ def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     full /= window
     edges = ((csum[hi] - csum[lo])
              / (hi - lo).reshape((-1,) + (1,) * (x.ndim - 1)))
-    if nbad is not None:
-        full[nbad[window:] != nbad[:-window]] = np.nan
-        edges[nbad[hi] != nbad[lo]] = np.nan
+    if full_bad is not None:
+        full[full_bad] = np.nan
+        edges[edge_bad] = np.nan
     out[edge] = edges
     return out
 

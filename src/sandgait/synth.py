@@ -7,9 +7,12 @@ ingest formats together with ground-truth joint moments and gait events
 for round-trip testing.  The scripted ground force balances whole-body
 Newton dynamics (weight plus total inertial force) inside each stance
 window, so a motionless profile yields exactly body weight on the plate.
-At the GRF rate each leg's chain is built ``_CHAIN_BLOCK`` samples at a
-time and only the feet and the inertial force are kept, so generation
-holds under three times the arrays it returns, however long the trial.
+Each leg's chain is evaluated in the sagittal plane, x and z as 1-D
+arrays.  At the GRF rate it is built ``_CHAIN_BLOCK`` samples at a time
+and only the feet and the inertial force are kept; at the marker rate the
+(N, 3) segment states are assembled for the dynamics one side at a time.
+So generation holds under two and a half times the arrays it returns for
+a trial of 12 s or longer.
 """
 from __future__ import annotations
 
@@ -43,6 +46,9 @@ class Trig:
     terms: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.terms, (list, tuple)):
+            raise ConfigurationError(f"terms must be a list of [amp, freq, "
+                                     f"phase] terms, got {self.terms!r}")
         for i, term in enumerate(self.terms):
             if not isinstance(term, (list, tuple)) or len(term) != 3:
                 raise ConfigurationError(f"terms[{i}] must hold three "
@@ -216,53 +222,76 @@ def _stance_windows(windows) -> list[tuple] | None:
     return None if windows is None else [tuple(w) for w in windows]
 
 
-def _dir(a, a1, a2):
-    """A segment's unit axis e = (sin a, 0, -cos a) at pitch ``a`` and its
-    second time derivative, from one sin/cos of the pitch."""
-    s, c = np.sin(a), np.cos(a)
-    zeros = np.zeros_like(a)
-    e = np.stack([s, zeros, -c], axis=-1)
-    e_dd = a2[:, None] * np.stack([c, zeros, s], axis=-1) - (a1 ** 2)[:, None] * e
-    return e, e_dd
-
-
-class _LegKinematics:
-    """One side's analytic chain at times ``t``: joint positions, the hip
-    acceleration, the heel marker and each segment's dynamics state.
-    ``pelvis`` is ``(pelvis_x.at(t), pelvis_z.at(t))`` of the profile,
-    which both sides read."""
+class _LegChain:
+    """One side's analytic chain at times ``t`` in the sagittal plane, as
+    1-D arrays: ``pos`` holds the (x, z) of each joint, hip to toe, and of
+    the heel marker; ``hip_acc`` the hip's acceleration and, per segment,
+    ``axis`` its unit axis (sin a, -cos a) at pitch a, ``acc`` its COM
+    acceleration, all (x, z), and ``pitch_dd`` its pitch acceleration.
+    Every y is constant: ``y`` at the hip, ``y + 0.0`` below it, and every
+    axis and acceleration has y 0.0.  ``pelvis`` is
+    ``(pelvis_x.at(t), pelvis_z.at(t))`` of the profile, which both sides
+    read."""
 
     def __init__(self, profile: GaitProfile, side: str, t: np.ndarray,
                  params: dict[str, SegmentParams], pelvis):
         pr = profile
         la = pr.legs[side]
-        zeros = np.zeros_like(t)
         thigh = la.thigh_pitch.at(t)
         pitch = {"thigh": thigh,
                  "shank": tuple(a - k for a, k in zip(thigh,
                                                       la.knee_flexion.at(t))),
                  "foot": la.foot_pitch.at(t)}
 
-        y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
+        self.y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
         (x, _, x_dd), (z, _, z_dd) = pelvis
-        pos = np.stack([x, np.full_like(t, y), z], axis=-1)
-        acc = self.hip_acc = np.stack([x_dd, zeros, z_dd], axis=-1)
+        pos = (x, z)
+        acc = self.hip_acc = (x_dd, z_dd)
         self.pos = {"hip": pos}
-        self.states = {}
+        self.axis, self.acc, self.pitch_dd = {}, {}, {}
         for seg, end, length in (("thigh", "knee", pr.thigh_len),
                                  ("shank", "ankle", pr.shank_len),
                                  ("foot", "toe", pr.foot_len)):
-            e, e_dd = _dir(*pitch[seg])
-            self.states[seg] = FrameState(
-                e=e, acc=acc + params[seg].com_offset * e_dd,
-                omega_dot=np.stack([zeros, -pitch[seg][2], zeros], axis=-1))
-            pos, acc = pos + length * e, acc + length * e_dd
+            a, a1, a2 = pitch[seg]
+            # e = (sin a, -cos a) and its second time derivative
+            # a2 (cos a, sin a) - a1^2 e
+            s, c = np.sin(a), np.cos(a)
+            e = (s, -c)
+            a1_sq = a1 ** 2
+            e_dd = (a2 * c - a1_sq * e[0], a2 * s - a1_sq * e[1])
+            com = params[seg].com_offset
+            self.axis[seg], self.pitch_dd[seg] = e, a2
+            self.acc[seg] = tuple(ak + com * dk for ak, dk in zip(acc, e_dd))
+            pos = tuple(pk + length * ek for pk, ek in zip(pos, e))
+            acc = tuple(ak + length * dk for ak, dk in zip(acc, e_dd))
             self.pos[end] = pos
 
-        # heel marker rigid on the foot: behind the ankle and toward the sole
-        e_f = self.states["foot"].e
-        sole = np.stack([-e_f[:, 2], zeros, e_f[:, 0]], axis=-1)
-        self.heel = self.pos["ankle"] - 0.05 * e_f - 0.9 * pr.ankle_height * sole
+        # heel marker rigid on the foot: behind the ankle and toward the
+        # sole, whose direction is (-e_z, e_x)
+        (ax, az), (ex, ez) = self.pos["ankle"], self.axis["foot"]
+        k = 0.9 * pr.ankle_height
+        self.pos["heel"] = (ax - 0.05 * ex - k * -ez, az - 0.05 * ez - k * ex)
+
+    def xyz(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
+        """Joint or heel ``name`` as (N, 3) rows, written into ``out`` if
+        given."""
+        x, z = self.pos[name]
+        out = np.empty((len(x), 3)) if out is None else out
+        out[:, 0], out[:, 2] = x, z
+        out[:, 1] = self.y if name == "hip" else self.y + 0.0
+        return out
+
+    def states(self) -> dict[str, FrameState]:
+        """Each segment's dynamics state as (N, 3) rows."""
+        zeros = np.zeros_like(self.hip_acc[0])
+
+        def rows(v):
+            return np.stack([v[0], zeros, v[1]], axis=-1)
+
+        return {seg: FrameState(
+            e=rows(e), acc=rows(self.acc[seg]),
+            omega_dot=np.stack([zeros, -self.pitch_dd[seg], zeros], axis=-1))
+            for seg, e in self.axis.items()}
 
 
 #: GRF-rate samples of one leg's chain built at a time by ``synthesize_gait``;
@@ -275,17 +304,38 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
 
 
+def _window(t: np.ndarray, t0: float, t1: float) -> slice:
+    """The samples of the sorted times ``t`` with t0 <= t <= t1."""
+    return slice(np.searchsorted(t, t0, "left"),
+                 np.searchsorted(t, t1, "right"))
+
+
 def _stance_weight(t: np.ndarray, windows: list[tuple[float, float]],
                    ramp: float) -> np.ndarray:
+    """The plate's share of the Newton balance at times ``t``: 1 inside each
+    window, ramped on and off by ``_smoothstep`` over ``ramp`` seconds where
+    the window is longer than two ramps, 0 outside."""
     w = np.zeros_like(t)
     for t0, t1 in windows:
+        span = _window(t, t0, t1)
         if ramp > 0 and t1 - t0 > 2 * ramp:
-            up = _smoothstep((t - t0) / ramp)
-            down = _smoothstep((t1 - t) / ramp)
-            w = np.maximum(w, np.minimum(up, down))
+            ts = t[span]
+            up = _smoothstep((ts - t0) / ramp)
+            down = _smoothstep((t1 - ts) / ramp)
+            np.maximum(w[span], np.minimum(up, down), out=w[span])
         else:
-            w = np.maximum(w, ((t >= t0) & (t <= t1)).astype(float))
+            w[span] = 1.0
     return w
+
+
+def _plate_force(w: np.ndarray, inertia, weight: np.ndarray) -> np.ndarray:
+    """``w`` times the (x, z) ``inertia`` force plus ``weight``, as (N, 3)
+    rows; the y of the inertial force is 0.0."""
+    fx, fz = inertia
+    force = np.empty((len(w), 3))
+    for k, f in enumerate((fx, 0.0, fz)):
+        np.multiply(w, f + weight[k], out=force[:, k])
+    return force
 
 
 @dataclass
@@ -327,24 +377,24 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     t_m = np.round(np.arange(0.0, pr.duration + 1e-9, pr.marker_dt), 9)
     t_g = np.round(np.arange(0.0, pr.duration + 1e-9, pr.grf_dt), 9)
 
-    def inertial_force(kin, f=None):
-        """``f`` plus one side's segment inertial forces, thigh first; ``f``
-        starts as the trunk's (HAT's), which moves with the hip.  Sides added
-        in SIDES order give one fixed float sum."""
-        f = hat_mass * kin.hip_acc if f is None else f
+    def inertial_force(leg, f=None):
+        """``f`` plus one side's segment inertial forces, thigh first, as
+        (x, z); ``f`` starts as the trunk's (HAT's), which moves with the
+        hip.  Sides added in SIDES order give one fixed float sum."""
+        f = tuple(hat_mass * a for a in leg.hip_acc) if f is None else f
         for seg in reversed(LEG_SEGMENTS):
-            f = f + params[seg].mass * kin.states[seg].acc
+            m = params[seg].mass
+            f = tuple(fk + m * ak for fk, ak in zip(f, leg.acc[seg]))
         return f
 
     pelvis_m = (pr.pelvis_x.at(t_m), pr.pelvis_z.at(t_m))
-    kin_m = {side: _LegKinematics(pr, side, t_m, params, pelvis_m)
-             for side in SIDES}
+    legs_m = {side: _LegChain(pr, side, t_m, params, pelvis_m)
+              for side in SIDES}
 
     # ground-clearance feasibility
     for side in SIDES:
-        for name, series in (("toe", kin_m[side].pos["toe"][:, 2]),
-                             ("heel", kin_m[side].heel[:, 2])):
-            low = float(np.min(series))
+        for name in ("toe", "heel"):
+            low = float(np.min(legs_m[side].pos[name][1]))
             if low < -1e-6:
                 raise GenerationError(
                     f"{side} {name} penetrates the ground ({low:.4f} m)")
@@ -352,20 +402,22 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     # at 1 kHz only the feet and the inertial force are read: build each
     # side's chain over at most _CHAIN_BLOCK samples at a time and keep just
     # those; every step is elementwise, so blocks give the same floats
-    feet_g = {side: (np.empty((len(t_g), 3)), np.empty((len(t_g), 3)))
+    n_g = len(t_g)
+    feet_g = {side: (np.empty((n_g, 3)), np.empty((n_g, 3)))
               for side in SIDES}
-    inertia_g = np.empty((len(t_g), 3))
-    for start in range(0, len(t_g), _CHAIN_BLOCK):
+    inertia_g = (np.empty(n_g), np.empty(n_g))
+    for start in range(0, n_g, _CHAIN_BLOCK):
         block, f = slice(start, start + _CHAIN_BLOCK), None
         t = t_g[block]
         pelvis = (pr.pelvis_x.at(t), pr.pelvis_z.at(t))
         for side in SIDES:
-            kin = _LegKinematics(pr, side, t, params, pelvis)
-            heel, toe = feet_g[side]
-            heel[block], toe[block] = kin.heel, kin.pos["toe"]
-            f = inertial_force(kin, f)
-            del kin
-        inertia_g[block] = f
+            leg = _LegChain(pr, side, t, params, pelvis)
+            for name, out in zip(("heel", "toe"), feet_g[side]):
+                leg.xyz(name, out[block])
+            f = inertial_force(leg, f)
+            del leg
+        for out, fk in zip(inertia_g, f):
+            out[block] = fk
 
     # stance schedule
     is_static = all(
@@ -390,22 +442,20 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
         """COP progressing smoothly heel -> toe of the plate side's ``feet``
         inside each window (or pinned at ``cop_fixed`` for static trials)."""
         heel, toe = feet[pr.grf_side]
-        heel_xy, toe_xy = heel[:, :2], toe[:, :2]
         cop = np.zeros((len(t), 2))
         for t0, t1 in windows:
-            sel = (t >= t0) & (t <= t1)
+            span = _window(t, t0, t1)
             if pr.cop_fixed is not None:
-                cop[sel] = np.asarray(pr.cop_fixed, dtype=float)
+                cop[span] = np.asarray(pr.cop_fixed, dtype=float)
             else:
-                u = _smoothstep((t[sel] - t0) / (t1 - t0))
-                cop[sel] = (heel_xy[sel] * (1 - u[:, None])
-                            + toe_xy[sel] * u[:, None])
+                u = _smoothstep((t[span] - t0) / (t1 - t0))[:, None]
+                cop[span] = heel[span, :2] * (1 - u) + toe[span, :2] * u
         return cop
 
     # whole-body Newton balance: weight plus the total inertial force
-    weight = pr.participant.mass * GRAVITY * E_Z[None, :]
-    force_g = (_stance_weight(t_g, windows, pr.ramp)[:, None]
-               * (inertia_g + weight))
+    weight = pr.participant.mass * GRAVITY * E_Z
+    force_g = _plate_force(_stance_weight(t_g, windows, pr.ramp), inertia_g,
+                           weight)
     cop_g = cop_track(t_g, feet_g)
     del feet_g, inertia_g  # nothing after reads the 1 kHz chain
     # plate-origin moment, zero couple at COP
@@ -416,36 +466,36 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     # marker set
     markers = {}
     for side, tag in (("left", "L"), ("right", "R")):
-        kin = kin_m[side]
-        pos = kin.pos
+        leg = legs_m[side]
+        pos = {name: leg.xyz(name) for name in leg.pos}
         markers.update((f"{tag}-{name}", p) for name, p in pos.items())
-        markers[f"{tag}-heel"] = kin.heel
         offset = np.array([0.0, 0.03 if side == "right" else -0.03, 0.0])
         markers[f"{tag}-thigh"] = 0.5 * (pos["hip"] + pos["knee"]) + offset
         markers[f"{tag}-shank"] = 0.5 * (pos["knee"] + pos["ankle"]) + offset
-    pelvis_center = 0.5 * (kin_m["left"].pos["hip"] + kin_m["right"].pos["hip"])
+    pelvis_center = 0.5 * (markers["L-hip"] + markers["R-hip"])
     for tag, sign in (("L", -1.0), ("R", 1.0)):
         markers[f"{tag}-asis"] = pelvis_center + np.array([0.06, sign * 0.12, 0.02])
         markers[f"{tag}-psis"] = pelvis_center + np.array([-0.06, sign * 0.12, -0.02])
     marker_data = MarkerData(time=t_m, pos=markers)
 
-    # ground-truth moments at marker timestamps
+    # ground-truth moments at marker timestamps, each side's (N, 3) states
+    # built in turn
     w_m = _stance_weight(t_m, windows, pr.ramp)
-    force_m = w_m[:, None] * (inertial_force(kin_m["right"],
-                                             inertial_force(kin_m["left"]))
-                              + weight)
-    feet_m = {side: (kin.heel, kin.pos["toe"]) for side, kin in kin_m.items()}
+    force_m = _plate_force(w_m, inertial_force(
+        legs_m["right"], inertial_force(legs_m["left"])), weight)
+    feet_m = {side: (markers[f"{tag}-heel"], markers[f"{tag}-toe"])
+              for side, tag in (("left", "L"), ("right", "R"))}
     cop3_m = np.column_stack([cop_track(t_m, feet_m), np.zeros(len(t_m))])
     truth = {}
     for side in SIDES:
-        kin = kin_m[side]
         loaded = ((side == pr.grf_side) & (w_m > 0.0))[:, None]
         load = ExternalLoad(
             force=np.where(loaded, force_m, 0.0),
             moment=np.zeros((len(t_m), 3)),
-            r=np.where(loaded, kin.pos["toe"] - cop3_m, 0.0))
-        rec = recursive_leg(load, kin.states, params, GRAVITY)
-        truth[side] = {j: rec[j][1][:, 1] for j in JOINTS}
+            r=np.where(loaded, feet_m[side][1] - cop3_m, 0.0))
+        rec = recursive_leg(load, legs_m[side].states(), params, GRAVITY)
+        # a copy of the sagittal column, not a view holding all three
+        truth[side] = {j: rec[j][1][:, 1].copy() for j in JOINTS}
 
     meta = TrialMeta(participant=pr.participant, terrain=pr.terrain,
                      sand_depth=pr.sand_depth)

@@ -800,6 +800,11 @@ _MALFORMED = [
                               "thigh_pitch"].update(terms=[[0.3, 0.8]])),
                           "legs.right.thigh_pitch.terms[0] must hold three "
                           "numbers, got [0.3, 0.8]")),
+    ("simulate", _profile("_profile_null_terms",
+                          _edit_json(lambda d: d["pelvis_z"].update(
+                              terms=None)),
+                          "pelvis_z.terms must be a list of [amp, freq, "
+                          "phase] terms, got None")),
     ("simulate", _profile("_profile_negative_thigh_len",
                           _edit_json(lambda d: d["geometry"].update(
                               thigh_len=-0.4)),
@@ -1118,8 +1123,52 @@ class TestPinnedBytes:
         "profile.json": "55f144fda51ccdd8062200f40bd5c927a7b8c4b784bf33000f0c062122615626",
     }
 
+    #: ``simulate`` of three more trials, each by its own branch of the
+    #: generator: a 5 s stride walk (5001 GRF samples, so two
+    #: ``synth._CHAIN_BLOCK`` blocks), the stride preset with the hips on
+    #: the midline (``hip_half_width`` 0, the left hip's y is -0.0) and the
+    #: standing preset (fixed COP, stance windows given, no events)
+    MORE_SIMULATE = {
+        "stride_5s": {
+            "grf.csv": "395dee722f68284b760b1d50c0a16227143e813b2f2d7109e800285454b1535d",
+            "markers.csv": "a23361b3639b3aa15e8cae7852d3a5a97860cb37bacf0b070c08a96017f7265a",
+            "meta.json": "0b405ae0ee5f930c9dfd9e12ddca50794b6c64df9176ad316c58dd9bba514a8c",
+            "profile.json": "bae490e38bd71dcc8ba41e4432297dea19834d75b582c06800a1698c5e71a405",
+            "truth_events.csv": "40a8385d6b27e79d5ad7b987589060685dd0ab7191ecb0d8db74b543450bdf74",
+            "truth_moments.csv": "3109396de32f910e346a2d9b2546873701592da673a0aac746aaa9903301d61c",
+        },
+        "midline_hips": {
+            **SIMULATE,
+            "grf.csv": "e0245bbd499476b2a1baa94aab1918458ec493418d7847e4e0588b2636f87773",
+            "markers.csv": "de2bb42b18a32e07613a699a429e64b4012176839cc3f7f0321e8ed3867f693f",
+            "profile.json": "40323b188e165f341cc7be1940552511c259a345001d8919dca763de0d6af895",
+        },
+        "standing": {
+            "grf.csv": "eded9079f77eadf8125be2c24b12ac82234b839a50f7f02ca31046adf88f5a39",
+            "markers.csv": "7d280a9d8952e3fe3a0dec719800452ed7d5eb99e48533066c71ff34489e50d0",
+            "meta.json": "0b405ae0ee5f930c9dfd9e12ddca50794b6c64df9176ad316c58dd9bba514a8c",
+            "profile.json": "29080b8d5889fde8865bf26f106b90b99d84bb5369939a039b4f760897fac042",
+            "truth_events.csv": "539d61e3bb731034ff02403e2af8eabfebdc989d693babdd50d3c171639386c1",
+            "truth_moments.csv": "17fbc992cc8ed29a592c30aec654a1a3656a0117ad1eadd0f7c6a16165b3d92c",
+        },
+    }
+
     def test_simulate_files(self, sim_dir):
         assert self._digests(sim_dir) == self.SIMULATE
+
+    @pytest.mark.parametrize("name", sorted(MORE_SIMULATE))
+    def test_more_simulate_files(self, tmp_path, name):
+        if name == "standing":
+            argv = ["--preset", "standing"]
+        else:
+            profile = replace(synth.stride_profile(), **(
+                {"duration": 5.0} if name == "stride_5s"
+                else {"hip_half_width": 0.0}))
+            profile.save(tmp_path / "profile.json")
+            argv = ["--profile", str(tmp_path / "profile.json")]
+        out = tmp_path / "trial"
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        assert self._digests(out) == self.MORE_SIMULATE[name]
 
     def test_sand_simulate_files(self, sand_sim_dir):
         assert self._digests(sand_sim_dir) == self.SAND_SIMULATE

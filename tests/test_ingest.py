@@ -19,7 +19,7 @@ from sandgait import ingest, model
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
                              SchemaError, check_number)
 from sandgait.forces import read_calibration_samples
-from sandgait.ingest import (ROW_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
+from sandgait.ingest import (CELL_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
                              TrialMeta, align_streams, fill_gaps,
                              format_rows, read_csv_table, read_grf_file,
                              read_marker_file, read_meta_file,
@@ -494,17 +494,17 @@ class TestWriterRoundTrip:
 
 
 class TestRowBlocks:
-    """The writers format ``ROW_BLOCK`` rows at a time; the bytes are those
-    of one printf pass over the whole table."""
-
-    n = 2 * ROW_BLOCK + 7
+    """The writers format ``CELL_BLOCK`` cells at a time, in whole rows; the
+    bytes are those of one printf pass over the whole table."""
 
     def test_markers(self, tmp_path, schema):
-        markers = _make_markers(schema, n=self.n)
+        block = CELL_BLOCK // (1 + 3 * len(schema.labels))  # rows
+        n = 2 * block + 7
+        markers = _make_markers(schema, n=n)
         labels = sorted(markers.pos)
-        for row in (0, ROW_BLOCK - 1, ROW_BLOCK, self.n - 1):  # block edges
+        for row in (0, block - 1, block, n - 1):  # block edges
             markers.pos[labels[row % len(labels)]][row] = np.nan
-        markers.pos[labels[-1]][ROW_BLOCK - 1] = np.nan  # ends a block
+        markers.pos[labels[-1]][block - 1] = np.nan  # ends a block
         write_marker_file(tmp_path / "m.csv", markers)
         table = np.column_stack([markers.time] + [markers.pos[l] for l in labels])
         rows = format_rows("%.6f" + ",%.9f" * (3 * len(labels)) + "\n", table)
@@ -512,11 +512,18 @@ class TestRowBlocks:
         assert (tmp_path / "m.csv").read_bytes() == (
             header + "\n" + rows.replace(",nan", ",")).encode()
 
-    def test_grf(self, tmp_path, rng):
-        table = rng.normal(size=(self.n, 9))
-        write_grf_file(tmp_path / "g.csv", GrfData(
-            time=table[:, 0], force=table[:, 1:4], moment=table[:, 4:7],
-            cop=table[:, 7:]))
+    @pytest.mark.parametrize("cells", [CELL_BLOCK, 4],
+                             ids=["cell_block", "row_wider_than_block"])
+    def test_grf(self, tmp_path, rng, monkeypatch, cells):
+        # a row wider than the block is written one row at a time
+        monkeypatch.setattr(ingest, "CELL_BLOCK", cells)
+        block = max(1, cells // 9)
+        table = rng.normal(size=(2 * block + 7, 9))
+        with _printf_calls() as calls:
+            write_grf_file(tmp_path / "g.csv", GrfData(
+                time=table[:, 0], force=table[:, 1:4], moment=table[:, 4:7],
+                cop=table[:, 7:]))
+        assert not calls  # every block by the %.Nf kernel
         rows = format_rows("%.6f" + ",%.9f" * 8 + "\n", table)
         assert (tmp_path / "g.csv").read_bytes() == (
             ",".join(GRF_COLUMNS) + "\n" + rows).encode()
@@ -628,11 +635,12 @@ def test_failed_write_leaves_the_target(tmp_path, monkeypatch, rng):
         return real(row_format, table)
 
     monkeypatch.setattr(ingest, "format_rows", format_rows)
-    table = rng.normal(size=(2 * ROW_BLOCK, 9))
+    block = CELL_BLOCK // 9  # rows of nine cells
+    table = rng.normal(size=(2 * block, 9))
     with pytest.raises(OSError, match="disk full"):
         write_grf_file(path, GrfData(time=table[:, 0], force=table[:, 1:4],
                                      moment=table[:, 4:7], cop=table[:, 7:]))
-    assert calls == [ROW_BLOCK, ROW_BLOCK]
+    assert calls == [block, block]
     assert path.read_bytes() == b"old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
 

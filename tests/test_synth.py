@@ -73,24 +73,36 @@ class TestTrig:
         ({"terms": [[0.2, math.nan, 0.4]]},
          r"pelvis_x\.terms\[0\]\[1\] must be finite, got nan"),
         ({"rate": math.inf}, r"pelvis_x\.rate must be finite, got inf"),
-    ], ids=["two_values", "number_term", "nan_frequency", "infinite_rate"])
+        ({"terms": None}, r"pelvis_x\.terms must be a list of \[amp, freq, "
+                          r"phase\] terms, got None$"),
+    ], ids=["two_values", "number_term", "nan_frequency", "infinite_rate",
+            "null_terms"])
     def test_from_json_names_the_key(self, doc, message):
         with pytest.raises(ConfigurationError, match=message):
             Trig.from_json(doc, "pelvis_x")
 
 
+_NUMBER = "a number"
+_TERMS = "a list of [amp, freq, phase] terms"
+
+#: how each input type is built from a bad value, the key that names the
+#: value, and what the value must be
 _BUILT_IN_PYTHON = {
     "participant": (lambda v: Participant("x", v, 70.0),
-                    "participant 'x': height"),
+                    "participant 'x': height", _NUMBER),
     "trial_meta": (lambda v: TrialMeta(Participant("x", 1.7, 70.0), "solid",
-                                       sync_offset=v), "sync_offset_s"),
+                                       sync_offset=v), "sync_offset_s", _NUMBER),
     "profile": (lambda v: dataclasses.replace(stride_profile(), thigh_len=v),
-                "geometry.thigh_len"),
-    "series": (lambda v: Trig(rate=v), "rate"),
-    "series_term": (lambda v: Trig(terms=((0.2, v, 0.4),)), "terms[0][1]"),
+                "geometry.thigh_len", _NUMBER),
+    "series": (lambda v: Trig(rate=v), "rate", _NUMBER),
+    "series_term": (lambda v: Trig(terms=((0.2, v, 0.4),)), "terms[0][1]",
+                    _NUMBER),
+    "series_terms": (lambda v: Trig(terms=v), "terms", _TERMS),
     "profile_series": (lambda v: dataclasses.replace(
-        stride_profile(), pelvis_z=Trig(a0=v)), "a0"),
-    "run_config": (lambda v: RunConfig(gravity=v), "gravity"),
+        stride_profile(), pelvis_z=Trig(a0=v)), "a0", _NUMBER),
+    "profile_series_terms": (lambda v: dataclasses.replace(
+        stride_profile(), pelvis_z=Trig(terms=v)), "terms", _TERMS),
+    "run_config": (lambda v: RunConfig(gravity=v), "gravity", _NUMBER),
 }
 
 
@@ -100,14 +112,15 @@ _BUILT_IN_PYTHON = {
 def test_bad_number_rejected_where_built(built, value):
     # every input type checks each of its numbers when it is built, and
     # names it by its file key
-    build, key = _BUILT_IN_PYTHON[built]
+    build, key, kind = _BUILT_IN_PYTHON[built]
     with pytest.raises(ConfigurationError) as exc:
         build(value)
-    if isinstance(value, float):  # NaN fails the key's rule or finiteness
+    if isinstance(value, float) and kind == _NUMBER:
+        # NaN fails the key's rule or finiteness
         assert str(exc.value).startswith(f"{key} must be ")
         assert str(exc.value).endswith(", got nan")
     else:
-        assert str(exc.value) == f"{key} must be a number, got {value!r}"
+        assert str(exc.value) == f"{key} must be {kind}, got {value!r}"
 
 
 class TestProfile:
@@ -210,24 +223,26 @@ class TestStanding:
 
 def _full_chain_force(pr, result):
     """The GRF force of ``result``, generated from ``pr``, rebuilt from both
-    sides' 1 kHz chains over the whole trial at once: weight plus HAT mass x
-    hip acceleration, then the left thigh, shank and foot terms, then the
-    right ones; and the chains."""
+    sides' 1 kHz chains over the whole trial at once, as (N, 3) rows with y
+    0: weight plus HAT mass x hip acceleration, then the left thigh, shank
+    and foot terms, then the right ones; and the chains."""
     params = segment_parameters(pr.participant, AnthropometricTable.default(),
                                 {"thigh": pr.thigh_len, "shank": pr.shank_len,
                                  "foot": pr.foot_len})
     t = result.grf.time
     pelvis = (pr.pelvis_x.at(t), pr.pelvis_z.at(t))
-    kin = {side: synth._LegKinematics(pr, side, t, params, pelvis)
-           for side in ("left", "right")}
+    legs = {side: synth._LegChain(pr, side, t, params, pelvis)
+            for side in ("left", "right")}
     hat = pr.participant.mass - 2 * sum(p.mass for p in params.values())
-    f = hat * kin["left"].hip_acc
+    fx, fz = (hat * a for a in legs["left"].hip_acc)
     for side in ("left", "right"):
         for seg in ("thigh", "shank", "foot"):
-            f = f + params[seg].mass * kin[side].states[seg].acc
+            ax, az = legs[side].acc[seg]
+            fx, fz = fx + params[seg].mass * ax, fz + params[seg].mass * az
+    f = np.stack([fx, np.zeros_like(t), fz], axis=-1)
     f = f + pr.participant.mass * GRAVITY * np.array([0.0, 0.0, 1.0])
     w = synth._stance_weight(t, result.stance_windows, pr.ramp)
-    return w[:, None] * f, kin
+    return w[:, None] * f, legs
 
 
 class TestStride:
@@ -294,20 +309,26 @@ def test_ground_penetration_rejected():
         synthesize_gait(profile)
 
 
-def test_leg_kinematics_built_once_per_side_and_rate(monkeypatch):
+@pytest.mark.parametrize("duration, grf_blocks", [(3.0, [3001]),
+                                                   (5.0, [4096, 905])],
+                         ids=["one_block", "two_blocks"])
+def test_leg_chain_built_once_per_side_and_rate(monkeypatch, duration,
+                                                grf_blocks):
     # markers and truth moments share the marker-rate chain; GRF and truth
-    # events share the GRF-rate chain
+    # events share the GRF-rate chain, built once per _CHAIN_BLOCK block
     built = []
-    init = synth._LegKinematics.__init__
+    init = synth._LegChain.__init__
 
     def counting(self, profile, side, t, *args):
         built.append((side, len(t)))
         init(self, profile, side, t, *args)
 
-    monkeypatch.setattr(synth._LegKinematics, "__init__", counting)
-    synthesize_gait(stride_profile())
-    assert sorted(built) == [("left", 301), ("left", 3001),
-                             ("right", 301), ("right", 3001)]
+    monkeypatch.setattr(synth._LegChain, "__init__", counting)
+    res = synthesize_gait(dataclasses.replace(stride_profile(),
+                                              duration=duration))
+    rates = [len(res.marker_time)] + grf_blocks
+    assert sorted(built) == sorted((side, n) for side in ("left", "right")
+                                   for n in rates)
 
 
 @pytest.mark.parametrize("n", [synth._CHAIN_BLOCK - 1, synth._CHAIN_BLOCK,
@@ -323,7 +344,7 @@ def test_chain_blocks_equal_one_full_chain(monkeypatch, n):
     force, kin = _full_chain_force(pr, res)
     np.testing.assert_array_equal(res.grf.force, force)
     events = synth._truth_events(
-        {side: (k.heel, k.pos["toe"]) for side, k in kin.items()},
+        {side: (leg.xyz("heel"), leg.xyz("toe")) for side, leg in kin.items()},
         res.grf.time)
     assert res.truth_events.rows() == events.rows()
     monkeypatch.setattr(synth, "_CHAIN_BLOCK", n)
