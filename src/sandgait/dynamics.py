@@ -59,7 +59,9 @@ class FrameState:
     e: np.ndarray          # (3,) or (N, 3), unit proximal -> distal
     acc: np.ndarray        # (3,) or (N, 3), COM acceleration
     omega_dot: np.ndarray  # (3,) or (N, 3), angular acceleration vector
-    com: np.ndarray | None = None  # (N, 3), COM position; not read here
+    # (N, 3), COM position: read by kinematics.com_trajectory alone, and
+    # dropped by analyze_trial once that has run
+    com: np.ndarray | None = None
 
 
 def ankle_dynamics(load: ExternalLoad, foot: FrameState,

@@ -70,14 +70,15 @@ class GenerationError(GaitError):
 
 
 def decode_utf8(path, raw: bytes,
-                error: type[GaitInputError] = FormatError) -> str:
-    """The bytes ``raw`` of user file ``path`` as UTF-8 text; bytes that
-    are not UTF-8 raise ``error`` naming the path and the byte offset."""
+                error: type[GaitInputError] = FormatError, at: int = 0) -> str:
+    """The bytes ``raw`` of user file ``path``, which start at offset ``at``
+    of the file, as UTF-8 text; bytes that are not UTF-8 raise ``error``
+    naming the path and the byte's offset in the file."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
-                    f"at offset {exc.start})") from None
+                    f"at offset {at + exc.start})") from None
 
 
 def read_text(path, error: type[GaitInputError] = FormatError,

@@ -3,10 +3,11 @@
 Marker files are plain CSV (``time,<label>_x,<label>_y,<label>_z,...`` in
 meters, missing coordinates as empty fields).  GRF files carry
 ``time,fx,fy,fz,mx,my,mz,copx,copy`` in N, N m, m, all as UTF-8.  A file
-is parsed from its bytes by one ``np.loadtxt`` call, and decoded only to
-check that a non-ASCII file is UTF-8; empty marker cells become ``nan``
-block by block as loadtxt reads the lines.  So reading holds the file's
-bytes and the table, under twice the file.  Files are written
+is read in blocks of about 64 KiB that end at a line end, and parsed by
+one ``np.loadtxt`` call that reads the blocks' lines as it goes; each
+block is checked (UTF-8, newlines, blank lines) and its empty marker
+cells become ``nan`` before loadtxt reads it.  So reading holds one block
+and the table, never the whole file beside it.  Files are written
 ``CELL_BLOCK`` cells at a time, in whole rows, each block formatted by one
 printf row format; where every cell is ``%.Nf`` over float64, as in marker
 and GRF files, a numpy kernel writes the same bytes two to four times as
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import json
 import os
 import re
@@ -125,11 +127,16 @@ _SKIPPED_LINE = re.compile(rb"^[ \t]*(?:#.*)?$", re.M)
 _BLANK_START = re.compile(rb"[ \t]*\n")
 _BLANK_LINE = re.compile(rb"\n[ \t]*\n")  # the newline before and after it
 _NEXT_LINE = re.compile(rb"\n*([^\n]*)")  # the next line that is not empty
+_TWO_LINES = re.compile(rb"\n*[^\n]+\n+[^\n]")  # a header and the row after
 _EMPTY_CELL = re.compile(rb",[ \t]*(?=[,\n])")
 # loadtxt counts data rows from 0 in conversion errors, from 1 in width ones
 _LOADTXT_ERROR = re.compile(
     r"convert string (.*) to float64 at row (\d+), column (\d+)"
     r"|columns changed from \d+ to (\d+) at row (\d+)")
+
+#: Bytes of a CSV file read at a time by ``read_csv_table``; a block runs
+#: on to the end of the line it stops in.
+_READ_BLOCK = 1 << 16
 
 
 def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
@@ -140,85 +147,105 @@ def read_csv_table(path: str | Path, check_header: Callable[[list[str]], None],
     if empty.  Blank lines are errors, unless ``comments`` skips them and
     ``#`` lines.  ``empty_is_nan`` reads empty cells after the first column
     as NaN, and lets a NaN stand there for a missing value.  Errors name
-    ``path:line``.  The file is parsed from its bytes (``raw``, where they
-    were read already), with universal newlines; it is decoded whole only
-    to check a non-ASCII file."""
-    raw = Path(path).read_bytes() if raw is None else raw
-    if not raw.isascii():
-        decode_utf8(path, raw)  # only to reject bytes that are not UTF-8
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if raw and not raw.endswith(b"\n"):
-        raw += b"\n"
-    if comments:
-        raw = _SKIPPED_LINE.sub(b"", raw)
-    elif blank := _first_blank_line(raw):
-        raise FormatError(f"{path}:{blank}: blank line")
-    line = _NEXT_LINE.match(raw)
-    if not line[1]:
-        return np.empty((0, 0))
-    check_header(header := line[1].decode("utf-8").split(","))
-    body_at = line.end() + 1
-    first_row = _NEXT_LINE.match(raw, body_at)[1]
-    if not first_row:
-        return np.empty((0, len(header)))
-    # loadtxt takes its width from the first row
-    if (got := first_row.count(b",") + 1) != len(header):
-        raise FormatError(f"{path}:{_file_line(raw, 0)}: expected "
-                          f"{len(header)} fields, got {got}")
-    if empty_is_nan:
-        data = _empty_as_nan(raw, body_at)
-    else:
-        data = io.BytesIO(raw)  # shares the buffer of raw
-        data.seek(body_at)
-    try:
-        table = np.loadtxt(data, delimiter=",", comments=None, ndmin=2,
-                           encoding="utf-8")
-    except ValueError as exc:
-        m = _LOADTXT_ERROR.search(str(exc))
-        if not m:
-            raise FormatError(f"{path}: {exc}") from None
-        cell, row, col, got, row_from_1 = m.groups()
-        msg = (f"non-numeric field {cell} in column {header[int(col) - 1]}"
-               if cell is not None else f"expected {len(header)} fields, got {got}")
-        row = int(row) if cell is not None else int(row_from_1) - 1
-        raise FormatError(f"{path}:{_file_line(raw, row)}: {msg}") from None
-    bad = np.isinf(table) if empty_is_nan else ~np.isfinite(table)
-    bad[:, 0] |= np.isnan(table[:, 0])
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise FormatError(f"{path}:{_file_line(raw, row)}: non-finite value "
-                          f"{table[row, col]:g} in column {header[col].strip()}")
-    return table
+    ``path:line``.  The file (or its bytes ``raw``, where they were read
+    already) is parsed in blocks of whole lines by ``_line_blocks``, so it
+    is never held whole beside its table; a fault is reported as the
+    reading reaches it."""
+    with Path(path).open("rb") if raw is None else io.BytesIO(raw) as fh:
+        blocks = _line_blocks(path, fh, comments)
+        head = b""
+        for block in blocks:  # on to the first row
+            head += block
+            if _TWO_LINES.match(head):
+                break
+        line = _NEXT_LINE.match(head)
+        if not line[1]:
+            return np.empty((0, 0))
+        check_header(header := line[1].decode("utf-8").split(","))
+        body_at = line.end() + 1
+        first_row = _NEXT_LINE.match(head, body_at)[1]
+        if not first_row:
+            return np.empty((0, len(header)))
+        # loadtxt takes its width from the first row
+        if (got := first_row.count(b",") + 1) != len(header):
+            raise FormatError(f"{path}:{_file_line(path, fh, comments, 0)}: "
+                              f"expected {len(header)} fields, got {got}")
+        body = itertools.chain([head[body_at:]], blocks)
+        if empty_is_nan:
+            body = (_EMPTY_CELL.sub(b",nan", block) for block in body)
+        try:
+            table = np.loadtxt(itertools.chain.from_iterable(
+                map(io.BytesIO, body)), delimiter=",", comments=None,
+                ndmin=2, encoding="utf-8")
+        except ValueError as exc:
+            m = _LOADTXT_ERROR.search(str(exc))
+            if not m:
+                raise FormatError(f"{path}: {exc}") from None
+            cell, row, col, got, row_from_1 = m.groups()
+            msg = (f"non-numeric field {cell} in column {header[int(col) - 1]}"
+                   if cell is not None
+                   else f"expected {len(header)} fields, got {got}")
+            row = int(row) if cell is not None else int(row_from_1) - 1
+            raise FormatError(f"{path}:{_file_line(path, fh, comments, row)}: "
+                              f"{msg}") from None
+        bad = np.isinf(table) if empty_is_nan else ~np.isfinite(table)
+        bad[:, 0] |= np.isnan(table[:, 0])
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise FormatError(
+                f"{path}:{_file_line(path, fh, comments, row)}: non-finite "
+                f"value {table[row, col]:g} in column {header[col].strip()}")
+        return table
 
 
-def _first_blank_line(raw: bytes) -> int | None:
-    """The file line of the first blank line in ``raw``, if any.  (A search
-    for a newline is many times as fast as one for a line start.)"""
-    if _BLANK_START.match(raw):
-        return 1
-    if blank := _BLANK_LINE.search(raw):
-        return raw.count(b"\n", 0, blank.start()) + 2
-    return None
+def _line_blocks(path, fh, comments: bool) -> Iterator[bytes]:
+    """The lines of the binary file ``fh`` about ``_READ_BLOCK`` bytes at a
+    time, each block whole lines: checked as UTF-8 (an error names the
+    offset in the file's own bytes), newlines made ``\\n`` (a block never
+    ends between a CR and a LF), the last line ended, and blank lines
+    rejected, or with ``comments`` blank and ``#`` lines emptied."""
+    rest, at = b"", 0  # bytes carried over, and their offset in the file
+    while True:
+        chunk = fh.read(_READ_BLOCK)
+        data = rest + chunk
+        # a block ends after the last line end, but not at a CR that may
+        # start a CRLF; at the end of the file it takes what is left
+        end = (max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+               if chunk else len(data))
+        block, rest = data[:end], data[end:]
+        if not block.isascii():
+            decode_utf8(path, block, at=at)  # only to reject non-UTF-8 bytes
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not chunk and block and not block.endswith(b"\n"):
+            block += b"\n"
+        if comments:
+            block = _SKIPPED_LINE.sub(b"", block)
+        elif blank := _BLANK_START.match(block) or _BLANK_LINE.search(block):
+            # (found by its newlines, many times as fast as by line starts)
+            # its line: the file's lines before the block, read again on
+            # this error's path only, and the block's up to it
+            fh.seek(0)
+            before = fh.read(at)
+            line = (before.count(b"\n") + before.count(b"\r")
+                    - before.count(b"\r\n") + 1
+                    + block.count(b"\n", 0, blank.end() - 1))
+            raise FormatError(f"{path}:{line}: blank line")
+        at += end
+        if block:
+            yield block
+        if not chunk:
+            return
 
 
-#: Bytes of a file read at a time by ``_empty_as_nan``.
-_NAN_BLOCK = 1 << 16
-
-
-def _empty_as_nan(raw: bytes, at: int) -> Iterator[bytes]:
-    """The lines of ``raw`` from ``at``, each empty cell read as ``nan``,
-    substituted about ``_NAN_BLOCK`` bytes at a time: no second copy of
-    ``raw`` is held."""
-    while at < len(raw):
-        end = raw.index(b"\n", min(at + _NAN_BLOCK, len(raw) - 1)) + 1
-        yield from io.BytesIO(_EMPTY_CELL.sub(b",nan", raw[at:end]))
-        at = end
-
-
-def _file_line(raw: bytes, row: int) -> int:
-    """File line of data row ``row`` (from 0), loadtxt skipping empty lines."""
-    return [i for i, line in enumerate(raw.split(b"\n"), 1) if line][row + 1]
+def _file_line(path, fh, comments: bool, row: int) -> int:
+    """File line of data row ``row`` (from 0), loadtxt skipping empty lines:
+    ``fh`` read again from its start, on an error's path only."""
+    fh.seek(0)
+    lines = (text for block in _line_blocks(path, fh, comments)
+             for text in block[:-1].split(b"\n"))
+    return next(itertools.islice(
+        (i for i, text in enumerate(lines, 1) if text), row + 1, None))
 
 
 def expect_columns(path, columns: list[str]) -> Callable[[list[str]], None]:

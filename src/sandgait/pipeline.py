@@ -1,18 +1,20 @@
 """End-to-end trial analysis, plus the on-disk artifact bundle.
 
 ``analyze_trial`` runs named stages on whole arrays: ``_surface_grf`` (the
-sand rescale), gap-fill and alignment, marker smoothing (once per window),
-segment kinematics, ``_detect_events`` and one cycle table per side,
-``_plate_load``, inverse dynamics, ``_plate_stance`` (the plate row), then
-the outcome curves and scalars, read from rows of the two cycle tables.
-Every output embeds the config hash.
+sand rescale), gap-fill and alignment, the plate side and its
+``_plate_load``, marker smoothing (once per window), segment kinematics,
+``_detect_events`` and one cycle table per side, inverse dynamics,
+``_plate_stance`` (the plate row), then the outcome curves and scalars,
+read from rows of the two cycle tables.  Each intermediate is released
+after the last stage that reads it, so one analysis holds little more
+than the stage it runs.  Every output embeds the config hash.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -263,6 +265,18 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     params = segment_parameters(participant, table,
                                 _mean_segment_lengths(markers, schema))
 
+    # the plate side and its ground load, so that the aligned stream is
+    # released before the markers are smoothed
+    body_weight = participant.mass * cfg.gravity
+    loaded, frames = _plate_frames(aligned, time,
+                                   cfg.plate_threshold_bw * body_weight)
+    plate_side = _attribute_plate_side(aligned, markers, schema, loaded,
+                                       frames)
+    plate_load, on_plate = _plate_load(
+        aligned, markers.pos[schema.joint_label(plate_side, "toe")], loaded,
+        frames)
+    del aligned, loaded, frames
+
     # each marker a stage reads is smoothed once: the leg chain and pelvis
     # at filter_window, the heels and toes for events at event_filter_window
     smoothed = kinematics.smooth_markers(
@@ -272,6 +286,7 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     feet = kinematics.smooth_markers(
         markers, [schema.joint_label(side, part) for side in SIDES
                   for part in ("heel", "toe")], cfg.event_filter_window)
+    del markers  # the gap-filled copies
 
     # segment states and joint angles
     states: dict[tuple[str, str], dynamics.FrameState] = {}
@@ -285,30 +300,26 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
             states[(side, "thigh")], states[(side, "shank")],
             states[(side, "foot")])
     pelvis_mid = kinematics.pelvis_midpoint(smoothed, schema)
+    del smoothed
     com = kinematics.com_trajectory(states, params, participant.mass, pelvis_mid)
+    states = {key: replace(state, com=None) for key, state in states.items()}
 
     events, heel = _detect_events(feet, schema, cfg)
+    del feet
     cycles = {side: gaitseg.cycle_table(events.side(side), events.side(other))
               for side, other in zip(SIDES, SIDES[::-1])}
-    body_weight = participant.mass * cfg.gravity
-    plate_threshold = cfg.plate_threshold_bw * body_weight
-    loaded, frames = _plate_frames(aligned, time, plate_threshold)
-    plate_side = _attribute_plate_side(aligned, markers, schema, loaded,
-                                       frames)
     warnings.extend(gaitseg.grf_stance_check(
         events.side(plate_side), grf.time, grf.force[:, 2], body_weight,
         fraction=cfg.plate_threshold_bw))
 
     # inverse dynamics; only the plate side carries a ground load
-    plate_load, on_plate = _plate_load(
-        aligned, markers.pos[schema.joint_label(plate_side, "toe")], loaded,
-        frames)
-    no_load = dynamics.ExternalLoad(*np.zeros((3, len(time), 3)))
+    no_load = dynamics.ExternalLoad(*np.broadcast_to(0.0, (3, len(time), 3)))
     moments = {side: dynamics.leg_moment_series(
         time, plate_load if side == plate_side else no_load,
         states[(side, "foot")], states[(side, "shank")],
         states[(side, "thigh")], params, participant.mass, cfg.gravity)
         for side in SIDES}
+    del states, plate_load, no_load
 
     # each side's first cycle: cycle-normalized angles
     angle_cycle, peak, stance_fracs = {}, {}, {}

@@ -304,18 +304,26 @@ class TestConfigFiles:
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """Every file read, in order, and the count of schema parses."""
+        """Every file read, in order, and the count of schema parses.  A
+        file is read whole by ``Path.read_bytes`` or in blocks from one
+        ``Path.open`` in a read mode; each counts once."""
         reads = {"files": [], "schema_parses": 0}
-        read_bytes, init = Path.read_bytes, MarkerSchema.__init__
+        open_, init = Path.open, MarkerSchema.__init__
+
+        def opening(path, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+"):
+                reads["files"].append(Path(path).name)
+            return open_(path, mode, *args, **kwargs)
 
         def reading(path):
-            reads["files"].append(Path(path).name)
-            return read_bytes(path)
+            with Path(path).open("rb") as fh:
+                return fh.read()
 
         def parsing(schema, *args):
             reads["schema_parses"] += 1
             init(schema, *args)
 
+        monkeypatch.setattr(Path, "open", opening)
         monkeypatch.setattr(Path, "read_bytes", reading)
         monkeypatch.setattr(MarkerSchema, "__init__", parsing)
         return reads

@@ -413,6 +413,123 @@ class TestReaderBytes:
             read_marker_file(path, schema)
 
 
+def _grf_lines(n=40):
+    return (["time,fx,fy,fz,mx,my,mz,copx,copy"]
+            + [f"{i / 1000:.6f}" + f",{i + 0.5:.9f}" * 8 for i in range(n)])
+
+
+def _offset(lines, line, newline="\n"):
+    """The byte offset at which 1-based ``line`` of ``lines`` starts."""
+    return sum(len(l.encode()) + len(newline) for l in lines[:line - 1])
+
+
+class TestReadBlocks:
+    """A file read in blocks gives what it gives read whole: the same table,
+    or the same ``path:line`` message.  ``_READ_BLOCK`` is shrunk so that
+    the first read stops on, or a few bytes into, the line that holds the
+    feature, which then starts the second block."""
+
+    @staticmethod
+    def _outcome(read, path):
+        try:
+            return read(path)
+        except FormatError as exc:
+            return str(exc)
+
+    def _blocked(self, monkeypatch, read, path, block):
+        """``read(path)``'s table or message, read whole and in blocks of
+        ``block`` bytes, which must agree."""
+        whole = self._outcome(read, path)
+        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+        blocked = self._outcome(read, path)
+        if isinstance(whole, str):
+            assert blocked == whole
+        else:
+            assert np.array_equal(blocked, whole, equal_nan=True)
+        return whole
+
+    @pytest.mark.parametrize("into", [0, 1, 5])
+    def test_non_numeric_cell(self, monkeypatch, tmp_path, into):
+        lines = _grf_lines()
+        cells = lines[19].split(",")
+        cells[3] = "x1"
+        lines[19] = ",".join(cells)
+        path = tmp_path / "g.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = self._blocked(monkeypatch, _CSV_READERS["grf"][0], path,
+                            _offset(lines, 20) + into)
+        assert got == f"{path}:20: non-numeric field 'x1' in column fz"
+
+    @pytest.mark.parametrize("into", [0, 1])
+    def test_blank_line(self, monkeypatch, tmp_path, into):
+        # at 0 the blank line starts the second block; at 1 it ends the first
+        lines = _grf_lines()
+        lines.insert(19, "")
+        path = tmp_path / "g.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = self._blocked(monkeypatch, _CSV_READERS["grf"][0], path,
+                            _offset(lines, 20) + into)
+        assert got == f"{path}:20: blank line"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_non_utf8_byte(self, monkeypatch, tmp_path, newline):
+        # the offset is counted in the file's own bytes, CRs included
+        data = newline.join(_grf_lines()).encode() + newline.encode()
+        at = _offset(_grf_lines(), 20, newline) + 4
+        path = tmp_path / "g.csv"
+        path.write_bytes(data[:at] + b"\xc3(" + data[at:])
+        got = self._blocked(monkeypatch, _CSV_READERS["grf"][0], path, at - 4)
+        assert got == f"{path}: not UTF-8 text (byte 0xc3 at offset {at})"
+
+    def test_split_utf8_letter(self, monkeypatch, tmp_path):
+        # a read that stops inside a two-byte letter of a comment
+        lines = ["# rig 2", "depth_cm,f_surface_n,f_buried_n", "14,100,81",
+                 "# Bohrände", "14,200,162"]
+        path = tmp_path / "s.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = self._blocked(monkeypatch, _CSV_READERS["samples"][0], path,
+                            _offset(lines, 4) + len("# Bohr") + 1)
+        assert got.tolist() == [[14, 100, 81], [14, 200, 162]]
+
+    @pytest.mark.parametrize("into", [0, 3])
+    def test_empty_marker_cell(self, monkeypatch, tmp_path, schema, into):
+        markers = _make_markers(schema, n=30)
+        path = tmp_path / "m.csv"
+        write_marker_file(path, markers)
+        lines = path.read_text().split("\n")
+        cells = lines[19].split(",")
+        cells[1] = cells[-1] = ""  # a row's first and last marker cells
+        lines[19] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        got = self._blocked(monkeypatch, _CSV_READERS["markers"][0], path,
+                            _offset(lines, 20) + into)
+        assert np.isnan(got[18, [1, -1]]).all()
+        assert np.count_nonzero(np.isnan(got)) == 2
+
+    @pytest.mark.parametrize("spoiled", [False, True])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_read_stops_after_a_cr(self, monkeypatch, tmp_path, newline,
+                                   spoiled):
+        # the first read ends on the CR that ends line 19; the row after it
+        # is read, or named in an error, as in an LF file
+        lines = _grf_lines()
+        if spoiled:
+            cells = lines[19].split(",")
+            cells[1] = "x1"
+            lines[19] = ",".join(cells)
+        path = tmp_path / "g.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        read = _CSV_READERS["grf"][0]
+        got = self._blocked(monkeypatch, read, path,
+                            _offset(lines, 20, newline) - len(newline) + 1)
+        if spoiled:
+            assert got == f"{path}:20: non-numeric field 'x1' in column fx"
+        else:
+            lf = tmp_path / "lf.csv"
+            lf.write_text("\n".join(lines) + "\n")
+            assert np.array_equal(got, read(lf))
+
+
 class TestGrfIo:
     def test_round_trip(self, tmp_path, rng):
         n = 7

@@ -1,15 +1,15 @@
-"""Peak memory of the trial readers, writers and generator, and of the
-marker filter, as traced by ``tracemalloc`` (numpy reports its array
-buffers to it), on a 20 s walk, and the generator on a 12 s one too.  Each bound is a small multiple of the
-data: the file's size, the arrays the generator returns, or the filter's
-input."""
+"""Peak memory of the trial readers, writers and generator, of the
+marker filter and of one trial's analysis, as traced by ``tracemalloc``
+(numpy reports its array buffers to it), on a 20 s walk, and the generator
+on a 12 s one too.  Each bound is a small multiple of the data: the file's
+size, the arrays the generator returns, or the marker stack."""
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sandgait import ingest, kinematics, synth
+from sandgait import ingest, kinematics, pipeline, synth
 from sandgait.schema import MarkerSchema
 
 
@@ -61,20 +61,54 @@ def trial(walk, tmp_path_factory):
     d = tmp_path_factory.mktemp("trial")
     ingest.write_grf_file(d / "grf.csv", res.grf)
     ingest.write_marker_file(d / "markers.csv", markers)
+    ingest.write_meta_file(d / "meta.json", res.meta)
     return d, res.grf, markers
 
 
 def test_read_grf_file(trial):
+    # read in blocks of whole lines: the file is never held beside its table
     path = trial[0] / "grf.csv"
     _, peak = _peak(ingest.read_grf_file, path)
-    assert peak <= 2.0 * path.stat().st_size
+    assert peak <= 1.0 * path.stat().st_size
 
 
 def test_read_marker_file_with_gaps(trial):
+    # the table and the copies of its columns, but not the file
     path = trial[0] / "markers.csv"
     markers, peak = _peak(ingest.read_marker_file, path, MarkerSchema.default())
     assert any(np.isnan(p).any() for p in markers.pos.values())
-    assert peak <= 2.1 * path.stat().st_size
+    assert peak <= 1.4 * path.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def analysis(trial):
+    """The parsed gappy walk, its analysis traced, and its marker stack's
+    bytes."""
+    d = trial[0]
+    cfg = pipeline.RunConfig()
+    parsed = ingest.parse_trial(d / "markers.csv", d / "grf.csv",
+                                ingest.read_meta_file(d / "meta.json"),
+                                cfg.load_schema())
+    pipeline.analyze_trial(parsed, cfg)  # imports scipy, reads the config
+    result, peak = _peak(pipeline.analyze_trial, parsed, cfg)
+    stack = np.stack(list(parsed.markers.pos.values()), axis=1)
+    assert stack.shape == (2001, 18, 3)
+    return result, peak, stack.nbytes
+
+
+def test_analyze_trial(analysis):
+    # each intermediate is released after the last stage that reads it:
+    # the aligned stream and gap-filled copies before the states, the
+    # smoothed markers after them, the states once the moments exist
+    _, peak, stack_bytes = analysis
+    assert peak <= 3.3 * stack_bytes
+
+
+def test_analysis_result_holds_no_trial_table(analysis):
+    # a result array that were a view of a trial table would keep the
+    # whole (2001, 55) marker table alive
+    result, _, _ = analysis
+    assert _array_bytes(result) <= 0.3e6
 
 
 def test_write_grf_file(trial, tmp_path):
