@@ -1,10 +1,12 @@
-"""Sagittal-plane Newton-Euler inverse dynamics.
+"""Sagittal-plane Newton-Euler inverse dynamics of the planar link-segment
+model (Winter, *Biomechanics and Motor Control of Human Movement*, 2009,
+ch. 5): vectors are lab ``[x, z]`` pairs, moments and angular
+accelerations lab-Y scalars, for one frame or per frame.
 
 Production runs one recursive Newton-Euler pass per leg over whole-trial
-arrays (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 5): every load
-and state field is ``(N, 3)``, and the pass transfers the accumulated load
-wrench up the foot-shank-thigh chain for all frames at once.  The same
-functions take single ``(3,)`` frames.
+arrays (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 5), transferring
+the accumulated load wrench up the foot-shank-thigh chain for all frames at
+once.  The same functions take single frames.
 
 Closed-form ankle/knee/hip moment expressions, written directly against
 the chain, are kept as the test oracle.  In them every lever is expressed
@@ -16,25 +18,33 @@ hip it additionally carries the thigh-mass force term that the closed form
 omits (``hip_thigh_mass_term``).
 
 The same code path serves stance and swing: swing frames simply carry a
-zero external load.  One state type, ``FrameState``, runs from segment
-kinematics (``kinematics.segment_states`` returns it, COM position set)
-into ``recursive_leg``; the oracle's single frames leave ``com`` unset.
+zero external load.  One state type, ``FrameState``, runs from
+``kinematics.segment_states`` into ``recursive_leg``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ContractError
-from .model import E_Z, GRAVITY, LEG_SEGMENTS, SegmentParams
+from .model import GRAVITY, LEG_SEGMENTS, SegmentParams
 
 JOINTS = ("ankle", "knee", "hip")
+
+#: The lab vertical as an ``[x, z]`` pair.
+UP = np.array([0.0, 1.0])
+
+
+def _cross_y(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lab-Y component of ``a x b`` for ``[x, z]`` vectors: the floats
+    of ``np.cross(a3, b3)[..., 1]`` for 3-D vectors of any y."""
+    return a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1]
 
 
 @dataclass(frozen=True)
 class ExternalLoad:
-    """Ground wrench on the foot, at one instant ``(3,)`` or per frame ``(N, 3)``.
+    """Ground wrench on the foot, at one instant or per frame.
 
     ``moment`` is the ground moment about a reference point and ``r`` the
     lever from that point to the toe.  The joint moments depend only on the
@@ -42,26 +52,22 @@ class ExternalLoad:
     plate origin, the synthetic oracle the COP with zero couple.
     """
 
-    force: np.ndarray   # (3,) or (N, 3), N
-    moment: np.ndarray  # (3,) or (N, 3), N m, about the reference point
-    r: np.ndarray       # (3,) or (N, 3), m, reference point -> toe
+    force: np.ndarray   # (2,) or (N, 2), N, [x, z]
+    moment: np.ndarray  # () or (N,), N m, lab y, about the reference point
+    r: np.ndarray       # (2,) or (N, 2), m, [x, z], reference point -> toe
 
     @classmethod
     def zero(cls) -> "ExternalLoad":
-        z = np.zeros(3)
-        return cls(force=z, moment=z.copy(), r=z.copy())
+        return cls(force=np.zeros(2), moment=np.zeros(()), r=np.zeros(2))
 
 
 @dataclass(frozen=True)
 class FrameState:
-    """Segment kinematics for the dynamics equations, ``(3,)`` or ``(N, 3)``."""
+    """Segment kinematics for the dynamics equations, one frame or many."""
 
-    e: np.ndarray          # (3,) or (N, 3), unit proximal -> distal
-    acc: np.ndarray        # (3,) or (N, 3), COM acceleration
-    omega_dot: np.ndarray  # (3,) or (N, 3), angular acceleration vector
-    # (N, 3), COM position: read by kinematics.com_trajectory alone, and
-    # dropped by analyze_trial once that has run
-    com: np.ndarray | None = None
+    e: np.ndarray          # (2,) or (N, 2), [x, z], unit proximal -> distal
+    acc: np.ndarray        # (2,) or (N, 2), [x, z], COM acceleration
+    omega_dot: np.ndarray  # () or (N,), angular acceleration about lab y
 
 
 def ankle_dynamics(load: ExternalLoad, foot: FrameState,
@@ -69,11 +75,11 @@ def ankle_dynamics(load: ExternalLoad, foot: FrameState,
                    g: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form proximal (ankle) force and moment of the foot segment."""
     u_f = -foot.e  # distal -> proximal (toe -> ankle)
-    F_P = -load.force + params_f.mass * foot.acc - params_f.mass * g * E_Z
+    F_P = -load.force + params_f.mass * foot.acc - params_f.mass * g * UP
     M_P = (load.moment
-           - np.cross(load.r + params_f.length * u_f, load.force)
-           - np.cross(params_f.com_offset * u_f,
-                      params_f.mass * (foot.acc + g * E_Z))
+           - _cross_y(load.r + params_f.length * u_f, load.force)
+           - _cross_y(params_f.com_offset * u_f,
+                      params_f.mass * (foot.acc + g * UP))
            + params_f.inertia * foot.omega_dot)
     return F_P, M_P
 
@@ -85,12 +91,12 @@ def knee_closed_form(load: ExternalLoad, foot: FrameState, shank: FrameState,
     pf, ps = params["foot"], params["shank"]
     u_f, u_s = -foot.e, -shank.e
     return (load.moment
-            - np.cross(load.r + pf.length * u_f + ps.length * u_s, load.force)
+            - _cross_y(load.r + pf.length * u_f + ps.length * u_s, load.force)
             + pf.inertia * foot.omega_dot + ps.inertia * shank.omega_dot
-            - np.cross(pf.com_offset * u_f + ps.length * u_s,
-                       pf.mass * (foot.acc + g * E_Z))
-            - np.cross(ps.com_offset * u_s,
-                       ps.mass * (shank.acc + g * E_Z)))
+            - _cross_y(pf.com_offset * u_f + ps.length * u_s,
+                       pf.mass * (foot.acc + g * UP))
+            - _cross_y(ps.com_offset * u_s,
+                       ps.mass * (shank.acc + g * UP)))
 
 
 def hip_closed_form(load: ExternalLoad, foot: FrameState, shank: FrameState,
@@ -100,16 +106,16 @@ def hip_closed_form(load: ExternalLoad, foot: FrameState, shank: FrameState,
 
     As written this expression carries no thigh-mass force term; the
     recursive pass includes it, and the difference is exactly
-    ``-l_p^t u_t x m_t (a_t + g e_z)``.
+    ``-(l_p^t u_t x m_t (a_t + g e_z))_y``.
     """
     pf, ps, pt = params["foot"], params["shank"], params["thigh"]
     u_f, u_s, u_t = -foot.e, -shank.e, -thigh.e
-    return (-np.cross(load.r + pf.length * u_f + ps.length * u_s
+    return (-_cross_y(load.r + pf.length * u_f + ps.length * u_s
                       + pt.length * u_t, load.force)
-            - np.cross(ps.com_offset * u_s + pt.length * u_t,
-                       ps.mass * (shank.acc + g * E_Z))
-            - np.cross(pf.com_offset * u_f + ps.length * u_s + pt.length * u_t,
-                       pf.mass * (foot.acc + g * E_Z))
+            - _cross_y(ps.com_offset * u_s + pt.length * u_t,
+                       ps.mass * (shank.acc + g * UP))
+            - _cross_y(pf.com_offset * u_f + ps.length * u_s + pt.length * u_t,
+                       pf.mass * (foot.acc + g * UP))
             + pf.inertia * foot.omega_dot + ps.inertia * shank.omega_dot
             + pt.inertia * thigh.omega_dot
             + load.moment)
@@ -119,8 +125,8 @@ def hip_thigh_mass_term(thigh: FrameState, params_t: SegmentParams,
                         g: float = GRAVITY) -> np.ndarray:
     """The thigh-mass force term absent from the closed-form hip moment."""
     u_t = -thigh.e
-    return -np.cross(params_t.com_offset * u_t,
-                     params_t.mass * (thigh.acc + g * E_Z))
+    return -_cross_y(params_t.com_offset * u_t,
+                     params_t.mass * (thigh.acc + g * UP))
 
 
 def recursive_leg(load: ExternalLoad,
@@ -134,19 +140,19 @@ def recursive_leg(load: ExternalLoad,
     the running joint) starts from the ground wrench at the toe and is
     reacted onto each next segment; each step adds the segment's own
     inertial and gravity contribution.  Returns per-joint
-    (proximal force, proximal moment).
+    (proximal ``[x, z]`` force, proximal lab-Y moment).
     """
     F_c = np.asarray(load.force, dtype=float).copy()
-    M_c = np.cross(load.r, load.force) - load.moment
+    M_c = _cross_y(load.r, load.force) - load.moment
     out = {}
     for joint, segment in zip(JOINTS, LEG_SEGMENTS):
         p = params[segment]
         st = states[segment]
         u = -st.e
-        grav_inertial = p.mass * (st.acc + g * E_Z)
-        F_P = -F_c + p.mass * st.acc - p.mass * g * E_Z
-        M_P = (-M_c - np.cross(p.length * u, F_c)
-               - np.cross(p.com_offset * u, grav_inertial)
+        grav_inertial = p.mass * (st.acc + g * UP)
+        F_P = -F_c + p.mass * st.acc - p.mass * g * UP
+        M_P = (-M_c - _cross_y(p.length * u, F_c)
+               - _cross_y(p.com_offset * u, grav_inertial)
                + p.inertia * st.omega_dot)
         out[joint] = (F_P, M_P)
         # react onto the next segment: moment by Newton's third law, force
@@ -185,15 +191,12 @@ def leg_inverse_dynamics(load: ExternalLoad,
         "knee": knee_closed_form(load, foot, shank, params, g),
         "hip": hip_closed_form(load, foot, shank, thigh, params, g),
     }
-    divergence = {}
-    for joint in JOINTS:
-        expected = closed[joint]
-        if joint == "hip":
-            expected = expected + hip_thigh_mass_term(thigh, params["thigh"], g)
-        divergence[joint] = np.linalg.norm(expected - rec[joint][1], axis=-1)
+    expected = dict(closed, hip=closed["hip"] + hip_thigh_mass_term(
+        thigh, params["thigh"], g))
     return MomentSample(moments={j: rec[j][1] for j in JOINTS},
                         forces={j: rec[j][0] for j in JOINTS},
-                        closed_form=closed, divergence=divergence)
+                        closed_form=closed, divergence={
+                            j: np.abs(expected[j] - rec[j][1]) for j in JOINTS})
 
 
 @dataclass
@@ -211,21 +214,22 @@ def leg_moment_series(time: np.ndarray,
                       body_mass: float,
                       g: float = GRAVITY) -> JointMomentSeries:
     """Inverse dynamics over a whole trial for one side: one recursive pass
-    over ``(N, 3)`` arrays.  ``load`` holds one ground load per frame.
+    over per-frame arrays.  ``load`` holds one ground load per frame.
     Frames where any segment direction is missing come out NaN."""
     n = len(time)
     states = {"foot": foot, "shank": shank, "thigh": thigh}
-    fields = {f"{name} state": (s.e, s.acc, s.omega_dot)
-              for name, s in states.items()}
-    fields["loads"] = (load.force, load.moment, load.r)
-    for name, arrays in fields.items():
-        if any(np.shape(v) != (n, 3) for v in arrays):
-            raise ContractError(f"got {name} of shape {np.shape(arrays[0])} "
-                                f"for {n} frames")
+    groups = {f"{k} state": s for k, s in states.items()} | {"loads": load}
+    for name, group in groups.items():
+        for f in fields(group):
+            want = (n,) if f.name in ("moment", "omega_dot") else (n, 2)
+            got = np.shape(getattr(group, f.name))
+            if got != want:
+                raise ContractError(f"got {name} {f.name} of shape {got}, "
+                                    f"expected {want} for {n} frames")
 
     valid = np.all([np.isfinite(s.e).all(axis=1) for s in states.values()],
                    axis=0)
     rec = recursive_leg(load, states, params, g)
-    mom = {j: np.where(valid, rec[j][1][:, 1], np.nan) for j in JOINTS}
+    mom = {j: np.where(valid, rec[j][1], np.nan) for j in JOINTS}
     return JointMomentSeries(moment_y=mom, normalized={
         j: mom[j] / body_mass for j in JOINTS})

@@ -4,8 +4,8 @@ Markers are smoothed once, before anything reads them: ``smooth_markers``
 stacks the markers one stage needs into an ``(N, k, 3)`` array and filters
 it by one ``moving_average`` call.  ``segment_states`` and
 ``pelvis_midpoint`` take those smoothed markers and filter nothing
-themselves.  A segment's state is a ``dynamics.FrameState`` of ``(N, 3)``
-arrays, the type inverse dynamics reads, with its COM position set.
+themselves.  A segment's state is a planar ``dynamics.FrameState``, the
+type inverse dynamics reads, returned beside its ``(N, 3)`` COM position.
 
 All angular quantities are sagittal (lab X-Z plane, X forward, Z up);
 out-of-plane marker motion is projected out.  The pitch of a unit vector
@@ -105,12 +105,12 @@ def differentiate(x: np.ndarray, dt: float, order: int = 1) -> np.ndarray:
 
 
 def pitch_angle(e: np.ndarray) -> np.ndarray:
-    """Sagittal pitch of direction vectors, radians, unwrapped over time.
+    """Sagittal pitch of ``[x, z]`` direction vectors, radians, unwrapped.
 
     NaN frames stay NaN without breaking the unwrap of later frames.
     """
     e = np.atleast_2d(e)
-    theta = np.arctan2(e[:, 0], -e[:, 2])
+    theta = np.arctan2(e[:, 0], -e[:, 1])
     valid = np.isfinite(theta)
     if valid.any():
         theta[valid] = np.unwrap(theta[valid])
@@ -128,8 +128,9 @@ def smooth_markers(markers: MarkerData, labels: list[str],
 
 
 def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
-                   segment: str, params: SegmentParams) -> FrameState:
-    """Kinematic state of one leg segment from smoothed markers.
+                   segment: str, params: SegmentParams
+                   ) -> tuple[FrameState, np.ndarray]:
+    """Planar state of one leg segment from smoothed markers, and its COM.
 
     The angular acceleration comes from the sagittal segment pitch
     differentiated twice; its sign follows the lab Y axis (a
@@ -150,10 +151,10 @@ def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
         e = delta / norm[:, None]
 
     com = p + params.com_offset * e
-    omega_dot = np.zeros_like(e)
-    omega_dot[:, 1] = -differentiate(pitch_angle(e), dt, order=2)
-    return FrameState(e=e, acc=differentiate(com, dt, order=2),
-                      omega_dot=omega_dot, com=com)
+    e = e[:, ::2].copy()  # x and z, not a view keeping all three alive
+    state = FrameState(e=e, acc=differentiate(com[:, ::2], dt, order=2),
+                       omega_dot=-differentiate(pitch_angle(e), dt, order=2))
+    return state, com
 
 
 def joint_angles(thigh: FrameState, shank: FrameState,
@@ -181,18 +182,18 @@ def pelvis_midpoint(markers: MarkerData, schema: MarkerSchema) -> np.ndarray:
                      for l in schema.pelvis_labels()]).mean(axis=0)
 
 
-def com_trajectory(states: dict[tuple[str, str], FrameState],
+def com_trajectory(coms: dict[tuple[str, str], np.ndarray],
                    params: dict[str, SegmentParams],
                    body_mass: float,
                    pelvis_mid: np.ndarray) -> np.ndarray:
     """Whole-body COM proxy: mass-weighted segment COMs, with the residual
     (head-arms-trunk) mass lumped at the pelvis-marker midpoint.  The
-    segments are summed in the order of ``states``."""
+    segments are summed in the order of ``coms``."""
     total = 0.0
     weighted = np.zeros_like(pelvis_mid)
-    for (side, segment), st in states.items():
+    for (side, segment), com in coms.items():
         m = params[segment].mass
-        weighted = weighted + m * st.com
+        weighted = weighted + m * com
         total += m
     residual = body_mass - total
     if residual < -1e-9:

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigurationError, check_number, read_text
 
 GRAVITY = 9.81
-E_Z = np.array([0.0, 0.0, 1.0])
 
 #: Segments carrying inertia in the sagittal leg model.
 LEG_SEGMENTS = ("foot", "shank", "thigh")

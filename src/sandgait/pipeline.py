@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -223,18 +223,19 @@ def _detect_events(markers: MarkerData, schema: MarkerSchema,
 
 def _plate_load(aligned: GrfData, toe_pos: np.ndarray, loaded: np.ndarray,
                 frames: np.ndarray) -> tuple[dynamics.ExternalLoad, np.ndarray]:
-    """The plate's ground wrench on the marker timeline of ``toe_pos``,
-    zero but on the ``_plate_frames``, and the mask of the frames it loads.
-    The moment is about the plate origin, the lab origin, so the lever is
-    the toe; only its lab-Y component reaches a sagittal joint moment.  A
-    NaN force counts as loaded, so its frames come out NaN."""
+    """The plate's sagittal wrench (F_x, F_z, M_y) on the marker timeline of
+    ``toe_pos``, zero but on the ``_plate_frames``, and the mask of the
+    frames it loads.  The moment is about the plate origin, the lab origin,
+    so the lever is the toe's x and z.  A NaN force counts as loaded, so
+    its frames come out NaN."""
     n = len(toe_pos)
     on_plate = np.zeros(n, dtype=bool)
     on_plate[frames] = True
-    load = dynamics.ExternalLoad(*np.zeros((3, n, 3)))
-    load.force[frames] = aligned.force[loaded]
-    load.moment[frames] = aligned.moment[loaded]
-    load.r[frames] = toe_pos[frames]
+    load = dynamics.ExternalLoad(np.zeros((n, 2)), np.zeros(n),
+                                 np.zeros((n, 2)))
+    load.force[frames] = aligned.force[loaded][:, [0, 2]]
+    load.moment[frames] = aligned.moment[loaded, 1]
+    load.r[frames] = toe_pos[frames][:, [0, 2]]
     return load, on_plate
 
 
@@ -290,19 +291,19 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
 
     # segment states and joint angles
     states: dict[tuple[str, str], dynamics.FrameState] = {}
-    angles = {}
+    coms, angles = {}, {}
     for side in SIDES:
         # thigh first: this order fixes the float sum of com_trajectory
         for seg in reversed(LEG_SEGMENTS):
-            states[(side, seg)] = kinematics.segment_states(
+            states[side, seg], coms[side, seg] = kinematics.segment_states(
                 smoothed, schema, side, seg, params[seg])
         angles[side] = kinematics.joint_angles(
             states[(side, "thigh")], states[(side, "shank")],
             states[(side, "foot")])
     pelvis_mid = kinematics.pelvis_midpoint(smoothed, schema)
     del smoothed
-    com = kinematics.com_trajectory(states, params, participant.mass, pelvis_mid)
-    states = {key: replace(state, com=None) for key, state in states.items()}
+    com = kinematics.com_trajectory(coms, params, participant.mass, pelvis_mid)
+    del coms
 
     events, heel = _detect_events(feet, schema, cfg)
     del feet
@@ -313,7 +314,8 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
         fraction=cfg.plate_threshold_bw))
 
     # inverse dynamics; only the plate side carries a ground load
-    no_load = dynamics.ExternalLoad(*np.broadcast_to(0.0, (3, len(time), 3)))
+    xz = np.broadcast_to(0.0, (len(time), 2))
+    no_load = dynamics.ExternalLoad(xz, np.broadcast_to(0.0, len(time)), xz)
     moments = {side: dynamics.leg_moment_series(
         time, plate_load if side == plate_side else no_load,
         states[(side, "foot")], states[(side, "shank")],

@@ -9,10 +9,10 @@ Newton dynamics (weight plus total inertial force) inside each stance
 window, so a motionless profile yields exactly body weight on the plate.
 Each leg's chain is evaluated in the sagittal plane, x and z as 1-D
 arrays.  At the GRF rate it is built ``_CHAIN_BLOCK`` samples at a time
-and only the feet and the inertial force are kept; at the marker rate the
-(N, 3) segment states are assembled for the dynamics one side at a time.
-So generation holds under two and a half times the arrays it returns for
-a trial of 12 s or longer.
+and only the feet and the inertial force are kept; at the marker rate each
+segment's planar dynamics state is read from the chain as it stands.  So
+generation holds under two and a half times the arrays it returns for a
+trial of 12 s or longer.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import (ConfigurationError, GenerationError, check_number,
 from .gaitseg import (GaitEvents, SideEvents, cycle_table, detect_side_events,
                       stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta, write_json
-from .model import (E_Z, GRAVITY, LEG_SEGMENTS, AnthropometricTable,
+from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
                     Participant, SegmentParams, segment_parameters)
 from .pipeline import RunConfig
 from .schema import SIDES
@@ -227,11 +227,11 @@ class _LegChain:
     1-D arrays: ``pos`` holds the (x, z) of each joint, hip to toe, and of
     the heel marker; ``hip_acc`` the hip's acceleration and, per segment,
     ``axis`` its unit axis (sin a, -cos a) at pitch a, ``acc`` its COM
-    acceleration, all (x, z), and ``pitch_dd`` its pitch acceleration.
-    Every y is constant: ``y`` at the hip, ``y + 0.0`` below it, and every
-    axis and acceleration has y 0.0.  ``pelvis`` is
-    ``(pelvis_x.at(t), pelvis_z.at(t))`` of the profile, which both sides
-    read."""
+    acceleration, all (x, z), and ``pitch_dd`` its pitch acceleration, so
+    a segment's ``FrameState`` is its axis, its acceleration and
+    ``-pitch_dd``.  Every joint's y is constant: ``y`` at the hip,
+    ``y + 0.0`` below it.  ``pelvis`` is ``(pelvis_x.at(t),
+    pelvis_z.at(t))`` of the profile, which both sides read."""
 
     def __init__(self, profile: GaitProfile, side: str, t: np.ndarray,
                  params: dict[str, SegmentParams], pelvis):
@@ -281,18 +281,6 @@ class _LegChain:
         out[:, 1] = self.y if name == "hip" else self.y + 0.0
         return out
 
-    def states(self) -> dict[str, FrameState]:
-        """Each segment's dynamics state as (N, 3) rows."""
-        zeros = np.zeros_like(self.hip_acc[0])
-
-        def rows(v):
-            return np.stack([v[0], zeros, v[1]], axis=-1)
-
-        return {seg: FrameState(
-            e=rows(e), acc=rows(self.acc[seg]),
-            omega_dot=np.stack([zeros, -self.pitch_dd[seg], zeros], axis=-1))
-            for seg, e in self.axis.items()}
-
 
 #: GRF-rate samples of one leg's chain built at a time by ``synthesize_gait``;
 #: at least 3001, so a 3 s trial at 1 kHz is one block.
@@ -328,7 +316,7 @@ def _stance_weight(t: np.ndarray, windows: list[tuple[float, float]],
     return w
 
 
-def _plate_force(w: np.ndarray, inertia, weight: np.ndarray) -> np.ndarray:
+def _plate_force(w: np.ndarray, inertia, weight: tuple) -> np.ndarray:
     """``w`` times the (x, z) ``inertia`` force plus ``weight``, as (N, 3)
     rows; the y of the inertial force is 0.0."""
     fx, fz = inertia
@@ -453,7 +441,7 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
         return cop
 
     # whole-body Newton balance: weight plus the total inertial force
-    weight = pr.participant.mass * GRAVITY * E_Z
+    weight = (0.0, 0.0, pr.participant.mass * GRAVITY)
     force_g = _plate_force(_stance_weight(t_g, windows, pr.ramp), inertia_g,
                            weight)
     cop_g = cop_track(t_g, feet_g)
@@ -478,8 +466,7 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
         markers[f"{tag}-psis"] = pelvis_center + np.array([-0.06, sign * 0.12, -0.02])
     marker_data = MarkerData(time=t_m, pos=markers)
 
-    # ground-truth moments at marker timestamps, each side's (N, 3) states
-    # built in turn
+    # ground-truth moments at marker timestamps
     w_m = _stance_weight(t_m, windows, pr.ramp)
     force_m = _plate_force(w_m, inertial_force(
         legs_m["right"], inertial_force(legs_m["left"])), weight)
@@ -487,15 +474,18 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
               for side, tag in (("left", "L"), ("right", "R"))}
     cop3_m = np.column_stack([cop_track(t_m, feet_m), np.zeros(len(t_m))])
     truth = {}
-    for side in SIDES:
+    for side, leg in legs_m.items():
         loaded = ((side == pr.grf_side) & (w_m > 0.0))[:, None]
         load = ExternalLoad(
-            force=np.where(loaded, force_m, 0.0),
-            moment=np.zeros((len(t_m), 3)),
-            r=np.where(loaded, feet_m[side][1] - cop3_m, 0.0))
-        rec = recursive_leg(load, legs_m[side].states(), params, GRAVITY)
-        # a copy of the sagittal column, not a view holding all three
-        truth[side] = {j: rec[j][1][:, 1].copy() for j in JOINTS}
+            force=np.where(loaded, force_m[:, [0, 2]], 0.0),
+            moment=np.zeros(len(t_m)),
+            r=np.where(loaded, (feet_m[side][1] - cop3_m)[:, [0, 2]], 0.0))
+        states = {seg: FrameState(e=np.column_stack(leg.axis[seg]),
+                                  acc=np.column_stack(leg.acc[seg]),
+                                  omega_dot=-leg.pitch_dd[seg])
+                  for seg in LEG_SEGMENTS}
+        rec = recursive_leg(load, states, params, GRAVITY)
+        truth[side] = {j: rec[j][1] for j in JOINTS}
 
     meta = TrialMeta(participant=pr.participant, terrain=pr.terrain,
                      sand_depth=pr.sand_depth)

@@ -43,8 +43,11 @@ def _random_params(rng):
 
 def test_criterion_1_dual_formulation(capsys):
     """Closed-form ankle/knee match the recursive pass to 1e-12 relative on
-    1000 random frames; the hip gap equals the thigh-mass term. < 1 s."""
+    1000 random frames; the hip gap equals the thigh-mass term. < 1 s.
+    Each frame is the sagittal part of a random 3-D one: the [x, z] of its
+    vectors and the y of its moment and angular acceleration."""
     rng = np.random.default_rng(1)
+    xz = [0, 2]
     frames = []
     for _ in range(1000):
         params = _random_params(rng)
@@ -52,11 +55,11 @@ def test_criterion_1_dual_formulation(capsys):
         for seg in ("foot", "shank", "thigh"):
             e = rng.normal(size=3)
             e /= np.linalg.norm(e)
-            states[seg] = FrameState(e=e, acc=rng.normal(size=3),
-                                     omega_dot=rng.normal(size=3))
-        load = ExternalLoad(force=rng.normal(scale=300.0, size=3),
-                            moment=rng.normal(scale=20.0, size=3),
-                            r=rng.normal(scale=0.2, size=3))
+            states[seg] = FrameState(e=e[xz], acc=rng.normal(size=3)[xz],
+                                     omega_dot=rng.normal(size=3)[1])
+        load = ExternalLoad(force=rng.normal(scale=300.0, size=3)[xz],
+                            moment=rng.normal(scale=20.0, size=3)[1],
+                            r=rng.normal(scale=0.2, size=3)[xz])
         frames.append((load, states, params))
 
     # only the production path (the recursive pass) is timed; the
@@ -77,8 +80,8 @@ def test_criterion_1_dual_formulation(capsys):
             + hip_thigh_mass_term(states["thigh"], params["thigh"]),
         }
         for joint in JOINTS:
-            scale = max(1.0, float(np.linalg.norm(closed[joint])))
-            err = float(np.linalg.norm(rec[joint][1] - closed[joint])) / scale
+            scale = max(1.0, abs(float(closed[joint])))
+            err = abs(float(rec[joint][1] - closed[joint])) / scale
             assert err < 1e-12, f"{joint}: relative error {err:g}"
     _report(capsys, 1, "inverse-dynamics dual-formulation equivalence")
 
@@ -166,21 +169,20 @@ def test_criterion_4_statics(capsys):
                                inertia=0.137),
     }
     alpha = math.acos(0.4)
-    e_f = np.array([math.sin(alpha), 0.0, -math.cos(alpha)])
+    e_f = np.array([math.sin(alpha), -math.cos(alpha)])
     states = {
-        "foot": FrameState(e=e_f, acc=np.zeros(3), omega_dot=np.zeros(3)),
-        "shank": FrameState(e=np.array([0.0, 0.0, -1.0]), acc=np.zeros(3),
-                            omega_dot=np.zeros(3)),
-        "thigh": FrameState(e=np.array([0.0, 0.0, -1.0]), acc=np.zeros(3),
-                            omega_dot=np.zeros(3)),
+        "foot": FrameState(e=e_f, acc=np.zeros(2), omega_dot=0.0),
+        "shank": FrameState(e=np.array([0.0, -1.0]), acc=np.zeros(2),
+                            omega_dot=0.0),
+        "thigh": FrameState(e=np.array([0.0, -1.0]), acc=np.zeros(2),
+                            omega_dot=0.0),
     }
-    toe = np.array([0.2 * math.sin(alpha), 0.0, 0.0])
+    toe = np.array([0.2 * math.sin(alpha), 0.0])
 
     def hip_moment(cop_x):
-        load = ExternalLoad(force=np.array([0.0, 0.0, W]),
-                            moment=np.zeros(3),
-                            r=toe - np.array([cop_x, 0.0, 0.0]))
-        return recursive_leg(load, states, params)["hip"][1][1]
+        load = ExternalLoad(force=np.array([0.0, W]), moment=0.0,
+                            r=toe - np.array([cop_x, 0.0]))
+        return recursive_leg(load, states, params)["hip"][1]
 
     # the hip moment is affine in cop_x; solve for its root exactly
     m0, m1 = hip_moment(0.0), hip_moment(0.1)

@@ -188,9 +188,9 @@ class TestDifferentiate:
 
 class TestPitchAngle:
     def test_cardinal_directions(self):
-        e = np.array([[0.0, 0.0, -1.0],   # straight down
-                      [1.0, 0.0, 0.0],    # horizontal forward
-                      [-1.0, 0.0, 0.0]])  # horizontal backward
+        e = np.array([[0.0, -1.0],   # straight down
+                      [1.0, 0.0],    # horizontal forward
+                      [-1.0, 0.0]])  # horizontal backward
         a = pitch_angle(e)
         assert a[0] == pytest.approx(0.0, abs=1e-12)
         assert a[1] == pytest.approx(np.pi / 2, abs=1e-12)
@@ -198,15 +198,13 @@ class TestPitchAngle:
 
     def test_unwrap_continuity(self):
         theta = np.linspace(0, 3 * np.pi, 200)
-        e = np.column_stack([np.sin(theta), np.zeros_like(theta),
-                             -np.cos(theta)])
+        e = np.column_stack([np.sin(theta), -np.cos(theta)])
         a = pitch_angle(e)
         np.testing.assert_allclose(a, theta, atol=1e-9)
 
     def test_nan_does_not_poison_unwrap(self):
         theta = np.linspace(0, 3 * np.pi, 200)
-        e = np.column_stack([np.sin(theta), np.zeros_like(theta),
-                             -np.cos(theta)])
+        e = np.column_stack([np.sin(theta), -np.cos(theta)])
         e[60] = np.nan
         a = pitch_angle(e)
         assert np.isnan(a[60])
@@ -232,11 +230,11 @@ class TestSegmentStates:
         prox = np.tile([0.0, 0.0, 0.5], (n, 1))
         dist = np.tile([0.0, 0.0, 0.1], (n, 1))
         m = _markers_for(schema, "left", "shank", prox, dist, n)
-        s = segment_states(m, schema, "left", "shank", self.params)
-        np.testing.assert_allclose(s.e, [[0.0, 0.0, -1.0]] * n, atol=1e-12)
+        s, com = segment_states(m, schema, "left", "shank", self.params)
+        np.testing.assert_allclose(s.e, [[0.0, -1.0]] * n, atol=1e-12)
         np.testing.assert_allclose(s.acc, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.omega_dot, 0.0, atol=1e-9)
-        np.testing.assert_allclose(s.com,
+        np.testing.assert_allclose(com,
                                    [[0.0, 0.0, 0.5 - 0.17]] * n, atol=1e-12)
 
     def test_constant_rotation_circular_motion(self):
@@ -251,7 +249,7 @@ class TestSegmentStates:
         dist = np.column_stack([L * np.sin(theta), np.zeros(n),
                                 -L * np.cos(theta)])
         m = _markers_for(schema, "left", "shank", prox, dist, n, dt=dt)
-        s = segment_states(m, schema, "left", "shank", self.params)
+        s, _ = segment_states(m, schema, "left", "shank", self.params)
         mid = slice(50, -50)
         np.testing.assert_allclose(
             np.linalg.norm(s.acc[mid], axis=1),
@@ -275,13 +273,13 @@ class TestJointAngles:
     def _states(self, e_t, e_s, e_f, n=5):
         def series(e):
             arr = np.tile(e, (n, 1)).astype(float)
-            z = np.zeros((n, 3))
-            return FrameState(e=arr, acc=z, omega_dot=z, com=z)
+            return FrameState(e=arr, acc=np.zeros((n, 2)),
+                              omega_dot=np.zeros(n))
         return joint_angles(series(e_t), series(e_s), series(e_f))
 
     def test_straight_vertical_leg(self):
-        down = [0.0, 0.0, -1.0]
-        fwd = [1.0, 0.0, 0.0]
+        down = [0.0, -1.0]
+        fwd = [1.0, 0.0]
         a = self._states(down, down, fwd)
         assert a["hip"][0] == pytest.approx(0.0, abs=1e-9)
         assert a["knee"][0] == pytest.approx(0.0, abs=1e-9)   # full extension
@@ -291,15 +289,15 @@ class TestJointAngles:
         # shank tilted 10 deg forward with the foot kept horizontal reads
         # as 10 deg of plantarflexion
         tilt = np.radians(10.0)
-        shank = [np.sin(tilt), 0.0, -np.cos(tilt)]
-        a = self._states([0.0, 0.0, -1.0], shank, [1.0, 0.0, 0.0])
+        shank = [np.sin(tilt), -np.cos(tilt)]
+        a = self._states([0.0, -1.0], shank, [1.0, 0.0])
         assert a["ankle"][0] == pytest.approx(-10.0, abs=1e-9)
 
     def test_knee_flexion_sign(self):
         tilt = np.radians(30.0)
-        thigh = [np.sin(tilt), 0.0, -np.cos(tilt)]
-        shank = [0.0, 0.0, -1.0]
-        a = self._states(thigh, shank, [1.0, 0.0, 0.0])
+        thigh = [np.sin(tilt), -np.cos(tilt)]
+        shank = [0.0, -1.0]
+        a = self._states(thigh, shank, [1.0, 0.0])
         assert a["knee"][0] == pytest.approx(30.0, abs=1e-9)
         assert a["hip"][0] == pytest.approx(30.0, abs=1e-9)
 
@@ -308,7 +306,7 @@ class TestJointAngles:
         rot = np.radians(7.0)
 
         def tilted(angle):
-            return [np.sin(angle), 0.0, -np.cos(angle)]
+            return [np.sin(angle), -np.cos(angle)]
 
         a0 = self._states(tilted(tilt), tilted(0.0), tilted(np.pi / 2))
         a1 = self._states(tilted(tilt + rot), tilted(rot),
@@ -320,42 +318,34 @@ class TestJointAngles:
 class TestComTrajectory:
     def test_two_segment_toy_mean(self, participant, table):
         n = 4
-        z = np.zeros((n, 3))
 
         def series(pos):
-            return FrameState(e=np.tile([0, 0, -1.0], (n, 1)), acc=z,
-                              omega_dot=z,
-                              com=np.tile(pos, (n, 1)).astype(float))
+            return np.tile(pos, (n, 1)).astype(float)
 
         params = {"shank": SegmentParams(10.0, 0.4, 0.2, 0.1)}
-        states = {("left", "shank"): series([1.0, 0.0, 0.0]),
-                  ("right", "shank"): series([3.0, 0.0, 0.0])}
+        coms = {("left", "shank"): series([1.0, 0.0, 0.0]),
+                ("right", "shank"): series([3.0, 0.0, 0.0])}
         pelvis = np.tile([2.0, 0.0, 1.0], (n, 1))
         # residual 80-20=60 kg at the pelvis; hand-weighted mean
-        com = com_trajectory(states, params, 80.0, pelvis)
+        com = com_trajectory(coms, params, 80.0, pelvis)
         expected_x = (10 * 1.0 + 10 * 3.0 + 60 * 2.0) / 80.0
         np.testing.assert_allclose(com[:, 0], expected_x, atol=1e-12)
         np.testing.assert_allclose(com[:, 2], 60.0 * 1.0 / 80.0, atol=1e-12)
 
     def test_all_mass_on_hat_equals_pelvis(self):
         n = 3
-        z = np.zeros((n, 3))
-        s = FrameState(e=np.tile([0, 0, -1.0], (n, 1)), acc=z, omega_dot=z,
-                       com=np.ones((n, 3)))
         params = {"shank": SegmentParams(1e-9, 0.4, 0.2, 0.1)}
         pelvis = np.tile([4.0, 5.0, 6.0], (n, 1))
-        com = com_trajectory({("left", "shank"): s}, params, 70.0, pelvis)
+        com = com_trajectory({("left", "shank"): np.ones((n, 3))}, params,
+                             70.0, pelvis)
         np.testing.assert_allclose(com, pelvis, atol=1e-9)
 
     def test_overweight_segments_rejected(self):
         n = 3
-        z = np.zeros((n, 3))
-        s = FrameState(e=np.tile([0, 0, -1.0], (n, 1)), acc=z, omega_dot=z,
-                       com=np.ones((n, 3)))
         params = {"shank": SegmentParams(100.0, 0.4, 0.2, 0.1)}
         with pytest.raises(ConfigurationError, match="exceed"):
-            com_trajectory({("left", "shank"): s}, params, 70.0,
-                           np.zeros((n, 3)))
+            com_trajectory({("left", "shank"): np.ones((n, 3))}, params,
+                           70.0, np.zeros((n, 3)))
 
 
 def test_pelvis_midpoint_average():

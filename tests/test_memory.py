@@ -2,14 +2,15 @@
 marker filter and of one trial's analysis, as traced by ``tracemalloc``
 (numpy reports its array buffers to it), on a 20 s walk, and the generator
 on a 12 s one too.  Each bound is a small multiple of the data: the file's
-size, the arrays the generator returns, or the marker stack."""
+size, the arrays the generator returns, or the marker stack.  The leg
+states the analysis passes to inverse dynamics are sized by their fields."""
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sandgait import ingest, kinematics, pipeline, synth
+from sandgait import dynamics, ingest, kinematics, pipeline, synth
 from sandgait.schema import MarkerSchema
 
 
@@ -81,14 +82,19 @@ def test_read_marker_file_with_gaps(trial):
 
 
 @pytest.fixture(scope="module")
-def analysis(trial):
-    """The parsed gappy walk, its analysis traced, and its marker stack's
-    bytes."""
+def parsed(trial):
+    """The parsed gappy walk."""
     d = trial[0]
+    return ingest.parse_trial(d / "markers.csv", d / "grf.csv",
+                              ingest.read_meta_file(d / "meta.json"),
+                              pipeline.RunConfig().load_schema())
+
+
+@pytest.fixture(scope="module")
+def analysis(parsed):
+    """The parsed gappy walk's analysis traced, and its marker stack's
+    bytes."""
     cfg = pipeline.RunConfig()
-    parsed = ingest.parse_trial(d / "markers.csv", d / "grf.csv",
-                                ingest.read_meta_file(d / "meta.json"),
-                                cfg.load_schema())
     pipeline.analyze_trial(parsed, cfg)  # imports scipy, reads the config
     result, peak = _peak(pipeline.analyze_trial, parsed, cfg)
     stack = np.stack(list(parsed.markers.pos.values()), axis=1)
@@ -102,6 +108,29 @@ def test_analyze_trial(analysis):
     # smoothed markers after them, the states once the moments exist
     _, peak, stack_bytes = analysis
     assert peak <= 3.3 * stack_bytes
+
+
+def test_leg_states_hold_five_columns(parsed, monkeypatch):
+    # e and acc as [x, z] and omega_dot as lab y: five float columns a
+    # frame, and no field a view that keeps a wider array alive
+    states = []
+    moment_series = dynamics.leg_moment_series
+
+    def capture(time, load, foot, shank, thigh, *rest):
+        states.extend((foot, shank, thigh))
+        return moment_series(time, load, foot, shank, thigh, *rest)
+
+    monkeypatch.setattr(dynamics, "leg_moment_series", capture)
+    pipeline.analyze_trial(parsed, pipeline.RunConfig())
+    assert len(states) == 6
+    for state in states:
+        held = 0
+        for f in dataclasses.fields(state):
+            arr = getattr(state, f.name)
+            while isinstance(arr, np.ndarray):
+                held += arr.nbytes
+                arr = arr.base
+        assert held <= 5 * 8 * len(state.e)
 
 
 def test_analysis_result_holds_no_trial_table(analysis):
