@@ -4,9 +4,9 @@ ch. 5): vectors are lab ``[x, z]`` pairs, moments and angular
 accelerations lab-Y scalars, for one frame or per frame.
 
 Production runs one recursive Newton-Euler pass per leg over whole-trial
-arrays (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 5), transferring
-the accumulated load wrench up the foot-shank-thigh chain for all frames at
-once.  The same functions take single frames.
+arrays (Featherstone, *Rigid Body Dynamics Algorithms*, ch. 5), carrying
+the accumulated load up the foot-shank-thigh chain for all frames at once;
+its only output is the joint moments.  The same functions take one frame.
 
 Closed-form ankle/knee/hip moment expressions, written directly against
 the chain, are kept as the test oracle.  In them every lever is expressed
@@ -18,8 +18,8 @@ hip it additionally carries the thigh-mass force term that the closed form
 omits (``hip_thigh_mass_term``).
 
 The same code path serves stance and swing: swing frames simply carry a
-zero external load.  One state type, ``FrameState``, runs from
-``kinematics.segment_states`` into ``recursive_leg``.
+zero external load.  A leg is one ``{segment: FrameState}`` dict, from
+``kinematics.segment_states`` into every pass here.
 """
 from __future__ import annotations
 
@@ -72,16 +72,14 @@ class FrameState:
 
 def ankle_dynamics(load: ExternalLoad, foot: FrameState,
                    params_f: SegmentParams,
-                   g: float = GRAVITY) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form proximal (ankle) force and moment of the foot segment."""
+                   g: float = GRAVITY) -> np.ndarray:
+    """Closed-form ankle moment of the foot segment."""
     u_f = -foot.e  # distal -> proximal (toe -> ankle)
-    F_P = -load.force + params_f.mass * foot.acc - params_f.mass * g * UP
-    M_P = (load.moment
-           - _cross_y(load.r + params_f.length * u_f, load.force)
-           - _cross_y(params_f.com_offset * u_f,
-                      params_f.mass * (foot.acc + g * UP))
-           + params_f.inertia * foot.omega_dot)
-    return F_P, M_P
+    return (load.moment
+            - _cross_y(load.r + params_f.length * u_f, load.force)
+            - _cross_y(params_f.com_offset * u_f,
+                       params_f.mass * (foot.acc + g * UP))
+            + params_f.inertia * foot.omega_dot)
 
 
 def knee_closed_form(load: ExternalLoad, foot: FrameState, shank: FrameState,
@@ -133,16 +131,16 @@ def recursive_leg(load: ExternalLoad,
                   states: dict[str, FrameState],
                   params: dict[str, SegmentParams],
                   g: float = GRAVITY,
-                  ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+                  ) -> dict[str, np.ndarray]:
     """Recursive Newton-Euler pass over foot, shank, thigh.
 
-    The accumulated load wrench (force ``F_c``, moment ``M_c`` taken about
-    the running joint) starts from the ground wrench at the toe and is
-    reacted onto each next segment; each step adds the segment's own
-    inertial and gravity contribution.  Returns per-joint
-    (proximal ``[x, z]`` force, proximal lab-Y moment).
+    The accumulated load (force ``F_c``, moment ``M_c`` taken about the
+    running joint) starts from the ground wrench at the toe and is reacted
+    onto each next segment; each step adds the segment's own inertial and
+    gravity contribution.  Returns each joint's lab-Y moment, by joint in
+    ``JOINTS`` order.
     """
-    F_c = np.asarray(load.force, dtype=float).copy()
+    F_c = load.force
     M_c = _cross_y(load.r, load.force) - load.moment
     out = {}
     for joint, segment in zip(JOINTS, LEG_SEGMENTS):
@@ -150,53 +148,47 @@ def recursive_leg(load: ExternalLoad,
         st = states[segment]
         u = -st.e
         grav_inertial = p.mass * (st.acc + g * UP)
-        F_P = -F_c + p.mass * st.acc - p.mass * g * UP
-        M_P = (-M_c - _cross_y(p.length * u, F_c)
-               - _cross_y(p.com_offset * u, grav_inertial)
-               + p.inertia * st.omega_dot)
-        out[joint] = (F_P, M_P)
+        out[joint] = (-M_c - _cross_y(p.length * u, F_c)
+                      - _cross_y(p.com_offset * u, grav_inertial)
+                      + p.inertia * st.omega_dot)
         # react onto the next segment: moment by Newton's third law, force
         # augmented by this segment's inertial+gravity wrench so the lever
         # algebra continues to telescope
-        M_c = -M_P
+        M_c = -out[joint]
         F_c = F_c + grav_inertial
     return out
 
 
 @dataclass
 class MomentSample:
-    """Inverse-dynamics result for one leg, by both formulations."""
+    """A leg's joint moments by both formulations, and how far they part."""
 
     moments: dict[str, np.ndarray]          # recursive (authoritative)
-    forces: dict[str, np.ndarray]           # proximal joint forces
     closed_form: dict[str, np.ndarray]
     divergence: dict[str, np.ndarray]       # |closed - recursive| per joint
 
 
 def leg_inverse_dynamics(load: ExternalLoad,
-                         foot: FrameState, shank: FrameState,
-                         thigh: FrameState,
+                         states: dict[str, FrameState],
                          params: dict[str, SegmentParams],
                          g: float = GRAVITY) -> MomentSample:
-    """Ankle, knee, and hip moments by both formulations (the test oracle).
+    """Joint moments of one leg's states by both formulations (the oracle).
 
     At the hip the documented thigh-mass term is removed before measuring
     divergence, so a nonzero hip divergence flags a real disagreement, not
     the known formula gap.
     """
-    states = {"foot": foot, "shank": shank, "thigh": thigh}
+    foot, shank, thigh = (states[s] for s in LEG_SEGMENTS)
     rec = recursive_leg(load, states, params, g)
     closed = {
-        "ankle": ankle_dynamics(load, foot, params["foot"], g)[1],
+        "ankle": ankle_dynamics(load, foot, params["foot"], g),
         "knee": knee_closed_form(load, foot, shank, params, g),
         "hip": hip_closed_form(load, foot, shank, thigh, params, g),
     }
     expected = dict(closed, hip=closed["hip"] + hip_thigh_mass_term(
         thigh, params["thigh"], g))
-    return MomentSample(moments={j: rec[j][1] for j in JOINTS},
-                        forces={j: rec[j][0] for j in JOINTS},
-                        closed_form=closed, divergence={
-                            j: np.abs(expected[j] - rec[j][1]) for j in JOINTS})
+    return MomentSample(moments=rec, closed_form=closed, divergence={
+        j: np.abs(expected[j] - rec[j]) for j in JOINTS})
 
 
 @dataclass
@@ -209,15 +201,14 @@ class JointMomentSeries:
 
 def leg_moment_series(time: np.ndarray,
                       load: ExternalLoad,
-                      foot: FrameState, shank: FrameState, thigh: FrameState,
+                      states: dict[str, FrameState],
                       params: dict[str, SegmentParams],
                       body_mass: float,
                       g: float = GRAVITY) -> JointMomentSeries:
-    """Inverse dynamics over a whole trial for one side: one recursive pass
-    over per-frame arrays.  ``load`` holds one ground load per frame.
-    Frames where any segment direction is missing come out NaN."""
+    """Inverse dynamics over a whole trial for one leg's states: one
+    recursive pass over per-frame arrays.  ``load`` holds one ground load
+    per frame.  Frames where any segment direction is missing come out NaN."""
     n = len(time)
-    states = {"foot": foot, "shank": shank, "thigh": thigh}
     groups = {f"{k} state": s for k, s in states.items()} | {"loads": load}
     for name, group in groups.items():
         for f in fields(group):
@@ -230,6 +221,6 @@ def leg_moment_series(time: np.ndarray,
     valid = np.all([np.isfinite(s.e).all(axis=1) for s in states.values()],
                    axis=0)
     rec = recursive_leg(load, states, params, g)
-    mom = {j: np.where(valid, rec[j][1], np.nan) for j in JOINTS}
+    mom = {j: np.where(valid, rec[j], np.nan) for j in JOINTS}
     return JointMomentSeries(moment_y=mom, normalized={
         j: mom[j] / body_mass for j in JOINTS})

@@ -33,14 +33,14 @@ class CalibrationCurve:
 
     depths: np.ndarray    # cm, strictly increasing, starting at 0
     zeta: np.ndarray      # dimensionless, in (0, 1]
-    residual: np.ndarray  # RMS fit residual per depth, N
-    n: np.ndarray         # samples per depth
+    residual: np.ndarray  # RMS fit residual per depth, N, >= 0
+    n: np.ndarray         # samples per depth, a whole number >= 0
 
     def __post_init__(self):
         self.depths = np.asarray(self.depths, dtype=float)
         self.zeta = np.asarray(self.zeta, dtype=float)
         self.residual = np.asarray(self.residual, dtype=float)
-        self.n = np.asarray(self.n, dtype=int)
+        n = np.asarray(self.n)
         if self.depths.size == 0:
             raise ParameterError("calibration curve has no points")
         if np.any(np.diff(self.depths) <= 0):
@@ -51,6 +51,15 @@ class CalibrationCurve:
             raise ParameterError("zeta at depth 0 must be 1")
         if np.any(self.zeta <= 0.0) or np.any(self.zeta > 1.0 + 1e-9):
             raise ParameterError("zeta values must lie in (0, 1]")
+        bad = ~(self.residual >= 0.0)
+        if bad.any():
+            raise ParameterError(f"calibration residuals must be >= 0, got "
+                                 f"{self.residual[bad][0]:g}")
+        bad = ~((n >= 0) & (n < 2 ** 63) & (n == np.round(n)))
+        if bad.any():
+            raise ParameterError(f"sample count n must be a whole number in "
+                                 f"[0, 2**63), got {n[bad][0]:g}")
+        self.n = n.astype(int)
 
     def zeta_at(self, depth: float) -> float:
         """Locally interpolated ratio; refuses to extrapolate."""
@@ -184,12 +193,27 @@ def read_calibration_samples(path: str | Path) -> list[tuple[float, float, float
         path, ["depth_cm", "f_surface_n", "f_buried_n"]), comments=True)
     if not len(arr):
         raise FormatError(f"{path}: no samples")
+    negative = arr[:, 0] < 0.0
+    if negative.any():
+        raise ParameterError(f"{path}: negative depth_cm "
+                             f"{arr[negative, 0][0]:g}")
     return list(map(tuple, arr.tolist()))
 
 
+def _exact_text(x: float) -> str:
+    """``%g`` of ``x`` where that reads back as ``x``, else the shortest
+    text that does."""
+    text = "%g" % x
+    return text if float(text) == x else repr(x)
+
+
 def write_calibration_curve(path: str | Path, curve: CalibrationCurve) -> None:
-    write_rows(path, "depth_cm,zeta,residual,n", "%g,%.9f,%.9f,%d\n",
-               [curve.depths, curve.zeta, curve.residual, curve.n])
+    """The curve as CSV; each depth is written as text that reads back as
+    the same float."""
+    depths = np.array([_exact_text(d) for d in curve.depths.tolist()],
+                      dtype=object)
+    write_rows(path, "depth_cm,zeta,residual,n", "%s,%.9f,%.9f,%d\n",
+               [depths, curve.zeta, curve.residual, curve.n])
 
 
 def read_calibration_curve(path: str | Path,
@@ -199,7 +223,6 @@ def read_calibration_curve(path: str | Path,
     if not len(arr):
         raise FormatError(f"{path}: empty calibration curve")
     try:
-        return CalibrationCurve(arr[:, 0], arr[:, 1], arr[:, 2],
-                                arr[:, 3].astype(int))
+        return CalibrationCurve(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None

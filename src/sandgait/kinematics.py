@@ -5,7 +5,7 @@ stacks the markers one stage needs into an ``(N, k, 3)`` array and filters
 it by one ``moving_average`` call.  ``segment_states`` and
 ``pelvis_midpoint`` take those smoothed markers and filter nothing
 themselves.  A segment's state is a planar ``dynamics.FrameState``, the
-type inverse dynamics reads, returned beside its ``(N, 3)`` COM position.
+type inverse dynamics reads, returned beside its ``(N, 3)`` COM and pitch.
 
 All angular quantities are sagittal (lab X-Z plane, X forward, Z up);
 out-of-plane marker motion is projected out.  The pitch of a unit vector
@@ -129,12 +129,13 @@ def smooth_markers(markers: MarkerData, labels: list[str],
 
 def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
                    segment: str, params: SegmentParams
-                   ) -> tuple[FrameState, np.ndarray]:
-    """Planar state of one leg segment from smoothed markers, and its COM.
+                   ) -> tuple[FrameState, np.ndarray, np.ndarray]:
+    """Planar state of one leg segment from smoothed markers, its ``(N, 3)``
+    COM and its sagittal pitch (radians, as ``pitch_angle``).
 
-    The angular acceleration comes from the sagittal segment pitch
-    differentiated twice; its sign follows the lab Y axis (a
-    forward-tipping segment has negative omega about +Y).
+    The angular acceleration is the pitch differentiated twice; its sign
+    follows the lab Y axis (a forward-tipping segment has negative omega
+    about +Y).
     """
     prox_label, dist_label = schema.segment_endpoints(side, segment)
     dt = markers.dt
@@ -152,23 +153,23 @@ def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
 
     com = p + params.com_offset * e
     e = e[:, ::2].copy()  # x and z, not a view keeping all three alive
+    pitch = pitch_angle(e)
     state = FrameState(e=e, acc=differentiate(com[:, ::2], dt, order=2),
-                       omega_dot=-differentiate(pitch_angle(e), dt, order=2))
-    return state, com
+                       omega_dot=-differentiate(pitch, dt, order=2))
+    return state, com, pitch
 
 
-def joint_angles(thigh: FrameState, shank: FrameState,
-                 foot: FrameState) -> dict[str, np.ndarray]:
-    """Sagittal joint angles in degrees for one side.
+def joint_angles(thigh: np.ndarray, shank: np.ndarray,
+                 foot: np.ndarray) -> dict[str, np.ndarray]:
+    """Sagittal joint angles in degrees for one side, from the segment
+    pitches (radians) that ``segment_states`` returns.
 
     hip: thigh pitch against the vertical trunk-axis proxy, flexion
     positive; knee: thigh-shank angle, flexion positive, 0 at full
     extension; ankle: shank-foot angle minus 90 deg, dorsiflexion positive.
     Frames with missing segment directions yield NaN angles.
     """
-    a_t = np.degrees(pitch_angle(thigh.e))
-    a_s = np.degrees(pitch_angle(shank.e))
-    a_f = np.degrees(pitch_angle(foot.e))
+    a_t, a_s, a_f = np.degrees(thigh), np.degrees(shank), np.degrees(foot)
     return {
         "hip": a_t,
         "knee": a_t - a_s,

@@ -289,19 +289,19 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
                   for part in ("heel", "toe")], cfg.event_filter_window)
     del markers  # the gap-filled copies
 
-    # segment states and joint angles
-    states: dict[tuple[str, str], dynamics.FrameState] = {}
+    # one {segment: state} dict per leg, and joint angles from the pitches
+    legs = {side: {} for side in SIDES}
     coms, angles = {}, {}
     for side in SIDES:
+        leg, pitch = legs[side], {}
         # thigh first: this order fixes the float sum of com_trajectory
         for seg in reversed(LEG_SEGMENTS):
-            states[side, seg], coms[side, seg] = kinematics.segment_states(
+            leg[seg], coms[side, seg], pitch[seg] = kinematics.segment_states(
                 smoothed, schema, side, seg, params[seg])
         angles[side] = kinematics.joint_angles(
-            states[(side, "thigh")], states[(side, "shank")],
-            states[(side, "foot")])
+            pitch["thigh"], pitch["shank"], pitch["foot"])
     pelvis_mid = kinematics.pelvis_midpoint(smoothed, schema)
-    del smoothed
+    del smoothed, leg, pitch
     com = kinematics.com_trajectory(coms, params, participant.mass, pelvis_mid)
     del coms
 
@@ -317,11 +317,9 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     xz = np.broadcast_to(0.0, (len(time), 2))
     no_load = dynamics.ExternalLoad(xz, np.broadcast_to(0.0, len(time)), xz)
     moments = {side: dynamics.leg_moment_series(
-        time, plate_load if side == plate_side else no_load,
-        states[(side, "foot")], states[(side, "shank")],
-        states[(side, "thigh")], params, participant.mass, cfg.gravity)
-        for side in SIDES}
-    del states, plate_load, no_load
+        time, plate_load if side == plate_side else no_load, legs[side],
+        params, participant.mass, cfg.gravity) for side in SIDES}
+    del legs, plate_load, no_load
 
     # each side's first cycle: cycle-normalized angles
     angle_cycle, peak, stance_fracs = {}, {}, {}

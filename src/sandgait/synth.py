@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ExternalLoad, JOINTS, recursive_leg, FrameState
+from .dynamics import ExternalLoad, recursive_leg, FrameState
 from .errors import (ConfigurationError, GenerationError, check_number,
                      read_json_as)
 from .gaitseg import (GaitEvents, SideEvents, cycle_table, detect_side_events,
@@ -484,8 +484,7 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
                                   acc=np.column_stack(leg.acc[seg]),
                                   omega_dot=-leg.pitch_dd[seg])
                   for seg in LEG_SEGMENTS}
-        rec = recursive_leg(load, states, params, GRAVITY)
-        truth[side] = {j: rec[j][1] for j in JOINTS}
+        truth[side] = recursive_leg(load, states, params, GRAVITY)
 
     meta = TrialMeta(participant=pr.participant, terrain=pr.terrain,
                      sand_depth=pr.sand_depth)

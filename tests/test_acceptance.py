@@ -72,7 +72,7 @@ def test_criterion_1_dual_formulation(capsys):
 
     for rec, (load, states, params) in zip(recs, frames):
         closed = {
-            "ankle": ankle_dynamics(load, states["foot"], params["foot"])[1],
+            "ankle": ankle_dynamics(load, states["foot"], params["foot"]),
             "knee": knee_closed_form(load, states["foot"], states["shank"],
                                      params),
             "hip": hip_closed_form(load, states["foot"], states["shank"],
@@ -81,7 +81,7 @@ def test_criterion_1_dual_formulation(capsys):
         }
         for joint in JOINTS:
             scale = max(1.0, abs(float(closed[joint])))
-            err = abs(float(rec[joint][1] - closed[joint])) / scale
+            err = abs(float(rec[joint] - closed[joint])) / scale
             assert err < 1e-12, f"{joint}: relative error {err:g}"
     _report(capsys, 1, "inverse-dynamics dual-formulation equivalence")
 
@@ -182,7 +182,7 @@ def test_criterion_4_statics(capsys):
     def hip_moment(cop_x):
         load = ExternalLoad(force=np.array([0.0, W]), moment=0.0,
                             r=toe - np.array([cop_x, 0.0]))
-        return recursive_leg(load, states, params)["hip"][1]
+        return recursive_leg(load, states, params)["hip"]
 
     # the hip moment is affine in cop_x; solve for its root exactly
     m0, m1 = hip_moment(0.0), hip_moment(0.1)

@@ -712,6 +712,18 @@ _MALFORMED = [
                        ":3: non-finite value nan in column zeta")),
     ("calibrate", _samples("_samples_nan_cell", "10,100,81\n10,200,nan\n",
                            ":3: non-finite value nan in column f_buried_n")),
+    ("calibrate", _samples("_samples_negative_depth", "-3,100,81\n14,100,81\n",
+                           ": negative depth_cm -3")),
+    ("analyze", _curve("_curve_fractional_n", "0,1,0,0\n20,0.8,0.1,2.7\n",
+                       ": sample count n must be a whole number in "
+                       "[0, 2**63), got 2.7")),
+    ("analyze", _curve("_curve_huge_negative_n",
+                       "0,1,0,0\n20,0.8,0.1,-1e30\n",
+                       ": sample count n must be a whole number in "
+                       "[0, 2**63), got -1e+30")),
+    ("analyze", _curve("_curve_negative_residual",
+                       "0,1,0,0\n20,0.8,-0.1,12\n",
+                       ": calibration residuals must be >= 0, got -0.1")),
     ("analyze", _meta("_boolean_height",
                       lambda m: m["participant"].update(height_m=True),
                       "participant 'synthetic': height must be a number, "

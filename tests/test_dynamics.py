@@ -49,9 +49,8 @@ def _random_load(rng):
 
 class TestAnkle:
     def test_all_zero(self):
-        F, M = ankle_dynamics(ExternalLoad.zero(),
-                              _static([0.0, -1.0]), PARAMS["foot"], g=0.0)
-        np.testing.assert_allclose(F, 0.0, atol=1e-15)
+        M = ankle_dynamics(ExternalLoad.zero(),
+                           _static([0.0, -1.0]), PARAMS["foot"], g=0.0)
         np.testing.assert_allclose(M, 0.0, atol=1e-15)
 
     def test_static_weight_under_ankle(self):
@@ -64,20 +63,9 @@ class TestAnkle:
         # r + l_f*u_f = 0  =>  r = l_f * e_f
         load = ExternalLoad(force=np.array([0.0, W]), moment=np.zeros(()),
                             r=np.array([p.length, 0.0]))
-        _, M = ankle_dynamics(load, foot, p)
+        M = ankle_dynamics(load, foot, p)
         assert M == pytest.approx(-p.com_offset * p.mass * GRAVITY,
                                      rel=1e-12)
-
-    def test_proximal_force_balance(self, rng):
-        # the ankle force satisfies F_P = -F_D + m*a - m*g*e_z, i.e.
-        # m*a = F_P + F_G + m*g*e_z under the chain's sign convention
-        load = _random_load(rng)
-        foot = _random_state(rng)
-        F_P, _ = ankle_dynamics(load, foot, PARAMS["foot"])
-        m = PARAMS["foot"].mass
-        lhs = m * foot.acc
-        rhs = F_P + load.force + m * GRAVITY * np.array([0, 1.0])
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
 class TestDualFormulation:
@@ -88,13 +76,13 @@ class TestDualFormulation:
                                                       "thigh")}
             rec = recursive_leg(load, states, PARAMS)
             ankle_closed = ankle_dynamics(load, states["foot"],
-                                          PARAMS["foot"])[1]
+                                          PARAMS["foot"])
             knee_closed = knee_closed_form(load, states["foot"],
                                            states["shank"], PARAMS)
             scale = max(1.0, abs(ankle_closed))
-            assert abs(rec["ankle"][1] - ankle_closed) / scale < 1e-12
+            assert abs(rec["ankle"] - ankle_closed) / scale < 1e-12
             scale = max(1.0, abs(knee_closed))
-            assert abs(rec["knee"][1] - knee_closed) / scale < 1e-12
+            assert abs(rec["knee"] - knee_closed) / scale < 1e-12
 
     def test_hip_discrepancy_is_thigh_mass_term(self, rng):
         for _ in range(200):
@@ -105,14 +93,14 @@ class TestDualFormulation:
             closed = hip_closed_form(load, states["foot"], states["shank"],
                                      states["thigh"], PARAMS)
             term = hip_thigh_mass_term(states["thigh"], PARAMS["thigh"])
-            scale = max(1.0, abs(rec["hip"][1]))
-            assert abs(rec["hip"][1] - (closed + term)) / scale < 1e-12
+            scale = max(1.0, abs(rec["hip"]))
+            assert abs(rec["hip"] - (closed + term)) / scale < 1e-12
 
     def test_divergence_reported_near_zero(self, rng):
         load = _random_load(rng)
-        sample = leg_inverse_dynamics(load, _random_state(rng),
-                                      _random_state(rng), _random_state(rng),
-                                      PARAMS)
+        sample = leg_inverse_dynamics(
+            load, {s: _random_state(rng) for s in ("foot", "shank", "thigh")},
+            PARAMS)
         for joint in JOINTS:
             assert sample.divergence[joint] < 1e-10
 
@@ -121,11 +109,11 @@ class TestProperties:
     def test_swing_zero_dynamics(self):
         # zero gravity, zero accelerations, zero load -> exactly zero
         sample = leg_inverse_dynamics(
-            ExternalLoad.zero(), _static([0, -1.0]), _static([0, -1.0]),
-            _static([0, -1.0]), PARAMS, g=0.0)
+            ExternalLoad.zero(),
+            {s: _static([0, -1.0]) for s in ("foot", "shank", "thigh")},
+            PARAMS, g=0.0)
         for joint in JOINTS:
             np.testing.assert_array_equal(sample.moments[joint], 0.0)
-            np.testing.assert_array_equal(sample.forces[joint], 0.0)
 
     def test_linearity_in_load(self, rng):
         states = {s: _random_state(rng) for s in ("foot", "shank", "thigh")}
@@ -134,9 +122,8 @@ class TestProperties:
         F2, M2 = rng.normal(size=3)[[0, 2]], rng.normal(size=3)[1]
 
         def moments(F, M):
-            rec = recursive_leg(ExternalLoad(force=F, moment=M, r=r),
-                                states, PARAMS, g=0.0)
-            return {j: rec[j][1] for j in JOINTS}
+            return recursive_leg(ExternalLoad(force=F, moment=M, r=r),
+                                 states, PARAMS, g=0.0)
 
         a, b = moments(F1, M1), moments(F2, M2)
         both = moments(F1 + F2, M1 + M2)
@@ -166,8 +153,8 @@ class TestProperties:
         moved = ExternalLoad(force=F,
                              moment=load.moment - (d[1] * F[0] - d[0] * F[1]),
                              r=load.r - d)
-        a = leg_inverse_dynamics(load, *states.values(), PARAMS)
-        b = leg_inverse_dynamics(moved, *states.values(), PARAMS)
+        a = leg_inverse_dynamics(load, states, PARAMS)
+        b = leg_inverse_dynamics(moved, states, PARAMS)
         for j in JOINTS:
             np.testing.assert_allclose(b.moments[j], a.moments[j], atol=1e-8)
             np.testing.assert_allclose(b.closed_form[j], a.closed_form[j],
@@ -187,8 +174,7 @@ class TestProperties:
         rec1 = recursive_leg(load, states, PARAMS)
         rec2 = recursive_leg(heavy_load, states, heavy)
         for j in JOINTS:
-            np.testing.assert_allclose(rec2[j][1] / 2.0, rec1[j][1],
-                                       atol=1e-9)
+            np.testing.assert_allclose(rec2[j] / 2.0, rec1[j], atol=1e-9)
 
 
 _vec = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -237,23 +223,21 @@ class TestBatched:
             {s: FrameState(e=v.e[i], acc=v.acc[i], omega_dot=v.omega_dot[i])
              for s, v in states.items()}, PARAMS) for i in range(n)]
         for j in JOINTS:
-            for k in (0, 1):
-                assert np.array_equal(batch[j][k],
-                                      np.stack([r[j][k] for r in rows]))
+            assert np.array_equal(batch[j], np.stack([r[j] for r in rows]))
 
     def test_oracle_on_arrays(self, rng):
         n = 50
         load = ExternalLoad(force=rng.normal(size=(n, 3))[:, [0, 2]],
                             moment=rng.normal(size=(n, 3))[:, 1],
                             r=rng.normal(size=(n, 3))[:, [0, 2]])
-        states = []
-        for _ in range(3):
+        states = {}
+        for seg in ("foot", "shank", "thigh"):
             e = rng.normal(size=(n, 3))
             e /= np.linalg.norm(e, axis=1, keepdims=True)
-            states.append(FrameState(
+            states[seg] = FrameState(
                 e=e[:, [0, 2]], acc=rng.normal(size=(n, 3))[:, [0, 2]],
-                omega_dot=rng.normal(size=(n, 3))[:, 1]))
-        sample = leg_inverse_dynamics(load, *states, PARAMS)
+                omega_dot=rng.normal(size=(n, 3))[:, 1])
+        sample = leg_inverse_dynamics(load, states, PARAMS)
         for joint in JOINTS:
             assert sample.divergence[joint].shape == (n,)
             assert np.all(sample.divergence[joint] < 1e-10)
@@ -264,6 +248,11 @@ class TestSeries:
         return FrameState(e=np.tile(e, (n, 1)).astype(float),
                           acc=np.zeros((n, 2)), omega_dot=np.zeros(n))
 
+    def _leg(self, n, n_thigh=None):
+        return {"foot": self._series(n, [1.0, 0.0]),
+                "shank": self._series(n, [0.0, -1.0]),
+                "thigh": self._series(n_thigh or n, [0.0, -1.0])}
+
     def _time(self, n):
         return np.arange(n) * 0.01
 
@@ -272,20 +261,14 @@ class TestSeries:
                             r=np.zeros((n, 2)))
 
     def test_state_frame_count_mismatch(self):
-        foot = self._series(10, [1.0, 0.0])
-        shank = self._series(10, [0.0, -1.0])
-        thigh = self._series(9, [0.0, -1.0])
         with pytest.raises(ContractError, match="thigh state"):
-            leg_moment_series(self._time(10), self._no_load(10), foot, shank,
-                              thigh, PARAMS, body_mass=74.5)
+            leg_moment_series(self._time(10), self._no_load(10),
+                              self._leg(10, n_thigh=9), PARAMS, body_mass=74.5)
 
     def test_load_count_mismatch(self):
-        foot = self._series(10, [1.0, 0.0])
-        shank = self._series(10, [0.0, -1.0])
-        thigh = self._series(10, [0.0, -1.0])
         with pytest.raises(ContractError, match="loads"):
             leg_moment_series(self._time(10), self._no_load(9),
-                              foot, shank, thigh, PARAMS, body_mass=74.5)
+                              self._leg(10), PARAMS, body_mass=74.5)
 
     @pytest.mark.parametrize("arg, field, shape, message", [
         ("load", "r", (9, 2), "loads r of shape (9, 2), expected (10, 2)"),
@@ -294,31 +277,26 @@ class TestSeries:
     ])
     def test_bad_field_named_with_its_shape(self, arg, field, shape,
                                             message):
-        args = {"load": self._no_load(10),
-                "foot": self._series(10, [1.0, 0.0]),
-                "shank": self._series(10, [0.0, -1.0]),
-                "thigh": self._series(10, [0.0, -1.0])}
-        args[arg] = replace(args[arg], **{field: np.zeros(shape)})
+        load, states = self._no_load(10), self._leg(10)
+        if arg == "load":
+            load = replace(load, **{field: np.zeros(shape)})
+        else:
+            states[arg] = replace(states[arg], **{field: np.zeros(shape)})
         with pytest.raises(ContractError, match=re.escape(message)):
-            leg_moment_series(self._time(10), params=PARAMS, body_mass=74.5,
-                              **args)
+            leg_moment_series(self._time(10), load, states, PARAMS,
+                              body_mass=74.5)
 
     def test_nan_frames_skipped(self):
-        foot = self._series(10, [1.0, 0.0])
-        shank = self._series(10, [0.0, -1.0])
-        thigh = self._series(10, [0.0, -1.0])
-        foot.e[4] = np.nan
-        out = leg_moment_series(self._time(10), self._no_load(10),
-                                foot, shank, thigh, PARAMS, body_mass=74.5)
+        states = self._leg(10)
+        states["foot"].e[4] = np.nan
+        out = leg_moment_series(self._time(10), self._no_load(10), states,
+                                PARAMS, body_mass=74.5)
         assert np.isnan(out.moment_y["ankle"][4])
         assert np.isnan(out.moment_y["hip"][4])
         assert np.isfinite(out.moment_y["ankle"][5])
 
     def test_normalization(self):
-        foot = self._series(5, [1.0, 0.0])
-        shank = self._series(5, [0.0, -1.0])
-        thigh = self._series(5, [0.0, -1.0])
-        out = leg_moment_series(self._time(5), self._no_load(5),
-                                foot, shank, thigh, PARAMS, body_mass=74.5)
+        out = leg_moment_series(self._time(5), self._no_load(5), self._leg(5),
+                                PARAMS, body_mass=74.5)
         np.testing.assert_allclose(out.normalized["knee"] * 74.5,
                                    out.moment_y["knee"], atol=1e-12)

@@ -239,3 +239,19 @@ class TestIo:
         back = read_calibration_curve(path)
         np.testing.assert_allclose(back.depths, curve.depths)
         np.testing.assert_allclose(back.zeta, curve.zeta, atol=1e-9)
+
+    @pytest.mark.parametrize("depths", [(10.0, 10.0000000001),
+                                        (12.3456789,), (12.3456449,)],
+                             ids=["close_pair", "rounds_up", "rounds_down"])
+    def test_curve_depths_read_back_exactly(self, tmp_path, depths):
+        # at six significant digits the close pair would be two "10" rows,
+        # which do not read back, 12.3456789 would reach past the calibrated
+        # range and 12.3456449 fall short of it
+        curve = fit_calibration([(d, 100.0, 81.0) for d in depths])
+        path = tmp_path / "c.csv"
+        write_calibration_curve(path, curve)
+        back = read_calibration_curve(path)
+        assert back.depths.tolist() == curve.depths.tolist()
+        assert back.zeta_at(depths[-1]) == 0.81
+        with pytest.raises(ExtrapolationError):
+            back.zeta_at(depths[-1] + 5e-6)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sandgait.dynamics import FrameState
 from sandgait.errors import (ConfigurationError, ParameterError,
                              SingularSegmentError)
 from sandgait.ingest import MarkerData
@@ -230,8 +229,10 @@ class TestSegmentStates:
         prox = np.tile([0.0, 0.0, 0.5], (n, 1))
         dist = np.tile([0.0, 0.0, 0.1], (n, 1))
         m = _markers_for(schema, "left", "shank", prox, dist, n)
-        s, com = segment_states(m, schema, "left", "shank", self.params)
+        s, com, pitch = segment_states(m, schema, "left", "shank",
+                                       self.params)
         np.testing.assert_allclose(s.e, [[0.0, -1.0]] * n, atol=1e-12)
+        np.testing.assert_allclose(pitch, 0.0, atol=1e-12)
         np.testing.assert_allclose(s.acc, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.omega_dot, 0.0, atol=1e-9)
         np.testing.assert_allclose(com,
@@ -249,12 +250,13 @@ class TestSegmentStates:
         dist = np.column_stack([L * np.sin(theta), np.zeros(n),
                                 -L * np.cos(theta)])
         m = _markers_for(schema, "left", "shank", prox, dist, n, dt=dt)
-        s, _ = segment_states(m, schema, "left", "shank", self.params)
+        s, _, pitch = segment_states(m, schema, "left", "shank", self.params)
         mid = slice(50, -50)
         np.testing.assert_allclose(
             np.linalg.norm(s.acc[mid], axis=1),
             omega * omega * self.params.com_offset, rtol=1e-4)
         np.testing.assert_allclose(s.omega_dot[mid], 0.0, atol=1e-6)
+        np.testing.assert_allclose(pitch, theta, atol=1e-9)
         np.testing.assert_allclose(np.linalg.norm(s.e, axis=1), 1.0,
                                    atol=1e-9)
 
@@ -271,11 +273,9 @@ class TestSegmentStates:
 
 class TestJointAngles:
     def _states(self, e_t, e_s, e_f, n=5):
-        def series(e):
-            arr = np.tile(e, (n, 1)).astype(float)
-            return FrameState(e=arr, acc=np.zeros((n, 2)),
-                              omega_dot=np.zeros(n))
-        return joint_angles(series(e_t), series(e_s), series(e_f))
+        def pitch(e):
+            return pitch_angle(np.tile(e, (n, 1)).astype(float))
+        return joint_angles(pitch(e_t), pitch(e_s), pitch(e_f))
 
     def test_straight_vertical_leg(self):
         down = [0.0, -1.0]

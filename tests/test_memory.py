@@ -116,9 +116,9 @@ def test_leg_states_hold_five_columns(parsed, monkeypatch):
     states = []
     moment_series = dynamics.leg_moment_series
 
-    def capture(time, load, foot, shank, thigh, *rest):
-        states.extend((foot, shank, thigh))
-        return moment_series(time, load, foot, shank, thigh, *rest)
+    def capture(time, load, leg, *rest):
+        states.extend(leg.values())
+        return moment_series(time, load, leg, *rest)
 
     monkeypatch.setattr(dynamics, "leg_moment_series", capture)
     pipeline.analyze_trial(parsed, pipeline.RunConfig())

@@ -85,6 +85,20 @@ class TestSmoothingPasses:
                                           cfg.event_filter_window,
                                           cfg.grf_smooth_window])
 
+    def test_one_pitch_per_segment(self, stride, monkeypatch):
+        # segment_states returns each pitch it differentiates and the joint
+        # angles read those: six leg segments, six calls
+        calls = []
+        original = kinematics.pitch_angle
+
+        def counting(e):
+            calls.append(len(e))
+            return original(e)
+
+        monkeypatch.setattr(kinematics, "pitch_angle", counting)
+        analyze_trial(_trial(stride))
+        assert calls == [len(stride.markers)] * 6
+
 
 class TestNoPlateStance:
     def test_zero_grf_skips_stance_outputs(self, stride, tmp_path):
