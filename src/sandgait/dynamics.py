@@ -138,8 +138,10 @@ def recursive_leg(load: ExternalLoad,
     running joint) starts from the ground wrench at the toe and is reacted
     onto each next segment; each step adds the segment's own inertial and
     gravity contribution.  Returns each joint's lab-Y moment, by joint in
-    ``JOINTS`` order.
+    ``JOINTS`` order.  ``states`` must hold every one of ``LEG_SEGMENTS``.
     """
+    if missing := [s for s in LEG_SEGMENTS if s not in states]:
+        raise ContractError(f"leg states lack segment(s) {', '.join(missing)}")
     F_c = load.force
     M_c = _cross_y(load.r, load.force) - load.moment
     out = {}
@@ -178,8 +180,8 @@ def leg_inverse_dynamics(load: ExternalLoad,
     divergence, so a nonzero hip divergence flags a real disagreement, not
     the known formula gap.
     """
-    foot, shank, thigh = (states[s] for s in LEG_SEGMENTS)
     rec = recursive_leg(load, states, params, g)
+    foot, shank, thigh = (states[s] for s in LEG_SEGMENTS)
     closed = {
         "ankle": ankle_dynamics(load, foot, params["foot"], g),
         "knee": knee_closed_form(load, foot, shank, params, g),

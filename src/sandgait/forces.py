@@ -82,6 +82,8 @@ def fit_calibration(samples: list[tuple[float, float, float]]) -> CalibrationCur
         raise FitError("no calibration samples")
     by_depth: dict[float, list[tuple[float, float]]] = {}
     for depth, fs, fb in samples:
+        if depth < 0.0:
+            raise ParameterError(f"negative depth_cm {float(depth):g}")
         by_depth.setdefault(float(depth), []).append((float(fs), float(fb)))
 
     depths, zetas, residuals, counts = [], [], [], []

@@ -7,16 +7,17 @@ ingest formats together with ground-truth joint moments and gait events
 for round-trip testing.  The scripted ground force balances whole-body
 Newton dynamics (weight plus total inertial force) inside each stance
 window, so a motionless profile yields exactly body weight on the plate.
-Each leg's chain is evaluated in the sagittal plane, x and z as 1-D
-arrays.  At the GRF rate it is built ``_CHAIN_BLOCK`` samples at a time
-and only the feet and the inertial force are kept; at the marker rate each
-segment's planar dynamics state is read from the chain as it stands.  So
-generation holds under two and a half times the arrays it returns for a
-trial of 12 s or longer.
+One generator walks both legs from the hip to the toe in the sagittal
+plane, x and z as 1-D arrays.  At the GRF rate it walks ``_CHAIN_BLOCK``
+samples at a time and only the feet and the inertial force are kept, each
+segment dropped once the next is computed; at the marker rate every
+segment is kept for the markers and the truth.  So generation peaks at
+2.0 times the arrays it returns for a 12 s walk, 1.8 times for a 20 s one.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,8 +29,8 @@ from .errors import (ConfigurationError, GenerationError, check_number,
 from .gaitseg import (GaitEvents, SideEvents, cycle_table, detect_side_events,
                       stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta, write_json
-from .model import (GRAVITY, LEG_SEGMENTS, AnthropometricTable,
-                    Participant, SegmentParams, segment_parameters)
+from .model import (GRAVITY, AnthropometricTable, Participant,
+                    SegmentParams, segment_parameters)
 from .pipeline import RunConfig
 from .schema import SIDES
 
@@ -222,68 +223,76 @@ def _stance_windows(windows) -> list[tuple] | None:
     return None if windows is None else [tuple(w) for w in windows]
 
 
-class _LegChain:
-    """One side's analytic chain at times ``t`` in the sagittal plane, as
-    1-D arrays: ``pos`` holds the (x, z) of each joint, hip to toe, and of
-    the heel marker; ``hip_acc`` the hip's acceleration and, per segment,
-    ``axis`` its unit axis (sin a, -cos a) at pitch a, ``acc`` its COM
-    acceleration, all (x, z), and ``pitch_dd`` its pitch acceleration, so
-    a segment's ``FrameState`` is its axis, its acceleration and
-    ``-pitch_dd``.  Every joint's y is constant: ``y`` at the hip,
-    ``y + 0.0`` below it.  ``pelvis`` is ``(pelvis_x.at(t),
-    pelvis_z.at(t))`` of the profile, which both sides read."""
+#: One leg segment at times ``t``, each vector an (x, z) pair of 1-D arrays:
+#: its unit axis (sin a, -cos a) at pitch a, its COM acceleration, its pitch
+#: acceleration and its proximal and distal joints.  Its ``FrameState`` is
+#: its axis, its acceleration and minus its pitch acceleration.
+_Segment = namedtuple("_Segment", "name axis acc pitch_dd proximal distal")
 
-    def __init__(self, profile: GaitProfile, side: str, t: np.ndarray,
-                 params: dict[str, SegmentParams], pelvis):
-        pr = profile
-        la = pr.legs[side]
-        thigh = la.thigh_pitch.at(t)
-        pitch = {"thigh": thigh,
-                 "shank": tuple(a - k for a, k in zip(thigh,
-                                                      la.knee_flexion.at(t))),
-                 "foot": la.foot_pitch.at(t)}
 
-        self.y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
-        (x, _, x_dd), (z, _, z_dd) = pelvis
-        pos = (x, z)
-        acc = self.hip_acc = (x_dd, z_dd)
-        self.pos = {"hip": pos}
-        self.axis, self.acc, self.pitch_dd = {}, {}, {}
-        for seg, end, length in (("thigh", "knee", pr.thigh_len),
-                                 ("shank", "ankle", pr.shank_len),
-                                 ("foot", "toe", pr.foot_len)):
-            a, a1, a2 = pitch[seg]
+def _pitches(la: LegAngles, t: np.ndarray):
+    """The pitch of the thigh, the shank and the foot at times ``t`` with
+    its two time derivatives, each computed when it is asked for."""
+    thigh = la.thigh_pitch.at(t)
+    yield thigh
+    shank = tuple(a - k for a, k in zip(thigh, la.knee_flexion.at(t)))
+    del thigh
+    yield shank
+    del shank
+    yield la.foot_pitch.at(t)
+
+
+def _walk(profile: GaitProfile, t: np.ndarray,
+          params: dict[str, SegmentParams], hat_mass: float):
+    """Walk both legs at times ``t`` once, left then right, hip to toe in the
+    sagittal plane.  Yield each side, ``_Segment`` (thigh first) and the
+    inertial force so far, (x, z): the trunk's (HAT's), which moves with the
+    hip, plus each walked segment's in turn, one fixed float sum."""
+    pr = profile
+    (x, _, x_dd), (z, _, z_dd) = pr.pelvis_x.at(t), pr.pelvis_z.at(t)
+    f = (hat_mass * x_dd, hat_mass * z_dd)
+    for side in SIDES:
+        pos, acc = (x, z), (x_dd, z_dd)
+        pitches = _pitches(pr.legs[side], t)
+        for name in ("thigh", "shank", "foot"):
+            a, a1, a2 = next(pitches)
             # e = (sin a, -cos a) and its second time derivative
             # a2 (cos a, sin a) - a1^2 e
             s, c = np.sin(a), np.cos(a)
             e = (s, -c)
             a1_sq = a1 ** 2
             e_dd = (a2 * c - a1_sq * e[0], a2 * s - a1_sq * e[1])
-            com = params[seg].com_offset
-            self.axis[seg], self.pitch_dd[seg] = e, a2
-            self.acc[seg] = tuple(ak + com * dk for ak, dk in zip(acc, e_dd))
-            pos = tuple(pk + length * ek for pk, ek in zip(pos, e))
-            acc = tuple(ak + length * dk for ak, dk in zip(acc, e_dd))
-            self.pos[end] = pos
-
-        # heel marker rigid on the foot: behind the ankle and toward the
-        # sole, whose direction is (-e_z, e_x)
-        (ax, az), (ex, ez) = self.pos["ankle"], self.axis["foot"]
-        k = 0.9 * pr.ankle_height
-        self.pos["heel"] = (ax - 0.05 * ex - k * -ez, az - 0.05 * ez - k * ex)
-
-    def xyz(self, name: str, out: np.ndarray | None = None) -> np.ndarray:
-        """Joint or heel ``name`` as (N, 3) rows, written into ``out`` if
-        given."""
-        x, z = self.pos[name]
-        out = np.empty((len(x), 3)) if out is None else out
-        out[:, 0], out[:, 2] = x, z
-        out[:, 1] = self.y if name == "hip" else self.y + 0.0
-        return out
+            del a, a1, s, c, a1_sq
+            p = params[name]
+            seg = _Segment(name, e, tuple(
+                ak + p.com_offset * dk for ak, dk in zip(acc, e_dd)), a2, pos,
+                tuple(pk + p.length * ek for pk, ek in zip(pos, e)))
+            acc = tuple(ak + p.length * dk for ak, dk in zip(acc, e_dd))
+            pos = seg.distal
+            del e_dd
+            f = tuple(fk + p.mass * ak for fk, ak in zip(f, seg.acc))
+            yield side, seg, f
 
 
-#: GRF-rate samples of one leg's chain built at a time by ``synthesize_gait``;
-#: at least 3001, so a 3 s trial at 1 kHz is one block.
+def _heel(profile: GaitProfile, ankle, foot_axis) -> tuple:
+    """The heel marker's (x, z), rigid on the foot: behind the ankle and
+    toward the sole, whose direction is (-e_z, e_x) of the foot's axis e."""
+    (ax, az), (ex, ez) = ankle, foot_axis
+    k = 0.9 * profile.ankle_height
+    return ax - 0.05 * ex - k * -ez, az - 0.05 * ez - k * ex
+
+
+def _xyz(xz, y: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The (x, z) pair ``xz`` at the constant ``y`` as (N, 3) rows, written
+    into ``out`` if given."""
+    x, z = xz
+    out = np.empty((len(x), 3)) if out is None else out
+    out[:, 0], out[:, 1], out[:, 2] = x, y, z
+    return out
+
+
+#: GRF-rate samples ``synthesize_gait`` walks the legs over at a time; at
+#: least 3001, so a 3 s trial at 1 kHz is one block.
 _CHAIN_BLOCK = 4096
 
 
@@ -339,17 +348,6 @@ class SynthResult:
     stance_windows: list[tuple[float, float]]
 
 
-def _truth_events(feet: dict[str, tuple[np.ndarray, np.ndarray]],
-                  t: np.ndarray) -> GaitEvents:
-    """Gait events from each side's analytic ``(heel, toe)`` on the GRF grid
-    ``t``, so that every event time is a written GRF sample, under the
-    default event thresholds."""
-    cfg = RunConfig()
-    return GaitEvents(**{
-        side: detect_side_events(t, heel, toe, cfg)
-        for side, (heel, toe) in feet.items()})
-
-
 def synthesize_gait(profile: GaitProfile) -> SynthResult:
     """Forward-generate a trial plus ground truth from a scripted profile."""
     pr = profile
@@ -359,53 +357,42 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     lengths = {"thigh": pr.thigh_len, "shank": pr.shank_len, "foot": pr.foot_len}
     params = segment_parameters(pr.participant, AnthropometricTable.default(),
                                 lengths)
-    leg_mass = sum(p.mass for p in params.values())
-    hat_mass = pr.participant.mass - 2 * leg_mass
+    hat_mass = pr.participant.mass - 2 * sum(p.mass for p in params.values())
 
     t_m = np.round(np.arange(0.0, pr.duration + 1e-9, pr.marker_dt), 9)
     t_g = np.round(np.arange(0.0, pr.duration + 1e-9, pr.grf_dt), 9)
 
-    def inertial_force(leg, f=None):
-        """``f`` plus one side's segment inertial forces, thigh first, as
-        (x, z); ``f`` starts as the trunk's (HAT's), which moves with the
-        hip.  Sides added in SIDES order give one fixed float sum."""
-        f = tuple(hat_mass * a for a in leg.hip_acc) if f is None else f
-        for seg in reversed(LEG_SEGMENTS):
-            m = params[seg].mass
-            f = tuple(fk + m * ak for fk, ak in zip(f, leg.acc[seg]))
-        return f
+    # the marker-rate walk is kept whole for the markers and the truth
+    # states; its last inertial force is the total
+    legs_m, heels_m = {side: [] for side in SIDES}, {}
+    for side, seg, inertia_m in _walk(pr, t_m, params, hat_mass):
+        legs_m[side].append(seg)
+        if seg.name == "foot":  # ground-clearance feasibility
+            heels_m[side] = _heel(pr, seg.proximal, seg.axis)
+            for name, (_, z) in (("toe", seg.distal), ("heel", heels_m[side])):
+                low = float(np.min(z))
+                if low < -1e-6:
+                    raise GenerationError(
+                        f"{side} {name} penetrates the ground ({low:.4f} m)")
 
-    pelvis_m = (pr.pelvis_x.at(t_m), pr.pelvis_z.at(t_m))
-    legs_m = {side: _LegChain(pr, side, t_m, params, pelvis_m)
-              for side in SIDES}
-
-    # ground-clearance feasibility
-    for side in SIDES:
-        for name in ("toe", "heel"):
-            low = float(np.min(legs_m[side].pos[name][1]))
-            if low < -1e-6:
-                raise GenerationError(
-                    f"{side} {name} penetrates the ground ({low:.4f} m)")
-
-    # at 1 kHz only the feet and the inertial force are read: build each
-    # side's chain over at most _CHAIN_BLOCK samples at a time and keep just
-    # those; every step is elementwise, so blocks give the same floats
+    # at 1 kHz only the feet and the inertial force are read: walk the legs
+    # over at most _CHAIN_BLOCK samples at a time and keep just those, each
+    # segment dropped once the next is computed; every step is elementwise,
+    # so blocks give the same floats
     n_g = len(t_g)
     feet_g = {side: (np.empty((n_g, 3)), np.empty((n_g, 3)))
               for side in SIDES}
     inertia_g = (np.empty(n_g), np.empty(n_g))
     for start in range(0, n_g, _CHAIN_BLOCK):
-        block, f = slice(start, start + _CHAIN_BLOCK), None
-        t = t_g[block]
-        pelvis = (pr.pelvis_x.at(t), pr.pelvis_z.at(t))
-        for side in SIDES:
-            leg = _LegChain(pr, side, t, params, pelvis)
-            for name, out in zip(("heel", "toe"), feet_g[side]):
-                leg.xyz(name, out[block])
-            f = inertial_force(leg, f)
-            del leg
-        for out, fk in zip(inertia_g, f):
-            out[block] = fk
+        block = slice(start, start + _CHAIN_BLOCK)
+        for side, seg, f in _walk(pr, t_g[block], params, hat_mass):
+            if seg.name == "foot":
+                y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
+                _xyz(_heel(pr, seg.proximal, seg.axis), y + 0.0,
+                     feet_g[side][0][block])
+                _xyz(seg.distal, y + 0.0, feet_g[side][1][block])
+        inertia_g[0][block], inertia_g[1][block] = f
+        del seg, f
 
     # stance schedule
     is_static = all(
@@ -416,8 +403,11 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     if is_static and pr.stance_windows is not None:
         truth_events = GaitEvents(**{side: SideEvents(np.array([]), np.array([]))
                                      for side in SIDES})
-    else:
-        truth_events = _truth_events(feet_g, t_g)
+    else:  # on the GRF grid: every event time is a written GRF sample
+        cfg = RunConfig()  # the default event thresholds
+        truth_events = GaitEvents(**{
+            side: detect_side_events(t_g, heel, toe, cfg)
+            for side, (heel, toe) in feet_g.items()})
     if pr.stance_windows is not None:
         windows = list(pr.stance_windows)
     else:
@@ -454,8 +444,13 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     # marker set
     markers = {}
     for side, tag in (("left", "L"), ("right", "R")):
-        leg = legs_m[side]
-        pos = {name: leg.xyz(name) for name in leg.pos}
+        # each joint's y is constant: the hip's, and that + 0.0 below it
+        y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
+        thigh, shank, foot = legs_m[side]
+        pos = {"hip": _xyz(thigh.proximal, y)} | {
+            name: _xyz(xz, y + 0.0) for name, xz in (
+                ("knee", shank.proximal), ("ankle", foot.proximal),
+                ("toe", foot.distal), ("heel", heels_m.pop(side)))}
         markers.update((f"{tag}-{name}", p) for name, p in pos.items())
         offset = np.array([0.0, 0.03 if side == "right" else -0.03, 0.0])
         markers[f"{tag}-thigh"] = 0.5 * (pos["hip"] + pos["knee"]) + offset
@@ -468,22 +463,21 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
 
     # ground-truth moments at marker timestamps
     w_m = _stance_weight(t_m, windows, pr.ramp)
-    force_m = _plate_force(w_m, inertial_force(
-        legs_m["right"], inertial_force(legs_m["left"])), weight)
+    force_m = _plate_force(w_m, inertia_m, weight)
     feet_m = {side: (markers[f"{tag}-heel"], markers[f"{tag}-toe"])
               for side, tag in (("left", "L"), ("right", "R"))}
     cop3_m = np.column_stack([cop_track(t_m, feet_m), np.zeros(len(t_m))])
     truth = {}
-    for side, leg in legs_m.items():
+    for side in SIDES:
         loaded = ((side == pr.grf_side) & (w_m > 0.0))[:, None]
         load = ExternalLoad(
             force=np.where(loaded, force_m[:, [0, 2]], 0.0),
             moment=np.zeros(len(t_m)),
             r=np.where(loaded, (feet_m[side][1] - cop3_m)[:, [0, 2]], 0.0))
-        states = {seg: FrameState(e=np.column_stack(leg.axis[seg]),
-                                  acc=np.column_stack(leg.acc[seg]),
-                                  omega_dot=-leg.pitch_dd[seg])
-                  for seg in LEG_SEGMENTS}
+        states = {seg.name: FrameState(e=np.column_stack(seg.axis),
+                                       acc=np.column_stack(seg.acc),
+                                       omega_dot=-seg.pitch_dd)
+                  for seg in legs_m.pop(side)}
         truth[side] = recursive_leg(load, states, params, GRAVITY)
 
     meta = TrialMeta(participant=pr.participant, terrain=pr.terrain,

@@ -1143,11 +1143,13 @@ class TestPinnedBytes:
         "profile.json": "55f144fda51ccdd8062200f40bd5c927a7b8c4b784bf33000f0c062122615626",
     }
 
-    #: ``simulate`` of three more trials, each by its own branch of the
+    #: ``simulate`` of four more trials, each by its own branch of the
     #: generator: a 5 s stride walk (5001 GRF samples, so two
     #: ``synth._CHAIN_BLOCK`` blocks), the stride preset with the hips on
-    #: the midline (``hip_half_width`` 0, the left hip's y is -0.0) and the
-    #: standing preset (fixed COP, stance windows given, no events)
+    #: the midline (``hip_half_width`` 0, the left hip's y is -0.0), the
+    #: stride preset with the plate under the left foot (the COP on the left
+    #: foot, the ground load on the left leg's truth) and the standing preset
+    #: (fixed COP, stance windows given, no events)
     MORE_SIMULATE = {
         "stride_5s": {
             "grf.csv": "395dee722f68284b760b1d50c0a16227143e813b2f2d7109e800285454b1535d",
@@ -1163,6 +1165,12 @@ class TestPinnedBytes:
             "markers.csv": "de2bb42b18a32e07613a699a429e64b4012176839cc3f7f0321e8ed3867f693f",
             "profile.json": "40323b188e165f341cc7be1940552511c259a345001d8919dca763de0d6af895",
         },
+        "left_plate": {
+            **SIMULATE,
+            "grf.csv": "f27a6acf70e7d485e7fe3ca0e236d449023b0c1cf2f29dadee799a0dd9ca4b91",
+            "profile.json": "e88a431816b6b63204f9b93d1fe929b41d7f8cc5925b27738f9135a9d55d82b3",
+            "truth_moments.csv": "98256fb4d8fb88da2d7e0e033ae518784187809596701b81f8d83f81a9549b11",
+        },
         "standing": {
             "grf.csv": "eded9079f77eadf8125be2c24b12ac82234b839a50f7f02ca31046adf88f5a39",
             "markers.csv": "7d280a9d8952e3fe3a0dec719800452ed7d5eb99e48533066c71ff34489e50d0",
@@ -1176,14 +1184,19 @@ class TestPinnedBytes:
     def test_simulate_files(self, sim_dir):
         assert self._digests(sim_dir) == self.SIMULATE
 
+    #: the stride-preset change of each ``MORE_SIMULATE`` trial but
+    #: ``standing``
+    MORE_PROFILES = {"stride_5s": {"duration": 5.0},
+                     "midline_hips": {"hip_half_width": 0.0},
+                     "left_plate": {"grf_side": "left"}}
+
     @pytest.mark.parametrize("name", sorted(MORE_SIMULATE))
     def test_more_simulate_files(self, tmp_path, name):
         if name == "standing":
             argv = ["--preset", "standing"]
         else:
-            profile = replace(synth.stride_profile(), **(
-                {"duration": 5.0} if name == "stride_5s"
-                else {"hip_half_width": 0.0}))
+            profile = replace(synth.stride_profile(),
+                              **self.MORE_PROFILES[name])
             profile.save(tmp_path / "profile.json")
             argv = ["--profile", str(tmp_path / "profile.json")]
         out = tmp_path / "trial"

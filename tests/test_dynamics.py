@@ -286,6 +286,23 @@ class TestSeries:
             leg_moment_series(self._time(10), load, states, PARAMS,
                               body_mass=74.5)
 
+    @pytest.mark.parametrize("keep, missing", [
+        (("foot", "shank"), "thigh"), (("foot",), "shank, thigh")],
+        ids=["no_thigh", "foot_only"])
+    @pytest.mark.parametrize("run", [
+        lambda time, load, states: recursive_leg(load, states, PARAMS),
+        lambda time, load, states: leg_inverse_dynamics(load, states, PARAMS),
+        lambda time, load, states: leg_moment_series(time, load, states,
+                                                     PARAMS, body_mass=74.5),
+    ], ids=["recursive_leg", "leg_inverse_dynamics", "leg_moment_series"])
+    def test_missing_segment_named(self, run, keep, missing):
+        # a leg without every segment is a contract error that names what
+        # it lacks, not a KeyError
+        states = {k: s for k, s in self._leg(10).items() if k in keep}
+        with pytest.raises(ContractError,
+                           match=re.escape(f"lack segment(s) {missing}")):
+            run(self._time(10), self._no_load(10), states)
+
     def test_nan_frames_skipped(self):
         states = self._leg(10)
         states["foot"].e[4] = np.nan

@@ -80,6 +80,11 @@ class TestFit:
         with pytest.raises(FitError, match="exceeds 1"):
             fit_calibration(samples)
 
+    def test_negative_depth_named(self):
+        # rejected before the depth-0 anchor is put in front of it
+        with pytest.raises(ParameterError, match=r"negative depth_cm -3$"):
+            fit_calibration([(-3, 100, 81), (14, 100, 81)])
+
     def test_depth_zero_anchor_added(self):
         curve = fit_calibration(_stepped_samples(14.0, 0.81))
         assert curve.depths[0] == 0.0 and curve.zeta[0] == 1.0

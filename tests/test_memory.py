@@ -155,11 +155,12 @@ def test_write_marker_file(trial, tmp_path):
 
 @pytest.mark.parametrize("duration", [12.0, 20.0])
 def test_synthesize_gait(walk, duration):
-    # the 1 kHz chain is built planar, a block at a time, and the marker-rate
-    # chain is held planar while it runs
+    # the legs are walked planar: at 1 kHz a block at a time, each segment
+    # dropped once the next is computed; at the marker rate every segment
+    # is held planar while it runs (2.0 times at 12 s, 1.8 at 20 s)
     res, peak = _peak(synth.synthesize_gait,
                       dataclasses.replace(walk, duration=duration))
-    assert peak <= 2.5 * _array_bytes(res)
+    assert peak <= 2.2 * _array_bytes(res)
 
 
 def test_fill_gaps_copies_only_filled_markers(trial):

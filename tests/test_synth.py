@@ -222,27 +222,27 @@ class TestStanding:
 
 
 def _full_chain_force(pr, result):
-    """The GRF force of ``result``, generated from ``pr``, rebuilt from both
-    sides' 1 kHz chains over the whole trial at once, as (N, 3) rows with y
-    0: weight plus HAT mass x hip acceleration, then the left thigh, shank
-    and foot terms, then the right ones; and the chains."""
+    """The GRF force of ``result``, generated from ``pr``, rebuilt from one
+    1 kHz walk of both legs over the whole trial at once, as (N, 3) rows
+    with y 0: weight plus HAT mass x hip acceleration, then the left thigh,
+    shank and foot terms, then the right ones."""
     params = segment_parameters(pr.participant, AnthropometricTable.default(),
                                 {"thigh": pr.thigh_len, "shank": pr.shank_len,
                                  "foot": pr.foot_len})
     t = result.grf.time
-    pelvis = (pr.pelvis_x.at(t), pr.pelvis_z.at(t))
-    legs = {side: synth._LegChain(pr, side, t, params, pelvis)
-            for side in ("left", "right")}
     hat = pr.participant.mass - 2 * sum(p.mass for p in params.values())
-    fx, fz = (hat * a for a in legs["left"].hip_acc)
-    for side in ("left", "right"):
-        for seg in ("thigh", "shank", "foot"):
-            ax, az = legs[side].acc[seg]
-            fx, fz = fx + params[seg].mass * ax, fz + params[seg].mass * az
+    fx, fz = (hat * pelvis.at(t)[2] for pelvis in (pr.pelvis_x, pr.pelvis_z))
+    walked = []
+    for side, seg, _ in synth._walk(pr, t, params, hat):
+        walked.append((side, seg.name))
+        (ax, az), m = seg.acc, params[seg.name].mass
+        fx, fz = fx + m * ax, fz + m * az
+    assert walked == [(side, name) for side in ("left", "right")
+                      for name in ("thigh", "shank", "foot")]
     f = np.stack([fx, np.zeros_like(t), fz], axis=-1)
     f = f + pr.participant.mass * GRAVITY * np.array([0.0, 0.0, 1.0])
     w = synth._stance_weight(t, result.stance_windows, pr.ramp)
-    return w[:, None] * f, legs
+    return w[:, None] * f
 
 
 class TestStride:
@@ -286,7 +286,7 @@ class TestStride:
         assert 0.5 * W < result.grf.force[:, 2].max() < 2.0 * W
 
     def test_grf_force_is_one_fixed_float_sum(self, result):
-        force, _ = _full_chain_force(stride_profile(), result)
+        force = _full_chain_force(stride_profile(), result)
         np.testing.assert_array_equal(result.grf.force, force)
 
     def test_cop_stays_within_foot(self, result):
@@ -314,21 +314,22 @@ def test_ground_penetration_rejected():
                          ids=["one_block", "two_blocks"])
 def test_leg_chain_built_once_per_side_and_rate(monkeypatch, duration,
                                                 grf_blocks):
-    # markers and truth moments share the marker-rate chain; GRF and truth
-    # events share the GRF-rate chain, built once per _CHAIN_BLOCK block
-    built = []
-    init = synth._LegChain.__init__
+    # markers and truth moments share the marker-rate walk; GRF and truth
+    # events share the GRF-rate walk, one per _CHAIN_BLOCK block
+    walked, walk = [], synth._walk
 
-    def counting(self, profile, side, t, *args):
-        built.append((side, len(t)))
-        init(self, profile, side, t, *args)
+    def counting(profile, t, *args):
+        for side, seg, f in walk(profile, t, *args):
+            if seg.name == "thigh":
+                walked.append((side, len(t)))
+            yield side, seg, f
 
-    monkeypatch.setattr(synth._LegChain, "__init__", counting)
+    monkeypatch.setattr(synth, "_walk", counting)
     res = synthesize_gait(dataclasses.replace(stride_profile(),
                                               duration=duration))
     rates = [len(res.marker_time)] + grf_blocks
-    assert sorted(built) == sorted((side, n) for side in ("left", "right")
-                                   for n in rates)
+    assert sorted(walked) == sorted((side, n) for side in ("left", "right")
+                                    for n in rates)
 
 
 @pytest.mark.parametrize("n", [synth._CHAIN_BLOCK - 1, synth._CHAIN_BLOCK,
@@ -336,19 +337,15 @@ def test_leg_chain_built_once_per_side_and_rate(monkeypatch, duration,
                          ids=["block_less_one", "block", "block_and_one",
                               "five_blocks"])
 def test_chain_blocks_equal_one_full_chain(monkeypatch, n):
-    # the GRF-rate chain built in blocks gives the floats of one chain over
-    # all n GRF samples, bit for bit
+    # the GRF-rate walk in blocks gives the floats of one walk over all n
+    # GRF samples, bit for bit
     pr = dataclasses.replace(stride_profile(), duration=(n - 1) * 0.001)
     res = synthesize_gait(pr)
     assert len(res.grf.time) == n
-    force, kin = _full_chain_force(pr, res)
-    np.testing.assert_array_equal(res.grf.force, force)
-    events = synth._truth_events(
-        {side: (leg.xyz("heel"), leg.xyz("toe")) for side, leg in kin.items()},
-        res.grf.time)
-    assert res.truth_events.rows() == events.rows()
+    np.testing.assert_array_equal(res.grf.force, _full_chain_force(pr, res))
     monkeypatch.setattr(synth, "_CHAIN_BLOCK", n)
     whole = synthesize_gait(pr)
+    assert res.truth_events.rows() == whole.truth_events.rows()
     for name in ("time", "force", "moment", "cop"):
         np.testing.assert_array_equal(getattr(res.grf, name),
                                       getattr(whole.grf, name))
