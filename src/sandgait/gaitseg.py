@@ -90,22 +90,21 @@ def _local_extrema(x: np.ndarray, sign: int) -> np.ndarray:
     return cand[y[j + 1] > y[j]]
 
 
-def detect_side_events(time: np.ndarray, heel: np.ndarray, toe: np.ndarray,
+def detect_side_events(time: np.ndarray, heel_x: np.ndarray,
+                       heel_z: np.ndarray, toe_z: np.ndarray,
                        cfg) -> SideEvents:
-    """Detect one side's heel strikes and toe-offs from its (N, 3) heel and
-    toe positions, (lightly) filtered marker series at the marker rate whose
-    velocities are differenced at the median time step, under the event
-    thresholds of the ``RunConfig`` ``cfg`` (``hs_forward_speed``,
-    ``to_vertical_speed``, m/s; ``min_stance_s``, ``min_swing_s``).
-    Alternation is enforced by discarding the weaker of two same-kind
-    consecutive detections.
+    """Detect one side's heel strikes and toe-offs from its heel's x and z
+    and its toe's z, (lightly) filtered 1-D marker series whose velocities
+    are differenced at the median time step, under the event thresholds of
+    the ``RunConfig`` ``cfg`` (``hs_forward_speed``, ``to_vertical_speed``,
+    m/s; ``min_stance_s``, ``min_swing_s``).  Alternation is enforced by
+    discarding the weaker of two same-kind consecutive detections.
     """
     if len(time) < 3:
         raise SegmentationError("series too short for event detection")
     dt = float(np.median(np.diff(time)))
-    heel_z = heel[:, 2]
-    heel_vx = differentiate(heel[:, 0], dt)
-    toe_vz = differentiate(toe[:, 2], dt)
+    heel_vx = differentiate(heel_x, dt)
+    toe_vz = differentiate(toe_z, dt)
 
     # isfinite: -inf passes < and +inf passes >
     hs_idx = _local_extrema(heel_z, 1)

@@ -541,9 +541,8 @@ def read_marker_file(path: str | Path, schema: MarkerSchema) -> MarkerData:
         label: arr[:, 1 + 3 * k:4 + 3 * k].copy() for k, label in enumerate(labels)})
 
 
-def write_marker_file(path: str | Path, markers: MarkerData,
-                      label_order: list[str] | None = None) -> None:
-    labels = label_order if label_order is not None else sorted(markers.pos)
+def write_marker_file(path: str | Path, markers: MarkerData) -> None:
+    labels = sorted(markers.pos)
     write_rows(path, ",".join(["time"] + [f"{l}_{ax}" for l in labels
                                           for ax in "xyz"]),
                "%.6f" + ",%.9f" * (3 * len(labels)) + "\n",

@@ -5,7 +5,7 @@ stacks the markers one stage needs into an ``(N, k, 3)`` array and filters
 it by one ``moving_average`` call.  ``segment_states`` and
 ``pelvis_midpoint`` take those smoothed markers and filter nothing
 themselves.  A segment's state is a planar ``dynamics.FrameState``, the
-type inverse dynamics reads, returned beside its ``(N, 3)`` COM and pitch.
+type inverse dynamics reads, returned beside its ``[x, z]`` COM and pitch.
 
 All angular quantities are sagittal (lab X-Z plane, X forward, Z up);
 out-of-plane marker motion is projected out.  The pitch of a unit vector
@@ -130,7 +130,7 @@ def smooth_markers(markers: MarkerData, labels: list[str],
 def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
                    segment: str, params: SegmentParams
                    ) -> tuple[FrameState, np.ndarray, np.ndarray]:
-    """Planar state of one leg segment from smoothed markers, its ``(N, 3)``
+    """Planar state of one leg segment from smoothed markers, its ``[x, z]``
     COM and its sagittal pitch (radians, as ``pitch_angle``).
 
     The angular acceleration is the pitch differentiated twice; its sign
@@ -151,10 +151,10 @@ def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
     with np.errstate(invalid="ignore"):
         e = delta / norm[:, None]
 
-    com = p + params.com_offset * e
     e = e[:, ::2].copy()  # x and z, not a view keeping all three alive
+    com = p[:, ::2] + params.com_offset * e
     pitch = pitch_angle(e)
-    state = FrameState(e=e, acc=differentiate(com[:, ::2], dt, order=2),
+    state = FrameState(e=e, acc=differentiate(com, dt, order=2),
                        omega_dot=-differentiate(pitch, dt, order=2))
     return state, com, pitch
 
@@ -178,8 +178,8 @@ def joint_angles(thigh: np.ndarray, shank: np.ndarray,
 
 
 def pelvis_midpoint(markers: MarkerData, schema: MarkerSchema) -> np.ndarray:
-    """Mean of the pelvis markers, from smoothed markers."""
-    return np.stack([markers.pos[l]
+    """Mean ``[x, z]`` of the pelvis markers, from smoothed markers."""
+    return np.stack([markers.pos[l][:, ::2]
                      for l in schema.pelvis_labels()]).mean(axis=0)
 
 
@@ -187,9 +187,9 @@ def com_trajectory(coms: dict[tuple[str, str], np.ndarray],
                    params: dict[str, SegmentParams],
                    body_mass: float,
                    pelvis_mid: np.ndarray) -> np.ndarray:
-    """Whole-body COM proxy: mass-weighted segment COMs, with the residual
-    (head-arms-trunk) mass lumped at the pelvis-marker midpoint.  The
-    segments are summed in the order of ``coms``."""
+    """Whole-body ``[x, z]`` COM proxy: mass-weighted segment COMs, with the
+    residual (head-arms-trunk) mass lumped at the pelvis-marker midpoint.
+    The segments are summed in the order of ``coms``."""
     total = 0.0
     weighted = np.zeros_like(pelvis_mid)
     for (side, segment), com in coms.items():

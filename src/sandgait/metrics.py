@@ -29,8 +29,9 @@ def stride_metrics(cycles: dict[str, np.ndarray],
     stride_length: forward (X) distance between consecutive ipsilateral
     heel-strike heel positions; stride_width: lateral (Y) distance to the
     intervening contralateral heel strike; com_variation: vertical COM
-    range within the stride; avg_velocity: pelvis-midpoint X displacement
-    over stride time.  Each metric also gets a height-normalized variant.
+    range within the stride, NaN if it has no COM; avg_velocity:
+    pelvis-midpoint X displacement over stride time.  Each metric also gets
+    a height-normalized variant.  ``com`` and ``pelvis_mid`` are ``[x, z]``.
     """
     h = participant.height
     rows = []
@@ -43,8 +44,10 @@ def stride_metrics(cycles: dict[str, np.ndarray],
         length = np.abs(heel_x[:, 1] - heel_x[:, 0])
         width = np.abs(np.interp(cyc[:, C_HS], time, heel_pos[other][:, 1])
                        - np.interp(hs0, time, heel_pos[side][:, 1]))
+        # nanmax and nanmin, less their warning where no frame has a COM
         com_var = np.array([
-            np.nanmax(com[i:j, 2]) - np.nanmin(com[i:j, 2]) if j > i else math.nan
+            np.fmax.reduce(com[i:j, 1]) - np.fmin.reduce(com[i:j, 1])
+            if j > i else math.nan
             for i, j in zip(np.searchsorted(time, hs0, "left"),
                             np.searchsorted(time, hs1, "right"))])
         vel = (pelvis_x[:, 1] - pelvis_x[:, 0]) / (hs1 - hs0)

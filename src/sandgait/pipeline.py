@@ -216,8 +216,8 @@ def _detect_events(markers: MarkerData, schema: MarkerSchema,
     for side in SIDES:
         heel[side], toe = (markers.pos[schema.joint_label(side, part)]
                            for part in ("heel", "toe"))
-        ev[side] = gaitseg.detect_side_events(markers.time, heel[side], toe,
-                                              cfg)
+        ev[side] = gaitseg.detect_side_events(
+            markers.time, heel[side][:, 0], heel[side][:, 2], toe[:, 2], cfg)
     return GaitEvents(**ev), heel
 
 
@@ -335,6 +335,10 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
 
     stride_rows = metrics.stride_metrics(cycles, heel, com, pelvis_mid,
                                          time, participant)
+    if no_com := [f"{row['side']} from {row['cycle_start_s']:.3f} s"
+                  for row in stride_rows if math.isnan(row["com_variation"])]:
+        warnings.append("com_variation not computed for the strides with no "
+                        "finite COM frame: " + ", ".join(no_com))
 
     # the plate row: stance-normalized GRF and moments over its stance, the
     # knee stiffness and the knee loop over its cycle

@@ -11,8 +11,10 @@ One generator walks both legs from the hip to the toe in the sagittal
 plane, x and z as 1-D arrays.  At the GRF rate it walks ``_CHAIN_BLOCK``
 samples at a time and only the feet and the inertial force are kept, each
 segment dropped once the next is computed; at the marker rate every
-segment is kept for the markers and the truth.  So generation peaks at
-2.0 times the arrays it returns for a 12 s walk, 1.8 times for a 20 s one.
+segment is kept for the markers and the truth.  The feet are kept as 1-D
+x and z series, the y of each marker and of the COP being a constant of
+its side.  So generation peaks at 1.8 times the arrays it returns for a
+12 s walk, 1.7 times for a 20 s one.
 """
 from __future__ import annotations
 
@@ -211,8 +213,15 @@ def _stance_windows(windows) -> list[tuple] | None:
     """A profile's ``stance_windows_s``: None, or (start, end) pairs of
     finite numbers (not strings or bools), start < end, kept as given."""
     key = "stance_windows_s"
-    for i, (t0, t1) in enumerate(windows or ()):
-        for j, t in enumerate((t0, t1)):
+    if not isinstance(windows, (list, tuple, type(None))):
+        raise ConfigurationError(f"{key} must be a list of [start, end] "
+                                 f"pairs, got {windows!r}")
+    for i, window in enumerate(windows or ()):
+        if not isinstance(window, (list, tuple)) or len(window) != 2:
+            raise ConfigurationError(f"{key}[{i}] must be a [start, end] "
+                                     f"pair, got {window!r}")
+        t0, t1 = window
+        for j, t in enumerate(window):
             if not isinstance(t, (int, float)):
                 raise ConfigurationError(f"{key}[{i}][{j}] must be a number, "
                                          f"got {t!r}")
@@ -282,11 +291,10 @@ def _heel(profile: GaitProfile, ankle, foot_axis) -> tuple:
     return ax - 0.05 * ex - k * -ez, az - 0.05 * ez - k * ex
 
 
-def _xyz(xz, y: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The (x, z) pair ``xz`` at the constant ``y`` as (N, 3) rows, written
-    into ``out`` if given."""
+def _xyz(xz, y: float) -> np.ndarray:
+    """The (x, z) pair ``xz`` at the constant ``y`` as (N, 3) rows."""
     x, z = xz
-    out = np.empty((len(x), 3)) if out is None else out
+    out = np.empty((len(x), 3))
     out[:, 0], out[:, 1], out[:, 2] = x, y, z
     return out
 
@@ -301,38 +309,40 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
 
 
-def _window(t: np.ndarray, t0: float, t1: float) -> slice:
-    """The samples of the sorted times ``t`` with t0 <= t <= t1."""
-    return slice(np.searchsorted(t, t0, "left"),
-                 np.searchsorted(t, t1, "right"))
-
-
-def _stance_weight(t: np.ndarray, windows: list[tuple[float, float]],
-                   ramp: float) -> np.ndarray:
-    """The plate's share of the Newton balance at times ``t``: 1 inside each
-    window, ramped on and off by ``_smoothstep`` over ``ramp`` seconds where
-    the window is longer than two ramps, 0 outside."""
-    w = np.zeros_like(t)
+def _plate(profile: GaitProfile, t: np.ndarray,
+           windows: list[tuple[float, float]], inertia, heel_x: np.ndarray,
+           toe_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plate at times ``t``: its share ``w`` of the Newton balance, its
+    force, ``w`` times the weight plus the (x, z) ``inertia`` force, as
+    (N, 3) rows with y 0, and its COP (x, y).  Inside each window ``w`` is
+    1, ramped on and off by ``_smoothstep`` over ``ramp`` seconds where the
+    window is longer than two ramps, and the COP progresses smoothly from
+    the plate side's heel x ``heel_x`` to its toe x ``toe_x`` at the side's
+    y (or is pinned at ``cop_fixed``); outside, both are 0."""
+    pr = profile
+    w, cop = np.zeros_like(t), np.zeros((len(t), 2))
+    y = pr.hip_half_width * (1.0 if pr.grf_side == "right" else -1.0) + 0.0
     for t0, t1 in windows:
-        span = _window(t, t0, t1)
-        if ramp > 0 and t1 - t0 > 2 * ramp:
-            ts = t[span]
-            up = _smoothstep((ts - t0) / ramp)
-            down = _smoothstep((t1 - ts) / ramp)
+        span = slice(np.searchsorted(t, t0, "left"),  # t0 <= t <= t1
+                     np.searchsorted(t, t1, "right"))
+        ts = t[span]
+        if pr.ramp > 0 and t1 - t0 > 2 * pr.ramp:
+            up = _smoothstep((ts - t0) / pr.ramp)
+            down = _smoothstep((t1 - ts) / pr.ramp)
             np.maximum(w[span], np.minimum(up, down), out=w[span])
         else:
             w[span] = 1.0
-    return w
-
-
-def _plate_force(w: np.ndarray, inertia, weight: tuple) -> np.ndarray:
-    """``w`` times the (x, z) ``inertia`` force plus ``weight``, as (N, 3)
-    rows; the y of the inertial force is 0.0."""
+        if pr.cop_fixed is not None:
+            cop[span] = pr.cop_fixed
+        else:
+            u = _smoothstep((ts - t0) / (t1 - t0))
+            cop[span, 0] = heel_x[span] * (1 - u) + toe_x[span] * u
+            cop[span, 1] = y * (1 - u) + y * u
     fx, fz = inertia
-    force = np.empty((len(w), 3))
-    for k, f in enumerate((fx, 0.0, fz)):
-        np.multiply(w, f + weight[k], out=force[:, k])
-    return force
+    force = np.zeros((len(t), 3))
+    force[:, 0] = w * fx
+    force[:, 2] = w * (fz + pr.participant.mass * GRAVITY)
+    return w, force, cop
 
 
 @dataclass
@@ -380,19 +390,18 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     # segment dropped once the next is computed; every step is elementwise,
     # so blocks give the same floats
     n_g = len(t_g)
-    feet_g = {side: (np.empty((n_g, 3)), np.empty((n_g, 3)))
-              for side in SIDES}
+    # per side: heel x, heel z, toe x, toe z
+    feet_g = {side: tuple(np.empty(n_g) for _ in range(4)) for side in SIDES}
     inertia_g = (np.empty(n_g), np.empty(n_g))
     for start in range(0, n_g, _CHAIN_BLOCK):
         block = slice(start, start + _CHAIN_BLOCK)
         for side, seg, f in _walk(pr, t_g[block], params, hat_mass):
             if seg.name == "foot":
-                y = pr.hip_half_width * (1.0 if side == "right" else -1.0)
-                _xyz(_heel(pr, seg.proximal, seg.axis), y + 0.0,
-                     feet_g[side][0][block])
-                _xyz(seg.distal, y + 0.0, feet_g[side][1][block])
+                for out, v in zip(feet_g[side], (
+                        *_heel(pr, seg.proximal, seg.axis), *seg.distal)):
+                    out[block] = v
         inertia_g[0][block], inertia_g[1][block] = f
-        del seg, f
+        del seg, f, out, v
 
     # stance schedule
     is_static = all(
@@ -406,8 +415,8 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     else:  # on the GRF grid: every event time is a written GRF sample
         cfg = RunConfig()  # the default event thresholds
         truth_events = GaitEvents(**{
-            side: detect_side_events(t_g, heel, toe, cfg)
-            for side, (heel, toe) in feet_g.items()})
+            side: detect_side_events(t_g, heel_x, heel_z, toe_z, cfg)
+            for side, (heel_x, heel_z, _, toe_z) in feet_g.items()})
     if pr.stance_windows is not None:
         windows = list(pr.stance_windows)
     else:
@@ -416,26 +425,10 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
         if not windows:
             raise GenerationError("no stance window found for the plate side")
 
-    def cop_track(t, feet):
-        """COP progressing smoothly heel -> toe of the plate side's ``feet``
-        inside each window (or pinned at ``cop_fixed`` for static trials)."""
-        heel, toe = feet[pr.grf_side]
-        cop = np.zeros((len(t), 2))
-        for t0, t1 in windows:
-            span = _window(t, t0, t1)
-            if pr.cop_fixed is not None:
-                cop[span] = np.asarray(pr.cop_fixed, dtype=float)
-            else:
-                u = _smoothstep((t[span] - t0) / (t1 - t0))[:, None]
-                cop[span] = heel[span, :2] * (1 - u) + toe[span, :2] * u
-        return cop
-
-    # whole-body Newton balance: weight plus the total inertial force
-    weight = (0.0, 0.0, pr.participant.mass * GRAVITY)
-    force_g = _plate_force(_stance_weight(t_g, windows, pr.ramp), inertia_g,
-                           weight)
-    cop_g = cop_track(t_g, feet_g)
-    del feet_g, inertia_g  # nothing after reads the 1 kHz chain
+    # the plate side's heel x and toe x
+    _, force_g, cop_g = _plate(pr, t_g, windows, inertia_g,
+                               *feet_g[pr.grf_side][::2])
+    del feet_g, inertia_g  # nothing after reads the 1 kHz walk
     # plate-origin moment, zero couple at COP
     moment_g = np.cross(np.column_stack([cop_g, np.zeros(len(t_g))]), force_g)
 
@@ -450,7 +443,7 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
         pos = {"hip": _xyz(thigh.proximal, y)} | {
             name: _xyz(xz, y + 0.0) for name, xz in (
                 ("knee", shank.proximal), ("ankle", foot.proximal),
-                ("toe", foot.distal), ("heel", heels_m.pop(side)))}
+                ("toe", foot.distal), ("heel", heels_m[side]))}
         markers.update((f"{tag}-{name}", p) for name, p in pos.items())
         offset = np.array([0.0, 0.03 if side == "right" else -0.03, 0.0])
         markers[f"{tag}-thigh"] = 0.5 * (pos["hip"] + pos["knee"]) + offset
@@ -462,18 +455,19 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
     marker_data = MarkerData(time=t_m, pos=markers)
 
     # ground-truth moments at marker timestamps
-    w_m = _stance_weight(t_m, windows, pr.ramp)
-    force_m = _plate_force(w_m, inertia_m, weight)
-    feet_m = {side: (markers[f"{tag}-heel"], markers[f"{tag}-toe"])
-              for side, tag in (("left", "L"), ("right", "R"))}
-    cop3_m = np.column_stack([cop_track(t_m, feet_m), np.zeros(len(t_m))])
+    w_m, force_m, cop_m = _plate(pr, t_m, windows, inertia_m,
+                                 heels_m[pr.grf_side][0],
+                                 legs_m[pr.grf_side][-1].distal[0])
     truth = {}
     for side in SIDES:
         loaded = ((side == pr.grf_side) & (w_m > 0.0))[:, None]
+        toe_x, toe_z = legs_m[side][-1].distal
         load = ExternalLoad(
             force=np.where(loaded, force_m[:, [0, 2]], 0.0),
             moment=np.zeros(len(t_m)),
-            r=np.where(loaded, (feet_m[side][1] - cop3_m)[:, [0, 2]], 0.0))
+            # the lever from the COP, which lies on z = 0, to the toe
+            r=np.where(loaded, np.column_stack([toe_x - cop_m[:, 0], toe_z]),
+                       0.0))
         states = {seg.name: FrameState(e=np.column_stack(seg.axis),
                                        acc=np.column_stack(seg.acc),
                                        omega_dot=-seg.pitch_dd)

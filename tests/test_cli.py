@@ -802,6 +802,21 @@ _MALFORMED = [
                               stance_windows_s=[["0.2", "0.8"]])),
                           "stance_windows_s[0][0] must be a number, "
                           "got '0.2'")),
+    ("simulate", _profile("_profile_stance_window_triple",
+                          _edit_json(lambda d: d.update(
+                              stance_windows_s=[[0.1, 0.5, 0.9]])),
+                          "stance_windows_s[0] must be a [start, end] pair, "
+                          "got [0.1, 0.5, 0.9]")),
+    ("simulate", _profile("_profile_stance_window_number",
+                          _edit_json(lambda d: d.update(
+                              stance_windows_s=[0.3])),
+                          "stance_windows_s[0] must be a [start, end] pair, "
+                          "got 0.3")),
+    ("simulate", _profile("_profile_stance_window_single",
+                          _edit_json(lambda d: d.update(
+                              stance_windows_s=[[0.1]])),
+                          "stance_windows_s[0] must be a [start, end] pair, "
+                          "got [0.1]")),
     ("simulate", _profile("_profile_sand_depth_string",
                           _edit_json(lambda d: d.update(terrain="sand",
                                                         sand_depth_cm="deep")),

@@ -21,8 +21,8 @@ from sandgait.model import Participant
 
 
 def _scripted_side(n_strides=3, dt=0.01, period=1.2, stance_frac=0.6):
-    """(N, 3) heel and toe positions with heel-strike minima at k*period
-    and toe-off vertical-velocity onsets at k*period + stance_frac*period."""
+    """Heel x and z and toe z with heel-strike minima at k*period and
+    toe-off vertical-velocity onsets at k*period + stance_frac*period."""
     t = np.arange(int(n_strides * period / dt) + 1) * dt
     phase = (t / period) % 1.0
     swing = phase >= stance_frac
@@ -31,11 +31,8 @@ def _scripted_side(n_strides=3, dt=0.01, period=1.2, stance_frac=0.6):
     # heel: flat and still through stance, arcs through swing moving
     # forward at up to 1.5 m/s; strikes land at k*period where the arc
     # returns to the floor
-    zero = np.zeros_like(t)
-    heel = np.column_stack([np.cumsum(1.5 * bump) * dt, zero,
-                            0.02 + 0.10 * bump])
-    toe = np.column_stack([heel[:, 0] + 0.2, zero, 0.02 + 0.12 * bump])
-    return t, heel, toe
+    return (t, np.cumsum(1.5 * bump) * dt, 0.02 + 0.10 * bump,
+            0.02 + 0.12 * bump)
 
 
 def _local_minima_loop(x):
@@ -101,8 +98,8 @@ class TestLocalExtrema:
 
 class TestDetect:
     def test_scripted_events_within_one_frame(self):
-        t, heel, toe = _scripted_side()
-        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
+        t, heel_x, heel_z, toe_z = _scripted_side()
+        ev = detect_side_events(t, heel_x, heel_z, toe_z, pipeline.RunConfig())
         for hs in ev.heel_strikes:
             k = round(hs / 1.2)
             assert abs(hs - k * 1.2) <= 0.011
@@ -111,8 +108,8 @@ class TestDetect:
             assert abs(to - (k * 1.2 + 0.72)) <= 0.011
 
     def test_alternation(self):
-        t, heel, toe = _scripted_side(4)
-        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
+        t, heel_x, heel_z, toe_z = _scripted_side(4)
+        ev = detect_side_events(t, heel_x, heel_z, toe_z, pipeline.RunConfig())
         merged = sorted([(x, "hs") for x in ev.heel_strikes]
                         + [(x, "to") for x in ev.toe_offs])
         kinds = [k for _, k in merged]
@@ -121,30 +118,30 @@ class TestDetect:
 
     def test_flat_trial_errors(self):
         t = np.arange(300) * 0.01
-        flat = np.column_stack([np.zeros_like(t), np.zeros_like(t),
-                                np.full_like(t, 0.05)])
+        x, z = np.zeros_like(t), np.full_like(t, 0.05)
         with pytest.raises(SegmentationError, match="no heel strikes"):
-            detect_side_events(t, flat, flat, pipeline.RunConfig())
+            detect_side_events(t, x, z, z, pipeline.RunConfig())
 
     def test_flat_minimum_and_nan_samples(self):
         # the heel rests flat through stance, so each strike is the first
         # sample of a plateau; NaN samples in mid-swing change nothing
-        t, heel, toe = _scripted_side()
-        clean = detect_side_events(t, heel, toe, pipeline.RunConfig())
+        t, heel_x, heel_z, toe_z = _scripted_side()
+        clean = detect_side_events(t, heel_x, heel_z, toe_z,
+                                   pipeline.RunConfig())
         i = np.searchsorted(t, clean.heel_strikes)
-        assert np.all(heel[i, 2] == heel[i + 1, 2])
-        assert np.all(heel[i - 1, 2] > heel[i, 2])
-        for arr in (heel, toe):
+        assert np.all(heel_z[i] == heel_z[i + 1])
+        assert np.all(heel_z[i - 1] > heel_z[i])
+        for arr in (heel_x, heel_z, toe_z):
             arr[[96, 216, 217]] = np.nan
-        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
+        ev = detect_side_events(t, heel_x, heel_z, toe_z, pipeline.RunConfig())
         np.testing.assert_array_equal(ev.heel_strikes, clean.heel_strikes)
         np.testing.assert_array_equal(ev.toe_offs, clean.toe_offs)
 
     def test_fast_heel_minimum_rejected(self):
         # a mid-swing dip with high forward speed must not become a strike
-        t, heel, toe = _scripted_side()
-        heel[:, 2] -= np.exp(-((t - 0.95) / 0.02) ** 2) * 0.08
-        ev = detect_side_events(t, heel, toe, pipeline.RunConfig())
+        t, heel_x, heel_z, toe_z = _scripted_side()
+        heel_z -= np.exp(-((t - 0.95) / 0.02) ** 2) * 0.08
+        ev = detect_side_events(t, heel_x, heel_z, toe_z, pipeline.RunConfig())
         assert not np.any(np.abs(ev.heel_strikes - 0.95) < 0.05)
 
 
@@ -280,7 +277,7 @@ def _stride_metrics_loop(events, heel_pos, com, pelvis_mid, time, participant):
                     po = _at(time, heel_pos[other], float(mid[0]))
                     width = float(abs(po[1] - p0[1]))
             sel = (time >= hs0) & (time <= hs1)
-            com_z = com[sel, 2]
+            com_z = com[sel, 1]
             com_var = float(np.nanmax(com_z) - np.nanmin(com_z)) if sel.any() else math.nan
             vel = float((_at(time, pelvis_mid, hs1)[0]
                          - _at(time, pelvis_mid, hs0)[0]) / (hs1 - hs0))
@@ -479,9 +476,10 @@ class TestCycleTable:
         cycles = {"left": cycle_table(left, right),
                   "right": cycle_table(right, left)}
         heel = {side: rng.normal(size=(600, 3)) for side in ("left", "right")}
-        com = rng.normal(size=(600, 3))
-        com[rng.random(600) < 0.2, 2] = np.nan
-        pelvis = rng.normal(size=(600, 3))
+        # [x, z] rows: the x and z of the (600, 3) draws
+        com = rng.normal(size=(600, 3))[:, ::2]
+        com[rng.random(600) < 0.2, 1] = np.nan
+        pelvis = rng.normal(size=(600, 3))[:, ::2]
         who = Participant(id="p", height=1.7, mass=70.0)
         assert _outcome(metrics.stride_metrics, cycles, heel, com, pelvis,
                         time, who) == \

@@ -235,8 +235,7 @@ class TestSegmentStates:
         np.testing.assert_allclose(pitch, 0.0, atol=1e-12)
         np.testing.assert_allclose(s.acc, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.omega_dot, 0.0, atol=1e-9)
-        np.testing.assert_allclose(com,
-                                   [[0.0, 0.0, 0.5 - 0.17]] * n, atol=1e-12)
+        np.testing.assert_allclose(com, [[0.0, 0.5 - 0.17]] * n, atol=1e-12)
 
     def test_constant_rotation_circular_motion(self):
         # proximal pinned, distal sweeping at constant omega: the COM

@@ -35,7 +35,7 @@ class TestStrideMetrics:
                                                else -0.06),
                                        np.zeros(n)])
                 for side in ("left", "right")}
-        com = np.column_stack([vx * time, np.zeros(n), np.full(n, 0.95)])
+        com = np.column_stack([vx * time, np.full(n, 0.95)])
         pelvis = com.copy()
         return time, heel, com, pelvis
 
@@ -63,6 +63,16 @@ class TestStrideMetrics:
         r = stride_metrics(cycles, heel, com, pelvis, time,
                            self.participant)[0]
         assert r["com_variation"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_stride_without_com_frame(self):
+        # no finite COM frame in the stride: NaN, and no numpy warning
+        time, heel, com, pelvis = self._inputs()
+        com[time <= 1.15, 1] = np.nan
+        cycles = _cycles([0.0, 1.15], [0.67], [0.55], [1.2])
+        r = stride_metrics(cycles, heel, com, pelvis, time,
+                           self.participant)[0]
+        assert math.isnan(r["com_variation"])
+        assert r["stride_length"] == pytest.approx(1.27, abs=1e-9)
 
     def test_durations_and_velocity(self):
         time, heel, com, pelvis = self._inputs()

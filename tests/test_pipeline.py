@@ -301,6 +301,26 @@ class TestMarkerGap:
         np.testing.assert_array_equal(nan, np.arange(96, 114))
         assert out.stiffness is not None
 
+    def test_strides_without_com_named_once(self, stride, tmp_path):
+        # L-asis hidden over frames 30-289, too long to fill: the pelvis
+        # midpoint, so the COM, is NaN there and three strides hold no COM
+        # frame.  Each reads NaN, with no numpy warning, and one meta.json
+        # warning names them
+        markers = stride.markers.copy()
+        markers.pos["L-asis"][30:290] = np.nan
+        out = analyze_trial(TrialRecord(meta=stride.meta, markers=markers,
+                                        grf=stride.grf))
+        no_com = [(row["side"], round(row["cycle_start_s"], 3))
+                  for row in out.stride_rows
+                  if np.isnan(row["com_variation"])]
+        assert no_com == [("left", 1.0), ("right", 0.4), ("right", 1.6)]
+        write_bundle(out, tmp_path / "b")
+        warnings = json.loads((tmp_path / "b" / "meta.json").read_text())[
+            "warnings"]
+        assert [w for w in warnings if "COM" in w] == [
+            "com_variation not computed for the strides with no finite COM "
+            "frame: left from 1.000 s, right from 0.400 s, right from 1.600 s"]
+
 
 class TestStiffnessCatch:
     def test_gait_error_becomes_warning(self, stride, monkeypatch):

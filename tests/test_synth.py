@@ -179,8 +179,18 @@ class TestProfile:
         (dict(terrain="mud"), "unknown terrain 'mud'"),
         (dict(hip_half_width=True),
          "geometry.hip_half_width must be a number, got True"),
+        (dict(stance_windows=[[0.1, 0.5, 0.9]]),
+         "stance_windows_s[0] must be a [start, end] pair, "
+         "got [0.1, 0.5, 0.9]"),
+        (dict(stance_windows=[0.3]),
+         "stance_windows_s[0] must be a [start, end] pair, got 0.3"),
+        (dict(stance_windows=[[0.2, 0.8], [0.1]]),
+         "stance_windows_s[1] must be a [start, end] pair, got [0.1]"),
+        (dict(stance_windows=0.3),
+         "stance_windows_s must be a list of [start, end] pairs, got 0.3"),
     ], ids=["zero_marker_dt", "negative_duration", "nan_ramp", "middle_side",
-            "unknown_terrain", "boolean_width"])
+            "unknown_terrain", "boolean_width", "three_value_window",
+            "bare_number_window", "one_value_window", "windows_not_a_list"])
     def test_rejected_values_built_in_python(self, change, message):
         # a profile built in code is held to the profile.json rules, and
         # named by its keys, when it is built
@@ -225,7 +235,8 @@ def _full_chain_force(pr, result):
     """The GRF force of ``result``, generated from ``pr``, rebuilt from one
     1 kHz walk of both legs over the whole trial at once, as (N, 3) rows
     with y 0: weight plus HAT mass x hip acceleration, then the left thigh,
-    shank and foot terms, then the right ones."""
+    shank and foot terms, then the right ones, times the plate's share of
+    the balance."""
     params = segment_parameters(pr.participant, AnthropometricTable.default(),
                                 {"thigh": pr.thigh_len, "shank": pr.shank_len,
                                  "foot": pr.foot_len})
@@ -241,7 +252,8 @@ def _full_chain_force(pr, result):
                       for name in ("thigh", "shank", "foot")]
     f = np.stack([fx, np.zeros_like(t), fz], axis=-1)
     f = f + pr.participant.mass * GRAVITY * np.array([0.0, 0.0, 1.0])
-    w = synth._stance_weight(t, result.stance_windows, pr.ramp)
+    # the plate's share of the balance; heel and toe x only place the COP
+    w, _, _ = synth._plate(pr, t, result.stance_windows, (fx, fz), t, t)
     return w[:, None] * f
 
 
