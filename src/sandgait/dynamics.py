@@ -38,7 +38,7 @@ UP = np.array([0.0, 1.0])
 
 def _cross_y(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The lab-Y component of ``a x b`` for ``[x, z]`` vectors: the floats
-    of ``np.cross(a3, b3)[..., 1]`` for 3-D vectors of any y."""
+    of the y of the 3-D cross product, ``a_z b_x - a_x b_z``, for any y."""
     return a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1]
 
 

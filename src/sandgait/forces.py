@@ -137,9 +137,21 @@ def with_vertical_force(grf: GrfData, fz: np.ndarray) -> GrfData:
     the COP kept: the plate-origin moment follows the changed force."""
     force = grf.force.copy()
     force[:, 2] = fz
-    cop3 = np.column_stack([grf.cop, np.zeros(len(grf))])
-    moment = grf.moment + np.cross(cop3, force - grf.force)
+    moment = grf.moment + cop_moment(grf.cop, force - grf.force)
     return GrfData(time=grf.time, force=force, moment=moment, cop=grf.cop)
+
+
+def cop_moment(cop: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """The moment about the plate origin of the (N, 3) ``force`` applied at
+    the (N, 2) ``cop`` on z = 0, as (N, 3) rows: the column products of the
+    cross product of (cx, cy, 0) with the force, term for term, so every
+    float and signed zero is kept."""
+    (cx, cy), (fx, fy, fz) = cop.T, force.T
+    out = np.empty((len(cop), 3))
+    out[:, 0] = cy * fz - 0.0 * fy
+    out[:, 1] = 0.0 * fx - cx * fz
+    out[:, 2] = cx * fy - cy * fx
+    return out
 
 
 def normalize_grf(force: np.ndarray, participant: Participant,

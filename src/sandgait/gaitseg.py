@@ -147,8 +147,6 @@ def detect_side_events(time: np.ndarray, heel_x: np.ndarray,
 
     hs = np.array([time[i] for i, k in cleaned if k == "hs"])
     to = np.array([time[i] for i, k in cleaned if k == "to"])
-    if hs.size == 0:
-        raise SegmentationError("no heel strikes survived alternation cleanup")
     return SideEvents(heel_strikes=hs, toe_offs=to)
 
 
@@ -192,13 +190,11 @@ def stance_windows(cycles: np.ndarray) -> np.ndarray:
 
 
 def grf_stance_check(ev: SideEvents, grf_time: np.ndarray, fz: np.ndarray,
-                     body_weight: float, fraction: float = 0.05) -> list[str]:
+                     threshold: float) -> list[str]:
     """Optional cross-check of kinematic heel strikes against the vertical
-    force rising through ``fraction`` of body weight.  Returns warnings for
-    strikes on the instrumented plate that disagree by more than
-    ``HS_ONSET_TOL_S``."""
-    thresh = fraction * body_weight
-    rising = np.where((fz[1:] >= thresh) & (fz[:-1] < thresh))[0]
+    force rising through ``threshold`` N.  Returns warnings for strikes on
+    the instrumented plate that disagree by more than ``HS_ONSET_TOL_S``."""
+    rising = np.where((fz[1:] >= threshold) & (fz[:-1] < threshold))[0]
     rise_times = grf_time[rising + 1]
     warnings = []
     for t_hs in ev.heel_strikes:

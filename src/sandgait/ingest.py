@@ -69,7 +69,7 @@ class GrfData:
     time: np.ndarray
     force: np.ndarray   # (N, 3)
     moment: np.ndarray  # (N, 3) about the plate origin
-    cop: np.ndarray     # (N, 2) in the plate frame
+    cop: np.ndarray     # (N, 2) lab x, y on z = 0
 
     def __len__(self) -> int:
         return len(self.time)

@@ -1,11 +1,12 @@
 """End-to-end trial analysis, plus the on-disk artifact bundle.
 
 ``analyze_trial`` runs named stages on whole arrays: ``_surface_grf`` (the
-sand rescale), gap-fill and alignment, the plate side and its
-``_plate_load``, marker smoothing (once per window), segment kinematics,
-``_detect_events`` and one cycle table per side, inverse dynamics,
-``_plate_stance`` (the plate row), then the outcome curves and scalars,
-read from rows of the two cycle tables.  Each intermediate is released
+sand rescale), gap-fill and alignment, ``_plate_load`` (the plate side, its
+ground load and the frames it loads, under the one plate threshold),
+marker smoothing (once per window), segment kinematics, ``_detect_events``
+and one cycle table per side, inverse dynamics, ``_plate_stance`` (the
+plate row), then the outcome curves and scalars, read from rows of the two
+cycle tables.  Each intermediate is released
 after the last stage that reads it, so one analysis holds little more
 than the stage it runs.  Every output embeds the config hash.
 """
@@ -163,39 +164,6 @@ def _mean_segment_lengths(markers, schema) -> dict[str, float]:
     return lengths
 
 
-def _plate_frames(aligned: GrfData, time: np.ndarray,
-                  threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """The aligned rows that load the plate, F_z not under ``threshold`` N
-    (a NaN force counts as loaded), and the marker frame of each.
-    ``align_streams`` copies the marker times, so searchsorted finds each
-    aligned row's frame exactly."""
-    loaded = ~(aligned.force[:, 2] < threshold)
-    return loaded, np.searchsorted(time, aligned.time[loaded])
-
-
-def _attribute_plate_side(aligned: GrfData, markers: MarkerData,
-                          schema: MarkerSchema, loaded: np.ndarray,
-                          frames: np.ndarray) -> str:
-    """Pick the leg standing on the instrumented plate: the side whose
-    ankle x lies nearer the COP x, by the median over the ``_plate_frames``
-    where that ankle is seen; the left at a tie, and where no frame loads
-    the plate.  A side whose ankle is seen on no loaded frame is not
-    picked."""
-    if not loaded.any():
-        return SIDES[0]
-    labels = [schema.joint_label(side, "ankle") for side in SIDES]
-    dist = {}
-    for side, label in zip(SIDES, labels):
-        d = np.abs(markers.pos[label][frames, 0] - aligned.cop[loaded, 0])
-        if (d := d[~np.isnan(d)]).size:
-            dist[side] = float(np.median(d))
-    if not dist:
-        raise InsufficientDataError(
-            f"cannot attribute the plate to a side: neither {labels[0]} nor "
-            f"{labels[1]} is seen on a plate-loaded frame")
-    return min(dist, key=dist.get)  # SIDES order: the left at a tie
-
-
 def _surface_grf(trial: TrialRecord, curve: CalibrationCurve) -> GrfData:
     """The plate record as the surface load: on sand, F_z divided by
     zeta(depth) of ``curve`` with the free couple kept at the COP; on firm
@@ -221,22 +189,46 @@ def _detect_events(markers: MarkerData, schema: MarkerSchema,
     return GaitEvents(**ev), heel
 
 
-def _plate_load(aligned: GrfData, toe_pos: np.ndarray, loaded: np.ndarray,
-                frames: np.ndarray) -> tuple[dynamics.ExternalLoad, np.ndarray]:
-    """The plate's sagittal wrench (F_x, F_z, M_y) on the marker timeline of
-    ``toe_pos``, zero but on the ``_plate_frames``, and the mask of the
-    frames it loads.  The moment is about the plate origin, the lab origin,
-    so the lever is the toe's x and z.  A NaN force counts as loaded, so
-    its frames come out NaN."""
-    n = len(toe_pos)
+def _plate_load(aligned: GrfData, markers: MarkerData, schema: MarkerSchema,
+                threshold: float
+                ) -> tuple[str, dynamics.ExternalLoad, np.ndarray]:
+    """The leg standing on the instrumented plate, the plate's sagittal
+    wrench (F_x, F_z, M_y) on the marker timeline, and the mask of the
+    marker frames it loads.
+
+    The loaded rows are the aligned rows with F_z not under ``threshold`` N;
+    a NaN force counts as loaded, so its frames come out NaN.
+    ``align_streams`` copies the marker times, so searchsorted finds each
+    row's frame exactly.  The side is the one whose ankle x lies nearer the
+    COP x, by the median over the loaded frames where that ankle is seen;
+    the left at a tie, and where no frame loads the plate.  A side whose
+    ankle is seen on no loaded frame is not picked.  The wrench is zero but
+    on the loaded frames; its moment is about the plate origin, the lab
+    origin, so the lever is the side's toe x and z."""
+    loaded = ~(aligned.force[:, 2] < threshold)
+    frames = np.searchsorted(markers.time, aligned.time[loaded])
+    labels = [schema.joint_label(side, "ankle") for side in SIDES]
+    dist = {}
+    for side, label in zip(SIDES, labels):
+        d = np.abs(markers.pos[label][frames, 0] - aligned.cop[loaded, 0])
+        if (d := d[~np.isnan(d)]).size:
+            dist[side] = float(np.median(d))
+    if frames.size and not dist:
+        raise InsufficientDataError(
+            f"cannot attribute the plate to a side: neither {labels[0]} nor "
+            f"{labels[1]} is seen on a plate-loaded frame")
+    side = min(dist, key=dist.get, default=SIDES[0])  # the left at a tie
+
+    n = len(markers.time)
     on_plate = np.zeros(n, dtype=bool)
     on_plate[frames] = True
     load = dynamics.ExternalLoad(np.zeros((n, 2)), np.zeros(n),
                                  np.zeros((n, 2)))
     load.force[frames] = aligned.force[loaded][:, [0, 2]]
     load.moment[frames] = aligned.moment[loaded, 1]
-    load.r[frames] = toe_pos[frames][:, [0, 2]]
-    return load, on_plate
+    toe = markers.pos[schema.joint_label(side, "toe")]
+    load.r[frames] = toe[frames][:, [0, 2]]
+    return side, load, on_plate
 
 
 def _plate_stance(cycles: np.ndarray, time: np.ndarray,
@@ -268,15 +260,10 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
 
     # the plate side and its ground load, so that the aligned stream is
     # released before the markers are smoothed
-    body_weight = participant.mass * cfg.gravity
-    loaded, frames = _plate_frames(aligned, time,
-                                   cfg.plate_threshold_bw * body_weight)
-    plate_side = _attribute_plate_side(aligned, markers, schema, loaded,
-                                       frames)
-    plate_load, on_plate = _plate_load(
-        aligned, markers.pos[schema.joint_label(plate_side, "toe")], loaded,
-        frames)
-    del aligned, loaded, frames
+    threshold = cfg.plate_threshold_bw * (participant.mass * cfg.gravity)
+    plate_side, plate_load, on_plate = _plate_load(aligned, markers, schema,
+                                                   threshold)
+    del aligned
 
     # each marker a stage reads is smoothed once: the leg chain and pelvis
     # at filter_window, the heels and toes for events at event_filter_window
@@ -310,8 +297,7 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     cycles = {side: gaitseg.cycle_table(events.side(side), events.side(other))
               for side, other in zip(SIDES, SIDES[::-1])}
     warnings.extend(gaitseg.grf_stance_check(
-        events.side(plate_side), grf.time, grf.force[:, 2], body_weight,
-        fraction=cfg.plate_threshold_bw))
+        events.side(plate_side), grf.time, grf.force[:, 2], threshold))
 
     # inverse dynamics; only the plate side carries a ground load
     xz = np.broadcast_to(0.0, (len(time), 2))
@@ -335,10 +321,14 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
 
     stride_rows = metrics.stride_metrics(cycles, heel, com, pelvis_mid,
                                          time, participant)
-    if no_com := [f"{row['side']} from {row['cycle_start_s']:.3f} s"
-                  for row in stride_rows if math.isnan(row["com_variation"])]:
-        warnings.append("com_variation not computed for the strides with no "
-                        "finite COM frame: " + ", ".join(no_com))
+    for key, which in (
+            ("com_variation", "with no finite COM frame"),
+            ("avg_velocity", "whose first or last heel strike has no "
+                             "pelvis midpoint")):
+        if strides := [f"{row['side']} from {row['cycle_start_s']:.3f} s"
+                       for row in stride_rows if math.isnan(row[key])]:
+            warnings.append(f"{key} not computed for the strides {which}: "
+                            + ", ".join(strides))
 
     # the plate row: stance-normalized GRF and moments over its stance, the
     # knee stiffness and the knee loop over its cycle

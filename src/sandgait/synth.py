@@ -14,7 +14,7 @@ segment dropped once the next is computed; at the marker rate every
 segment is kept for the markers and the truth.  The feet are kept as 1-D
 x and z series, the y of each marker and of the COP being a constant of
 its side.  So generation peaks at 1.8 times the arrays it returns for a
-12 s walk, 1.7 times for a 20 s one.
+12 s walk, 1.6 times for a 20 s one.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ import numpy as np
 from .dynamics import ExternalLoad, recursive_leg, FrameState
 from .errors import (ConfigurationError, GenerationError, check_number,
                      read_json_as)
+from .forces import cop_moment
 from .gaitseg import (GaitEvents, SideEvents, cycle_table, detect_side_events,
                       stance_windows)
 from .ingest import GrfData, MarkerData, TrialMeta, write_json
@@ -133,6 +134,9 @@ class GaitProfile:
         if self.grf_side not in SIDES:
             raise ConfigurationError(f"grf_side must be one of {SIDES}, "
                                      f"got {self.grf_side!r}")
+        if set(self.legs) != set(SIDES):
+            raise ConfigurationError(f"legs must script {' and '.join(SIDES)}"
+                                     f", got {sorted(self.legs)}")
         # the meta.json this profile writes: checks the terrain and depth
         self.sand_depth = TrialMeta(self.participant, self.terrain,
                                     self.sand_depth).sand_depth
@@ -361,9 +365,6 @@ class SynthResult:
 def synthesize_gait(profile: GaitProfile) -> SynthResult:
     """Forward-generate a trial plus ground truth from a scripted profile."""
     pr = profile
-    if set(pr.legs) != set(SIDES):
-        raise GenerationError(f"profile must script both legs, has {set(pr.legs)}")
-
     lengths = {"thigh": pr.thigh_len, "shank": pr.shank_len, "foot": pr.foot_len}
     params = segment_parameters(pr.participant, AnthropometricTable.default(),
                                 lengths)
@@ -430,9 +431,8 @@ def synthesize_gait(profile: GaitProfile) -> SynthResult:
                                *feet_g[pr.grf_side][::2])
     del feet_g, inertia_g  # nothing after reads the 1 kHz walk
     # plate-origin moment, zero couple at COP
-    moment_g = np.cross(np.column_stack([cop_g, np.zeros(len(t_g))]), force_g)
-
-    grf = GrfData(time=t_g, force=force_g, moment=moment_g, cop=cop_g)
+    grf = GrfData(time=t_g, force=force_g, moment=cop_moment(cop_g, force_g),
+                  cop=cop_g)
 
     # marker set
     markers = {}

@@ -578,6 +578,14 @@ def _heavy_meta(sim, tmp):
     return {"--meta": tmp / "meta.json"}, "'heavy'"
 
 
+def _markers_first_column(sim, tmp):
+    text = (sim / "markers.csv").read_text()
+    assert text.startswith("time,")
+    (tmp / "markers.csv").write_text("t" + text[len("time"):])
+    return ({"--markers": tmp / "markers.csv"},
+            "markers.csv: first marker column must be 'time'")
+
+
 def _list_meta(sim, tmp):
     (tmp / "meta.json").write_text("[1, 2]\n")
     return {"--meta": tmp / "meta.json"}, "meta.json"
@@ -679,7 +687,7 @@ _MALFORMED = [
     ("analyze", _bad_marker_cell), ("analyze", _duplicate_marker_label),
     ("analyze", _curve("_bad_zeta_cell", "0,1,0,0\n20,0.7x,0,12\n", ":3:")),
     ("analyze", _heavy_meta), ("analyze", _list_meta),
-    ("analyze", _non_utf8_markers),
+    ("analyze", _non_utf8_markers), ("analyze", _markers_first_column),
     ("analyze", _trial_cell("_grf_nan_time", "grf.csv", "time", "nan", [5],
                             "5: non-finite value nan in column time")),
     ("analyze", _trial_cell("_grf_all_nan_fz", "grf.csv", "fz", "nan", None,
@@ -735,6 +743,13 @@ _MALFORMED = [
                                  m.pop("sand_depth_cm", None)),
                       "sand terrain requires sand_depth")),
     ("analyze", _config("_config_number", "5\n", "expected a JSON object")),
+    ("analyze", _config("_config_list", "[1, 2]\n",
+                        "expected a JSON object of config keys, "
+                        "got [1, 2]")),
+    ("analyze", _curve("_curve_empty", "", ": empty calibration curve")),
+    ("analyze", _curve("_curve_not_from_depth_zero",
+                       "5,1,0,0\n20,0.8,0,12\n",
+                       ": calibration curve must start at depth 0")),
     ("analyze", _config("_config_empty_schema_path", '{"marker_schema": ""}',
                         "marker_schema must name a file, got ''")),
     ("analyze", _config("_config_empty_table_path", '{"anthropometry": ""}',
@@ -844,6 +859,9 @@ _MALFORMED = [
                           _edit_json(lambda d: d["geometry"].update(
                               thigh_len=-0.4)),
                           "geometry.thigh_len must be > 0, got -0.4")),
+    ("simulate", _profile("_profile_one_leg",
+                          _edit_json(lambda d: d["legs"].pop("left")),
+                          "legs must script left and right, got ['right']")),
     ("compare", _bundle("_truncated_features", "features.json", _truncate,
                         ": invalid JSON")),
     ("compare", _bundle("_truncated_bundle_meta", "meta.json", _truncate,
@@ -963,6 +981,20 @@ class TestMalformedInput:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
+
+    def test_grf_shorter_than_a_window_exits_two(self, sim_dir, tmp_path,
+                                                 caplog):
+        # five GRF rows cover no marker frame's averaging window: a trial
+        # that cannot be analysed exits 2, with one ERROR line and no bundle
+        lines = (sim_dir / "grf.csv").read_text().split("\n")
+        (tmp_path / "grf.csv").write_text("\n".join(lines[:6]) + "\n")
+        argv = _analyze_argv(sim_dir, tmp_path / "bundle")
+        argv[argv.index("--grf") + 1] = str(tmp_path / "grf.csv")
+        assert main(argv) == 2
+        assert [r.getMessage() for r in caplog.records
+                if r.levelname == "ERROR"] == [
+            "no marker frame has full GRF window coverage"]
+        assert not (tmp_path / "bundle").exists()
 
 
 def _numeric_leaves(doc, path=()):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sandgait.errors import (ExtrapolationError, FitError, FormatError,
                              GaitError, GaitInputError, ParameterError)
-from sandgait.forces import (CalibrationCurve, calibrate_grf,
+from sandgait.forces import (CalibrationCurve, calibrate_grf, cop_moment,
                              default_calibration_curve, extract_grf_features,
                              fit_calibration, normalize_grf,
                              read_calibration_curve, read_calibration_samples,
@@ -135,6 +136,20 @@ class TestCalibrate:
         zeta = curve.zeta_at(depth)
         recovered = calibrate_grf(fz * zeta, depth, curve)
         np.testing.assert_allclose(recovered, fz, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cop_moment_is_the_3d_cross(data):
+    # the moment of a force at the COP on z = 0: the floats, signed zeros
+    # included, of the 3-D cross product of (cop_x, cop_y, 0) with it
+    n = data.draw(st.integers(1, 8))
+    wide = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+    cop = data.draw(arrays(np.float64, (n, 2), elements=wide))
+    force = data.draw(arrays(np.float64, (n, 3), elements=wide))
+    want = np.cross(np.column_stack([cop, np.zeros(n)]), force)
+    assert np.array_equal(cop_moment(cop, force).view(np.uint64),
+                          want.view(np.uint64))
 
 
 class TestNormalize:

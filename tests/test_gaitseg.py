@@ -96,7 +96,39 @@ class TestLocalExtrema:
         assert _local_extrema(-x, -1).tolist() == minima
 
 
+def _dips_and_rises(dips, rises, n=100):
+    """At 100 Hz, a still heel (x 0) whose z dips from 10 cm in a V of 1 cm
+    a frame to each (frame, depth) of ``dips``, and a toe whose z rises
+    1 cm a frame for three frames from each frame of ``rises``: a heel
+    strike at each dip and a toe-off at each rise, before cleanup."""
+    t = np.arange(n) * 0.01
+    j = np.arange(n)
+    heel_z = np.full(n, 0.1)
+    for frame, depth in dips:
+        heel_z = np.minimum(heel_z, depth + 0.01 * np.abs(j - frame))
+    toe_z = np.zeros(n)
+    for frame in rises:
+        toe_z += 0.01 * np.clip(j - frame, 0, 3)
+    return t, np.zeros(n), heel_z, toe_z
+
+
 class TestDetect:
+    @pytest.mark.parametrize("dips, rises, hs, to", [
+        ([(10, 0.02), (40, 0.01)], [], [40], []),
+        ([(10, 0.01), (40, 0.01)], [], [10], []),
+        ([(10, 0.01)], [40, 60], [10], [40]),
+        ([(10, 0.01)], [20, 40], [10], [40]),
+        ([(10, 0.01), (50, 0.01), (80, 0.01)], [40], [10, 80], [40]),
+    ], ids=["two_strikes_keep_lower_heel", "tied_strikes_keep_first",
+            "two_toe_offs_keep_first", "toe_off_inside_min_stance_dropped",
+            "strike_inside_min_swing_dropped"])
+    def test_alternation_cleanup(self, dips, rises, hs, to):
+        # the minimum stance is 0.2 s and the minimum swing 0.15 s
+        t, heel_x, heel_z, toe_z = _dips_and_rises(dips, rises)
+        ev = detect_side_events(t, heel_x, heel_z, toe_z, pipeline.RunConfig())
+        np.testing.assert_array_equal(ev.heel_strikes, t[hs])
+        np.testing.assert_array_equal(ev.toe_offs, t[to])
+
     def test_scripted_events_within_one_frame(self):
         t, heel_x, heel_z, toe_z = _scripted_side()
         ev = detect_side_events(t, heel_x, heel_z, toe_z, pipeline.RunConfig())
@@ -219,14 +251,14 @@ class TestGrfCheck:
         fz = np.where((t > 0.5) & (t < 1.2), 700.0, 0.0)
         ev = SideEvents(heel_strikes=np.array([0.501]),
                         toe_offs=np.array([1.2]))
-        assert grf_stance_check(ev, t, fz, 700.0) == []
+        assert grf_stance_check(ev, t, fz, 35.0) == []
 
     def test_disagreement_warns(self):
         t = np.arange(2000) * 0.001
         fz = np.where((t > 0.5) & (t < 1.2), 700.0, 0.0)
         ev = SideEvents(heel_strikes=np.array([0.65]),
                         toe_offs=np.array([1.2]))
-        warnings = grf_stance_check(ev, t, fz, 700.0)
+        warnings = grf_stance_check(ev, t, fz, 35.0)
         assert len(warnings) == 1 and "0.650" in warnings[0]
 
 

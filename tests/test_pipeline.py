@@ -148,17 +148,16 @@ class TestPlateSide:
             markers.pos[label][loaded] = np.nan
         with pytest.raises(InsufficientDataError,
                            match="neither L-ankle nor R-ankle is seen"):
-            pipeline._attribute_plate_side(
-                aligned, markers, MarkerSchema.default(),
-                *pipeline._plate_frames(aligned, markers.time, 1.0))
+            pipeline._plate_load(aligned, markers, MarkerSchema.default(),
+                                 1.0)
 
     def test_standing_tie_goes_left(self):
         # both ankles stand at one x: the left, as before
         res = synthesize_gait(standing_profile())
         aligned = align_streams(res.markers, res.grf)
-        assert pipeline._attribute_plate_side(
-            aligned, res.markers, MarkerSchema.default(),
-            *pipeline._plate_frames(aligned, res.markers.time, 1.0)) == "left"
+        side, _, _ = pipeline._plate_load(aligned, res.markers,
+                                          MarkerSchema.default(), 1.0)
+        assert side == "left"
 
 
 class TestPlateCycle:
@@ -320,6 +319,27 @@ class TestMarkerGap:
         assert [w for w in warnings if "COM" in w] == [
             "com_variation not computed for the strides with no finite COM "
             "frame: left from 1.000 s, right from 0.400 s, right from 1.600 s"]
+
+    def test_strides_without_velocity_named_once(self, stride, tmp_path):
+        # L-asis hidden over frames 150-169, too long to fill: the pelvis
+        # midpoint is NaN at the right heel strike at 1.6 s, which ends one
+        # right stride and starts the next, so both read NaN avg_velocity
+        # and one meta.json warning names them
+        markers = stride.markers.copy()
+        markers.pos["L-asis"][150:170] = np.nan
+        out = analyze_trial(TrialRecord(meta=stride.meta, markers=markers,
+                                        grf=stride.grf))
+        assert [(row["side"], round(row["cycle_start_s"], 3))
+                for row in out.stride_rows
+                if np.isnan(row["avg_velocity"])] == [("right", 0.4),
+                                                      ("right", 1.6)]
+        write_bundle(out, tmp_path / "b")
+        warnings = json.loads((tmp_path / "b" / "meta.json").read_text())[
+            "warnings"]
+        assert [w for w in warnings if "stride" in w] == [
+            "avg_velocity not computed for the strides whose first or last "
+            "heel strike has no pelvis midpoint: right from 0.400 s, right "
+            "from 1.600 s"]
 
 
 class TestStiffnessCatch:

@@ -161,14 +161,14 @@ class TestProfile:
         assert json.dumps(back) == "[[0, 2], [2.5, 3]]"
 
     def test_minimal_json_takes_dataclass_defaults(self):
+        leg = {"thigh_pitch": {"a0": 0.1}, "knee_flexion": {},
+               "foot_pitch": {}}
         doc = {"participant": {"id": "p", "height_m": 1.7, "mass_kg": 70.0},
-               "duration_s": 3.0,
-               "legs": {"right": {"thigh_pitch": {"a0": 0.1},
-                                  "knee_flexion": {}, "foot_pitch": {}}}}
+               "duration_s": 3.0, "legs": {"left": leg, "right": leg}}
+        angles = LegAngles(Trig(a0=0.1), Trig(), Trig())
         assert GaitProfile.from_json(doc) == GaitProfile(
             participant=Participant(id="p", height=1.7, mass=70.0),
-            duration=3.0,
-            legs={"right": LegAngles(Trig(a0=0.1), Trig(), Trig())})
+            duration=3.0, legs={"left": angles, "right": angles})
 
     @pytest.mark.parametrize("change, message", [
         (dict(marker_dt=0), "marker_dt_s must be > 0, got 0"),
@@ -188,9 +188,12 @@ class TestProfile:
          "stance_windows_s[1] must be a [start, end] pair, got [0.1]"),
         (dict(stance_windows=0.3),
          "stance_windows_s must be a list of [start, end] pairs, got 0.3"),
+        (dict(legs={"right": stride_profile().legs["right"]}),
+         "legs must script left and right, got ['right']"),
     ], ids=["zero_marker_dt", "negative_duration", "nan_ramp", "middle_side",
             "unknown_terrain", "boolean_width", "three_value_window",
-            "bare_number_window", "one_value_window", "windows_not_a_list"])
+            "bare_number_window", "one_value_window", "windows_not_a_list",
+            "one_leg"])
     def test_rejected_values_built_in_python(self, change, message):
         # a profile built in code is held to the profile.json rules, and
         # named by its keys, when it is built
