@@ -13,8 +13,7 @@ from .schema import MarkerSchema
 from .ingest import (MarkerData, GrfData, TrialMeta, TrialRecord,
                      parse_trial, fill_gaps, align_streams)
 from .kinematics import (moving_average, differentiate, pitch_angle,
-                         smooth_markers, segment_states, joint_angles,
-                         com_trajectory)
+                         segment_states, joint_angles, com_trajectory)
 from .gaitseg import (SideEvents, GaitEvents, detect_side_events,
                       phase_normalize, NormalizedCurve, stance_swing_durations,
                       PHASE_GRID)

@@ -18,8 +18,9 @@ hip it additionally carries the thigh-mass force term that the closed form
 omits (``hip_thigh_mass_term``).
 
 The same code path serves stance and swing: swing frames simply carry a
-zero external load.  A leg is one ``{segment: FrameState}`` dict, from
-``kinematics.segment_states`` into every pass here.
+zero external load.  A leg is one ``{segment: FrameState}`` dict of the
+states one ``kinematics.segment_states`` call returns, into every pass
+here.
 """
 from __future__ import annotations
 
@@ -55,10 +56,6 @@ class ExternalLoad:
     force: np.ndarray   # (2,) or (N, 2), N, [x, z]
     moment: np.ndarray  # () or (N,), N m, lab y, about the reference point
     r: np.ndarray       # (2,) or (N, 2), m, [x, z], reference point -> toe
-
-    @classmethod
-    def zero(cls) -> "ExternalLoad":
-        return cls(force=np.zeros(2), moment=np.zeros(()), r=np.zeros(2))
 
 
 @dataclass(frozen=True)

@@ -564,9 +564,14 @@ def write_grf_file(path: str | Path, grf: GrfData) -> None:
 
 def parse_trial(marker_file: str | Path, grf_file: str | Path,
                 meta: TrialMeta, schema: MarkerSchema) -> TrialRecord:
-    """Parse and validate both trial files into a TrialRecord."""
+    """Parse and validate both trial files into a TrialRecord.  A GRF file
+    with fewer rows than one marker frame's averaging window
+    (``grf_window``) is malformed."""
     markers = read_marker_file(marker_file, schema)
     grf = read_grf_file(grf_file)
+    if len(grf) < (need := grf_window(markers, grf)):
+        raise FormatError(f"{grf_file}: {len(grf)} rows; one marker frame's "
+                          f"window needs {need}")
     if meta.sync_offset:
         grf = replace(grf, time=grf.time + meta.sync_offset)
     return TrialRecord(meta=meta, markers=markers, grf=grf)
@@ -615,12 +620,17 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
     return out
 
 
+def grf_window(markers: MarkerData, grf: GrfData) -> int:
+    """The raw GRF samples averaged onto one marker frame: the marker
+    interval over the GRF interval, rounded, at least 1."""
+    return max(1, int(round(markers.dt / float(np.median(np.diff(grf.time))))))
+
+
 def align_streams(markers: MarkerData, grf: GrfData) -> GrfData:
     """The GRF stream resampled onto the marker timeline by boxcar means.
 
-    ``ratio`` is the marker interval over the GRF interval, rounded (at
-    least 1).  Each marker timestamp receives the mean of ``ratio`` raw
-    samples about the raw sample nearest it: ``ratio // 2`` on each side
+    Each marker timestamp receives the mean of ``ratio = grf_window(...)``
+    raw samples about the raw sample nearest it: ``ratio // 2`` on each side
     at an odd ratio, centred; at an even ratio ``ratio // 2 - 1`` before
     and ``ratio // 2`` after, so the window leans half a raw sample ahead.
     Force, moment and COP are averaged separately.  Marker frames without
@@ -632,8 +642,7 @@ def align_streams(markers: MarkerData, grf: GrfData) -> GrfData:
             f"marker timeline [{m.time[0]:g}, {m.time[-1]:g}] s does not "
             f"overlap GRF timeline [{g.time[0]:g}, {g.time[-1]:g}] s")
     dt_m = m.dt
-    dt_g = float(np.median(np.diff(g.time)))
-    ratio = max(1, int(round(dt_m / dt_g)))
+    ratio = grf_window(m, g)
     half_lo, half_hi = (ratio // 2 - 1, ratio // 2) if ratio % 2 == 0 \
         else (ratio // 2, ratio // 2)
 

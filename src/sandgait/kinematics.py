@@ -1,11 +1,11 @@
-"""Segment kinematics from labeled markers.
+"""Segment kinematics from smoothed marker arrays.
 
-Markers are smoothed once, before anything reads them: ``smooth_markers``
-stacks the markers one stage needs into an ``(N, k, 3)`` array and filters
-it by one ``moving_average`` call.  ``segment_states`` and
-``pelvis_midpoint`` take those smoothed markers and filter nothing
-themselves.  A segment's state is a planar ``dynamics.FrameState``, the
-type inverse dynamics reads, returned beside its ``[x, z]`` COM and pitch.
+This module works on arrays alone and reads no marker schema: the
+pipeline stacks and smooths the markers, by one ``moving_average`` call
+per window, and hands each leg's hip-knee-ankle-toe chain to one
+``segment_states`` call, which returns every segment's planar
+``dynamics.FrameState`` (the type inverse dynamics reads) beside the
+segments' ``[x, z]`` COMs and pitches.
 
 All angular quantities are sagittal (lab X-Z plane, X forward, Z up);
 out-of-plane marker motion is projected out.  The pitch of a unit vector
@@ -14,13 +14,13 @@ tilted forward.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .dynamics import FrameState
 from .errors import ConfigurationError, ParameterError, SingularSegmentError
-from .ingest import MarkerData
 from .model import SegmentParams
-from .schema import MarkerSchema
 
 #: Below this proximal-distal marker distance a frame is degenerate.
 MIN_SEGMENT_LENGTH = 1e-3  # m
@@ -107,69 +107,67 @@ def differentiate(x: np.ndarray, dt: float, order: int = 1) -> np.ndarray:
 def pitch_angle(e: np.ndarray) -> np.ndarray:
     """Sagittal pitch of ``[x, z]`` direction vectors, radians, unwrapped.
 
-    NaN frames stay NaN without breaking the unwrap of later frames.
+    ``e`` is ``(N, 2)`` or ``(N, k, 2)``; the pitch is ``(N,)`` or
+    ``(N, k)``, each column unwrapped over its own finite frames, so NaN
+    frames stay NaN without breaking the unwrap of later frames.
     """
     e = np.atleast_2d(e)
-    theta = np.arctan2(e[:, 0], -e[:, 1])
-    valid = np.isfinite(theta)
-    if valid.any():
-        theta[valid] = np.unwrap(theta[valid])
+    theta = np.arctan2(e[..., 0], -e[..., 1])
+    for col in theta.reshape(len(theta), -1).T:  # views into theta
+        valid = np.isfinite(col)
+        if valid.any():
+            col[valid] = np.unwrap(col[valid])
     return theta
 
 
-def smooth_markers(markers: MarkerData, labels: list[str],
-                   window: int) -> MarkerData:
-    """The markers named by ``labels``, boxcar-filtered at ``window`` by one
-    ``moving_average`` call over their ``(N, k, 3)`` stack."""
-    stack = moving_average(np.stack([markers.pos[l] for l in labels], axis=1),
-                           window)
-    return MarkerData(time=markers.time,
-                      pos={l: stack[:, k] for k, l in enumerate(labels)})
+def segment_states(chain: np.ndarray, time: np.ndarray,
+                   params: Sequence[SegmentParams], labels: Sequence[str]
+                   ) -> tuple[list[FrameState], np.ndarray, np.ndarray]:
+    """Planar states of the segments of one smoothed marker chain, their
+    ``[x, z]`` COMs and their sagittal pitches (radians, as ``pitch_angle``).
 
-
-def segment_states(markers: MarkerData, schema: MarkerSchema, side: str,
-                   segment: str, params: SegmentParams
-                   ) -> tuple[FrameState, np.ndarray, np.ndarray]:
-    """Planar state of one leg segment from smoothed markers, its ``[x, z]``
-    COM and its sagittal pitch (radians, as ``pitch_angle``).
-
+    ``chain`` is ``(N, k + 1, 3)``, proximal to distal: segment ``j`` runs
+    from marker ``j`` to marker ``j + 1`` and has ``params[j]``; ``labels``
+    name the markers for errors.  Returns ``k`` states, each field a
+    contiguous copy, the ``(N, k, 2)`` COMs and the ``(N, k)`` pitches.
     The angular acceleration is the pitch differentiated twice; its sign
     follows the lab Y axis (a forward-tipping segment has negative omega
     about +Y).
     """
-    prox_label, dist_label = schema.segment_endpoints(side, segment)
-    dt = markers.dt
-    p = markers.pos[prox_label]
-    delta = markers.pos[dist_label] - p
-    norm = np.linalg.norm(delta, axis=1)
+    delta = np.diff(chain, axis=1)
+    norm = np.linalg.norm(delta, axis=2)
     degenerate = norm < MIN_SEGMENT_LENGTH  # False where NaN
     if degenerate.any():
-        frame = int(np.where(degenerate)[0][0])
+        frame, j = np.argwhere(degenerate)[0]
         raise SingularSegmentError(
-            f"{side} {segment}: markers {prox_label!r}/{dist_label!r} are "
-            f"coincident at frame {frame} (t={markers.time[frame]:.3f} s)")
+            f"markers {labels[j]!r}/{labels[j + 1]!r} are coincident at "
+            f"frame {frame} (t={time[frame]:.3f} s)")
     with np.errstate(invalid="ignore"):
-        e = delta / norm[:, None]
+        e = delta[..., ::2] / norm[..., None]  # x and z
 
-    e = e[:, ::2].copy()  # x and z, not a view keeping all three alive
-    com = p[:, ::2] + params.com_offset * e
+    dt = float(np.median(np.diff(time)))
+    com = chain[:, :-1, ::2] + np.array(
+        [p.com_offset for p in params])[:, None] * e
     pitch = pitch_angle(e)
-    state = FrameState(e=e, acc=differentiate(com, dt, order=2),
-                       omega_dot=-differentiate(pitch, dt, order=2))
-    return state, com, pitch
+    acc = differentiate(com, dt, order=2)
+    omega_dot = -differentiate(pitch, dt, order=2)
+    states = [FrameState(e=e[:, j].copy(), acc=acc[:, j].copy(),
+                         omega_dot=omega_dot[:, j].copy())
+              for j in range(len(params))]
+    return states, com, pitch
 
 
-def joint_angles(thigh: np.ndarray, shank: np.ndarray,
-                 foot: np.ndarray) -> dict[str, np.ndarray]:
-    """Sagittal joint angles in degrees for one side, from the segment
-    pitches (radians) that ``segment_states`` returns.
+def joint_angles(pitch: np.ndarray) -> dict[str, np.ndarray]:
+    """Sagittal joint angles in degrees for one side, from the ``(N, 3)``
+    thigh, shank and foot pitches (radians) that ``segment_states``
+    returns.
 
     hip: thigh pitch against the vertical trunk-axis proxy, flexion
     positive; knee: thigh-shank angle, flexion positive, 0 at full
     extension; ankle: shank-foot angle minus 90 deg, dorsiflexion positive.
     Frames with missing segment directions yield NaN angles.
     """
-    a_t, a_s, a_f = np.degrees(thigh), np.degrees(shank), np.degrees(foot)
+    a_t, a_s, a_f = np.degrees(pitch).T
     return {
         "hip": a_t,
         "knee": a_t - a_s,
@@ -177,24 +175,16 @@ def joint_angles(thigh: np.ndarray, shank: np.ndarray,
     }
 
 
-def pelvis_midpoint(markers: MarkerData, schema: MarkerSchema) -> np.ndarray:
-    """Mean ``[x, z]`` of the pelvis markers, from smoothed markers."""
-    return np.stack([markers.pos[l][:, ::2]
-                     for l in schema.pelvis_labels()]).mean(axis=0)
-
-
-def com_trajectory(coms: dict[tuple[str, str], np.ndarray],
-                   params: dict[str, SegmentParams],
-                   body_mass: float,
-                   pelvis_mid: np.ndarray) -> np.ndarray:
+def com_trajectory(coms: np.ndarray, masses: Sequence[float],
+                   body_mass: float, pelvis_mid: np.ndarray) -> np.ndarray:
     """Whole-body ``[x, z]`` COM proxy: mass-weighted segment COMs, with the
     residual (head-arms-trunk) mass lumped at the pelvis-marker midpoint.
-    The segments are summed in the order of ``coms``."""
+    ``coms`` is ``(N, k, 2)``, column ``j`` the COM of a segment of mass
+    ``masses[j]``; the columns are summed in order."""
     total = 0.0
     weighted = np.zeros_like(pelvis_mid)
-    for (side, segment), com in coms.items():
-        m = params[segment].mass
-        weighted = weighted + m * com
+    for j, m in enumerate(masses):
+        weighted = weighted + m * coms[:, j]
         total += m
     residual = body_mass - total
     if residual < -1e-9:

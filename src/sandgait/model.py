@@ -97,9 +97,6 @@ class AnthropometricTable:
                 f"anthropometric table has no entry for segment {segment!r}"
             ) from None
 
-    def __contains__(self, segment: str) -> bool:
-        return segment in self.ratios
-
     @classmethod
     def from_file(cls, path: str | Path,
                   raw: bytes | None = None) -> "AnthropometricTable":

@@ -2,13 +2,16 @@
 
 ``analyze_trial`` runs named stages on whole arrays: ``_surface_grf`` (the
 sand rescale), gap-fill and alignment, ``_plate_load`` (the plate side, its
-ground load and the frames it loads, under the one plate threshold),
-marker smoothing (once per window), segment kinematics, ``_detect_events``
-and one cycle table per side, inverse dynamics, ``_plate_stance`` (the
-plate row), then the outcome curves and scalars, read from rows of the two
-cycle tables.  Each intermediate is released
-after the last stage that reads it, so one analysis holds little more
-than the stage it runs.  Every output embeds the config hash.
+ground load and the frames it loads, under the one plate threshold), then
+one ``(N, k, 3)`` stack of every landmark a later stage reads, from which
+come the segment lengths, the smoothing (once per window), one
+``kinematics.segment_states`` call per leg, the events and one cycle table
+per side, inverse dynamics, ``_plate_stance`` (the plate row), then the
+outcome curves and scalars, read from rows of the two cycle tables.  This
+module is the only analysis module that reads the marker schema.  Each
+intermediate is released after the last stage that reads it, so one
+analysis holds little more than the stage it runs.  Every output embeds
+the config hash.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import dynamics, forces, gaitseg, kinematics, metrics
 from .errors import (ConfigurationError, GaitError, InsufficientDataError,
-                     check_number, read_json_as)
+                     ParameterError, check_number, read_json_as)
 from .forces import CalibrationCurve
 from .gaitseg import HS, NEXT_HS, TO, GaitEvents, NormalizedCurve
 from .ingest import (GrfData, MarkerData, TrialRecord, align_streams,
@@ -36,6 +39,10 @@ from .schema import SIDES, MarkerSchema
 #: other number must be > 0.  Each is finite.
 _ODD_WINDOWS = ("filter_window", "event_filter_window", "grf_smooth_window")
 _NON_NEGATIVE = ("max_gap_frames", "plate_threshold_bw")
+
+#: Each leg's landmark chain, proximal to distal, and its segments in order.
+_CHAIN = ("hip", "knee", "ankle", "toe")
+_CHAIN_SEGMENTS = LEG_SEGMENTS[::-1]  # thigh, shank, foot
 
 #: Each config key that names an input file: its reader, given the path and
 #: the file's bytes, and the bundled default that a null key takes.
@@ -147,19 +154,20 @@ class AnalysisResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _mean_segment_lengths(markers, schema) -> dict[str, float]:
+def _mean_segment_lengths(chains: np.ndarray) -> dict[str, float]:
+    """Each leg segment's length: the mean over the sides of its mean over
+    the frames it is seen on, from the unsmoothed ``(N, side, 4, 3)`` leg
+    chains."""
+    norms = np.linalg.norm(np.diff(chains, axis=2), axis=3)  # (N, side, seg)
     lengths = {}
-    for seg in LEG_SEGMENTS:
+    for j, seg in enumerate(_CHAIN_SEGMENTS):
         per_side = []
-        for side in SIDES:
-            p_label, d_label = schema.segment_endpoints(side, seg)
-            delta = markers.pos[d_label] - markers.pos[p_label]
-            norms = np.linalg.norm(delta, axis=1)
-            norms = norms[np.isfinite(norms)]
-            if norms.size == 0:
+        for s, side in enumerate(SIDES):
+            seen = norms[:, s, j][np.isfinite(norms[:, s, j])]
+            if seen.size == 0:
                 raise ConfigurationError(
                     f"cannot measure {side} {seg} length: no valid frames")
-            per_side.append(float(norms.mean()))
+            per_side.append(float(seen.mean()))
         lengths[seg] = float(np.mean(per_side))
     return lengths
 
@@ -174,19 +182,6 @@ def _surface_grf(trial: TrialRecord, curve: CalibrationCurve) -> GrfData:
         return grf
     return forces.with_vertical_force(grf, forces.calibrate_grf(
         grf.force[:, 2], trial.meta.sand_depth, curve))
-
-
-def _detect_events(markers: MarkerData, schema: MarkerSchema,
-                   cfg: RunConfig) -> tuple[GaitEvents, dict[str, np.ndarray]]:
-    """Gait events of both sides from smoothed heel and toe markers, and
-    the heel of each side, which also places the strides."""
-    ev, heel = {}, {}
-    for side in SIDES:
-        heel[side], toe = (markers.pos[schema.joint_label(side, part)]
-                           for part in ("heel", "toe"))
-        ev[side] = gaitseg.detect_side_events(
-            markers.time, heel[side][:, 0], heel[side][:, 2], toe[:, 2], cfg)
-    return GaitEvents(**ev), heel
 
 
 def _plate_load(aligned: GrfData, markers: MarkerData, schema: MarkerSchema,
@@ -246,6 +241,11 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     # every config file is read before any stage runs: a bad one fails first
     config_hash, schema, table, curve = cfg.inputs
     participant = trial.meta.participant
+    n = len(trial.markers)
+    for key in ("filter_window", "event_filter_window"):
+        if n < (window := getattr(cfg, key)):
+            raise ParameterError(
+                f"markers hold {n} frames, fewer than {key} {window}")
     warnings = (["fx passed through uncalibrated (sand terrain)"]
                 if trial.meta.terrain == "sand" else [])
 
@@ -255,45 +255,57 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
     grf = _surface_grf(trial, curve)
     aligned = align_streams(markers, grf)
     time = markers.time
-    params = segment_parameters(participant, table,
-                                _mean_segment_lengths(markers, schema))
 
     # the plate side and its ground load, so that the aligned stream is
-    # released before the markers are smoothed
+    # released before the markers are stacked
     threshold = cfg.plate_threshold_bw * (participant.mass * cfg.gravity)
     plate_side, plate_load, on_plate = _plate_load(aligned, markers, schema,
                                                    threshold)
     del aligned
 
-    # each marker a stage reads is smoothed once: the leg chain and pelvis
-    # at filter_window, the heels and toes for events at event_filter_window
-    smoothed = kinematics.smooth_markers(
-        markers, [schema.joint_label(side, joint) for side in SIDES
-                  for joint in ("hip", "knee", "ankle", "toe")]
-        + schema.pelvis_labels(), cfg.filter_window)
-    feet = kinematics.smooth_markers(
-        markers, [schema.joint_label(side, part) for side in SIDES
-                  for part in ("heel", "toe")], cfg.event_filter_window)
+    # every landmark a stage reads in one (N, k, 3) stack: each leg's hip,
+    # knee, ankle and toe, the pelvis markers, then the two heels
+    chain_labels = [[schema.joint_label(side, joint) for joint in _CHAIN]
+                    for side in SIDES]
+    stack = np.stack([markers.pos[label] for label in (
+        *chain_labels[0], *chain_labels[1], *schema.pelvis_labels(),
+        *(schema.joint_label(side, "heel") for side in SIDES))], axis=1)
     del markers  # the gap-filled copies
+    params = segment_parameters(participant, table, _mean_segment_lengths(
+        stack[:, :8].reshape(n, 2, 4, 3)))
 
-    # one {segment: state} dict per leg, and joint angles from the pitches
-    legs = {side: {} for side in SIDES}
-    coms, angles = {}, {}
-    for side in SIDES:
-        leg, pitch = legs[side], {}
-        # thigh first: this order fixes the float sum of com_trajectory
-        for seg in reversed(LEG_SEGMENTS):
-            leg[seg], coms[side, seg], pitch[seg] = kinematics.segment_states(
-                smoothed, schema, side, seg, params[seg])
-        angles[side] = kinematics.joint_angles(
-            pitch["thigh"], pitch["shank"], pitch["foot"])
-    pelvis_mid = kinematics.pelvis_midpoint(smoothed, schema)
-    del smoothed, leg, pitch
-    com = kinematics.com_trajectory(coms, params, participant.mass, pelvis_mid)
+    # each landmark is smoothed once: the leg chains and the pelvis at
+    # filter_window, from a view of the stack, and the heels and toes
+    # (left heel, left toe, right heel, right toe) at event_filter_window
+    smoothed = kinematics.moving_average(stack[:, :-2], cfg.filter_window)
+    feet = kinematics.moving_average(stack[:, [-2, 3, -1, 7]],
+                                     cfg.event_filter_window)
+    del stack
+
+    # one segment_states call per leg, thigh first: this order fixes the
+    # float sum of com_trajectory; the joint angles read its pitches
+    chain_params = [params[seg] for seg in _CHAIN_SEGMENTS]
+    legs, coms, angles = {}, [], {}
+    for s, side in enumerate(SIDES):
+        states, com, pitch = kinematics.segment_states(
+            smoothed[:, 4 * s:4 * s + 4], time, chain_params,
+            chain_labels[s])
+        legs[side] = dict(zip(_CHAIN_SEGMENTS, states))
+        coms.append(com)
+        angles[side] = kinematics.joint_angles(pitch)
+    pelvis_mid = smoothed[:, 8:, ::2].mean(axis=1)
+    del smoothed, states, com, pitch
+    com = kinematics.com_trajectory(
+        np.concatenate(coms, axis=1), [p.mass for p in chain_params] * 2,
+        participant.mass, pelvis_mid)
     del coms
 
-    events, heel = _detect_events(feet, schema, cfg)
-    del feet
+    # the events of each side from its heel's x and z and its toe's z; the
+    # heels also place the strides
+    heel = {side: feet[:, 2 * s] for s, side in enumerate(SIDES)}
+    events = GaitEvents(**{side: gaitseg.detect_side_events(
+        time, heel[side][:, 0], heel[side][:, 2], feet[:, 2 * s + 1, 2], cfg)
+        for s, side in enumerate(SIDES)})
     cycles = {side: gaitseg.cycle_table(events.side(side), events.side(other))
               for side, other in zip(SIDES, SIDES[::-1])}
     warnings.extend(gaitseg.grf_stance_check(

@@ -17,10 +17,6 @@ SIDES = ("left", "right")
 _JOINTS = ("hip", "knee", "ankle", "heel", "toe")
 _LANDMARKS = ("pelvis", *_JOINTS, "tracking")
 _HEADER = "label,side,landmark"
-#: (proximal, distal) landmark of each leg segment, along hip -> knee ->
-#: ankle -> toe
-_SEGMENT_ENDS = {"thigh": ("hip", "knee"), "shank": ("knee", "ankle"),
-                 "foot": ("ankle", "toe")}
 
 
 class MarkerSchema:
@@ -40,14 +36,6 @@ class MarkerSchema:
             return self._joints[(side, joint)]
         except KeyError:
             raise ConfigurationError(f"no {side} {joint!r} landmark") from None
-
-    def segment_endpoints(self, side: str, segment: str) -> tuple[str, str]:
-        """(proximal, distal) marker labels for a leg segment."""
-        try:
-            prox, dist = _SEGMENT_ENDS[segment]
-        except KeyError:
-            raise ConfigurationError(f"{segment!r} is not a leg segment") from None
-        return self.joint_label(side, prox), self.joint_label(side, dist)
 
     def pelvis_labels(self) -> list[str]:
         return list(self._pelvis)

@@ -627,6 +627,19 @@ def _first_row(name, file, named):
     return fixture
 
 
+def _short_markers(name, frames, config, named):
+    """A malformed-input case: the trial's markers cut to their header and
+    ``frames`` rows, analysed under the config keys ``config``."""
+    def fixture(sim, tmp):
+        lines = (sim / "markers.csv").read_text().split("\n")
+        (tmp / "markers.csv").write_text("\n".join(lines[:1 + frames]) + "\n")
+        (tmp / "cfg.json").write_text(json.dumps(config))
+        return ({"--markers": tmp / "markers.csv", "--config": tmp / "cfg.json"},
+                named)
+    fixture.__name__ = name
+    return fixture
+
+
 def _meta(name, edit, named):
     """A malformed-input case: the trial's meta.json changed by ``edit``."""
     def fixture(sim, tmp):
@@ -742,6 +755,13 @@ _MALFORMED = [
                       lambda m: (m.update(terrain="sand"),
                                  m.pop("sand_depth_cm", None)),
                       "sand terrain requires sand_depth")),
+    ("analyze", _short_markers("_markers_under_filter_window", 6, {},
+                               "markers hold 6 frames, fewer than "
+                               "filter_window 7")),
+    ("analyze", _short_markers("_markers_under_event_window", 8,
+                               {"event_filter_window": 9},
+                               "markers hold 8 frames, fewer than "
+                               "event_filter_window 9")),
     ("analyze", _config("_config_number", "5\n", "expected a JSON object")),
     ("analyze", _config("_config_list", "[1, 2]\n",
                         "expected a JSON object of config keys, "
@@ -923,11 +943,20 @@ def _analyze_missing_calibration(sim, bundle, tmp):
             "--calibration", target, "--out", tmp / "bundle"], target
 
 
+def _analyze_short_grf(sim, bundle, tmp):
+    # five GRF rows cannot fill one marker frame's ten-sample window
+    target = tmp / "grf.csv"
+    lines = (sim / "grf.csv").read_text().split("\n")
+    target.write_text("\n".join(lines[:6]) + "\n")
+    return ["analyze", "--markers", sim / "markers.csv", "--grf", target,
+            "--meta", sim / "meta.json", "--out", tmp / "bundle"], target
+
+
 #: Paths that cannot be read or written as given: each case gives its argv
 #: and the path the error must name.
 _PATH_ERRORS = [_compare_a_file, _analyze_markers_dir, _analyze_out_file,
                 _simulate_out_file, _calibrate_out_dir,
-                _analyze_missing_calibration]
+                _analyze_missing_calibration, _analyze_short_grf]
 
 
 def _snapshot(path):
@@ -981,20 +1010,6 @@ class TestMalformedInput:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert named in proc.stderr
-
-    def test_grf_shorter_than_a_window_exits_two(self, sim_dir, tmp_path,
-                                                 caplog):
-        # five GRF rows cover no marker frame's averaging window: a trial
-        # that cannot be analysed exits 2, with one ERROR line and no bundle
-        lines = (sim_dir / "grf.csv").read_text().split("\n")
-        (tmp_path / "grf.csv").write_text("\n".join(lines[:6]) + "\n")
-        argv = _analyze_argv(sim_dir, tmp_path / "bundle")
-        argv[argv.index("--grf") + 1] = str(tmp_path / "grf.csv")
-        assert main(argv) == 2
-        assert [r.getMessage() for r in caplog.records
-                if r.levelname == "ERROR"] == [
-            "no marker frame has full GRF window coverage"]
-        assert not (tmp_path / "bundle").exists()
 
 
 def _numeric_leaves(doc, path=()):

@@ -49,8 +49,8 @@ def _random_load(rng):
 
 class TestAnkle:
     def test_all_zero(self):
-        M = ankle_dynamics(ExternalLoad.zero(),
-                           _static([0.0, -1.0]), PARAMS["foot"], g=0.0)
+        zero = ExternalLoad(np.zeros(2), np.zeros(()), np.zeros(2))
+        M = ankle_dynamics(zero, _static([0.0, -1.0]), PARAMS["foot"], g=0.0)
         np.testing.assert_allclose(M, 0.0, atol=1e-15)
 
     def test_static_weight_under_ankle(self):
@@ -109,7 +109,7 @@ class TestProperties:
     def test_swing_zero_dynamics(self):
         # zero gravity, zero accelerations, zero load -> exactly zero
         sample = leg_inverse_dynamics(
-            ExternalLoad.zero(),
+            ExternalLoad(np.zeros(2), np.zeros(()), np.zeros(2)),
             {s: _static([0, -1.0]) for s in ("foot", "shank", "thigh")},
             PARAMS, g=0.0)
         for joint in JOINTS:

@@ -42,3 +42,38 @@ def test_check_finds_an_unused_import():
               "from .errors import FormatError, read_text\n"
               "def f(x) -> 'FormatError':\n    return x\n")
     assert _unused_imports(source) == ["line 2: math", "line 3: read_text"]
+
+
+def _package_imports(source: str) -> set[str]:
+    """The sandgait modules a module imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level:
+                names.update(alias.name for alias in node.names)
+            elif (node.module or "").startswith("sandgait."):
+                names.add(node.module.split(".")[1])
+            elif node.module == "sandgait":
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("sandgait."))
+    return names
+
+
+@pytest.mark.parametrize("module", ["kinematics", "dynamics"])
+def test_segment_modules_read_no_schema(module):
+    # the marker schema is read by the pipeline alone: kinematics and
+    # dynamics take arrays
+    source = (Path(sandgait.__file__).parent / f"{module}.py").read_text()
+    assert _package_imports(source) & {"ingest", "schema", "pipeline"} == set()
+
+
+def test_check_finds_a_package_import():
+    source = ("from .errors import FormatError\nfrom . import schema\n"
+              "def f():\n    import sandgait.ingest\n"
+              "    from sandgait.pipeline import RunConfig\n")
+    assert _package_imports(source) == {"errors", "schema", "ingest",
+                                        "pipeline"}

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import interp1d
 
-from sandgait import ingest, model
+from sandgait import ingest, model, pipeline
 from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
                              SchemaError, check_number)
 from sandgait.forces import read_calibration_samples
 from sandgait.ingest import (CELL_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
                              TrialMeta, align_streams, fill_gaps,
-                             format_rows, read_csv_table, read_grf_file,
+                             format_rows, grf_window, parse_trial,
+                             read_csv_table, read_grf_file,
                              read_marker_file, read_meta_file,
                              write_grf_file, write_marker_file,
                              write_meta_file)
@@ -87,11 +88,12 @@ class TestSchema:
         assert schema.joint_label("right", "heel") == "R-heel"
 
     def test_chain_inference(self, schema):
-        # the shank borrows the knee marker as its proximal point, the
-        # foot borrows the ankle marker
-        assert schema.segment_endpoints("left", "shank") == ("L-knee", "L-ankle")
-        assert schema.segment_endpoints("right", "foot") == ("R-ankle", "R-toe")
-        assert schema.segment_endpoints("left", "thigh") == ("L-hip", "L-knee")
+        # each leg's chain runs hip -> knee -> ankle -> toe: the shank
+        # borrows the knee marker as its proximal point, the foot the ankle
+        assert [schema.joint_label("left", j) for j in pipeline._CHAIN] == [
+            "L-hip", "L-knee", "L-ankle", "L-toe"]
+        assert [schema.joint_label("right", j) for j in pipeline._CHAIN] == [
+            "R-hip", "R-knee", "R-ankle", "R-toe"]
 
     def test_pelvis_labels(self, schema):
         assert set(schema.pelvis_labels()) >= {"L-asis", "R-asis"}
@@ -106,9 +108,10 @@ class TestSchema:
 
     def test_tracking_markers_are_labels_only(self, schema):
         assert {"L-thigh", "R-shank"} <= set(schema.labels)
+        assert "L-thigh" not in schema.landmark_labels()
         assert "L-thigh" not in [
-            label for side in ("left", "right") for seg in ("thigh", "shank", "foot")
-            for label in schema.segment_endpoints(side, seg)]
+            schema.joint_label(side, joint) for side in ("left", "right")
+            for joint in pipeline._CHAIN]
 
     @pytest.mark.parametrize("edit, message", [
         (lambda rows: ["label,segment,side,role", "L-asis,pelvis,left,proximal"],
@@ -157,7 +160,8 @@ class TestSchema:
         back = MarkerSchema.from_file(path)
         assert back.labels == schema.labels
         assert back.pelvis_labels() == schema.pelvis_labels()
-        assert back.segment_endpoints("right", "thigh") == ("R-hip", "R-knee")
+        assert [back.joint_label("right", j) for j in ("hip", "knee")] == [
+            "R-hip", "R-knee"]
 
 
 class TestMarkerIo:
@@ -1096,3 +1100,26 @@ class TestAlign:
         grf.time += 100.0
         with pytest.raises(AlignmentError, match="overlap"):
             align_streams(markers, grf)
+
+    @pytest.mark.parametrize("rows", [5, 9, 10])
+    def test_grf_shorter_than_one_window(self, tmp_path, participant, rows):
+        # a GRF file too short for one marker frame's 10-sample window is
+        # malformed, named with its rows; one window's rows parse
+        schema = MarkerSchema.default()
+        markers, grf = self._streams(np.full(200, 1.0))
+        write_marker_file(tmp_path / "markers.csv", markers)
+        write_grf_file(tmp_path / "grf.csv", GrfData(
+            grf.time[:rows], grf.force[:rows], grf.moment[:rows],
+            grf.cop[:rows]))
+        assert grf_window(markers, grf) == 10
+
+        def parse():
+            return parse_trial(tmp_path / "markers.csv", tmp_path / "grf.csv",
+                               TrialMeta(participant, "solid"), schema)
+        if rows == 10:
+            assert len(parse().grf) == 10
+            return
+        with pytest.raises(FormatError) as exc:
+            parse()
+        assert str(exc.value) == (f"{tmp_path / 'grf.csv'}: {rows} rows; one "
+                                  f"marker frame's window needs 10")

@@ -6,12 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from sandgait.errors import (ConfigurationError, ParameterError,
                              SingularSegmentError)
-from sandgait.ingest import MarkerData
 from sandgait.kinematics import (com_trajectory, differentiate, joint_angles,
-                                 moving_average, pelvis_midpoint, pitch_angle,
-                                 segment_states)
-from sandgait.model import SegmentParams, segment_parameters
-from sandgait.schema import MarkerSchema
+                                 moving_average, pitch_angle, segment_states)
+from sandgait.model import SegmentParams
 
 
 def _per_sample_moving_average(x, window):
@@ -210,71 +207,118 @@ class TestPitchAngle:
         np.testing.assert_allclose(a[61:], theta[61:], atol=1e-9)
 
 
-def _markers_for(schema, side, segment, prox, dist, n, dt=0.01):
-    time = np.arange(n) * dt
-    pos = {label: np.zeros((n, 3)) for label in schema.labels}
-    p_label, d_label = schema.segment_endpoints(side, segment)
-    pos[p_label] = np.asarray(prox, dtype=float)
-    pos[d_label] = np.asarray(dist, dtype=float)
-    return MarkerData(time=time, pos=pos)
+def _segment(prox, dist):
+    """A one-segment chain: ``(N, 2, 3)`` from the two marker tracks."""
+    return np.stack([np.asarray(prox, dtype=float),
+                     np.asarray(dist, dtype=float)], axis=1)
 
 
 class TestSegmentStates:
     params = SegmentParams(mass=3.0, length=0.4, com_offset=0.17,
                            inertia=0.05)
+    labels = ["L-knee", "L-ankle"]
 
     def test_static_vertical_shank(self):
-        schema = MarkerSchema.default()
         n = 30
         prox = np.tile([0.0, 0.0, 0.5], (n, 1))
         dist = np.tile([0.0, 0.0, 0.1], (n, 1))
-        m = _markers_for(schema, "left", "shank", prox, dist, n)
-        s, com, pitch = segment_states(m, schema, "left", "shank",
-                                       self.params)
+        (s,), com, pitch = segment_states(_segment(prox, dist),
+                                          np.arange(n) * 0.01, [self.params],
+                                          self.labels)
+        assert com.shape == (n, 1, 2) and pitch.shape == (n, 1)
         np.testing.assert_allclose(s.e, [[0.0, -1.0]] * n, atol=1e-12)
         np.testing.assert_allclose(pitch, 0.0, atol=1e-12)
         np.testing.assert_allclose(s.acc, 0.0, atol=1e-9)
         np.testing.assert_allclose(s.omega_dot, 0.0, atol=1e-9)
-        np.testing.assert_allclose(com, [[0.0, 0.5 - 0.17]] * n, atol=1e-12)
+        np.testing.assert_allclose(com[:, 0], [[0.0, 0.5 - 0.17]] * n,
+                                   atol=1e-12)
 
     def test_constant_rotation_circular_motion(self):
         # proximal pinned, distal sweeping at constant omega: the COM
         # acceleration is centripetal, omega_dot ~ 0 (analytic circular
         # motion oracle, interior frames)
-        schema = MarkerSchema.default()
         omega, L, dt, n = 2.0, 0.4, 0.002, 400
         t = np.arange(n) * dt
         theta = 0.3 + omega * t
         prox = np.zeros((n, 3))
         dist = np.column_stack([L * np.sin(theta), np.zeros(n),
                                 -L * np.cos(theta)])
-        m = _markers_for(schema, "left", "shank", prox, dist, n, dt=dt)
-        s, _, pitch = segment_states(m, schema, "left", "shank", self.params)
+        (s,), _, pitch = segment_states(_segment(prox, dist), t,
+                                        [self.params], self.labels)
         mid = slice(50, -50)
         np.testing.assert_allclose(
             np.linalg.norm(s.acc[mid], axis=1),
             omega * omega * self.params.com_offset, rtol=1e-4)
         np.testing.assert_allclose(s.omega_dot[mid], 0.0, atol=1e-6)
-        np.testing.assert_allclose(pitch, theta, atol=1e-9)
+        np.testing.assert_allclose(pitch[:, 0], theta, atol=1e-9)
         np.testing.assert_allclose(np.linalg.norm(s.e, axis=1), 1.0,
                                    atol=1e-9)
 
     def test_coincident_markers_error(self):
-        schema = MarkerSchema.default()
         n = 10
         prox = np.tile([0.0, 0.0, 0.5], (n, 1))
         dist = prox.copy()
         dist[:4] += [0.0, 0.0, -0.4]  # degenerate from frame 4 onward
-        m = _markers_for(schema, "left", "shank", prox, dist, n)
-        with pytest.raises(SingularSegmentError, match="frame"):
-            segment_states(m, schema, "left", "shank", self.params)
+        with pytest.raises(SingularSegmentError,
+                           match=r"^markers 'L-knee'/'L-ankle' are coincident "
+                                 r"at frame 4 \(t=0\.040 s\)$"):
+            segment_states(_segment(prox, dist), np.arange(n) * 0.01,
+                           [self.params], self.labels)
+
+    def test_first_coincident_frame_named_along_the_chain(self):
+        # the earliest degenerate frame, and at that frame the most
+        # proximal segment, whichever segment degenerates first
+        n = 10
+        chain = np.zeros((n, 4, 3))
+        chain[:, :, 2] = [0.9, 0.5, 0.1, 0.0]
+        chain[:, 3, 0] = 0.2
+        chain[6:, 1] = chain[6:, 0]  # hip meets knee from frame 6
+        chain[3:, 3] = chain[3:, 2]  # ankle meets toe from frame 3
+        with pytest.raises(SingularSegmentError,
+                           match="'ankle'/'toe' are coincident at frame 3 "):
+            segment_states(chain, np.arange(n) * 0.01, [self.params] * 3,
+                           ["hip", "knee", "ankle", "toe"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(2, 5),
+           st.one_of(st.none(), st.tuples(st.integers(0, 4),
+                                          st.integers(0, 39),
+                                          st.integers(1, 10))))
+    def test_whole_chain_equals_each_segment_alone(self, seed, n, m, gap):
+        # column j of a chain's states, COMs and pitches is, bit for bit,
+        # column 0 of the chain's markers j and j + 1 alone: the NaN mask
+        # and the unwrap of each column are its own
+        rng = np.random.default_rng(seed)
+        chain = np.cumsum(rng.normal(0.0, 0.3, (n, m, 3)), axis=1)
+        chain += rng.normal(0.0, 0.05, (n, 1, 3)).cumsum(axis=0)
+        if gap is not None:
+            marker, start, length = gap
+            chain[start:start + length, marker % m] = np.nan
+        time = np.arange(n) * 0.01
+        params = [SegmentParams(1.0 + j, 0.4, 0.1 + 0.05 * j, 0.05)
+                  for j in range(m - 1)]
+        labels = [f"m{k}" for k in range(m)]
+        try:
+            states, com, pitch = segment_states(chain, time, params, labels)
+        except SingularSegmentError:
+            return  # a random segment shorter than 1 mm
+        assert com.shape == (n, m - 1, 2) and pitch.shape == (n, m - 1)
+        for j in range(m - 1):
+            (one,), com_j, pitch_j = segment_states(
+                chain[:, j:j + 2], time, params[j:j + 1], labels[j:j + 2])
+            for f in ("e", "acc", "omega_dot"):
+                got, want = getattr(states[j], f), getattr(one, f)
+                assert got.tobytes() == want.tobytes(), f
+                assert got.flags.c_contiguous and got.base is None, f
+            assert com[:, j].tobytes() == com_j[:, 0].tobytes()
+            assert pitch[:, j].tobytes() == pitch_j[:, 0].tobytes()
 
 
 class TestJointAngles:
     def _states(self, e_t, e_s, e_f, n=5):
-        def pitch(e):
-            return pitch_angle(np.tile(e, (n, 1)).astype(float))
-        return joint_angles(pitch(e_t), pitch(e_s), pitch(e_f))
+        # the (n, 3) thigh, shank and foot pitches from one pitch_angle call
+        return joint_angles(pitch_angle(
+            np.tile([e_t, e_s, e_f], (n, 1, 1)).astype(float)))
 
     def test_straight_vertical_leg(self):
         down = [0.0, -1.0]
@@ -315,48 +359,35 @@ class TestJointAngles:
 
 
 class TestComTrajectory:
-    def test_two_segment_toy_mean(self, participant, table):
+    def test_two_segment_toy_mean(self):
         n = 4
 
         def series(pos):
             return np.tile(pos, (n, 1)).astype(float)
 
-        params = {"shank": SegmentParams(10.0, 0.4, 0.2, 0.1)}
-        coms = {("left", "shank"): series([1.0, 0.0, 0.0]),
-                ("right", "shank"): series([3.0, 0.0, 0.0])}
+        coms = np.stack([series([1.0, 0.0, 0.0]), series([3.0, 0.0, 0.0])],
+                        axis=1)
         pelvis = np.tile([2.0, 0.0, 1.0], (n, 1))
         # residual 80-20=60 kg at the pelvis; hand-weighted mean
-        com = com_trajectory(coms, params, 80.0, pelvis)
+        com = com_trajectory(coms, [10.0, 10.0], 80.0, pelvis)
         expected_x = (10 * 1.0 + 10 * 3.0 + 60 * 2.0) / 80.0
         np.testing.assert_allclose(com[:, 0], expected_x, atol=1e-12)
         np.testing.assert_allclose(com[:, 2], 60.0 * 1.0 / 80.0, atol=1e-12)
 
+    def test_columns_summed_in_order(self):
+        # the float sum runs over the columns left to right
+        coms = np.array([[[1e16], [1.0], [-1e16]]])
+        com = com_trajectory(coms, [1.0, 1.0, 1.0], 3.0, np.zeros((1, 1)))
+        assert com[0, 0] == ((1e16 + 1.0) - 1e16) / 3.0
+
     def test_all_mass_on_hat_equals_pelvis(self):
         n = 3
-        params = {"shank": SegmentParams(1e-9, 0.4, 0.2, 0.1)}
         pelvis = np.tile([4.0, 5.0, 6.0], (n, 1))
-        com = com_trajectory({("left", "shank"): np.ones((n, 3))}, params,
-                             70.0, pelvis)
+        com = com_trajectory(np.ones((n, 1, 3)), [1e-9], 70.0, pelvis)
         np.testing.assert_allclose(com, pelvis, atol=1e-9)
 
     def test_overweight_segments_rejected(self):
         n = 3
-        params = {"shank": SegmentParams(100.0, 0.4, 0.2, 0.1)}
         with pytest.raises(ConfigurationError, match="exceed"):
-            com_trajectory({("left", "shank"): np.ones((n, 3))}, params,
-                           70.0, np.zeros((n, 3)))
-
-
-def test_pelvis_midpoint_average():
-    schema = MarkerSchema.default()
-    n = 6
-    time = np.arange(n) * 0.01
-    pos = {label: np.zeros((n, 3)) for label in schema.labels}
-    for label in schema.pelvis_labels():
-        pos[label] = np.tile([1.0, 0.0, 1.0], (n, 1))
-    pos[schema.pelvis_labels()[0]] = np.tile([3.0, 0.0, 1.0], (n, 1))
-    m = MarkerData(time=time, pos=pos)
-    mid = pelvis_midpoint(m, schema)
-    k = len(schema.pelvis_labels())
-    expected = (3.0 + (k - 1) * 1.0) / k
-    np.testing.assert_allclose(mid[:, 0], expected, atol=1e-12)
+            com_trajectory(np.ones((n, 1, 3)), [100.0], 70.0,
+                           np.zeros((n, 3)))

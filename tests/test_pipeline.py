@@ -86,18 +86,66 @@ class TestSmoothingPasses:
                                           cfg.grf_smooth_window])
 
     def test_one_pitch_per_segment(self, stride, monkeypatch):
-        # segment_states returns each pitch it differentiates and the joint
-        # angles read those: six leg segments, six calls
+        # segment_states returns the pitches it differentiates and the
+        # joint angles read those: one call per leg, for its three segments
         calls = []
         original = kinematics.pitch_angle
 
         def counting(e):
-            calls.append(len(e))
+            calls.append(np.shape(e))
             return original(e)
 
         monkeypatch.setattr(kinematics, "pitch_angle", counting)
         analyze_trial(_trial(stride))
-        assert calls == [len(stride.markers)] * 6
+        assert calls == [(len(stride.markers), 3, 2)] * 2
+
+    def test_one_segment_states_call_per_leg(self, stride, monkeypatch):
+        # each leg's hip, knee, ankle and toe chain, as labelled
+        calls = []
+        original = kinematics.segment_states
+
+        def counting(chain, time, params, labels):
+            calls.append((chain.shape, [p.mass for p in params], labels))
+            return original(chain, time, params, labels)
+
+        monkeypatch.setattr(kinematics, "segment_states", counting)
+        analyze_trial(_trial(stride))
+        n = len(stride.markers)
+        assert [(shape, labels) for shape, _, labels in calls] == [
+            ((n, 4, 3), ["L-hip", "L-knee", "L-ankle", "L-toe"]),
+            ((n, 4, 3), ["R-hip", "R-knee", "R-ankle", "R-toe"])]
+        # thigh, shank, foot: the thigh is the heaviest segment
+        masses = calls[0][1]
+        assert masses == calls[1][1] and masses == sorted(masses, reverse=True)
+
+
+def test_pelvis_midpoint_average(stride, monkeypatch):
+    # the whole-body COM lumps the residual mass at the [x, z] mean of the
+    # smoothed pelvis markers
+    schema = MarkerSchema.default()
+    pelvis = schema.pelvis_labels()
+    n = len(stride.markers)
+    pos = dict(stride.markers.pos)
+    for label in pelvis:
+        pos[label] = np.tile([1.0, 0.0, 1.0], (n, 1))
+    pos[pelvis[0]] = np.tile([3.0, 0.0, 1.0], (n, 1))
+    markers = dataclasses.replace(stride.markers, pos=pos)
+    mids = []
+    original = kinematics.com_trajectory
+
+    def capture(coms, masses, body_mass, pelvis_mid):
+        mids.append(pelvis_mid)
+        return original(coms, masses, body_mass, pelvis_mid)
+
+    monkeypatch.setattr(kinematics, "com_trajectory", capture)
+    analyze_trial(TrialRecord(meta=stride.meta, markers=markers,
+                              grf=stride.grf))
+    (mid,) = mids
+    k = len(pelvis)
+    assert mid.shape == (n, 2)
+    np.testing.assert_allclose(mid[:, 0], (3.0 + (k - 1) * 1.0) / k,
+                               atol=1e-12)
+    np.testing.assert_allclose(mid[:, 1], 1.0, atol=1e-12)
 
 
 class TestNoPlateStance:
