@@ -17,6 +17,7 @@ import numpy as np
 from . import forces, ingest, metrics, synth
 from .errors import (ConfigurationError, GaitError, GaitInputError,
                      InsufficientDataError, read_json_as)
+from .model import check_participant_id
 from .pipeline import RunConfig, analyze_trial, write_bundle
 from .schema import SIDES
 
@@ -118,7 +119,8 @@ def _scalars(feats) -> dict[str, float]:
 def _bundle_scalars(bundle: Path) -> tuple[str, dict[str, float]]:
     """Flatten one bundle into participant id + scalar metric values."""
     pid = read_json_as(bundle / "meta.json",
-                       lambda meta: str(meta["participant_id"]),
+                       lambda meta: check_participant_id(
+                           meta["participant_id"]),
                        "bundle metadata")
     return pid, read_json_as(bundle / "features.json", _scalars, "features")
 

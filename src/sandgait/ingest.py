@@ -19,8 +19,10 @@ partial runs never corrupt outputs.
 The GRF stream is averaged onto the marker timeline, ``ratio`` raw
 samples per frame with ``ratio`` the rounded rate ratio (10 for 1000 Hz
 GRF and 100 Hz markers); at an even ratio the window leans half a raw
-sample ahead of the frame.  The raw stream is retained for peak
-extraction.
+sample ahead of the frame.  ``plate_windows`` is the one rule for those
+windows: ``parse_trial`` rejects a GRF file that leaves an interior
+marker frame without one, and ``align_streams`` averages through them.
+The raw stream is retained for peak extraction.
 """
 from __future__ import annotations
 
@@ -53,10 +55,6 @@ class MarkerData:
 
     def __len__(self) -> int:
         return len(self.time)
-
-    @property
-    def dt(self) -> float:
-        return float(np.median(np.diff(self.time)))
 
     def copy(self) -> "MarkerData":
         return MarkerData(self.time.copy(), {k: v.copy() for k, v in self.pos.items()})
@@ -258,17 +256,25 @@ def expect_columns(path, columns: list[str]) -> Callable[[list[str]], None]:
 
 def _check_trial_rows(table: np.ndarray, path, what: str) -> None:
     """A trial file's table holds at least two data rows (one has no
-    sampling interval) and strictly increasing times."""
+    sampling interval) and increasing times on one grid: no step differs
+    from the median step by more than half of it, so a dropped row is an
+    error while timestamps rounded to the file's decimals pass."""
     if len(table) < 2:
         raise FormatError(f"{path}: {what} file has "
                           f"{'one data row' if len(table) else 'no data rows'}"
                           f"; at least two are needed")
     time = table[:, 0]
-    bad = np.where(np.diff(time) <= 0)[0]
+    step = np.diff(time)
+    bad = np.flatnonzero(step <= 0)
     if bad.size:
         line = int(bad[0]) + 3  # 1-based, after the header
         raise FormatError(f"{path}:{line}: non-monotone timestamp "
                           f"({time[bad[0] + 1]:g} after {time[bad[0]]:g})")
+    median = float(np.median(step))
+    bad = np.flatnonzero(np.abs(step - median) > 0.5 * median)
+    if bad.size:
+        raise FormatError(f"{path}:{int(bad[0]) + 3}: time step "
+                          f"{step[bad[0]]:g} s, median {median:g} s")
 
 
 def format_rows(row_format: str, table: np.ndarray) -> str:
@@ -564,16 +570,20 @@ def write_grf_file(path: str | Path, grf: GrfData) -> None:
 
 def parse_trial(marker_file: str | Path, grf_file: str | Path,
                 meta: TrialMeta, schema: MarkerSchema) -> TrialRecord:
-    """Parse and validate both trial files into a TrialRecord.  A GRF file
-    with fewer rows than one marker frame's averaging window
-    (``grf_window``) is malformed."""
+    """Parse and validate both trial files into a TrialRecord.  After the
+    sync offset, every marker frame but the first and the last must get a
+    full GRF window (``plate_windows``); else the GRF file is malformed."""
     markers = read_marker_file(marker_file, schema)
     grf = read_grf_file(grf_file)
-    if len(grf) < (need := grf_window(markers, grf)):
-        raise FormatError(f"{grf_file}: {len(grf)} rows; one marker frame's "
-                          f"window needs {need}")
     if meta.sync_offset:
         grf = replace(grf, time=grf.time + meta.sync_offset)
+    covered, _ = plate_windows(markers.time, grf.time)
+    if not covered[1:-1].all():
+        t, g = markers.time, grf.time
+        raise FormatError(
+            f"{grf_file}: GRF span [{g[0]:g}, {g[-1]:g}] s does not cover "
+            f"marker span [{t[0]:g}, {t[-1]:g}] s: no full window for the "
+            f"marker frame at {t[1:-1][~covered[1:-1]][0]:g} s")
     return TrialRecord(meta=meta, markers=markers, grf=grf)
 
 
@@ -620,46 +630,42 @@ def fill_gaps(markers: MarkerData, max_gap: int = 5) -> MarkerData:
     return out
 
 
-def grf_window(markers: MarkerData, grf: GrfData) -> int:
-    """The raw GRF samples averaged onto one marker frame: the marker
-    interval over the GRF interval, rounded, at least 1."""
-    return max(1, int(round(markers.dt / float(np.median(np.diff(grf.time))))))
-
-
-def align_streams(markers: MarkerData, grf: GrfData) -> GrfData:
-    """The GRF stream resampled onto the marker timeline by boxcar means.
-
-    Each marker timestamp receives the mean of ``ratio = grf_window(...)``
-    raw samples about the raw sample nearest it: ``ratio // 2`` on each side
-    at an odd ratio, centred; at an even ratio ``ratio // 2 - 1`` before
-    and ``ratio // 2`` after, so the window leans half a raw sample ahead.
-    Force, moment and COP are averaged separately.  Marker frames without
-    full GRF coverage are dropped from the aligned stream.
-    """
-    m, g = markers, grf
-    if m.time[-1] < g.time[0] or g.time[-1] < m.time[0]:
-        raise AlignmentError(
-            f"marker timeline [{m.time[0]:g}, {m.time[-1]:g}] s does not "
-            f"overlap GRF timeline [{g.time[0]:g}, {g.time[-1]:g}] s")
-    dt_m = m.dt
-    ratio = grf_window(m, g)
-    half_lo, half_hi = (ratio // 2 - 1, ratio // 2) if ratio % 2 == 0 \
-        else (ratio // 2, ratio // 2)
-
-    centers = np.searchsorted(g.time, m.time)
-    centers = np.clip(centers, 0, len(g) - 1)
+def plate_windows(marker_time: np.ndarray, grf_time: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The GRF rows averaged onto each marker frame: the mask of the frames
+    with a full window, and a ``(covered frames, ratio)`` array of their
+    rows.  ``ratio`` is the median marker step over the median GRF step,
+    rounded, at least 1.  A window centres on the raw sample nearest the
+    frame: ``ratio // 2`` rows on each side at an odd ratio; at an even one
+    ``ratio // 2 - 1`` before and ``ratio // 2`` after, so it leans half a
+    raw sample ahead.  A frame is covered when it and its window lie inside
+    the stream."""
+    ratio = max(1, round(float(np.median(np.diff(marker_time)))
+                         / float(np.median(np.diff(grf_time)))))
+    centers = np.clip(np.searchsorted(grf_time, marker_time), 0,
+                      len(grf_time) - 1)
     # snap to the nearest raw sample
-    left_ok = centers > 0
-    nudge = left_ok & (np.abs(g.time[np.maximum(centers - 1, 0)] - m.time)
-                       < np.abs(g.time[centers] - m.time))
+    nudge = (centers > 0) & (
+        np.abs(grf_time[np.maximum(centers - 1, 0)] - marker_time)
+        < np.abs(grf_time[centers] - marker_time))
     centers[nudge] -= 1
+    lo = centers - (ratio - 1) // 2
+    covered = ((lo >= 0) & (lo + ratio <= len(grf_time))
+               & (marker_time >= grf_time[0]) & (marker_time <= grf_time[-1]))
+    return covered, lo[covered][:, None] + np.arange(ratio)
 
-    lo = centers - half_lo
-    keep = ((lo >= 0) & (centers + half_hi < len(g))
-            & ~(np.abs(g.time[centers] - m.time) > dt_m))
-    if not keep.any():
+
+def align_streams(markers: MarkerData, grf: GrfData
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The plate channels the analysis reads, F_x, F_z, M_y and COP x, as
+    an ``(N, 4)`` array on the marker frames, each covered frame the mean
+    of its ``plate_windows`` rows and the others NaN, and the covered
+    mask."""
+    covered, rows = plate_windows(markers.time, grf.time)
+    if not covered.any():
         raise AlignmentError("no marker frame has full GRF window coverage")
-    window = lo[keep][:, None] + np.arange(half_lo + half_hi + 1)
-    return GrfData(time=m.time[keep], force=g.force[window].mean(axis=1),
-                   moment=g.moment[window].mean(axis=1),
-                   cop=g.cop[window].mean(axis=1))
+    plate = np.full((len(markers), 4), np.nan)
+    plate[covered] = np.column_stack(
+        [grf.force[:, [0, 2]], grf.moment[:, 1], grf.cop[:, 0]])[rows].mean(
+            axis=1)
+    return plate, covered

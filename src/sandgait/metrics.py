@@ -73,8 +73,9 @@ def stride_metrics(cycles: dict[str, np.ndarray],
 
 def peak_angles(curves: dict[str, np.ndarray]) -> dict[str, float]:
     """Peak flexion (hip, knee) / dorsiflexion (ankle) of cycle-normalized
-    angle curves in degrees."""
-    return {joint: float(np.nanmax(vals)) for joint, vals in curves.items()}
+    angle curves in degrees; NaN for a curve with no finite value."""
+    return {joint: float(np.nanmax(vals)) if not np.isnan(vals).all()
+            else math.nan for joint, vals in curves.items()}
 
 
 @dataclass

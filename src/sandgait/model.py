@@ -21,6 +21,15 @@ GRAVITY = 9.81
 LEG_SEGMENTS = ("foot", "shank", "thigh")
 
 
+def check_participant_id(value) -> str:
+    """A participant id, which must be a non-empty string: pairing by id
+    must not take ``null`` and ``"None"`` for one participant."""
+    if not isinstance(value, str) or not value:
+        raise ConfigurationError(f"participant id must be a non-empty "
+                                 f"string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Participant:
     """One study participant; the source of all per-body normalizers."""
@@ -30,6 +39,7 @@ class Participant:
     mass: float    # kg
 
     def __post_init__(self):
+        check_participant_id(self.id)
         for name in ("height", "mass"):
             key = f"participant {self.id!r}: {name}"
             object.__setattr__(self, name,
@@ -42,7 +52,7 @@ class Participant:
     @classmethod
     def from_json(cls, doc: dict) -> "Participant":
         """The inverse of ``to_json``; errors quote a number as given."""
-        return cls(id=str(doc["id"]), height=doc["height_m"],
+        return cls(id=doc["id"], height=doc["height_m"],
                    mass=doc["mass_kg"])
 
 

@@ -184,46 +184,43 @@ def _surface_grf(trial: TrialRecord, curve: CalibrationCurve) -> GrfData:
         grf.force[:, 2], trial.meta.sand_depth, curve))
 
 
-def _plate_load(aligned: GrfData, markers: MarkerData, schema: MarkerSchema,
-                threshold: float
+def _plate_load(plate: np.ndarray, covered: np.ndarray, markers: MarkerData,
+                schema: MarkerSchema, threshold: float
                 ) -> tuple[str, dynamics.ExternalLoad, np.ndarray]:
     """The leg standing on the instrumented plate, the plate's sagittal
     wrench (F_x, F_z, M_y) on the marker timeline, and the mask of the
-    marker frames it loads.
+    marker frames it loads, from ``align_streams``' plate channels and
+    covered mask.
 
-    The loaded rows are the aligned rows with F_z not under ``threshold`` N;
-    a NaN force counts as loaded, so its frames come out NaN.
-    ``align_streams`` copies the marker times, so searchsorted finds each
-    row's frame exactly.  The side is the one whose ankle x lies nearer the
-    COP x, by the median over the loaded frames where that ankle is seen;
-    the left at a tie, and where no frame loads the plate.  A side whose
-    ankle is seen on no loaded frame is not picked.  The wrench is zero but
-    on the loaded frames; its moment is about the plate origin, the lab
-    origin, so the lever is the side's toe x and z."""
-    loaded = ~(aligned.force[:, 2] < threshold)
-    frames = np.searchsorted(markers.time, aligned.time[loaded])
+    The loaded frames are the covered ones with F_z not under ``threshold``
+    N; a NaN force counts as loaded, so its frames come out NaN.  The side
+    is the one whose ankle x lies nearer the COP x, by the median over the
+    loaded frames where that ankle is seen; the left at a tie, and where no
+    frame loads the plate.  A side whose ankle is seen on no loaded frame
+    is not picked.  The wrench is zero but on the loaded frames; its moment
+    is about the plate origin, the lab origin, so the lever is the side's
+    toe x and z."""
+    loaded = covered & ~(plate[:, 1] < threshold)
     labels = [schema.joint_label(side, "ankle") for side in SIDES]
     dist = {}
     for side, label in zip(SIDES, labels):
-        d = np.abs(markers.pos[label][frames, 0] - aligned.cop[loaded, 0])
+        d = np.abs(markers.pos[label][loaded, 0] - plate[loaded, 3])
         if (d := d[~np.isnan(d)]).size:
             dist[side] = float(np.median(d))
-    if frames.size and not dist:
+    if loaded.any() and not dist:
         raise InsufficientDataError(
             f"cannot attribute the plate to a side: neither {labels[0]} nor "
             f"{labels[1]} is seen on a plate-loaded frame")
     side = min(dist, key=dist.get, default=SIDES[0])  # the left at a tie
 
     n = len(markers.time)
-    on_plate = np.zeros(n, dtype=bool)
-    on_plate[frames] = True
     load = dynamics.ExternalLoad(np.zeros((n, 2)), np.zeros(n),
                                  np.zeros((n, 2)))
-    load.force[frames] = aligned.force[loaded][:, [0, 2]]
-    load.moment[frames] = aligned.moment[loaded, 1]
+    load.force[loaded] = plate[loaded, :2]
+    load.moment[loaded] = plate[loaded, 2]
     toe = markers.pos[schema.joint_label(side, "toe")]
-    load.r[frames] = toe[frames][:, [0, 2]]
-    return side, load, on_plate
+    load.r[loaded] = toe[loaded][:, [0, 2]]
+    return side, load, loaded
 
 
 def _plate_stance(cycles: np.ndarray, time: np.ndarray,
@@ -253,15 +250,13 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
         label: trial.markers.pos[label] for label in schema.landmark_labels()}),
         cfg.max_gap_frames)
     grf = _surface_grf(trial, curve)
-    aligned = align_streams(markers, grf)
     time = markers.time
 
-    # the plate side and its ground load, so that the aligned stream is
+    # the plate side and its ground load, so that the aligned channels are
     # released before the markers are stacked
     threshold = cfg.plate_threshold_bw * (participant.mass * cfg.gravity)
-    plate_side, plate_load, on_plate = _plate_load(aligned, markers, schema,
-                                                   threshold)
-    del aligned
+    plate_side, plate_load, on_plate = _plate_load(
+        *align_streams(markers, grf), markers, schema, threshold)
 
     # every landmark a stage reads in one (N, k, 3) stack: each leg's hip,
     # knee, ankle and toe, the pelvis markers, then the two heels
@@ -330,6 +325,10 @@ def analyze_trial(trial: TrialRecord, cfg: RunConfig | None = None) -> AnalysisR
             stance_fracs[side] = gaitseg.stance_swing_durations(cycles[side])
         peak[side] = metrics.peak_angles(
             {j: c.values for j, c in angle_cycle[side].items()})
+    if curves := [f"{side} {joint}" for side in SIDES
+                  for joint, v in peak[side].items() if math.isnan(v)]:
+        warnings.append("peak angle not computed for the cycle curves with "
+                        "no finite value: " + ", ".join(curves))
 
     stride_rows = metrics.stride_metrics(cycles, heel, com, pelvis_mid,
                                          time, participant)
@@ -417,8 +416,8 @@ def _write_phase_table(path: Path, config_hash: str, header: list[str],
 def bundle_scalars(result: AnalysisResult) -> dict[str, float]:
     """Every scalar ``compare`` tests, by name: the mean of each
     ``stride_metrics.csv`` column as written (``%.9g``, NaN cells left out),
-    the GRF peaks, the knee stiffness slopes, ``peak_<joint>_<side>`` and the
-    mean stance fraction."""
+    the GRF peaks, the knee stiffness slopes, ``peak_<joint>_<side>`` (a NaN
+    peak left out) and the mean stance fraction."""
     out = {}
     for key in result.stride_rows[0] if result.stride_rows else ():
         if key in ("side", "cycle_start_s"):
@@ -434,7 +433,8 @@ def bundle_scalars(result: AnalysisResult) -> dict[str, float]:
         for key in ("k_flexion", "k_extension", "k_swing"):
             out[key] = getattr(result.stiffness, key).slope
     for side, joints in result.peak_angles.items():
-        out.update((f"peak_{joint}_{side}", v) for joint, v in joints.items())
+        out.update((f"peak_{joint}_{side}", v) for joint, v in joints.items()
+                   if not math.isnan(v))
     if fracs := [c["stance_fraction"] for cycles
                  in result.stance_fractions.values() for c in cycles]:
         out["stance_fraction"] = float(np.mean(fracs))

@@ -226,17 +226,39 @@ class TestAnalyze:
                      "--meta", str(bad),
                      "--out", str(tmp_path / "x")]) == 1
 
-    def test_processing_failure_exits_two(self, sim_dir, tmp_path):
-        # push the force-plate stream out of overlap: an alignment failure,
-        # not an input-format one
-        meta = json.loads((sim_dir / "meta.json").read_text())
-        meta["sync_offset_s"] = 1000.0
-        bad = tmp_path / "meta.json"
-        bad.write_text(json.dumps(meta))
+    def test_processing_failure_exits_two(self, sim_dir, tmp_path, caplog):
+        # a firm trial read as sand past the calibrated depths: valid
+        # input that the calibration stage cannot use
         assert main(["analyze", "--markers", str(sim_dir / "markers.csv"),
                      "--grf", str(sim_dir / "grf.csv"),
-                     "--meta", str(bad),
+                     "--meta", str(sim_dir / "meta.json"),
+                     "--terrain", "sand", "--sand-depth", "16",
                      "--out", str(tmp_path / "x")]) == 2
+        assert [r.getMessage() for r in caplog.records
+                if r.levelname == "ERROR"] == [
+            "depth 16 cm outside calibrated range [0, 14] cm"]
+
+    @pytest.mark.parametrize("rows, sync_offset, span, at", [
+        (10, 0.0, "[0, 0.009]", 0.01), (509, 0.0, "[0, 0.508]", 0.51),
+        (None, 1000.0, "[1000, 1003]", 0.01)],
+        ids=["first_10_rows", "cut_at_0.508_s", "sync_offset_1000_s"])
+    def test_grf_not_covering_the_markers_exits_one(
+            self, sim_dir, tmp_path, caplog, rows, sync_offset, span, at):
+        # a plate stream that leaves an interior marker frame without its
+        # window is bad input, named with both spans when the trial is read
+        lines = (sim_dir / "grf.csv").read_text().split("\n")
+        grf = tmp_path / "grf.csv"
+        grf.write_text("\n".join(lines[:1 + rows] + [""] if rows else lines))
+        meta = json.loads((sim_dir / "meta.json").read_text())
+        meta["sync_offset_s"] = sync_offset
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        assert main(["analyze", "--markers", str(sim_dir / "markers.csv"),
+                     "--grf", str(grf), "--meta", str(tmp_path / "meta.json"),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert [r.getMessage() for r in caplog.records
+                if r.levelname == "ERROR"] == [
+            f"{grf}: GRF span {span} s does not cover marker span [0, 3] s: "
+            f"no full window for the marker frame at {at:g} s"]
 
     def test_biased_plate_skips_grf_features(self, sim_dir, tmp_path, caplog):
         # 300 N on every fx cell: both fx peaks forward, a valid record
@@ -751,6 +773,12 @@ _MALFORMED = [
                       "got True")),
     ("analyze", _meta("_unknown_terrain", lambda m: m.update(terrain="gravel"),
                       "unknown terrain 'gravel'")),
+    ("analyze", _meta("_null_participant_id",
+                      lambda m: m["participant"].update(id=None),
+                      "participant id must be a non-empty string, got None")),
+    ("analyze", _meta("_numeric_participant_id",
+                      lambda m: m["participant"].update(id=0),
+                      "participant id must be a non-empty string, got 0")),
     ("analyze", _meta("_sand_without_depth",
                       lambda m: (m.update(terrain="sand"),
                                  m.pop("sand_depth_cm", None)),
@@ -892,6 +920,10 @@ _MALFORMED = [
     ("compare", _bundle("_bundle_without_participant", "meta.json",
                         _edit_json(lambda m: m.pop("participant_id")),
                         ": missing bundle metadata field 'participant_id'")),
+    ("compare", _bundle("_null_bundle_participant", "meta.json",
+                        _edit_json(lambda m: m.update(participant_id=None)),
+                        ": participant id must be a non-empty string, "
+                        "got None")),
     ("compare", _bundle("_scalar_not_a_number", "features.json",
                         _edit_json(lambda f: f["scalars"].update(
                             fz_hs_peak="1.2")),

@@ -21,7 +21,7 @@ from sandgait.errors import (AlignmentError, ConfigurationError, FormatError,
 from sandgait.forces import read_calibration_samples
 from sandgait.ingest import (CELL_BLOCK, GRF_COLUMNS, GrfData, MarkerData,
                              TrialMeta, align_streams, fill_gaps,
-                             format_rows, grf_window, parse_trial,
+                             format_rows, parse_trial, plate_windows,
                              read_csv_table, read_grf_file,
                              read_marker_file, read_meta_file,
                              write_grf_file, write_marker_file,
@@ -1064,62 +1064,161 @@ class TestFillGaps:
                 if filled.pos[label] is not markers.pos[label]] == ["L-heel"]
 
 
+class TestTimeGrid:
+    """Each trial file's times lie on one grid: a step more than half the
+    median step off it is an error naming its line."""
+
+    @pytest.mark.parametrize("dropped, step", [(1, 0.02), (3, 0.04)])
+    def test_dropped_marker_rows(self, tmp_path, schema, dropped, step):
+        markers = _make_markers(schema, n=20)
+        keep = np.r_[0:8, 8 + dropped:20]
+        path = tmp_path / "m.csv"
+        write_marker_file(path, MarkerData(markers.time[keep], {
+            label: pos[keep] for label, pos in markers.pos.items()}))
+        with pytest.raises(FormatError) as exc:
+            read_marker_file(path, schema)
+        assert str(exc.value) == (f"{path}:10: time step {step:g} s, "
+                                  f"median 0.01 s")
+
+    @pytest.mark.parametrize("time, line, step", [
+        (np.r_[0:12, 13:40] * 0.001, 14, 0.002),
+        (np.r_[np.arange(12), 11.4, np.arange(12, 40)] * 0.001, 14, 0.0004),
+    ], ids=["dropped_row", "inserted_row"])
+    def test_grf_holes(self, tmp_path, time, line, step):
+        n = len(time)
+        path = tmp_path / "grf.csv"
+        write_grf_file(path, GrfData(time, np.ones((n, 3)), np.zeros((n, 3)),
+                                     np.zeros((n, 2))))
+        with pytest.raises(FormatError) as exc:
+            read_grf_file(path)
+        assert str(exc.value) == (f"{path}:{line}: time step {step:g} s, "
+                                  f"median 0.001 s")
+
+    def test_rounded_timestamps_pass(self, tmp_path, schema):
+        # 120 Hz written with six decimals: steps of 0.008333 and 0.008334
+        markers = _make_markers(schema, n=240, dt=1 / 120)
+        path = tmp_path / "m.csv"
+        write_marker_file(path, markers)
+        np.testing.assert_allclose(read_marker_file(path, schema).time,
+                                   markers.time, atol=5e-7)
+
+
 class TestAlign:
     def _streams(self, grf_values, n_markers=20, ratio=10):
         markers = _make_markers(MarkerSchema.default(), n=n_markers, dt=0.01)
         ng = n_markers * ratio
         grf = GrfData(time=np.arange(ng) * 0.001,
-                      force=np.column_stack([grf_values, grf_values,
-                                             grf_values]),
-                      moment=np.zeros((ng, 3)), cop=np.zeros((ng, 2)))
+                      force=np.column_stack([grf_values, -grf_values,
+                                             2 * grf_values]),
+                      moment=np.column_stack([grf_values, 3 * grf_values,
+                                              grf_values]),
+                      cop=np.column_stack([4 * grf_values, grf_values]))
         return markers, grf
 
     def test_constant_exact(self):
-        aligned = align_streams(*self._streams(np.full(200, 5.0)))
-        np.testing.assert_allclose(aligned.force[:, 2], 5.0, atol=1e-12)
+        plate, covered = align_streams(*self._streams(np.full(200, 5.0)))
+        # F_x, F_z, M_y and COP x
+        np.testing.assert_allclose(
+            plate[covered], np.tile([5.0, 10.0, 15.0, 20.0], (19, 1)),
+            atol=1e-12)
 
     def test_boxcar_mean_matches_hand_window(self):
         # 10:1 decimation: each marker frame gets the mean of the ten raw
-        # samples in its centred window (4 before, 5 after)
+        # samples in its window (4 before the centre, 5 after)
         values = np.arange(200, dtype=float) ** 2 / 100.0
-        a = align_streams(*self._streams(values))
-        i = 5  # an interior aligned frame
-        c = int(round(a.time[i] / 0.001))
-        expected = values[c - 4:c + 6].mean()
-        assert a.force[i, 2] == pytest.approx(expected, rel=1e-12)
+        plate, _ = align_streams(*self._streams(values))
+        i = 5  # an interior frame, centred on raw sample 50
+        expected = values[46:56].mean()
+        assert plate[i, 1] == pytest.approx(2 * expected, rel=1e-12)
+        assert plate[i, 3] == pytest.approx(4 * expected, rel=1e-12)
 
-    def test_frames_without_coverage_dropped(self):
+    def test_frames_without_coverage_nan(self):
         markers, grf = self._streams(np.full(200, 1.0))
-        aligned = align_streams(markers, grf)
-        # the first marker frame (t=0) lacks 4 leading raw samples
-        assert aligned.time[0] > 0.0
-        assert len(aligned) < len(markers)
+        plate, covered = align_streams(markers, grf)
+        # the first marker frame (t=0) lacks 4 leading raw samples; the
+        # last (t=0.19 s) has its 5 trailing ones
+        assert covered.tolist() == [False] + [True] * 19
+        assert plate.shape == (20, 4)
+        assert np.isnan(plate[0]).all() and not np.isnan(plate[1:]).any()
 
     def test_no_overlap(self):
         markers, grf = self._streams(np.full(200, 1.0))
         grf.time += 100.0
-        with pytest.raises(AlignmentError, match="overlap"):
+        with pytest.raises(AlignmentError, match="no marker frame has full "
+                                                 "GRF window coverage"):
             align_streams(markers, grf)
 
-    @pytest.mark.parametrize("rows", [5, 9, 10])
-    def test_grf_shorter_than_one_window(self, tmp_path, participant, rows):
-        # a GRF file too short for one marker frame's 10-sample window is
-        # malformed, named with its rows; one window's rows parse
-        schema = MarkerSchema.default()
-        markers, grf = self._streams(np.full(200, 1.0))
-        write_marker_file(tmp_path / "markers.csv", markers)
-        write_grf_file(tmp_path / "grf.csv", GrfData(
-            grf.time[:rows], grf.force[:rows], grf.moment[:rows],
-            grf.cop[:rows]))
-        assert grf_window(markers, grf) == 10
-
-        def parse():
-            return parse_trial(tmp_path / "markers.csv", tmp_path / "grf.csv",
-                               TrialMeta(participant, "solid"), schema)
-        if rows == 10:
-            assert len(parse().grf) == 10
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ratio=st.integers(1, 12), n=st.integers(3, 30),
+           start=st.integers(-30, 30),
+           line=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_linear_stream_at_every_ratio(self, ratio, n, start, line):
+        # a stream linear in time averages to the line at each covered
+        # frame: at the frame time for an odd ratio, half a raw sample
+        # later for an even one (the window leans ahead)
+        dt = 0.001
+        marker_time = np.arange(n) * (ratio * dt)
+        grf_time = (start + np.arange(n * ratio + 20)) * dt
+        a, b = line
+        values = a + b * grf_time
+        markers = MarkerData(marker_time, {})
+        grf = GrfData(grf_time, np.column_stack([values] * 3),
+                      np.column_stack([values] * 3),
+                      np.column_stack([values] * 2))
+        covered, rows = plate_windows(marker_time, grf_time)
+        assert rows.shape == (covered.sum(), ratio)
+        if not covered.any():
             return
+        plate, mask = align_streams(markers, grf)
+        assert (mask == covered).all()
+        at = marker_time[covered] + (dt / 2 if ratio % 2 == 0 else 0.0)
+        for k in range(4):
+            np.testing.assert_allclose(plate[covered, k], a + b * at,
+                                       rtol=1e-9, atol=1e-9 * (1 + abs(b)))
+
+
+class TestPlateCoverage:
+    """``parse_trial`` holds the GRF file to the window rule: every marker
+    frame but the first and the last gets a full window after the sync
+    offset, or the GRF file is malformed, named with both spans."""
+
+    @pytest.fixture
+    def trial_files(self, tmp_path, participant):
+        markers = _make_markers(MarkerSchema.default(), n=20, dt=0.01)
+        write_marker_file(tmp_path / "markers.csv", markers)
+        ng = 200
+        grf = GrfData(np.arange(ng) * 0.001, np.ones((ng, 3)),
+                      np.zeros((ng, 3)), np.zeros((ng, 2)))
+
+        def parse(rows=slice(None), sync_offset=0.0):
+            write_grf_file(tmp_path / "grf.csv", GrfData(
+                grf.time[rows], grf.force[rows], grf.moment[rows],
+                grf.cop[rows]))
+            return parse_trial(
+                tmp_path / "markers.csv", tmp_path / "grf.csv",
+                TrialMeta(participant, "solid", sync_offset=sync_offset),
+                MarkerSchema.default())
+        return parse
+
+    def test_first_frame_may_lack_its_window(self, trial_files):
+        # frame 0 lacks the 4 samples before t = 0; a stream that stops at
+        # 0.19 s leaves the last frame without its 5 after
+        assert len(trial_files().grf) == 200
+        assert len(trial_files(slice(0, 191)).grf) == 191
+
+    @pytest.mark.parametrize("rows, sync_offset, spans, at", [
+        (slice(0, 5), 0.0, "[0, 0.004] s", 0.01),
+        (slice(0, 10), 0.0, "[0, 0.009] s", 0.01),
+        (slice(0, 108), 0.0, "[0, 0.107] s", 0.11),
+        (slice(30, 200), 0.0, "[0.03, 0.199] s", 0.01),
+        (slice(None), 1000.0, "[1000, 1000.2] s", 0.01),
+    ], ids=["five_rows", "ten_rows", "ends_early", "starts_late",
+            "sync_offset"])
+    def test_uncovered_frame_names_grf_file(self, tmp_path, trial_files,
+                                            rows, sync_offset, spans, at):
         with pytest.raises(FormatError) as exc:
-            parse()
-        assert str(exc.value) == (f"{tmp_path / 'grf.csv'}: {rows} rows; one "
-                                  f"marker frame's window needs 10")
+            trial_files(rows, sync_offset)
+        assert str(exc.value) == (
+            f"{tmp_path / 'grf.csv'}: GRF span {spans} does not cover marker "
+            f"span [0, 0.19] s: no full window for the marker frame at "
+            f"{at:g} s")

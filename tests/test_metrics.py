@@ -118,6 +118,12 @@ class TestPeakAngles:
         assert peak_angles({"ankle": curve})["ankle"] == \
             pytest.approx(3.0, abs=1e-9)
 
+    def test_all_nan_curve(self):
+        # NaN, with no numpy warning (an error under the test settings)
+        peaks = peak_angles({"knee": np.full(101, np.nan),
+                             "hip": np.r_[np.nan, 5.0, np.nan]})
+        assert math.isnan(peaks["knee"]) and peaks["hip"] == 5.0
+
     def test_phase_shift_invariance(self):
         phase = np.linspace(0, 1, 101)
         a = peak_angles({"hip": np.sin(2 * np.pi * phase)})["hip"]

@@ -28,6 +28,15 @@ def test_participant_validation(kwargs):
         Participant(id="x", **kwargs)
 
 
+@pytest.mark.parametrize("pid", [None, True, 0, [1], ""])
+def test_participant_id_is_a_non_empty_string(pid):
+    # str() would make "None", "True", "0" and "[1]" ids, and two bundles
+    # with a null id one participant
+    with pytest.raises(ConfigurationError,
+                       match="participant id must be a non-empty string"):
+        Participant.from_json({"id": pid, "height_m": 1.7, "mass_kg": 70})
+
+
 def test_participant_stores_floats():
     # a participant built in Python is held to the meta.json rules
     p = Participant(id="x", height="1.7", mass=70)

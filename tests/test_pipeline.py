@@ -12,7 +12,8 @@ from sandgait.errors import (ConfigurationError, FitError,
 from sandgait.forces import default_calibration_curve, with_vertical_force
 from sandgait.gaitseg import C_TO, HS, NEXT_HS, cycle_table, phase_normalize
 from sandgait.ingest import TrialMeta, TrialRecord, align_streams
-from sandgait.pipeline import RunConfig, analyze_trial, write_bundle
+from sandgait.pipeline import (RunConfig, analyze_trial, bundle_scalars,
+                               write_bundle)
 from sandgait.schema import MarkerSchema
 from sandgait.synth import standing_profile, stride_profile, synthesize_gait
 
@@ -178,8 +179,8 @@ class TestPlateSide:
     def test_ankle_gap_at_the_force_peak(self, stride, hidden):
         # the ankles hidden for 11 frames around the aligned F_z peak, too
         # long to fill: the other loaded frames still place the plate
-        aligned = align_streams(stride.markers, stride.grf)
-        t_peak = aligned.time[np.nanargmax(aligned.force[:, 2])]
+        plate, _ = align_streams(stride.markers, stride.grf)
+        t_peak = stride.markers.time[np.nanargmax(plate[:, 1])]
         markers = stride.markers.copy()
         near = np.abs(markers.time - t_peak) <= 0.05 + 1e-9
         for label in hidden:
@@ -189,22 +190,22 @@ class TestPlateSide:
         assert out.plate_side == "right"
 
     def test_no_ankle_on_a_loaded_frame(self, stride):
-        aligned = align_streams(stride.markers, stride.grf)
+        plate, covered = align_streams(stride.markers, stride.grf)
         markers = stride.markers.copy()
-        loaded = np.isin(markers.time, aligned.time[aligned.force[:, 2] > 0])
+        loaded = covered & (plate[:, 1] > 0)
         for label in ("L-ankle", "R-ankle"):
             markers.pos[label][loaded] = np.nan
         with pytest.raises(InsufficientDataError,
                            match="neither L-ankle nor R-ankle is seen"):
-            pipeline._plate_load(aligned, markers, MarkerSchema.default(),
-                                 1.0)
+            pipeline._plate_load(plate, covered, markers,
+                                 MarkerSchema.default(), 1.0)
 
     def test_standing_tie_goes_left(self):
         # both ankles stand at one x: the left, as before
         res = synthesize_gait(standing_profile())
-        aligned = align_streams(res.markers, res.grf)
-        side, _, _ = pipeline._plate_load(aligned, res.markers,
-                                          MarkerSchema.default(), 1.0)
+        side, _, _ = pipeline._plate_load(
+            *align_streams(res.markers, res.grf), res.markers,
+            MarkerSchema.default(), 1.0)
         assert side == "left"
 
 
@@ -367,6 +368,26 @@ class TestMarkerGap:
         assert [w for w in warnings if "COM" in w] == [
             "com_variation not computed for the strides with no finite COM "
             "frame: left from 1.000 s, right from 0.400 s, right from 1.600 s"]
+
+    def test_curves_without_angle_named_once(self, stride, tmp_path):
+        # R-knee hidden over frames 20-269, too long to fill: every right
+        # angle curve of the first cycle is NaN, each peak reads NaN with
+        # no numpy warning, and one meta.json warning names them
+        markers = stride.markers.copy()
+        markers.pos["R-knee"][20:270] = np.nan
+        out = analyze_trial(TrialRecord(meta=stride.meta, markers=markers,
+                                        grf=stride.grf))
+        assert all(np.isnan(v) for v in out.peak_angles["right"].values())
+        assert not any(np.isnan(v) for v in out.peak_angles["left"].values())
+        # compare leaves the missing peaks out, naming them
+        assert [k for k in bundle_scalars(out) if k.startswith("peak_")] == [
+            f"peak_{joint}_left" for joint in ("hip", "knee", "ankle")]
+        write_bundle(out, tmp_path / "b")
+        warnings = json.loads((tmp_path / "b" / "meta.json").read_text())[
+            "warnings"]
+        assert [w for w in warnings if "peak" in w] == [
+            "peak angle not computed for the cycle curves with no finite "
+            "value: right hip, right knee, right ankle"]
 
     def test_strides_without_velocity_named_once(self, stride, tmp_path):
         # L-asis hidden over frames 150-169, too long to fill: the pelvis
